@@ -23,6 +23,7 @@ from .errors import (
     Overflow,
     ResourceConsumed,
     ShapeMismatch,
+    TaskFault,
 )
 
 __all__ = [
@@ -35,5 +36,6 @@ __all__ = [
     "Overflow",
     "ResourceConsumed",
     "ShapeMismatch",
+    "TaskFault",
     "__version__",
 ]

@@ -25,6 +25,23 @@ class InvalidArgument(KernelError):
     kind = "InvalidArgument"
 
 
+class TaskFault(InvalidArgument):
+    """A task's work raised, or yielded a step cost below one cycle.
+
+    The task is left FAULTED and is not re-queued. completed lists, in
+    completion order, the ids that finished earlier in the same batch, so
+    the caller can still account for them. A subclass of InvalidArgument
+    because the faulty work is caller input to the scheduler.
+    """
+
+    kind = "TaskFault"
+
+    def __init__(self, detail: str, task_id, completed: list):
+        super().__init__(detail)
+        self.task_id = task_id
+        self.completed = completed
+
+
 class OutOfMemory(KernelError):
     """No allocation can satisfy the request; the userspace-visible ENOMEM."""
 

@@ -1,10 +1,13 @@
-"""Bitmap-tracked fixed-block memory pool with large-page classes.
+"""Fixed-block memory pool with large-page classes, tracked by a byte map.
 
 The pool carves a zeroed byte arena into fixed blocks, tracks them with one
-bit per block, and places allocations first-fit. Large pages come out of
-the same arena but must start on an offset aligned to their own size, which
-keeps conservation checkable across both allocators. Also home to the
-zero-copy SharedBuffer used for device interchange.
+byte per block, and places allocations first-fit: the lowest run of n free
+blocks is the first match of n zero bytes, found in C by bytearray.find.
+Large pages come out of the same arena but must start on an offset aligned
+to their own size; a misaligned match restarts the search at the next
+aligned offset. Sharing one arena keeps conservation checkable across both
+allocators. Also home to the zero-copy SharedBuffer used for device
+interchange.
 """
 
 from __future__ import annotations
@@ -58,13 +61,14 @@ class BlockHandle:
 
 
 class BlockPool:
-    """Fixed-block arena with a one-bit-per-block allocation map."""
+    """Fixed-block arena with a one-byte-per-block allocation map."""
 
     def __init__(self, config: PoolConfig | None = None):
         self.config = config or PoolConfig()
         self._pool_id = next(_POOL_IDS)
         self._n_blocks = self.config.pool_bytes // self.config.block_bytes
-        self._bitmap = [False] * self._n_blocks
+        self._bitmap = bytearray(self._n_blocks)  # 1 = allocated
+        self._allocated = 0
         try:
             self._storage = bytearray(self.config.pool_bytes)
         except MemoryError:
@@ -83,8 +87,7 @@ class BlockPool:
 
     @property
     def allocated_blocks(self) -> int:
-        with self._lock:
-            return sum(n for _, n in self._ledger.values())
+        return self._allocated
 
     @property
     def free_blocks(self) -> int:
@@ -97,7 +100,7 @@ class BlockPool:
     def bitmap(self) -> tuple[bool, ...]:
         """Snapshot of the allocation map; True means allocated."""
         with self._lock:
-            return tuple(self._bitmap)
+            return tuple(map(bool, self._bitmap))
 
     def bitmap_hex(self) -> str:
         """Bitmap packed MSB-first, so the hex string reads in block order."""
@@ -112,24 +115,18 @@ class BlockPool:
 
     def _find_run(self, n_blocks: int, align_blocks: int = 1) -> int | None:
         """Lowest-indexed run of n free blocks starting on the alignment."""
-        i = 0
-        limit = self._n_blocks - n_blocks
-        while i <= limit:
-            conflict = -1
-            for j in range(i, i + n_blocks):
-                if self._bitmap[j]:
-                    conflict = j
-                    break
-            if conflict < 0:
-                return i
-            i = conflict + 1
-            if align_blocks > 1:
-                i = ((i + align_blocks - 1) // align_blocks) * align_blocks
-        return None
+        if n_blocks > self._n_blocks:
+            return None
+        hole = bytes(n_blocks)
+        i = self._bitmap.find(hole)
+        while i > 0 and i % align_blocks:
+            # No free run starts before i, so the next candidate is the next aligned offset.
+            i = self._bitmap.find(hole, i - i % align_blocks + align_blocks)
+        return i if i >= 0 else None
 
     def _take_run(self, first: int, n_blocks: int) -> BlockHandle:
-        for j in range(first, first + n_blocks):
-            self._bitmap[j] = True
+        self._bitmap[first : first + n_blocks] = b"\x01" * n_blocks
+        self._allocated += n_blocks
         handle = BlockHandle(next(self._next_handle), first, n_blocks, self._pool_id)
         self._ledger[handle.id] = (first, n_blocks)
         return handle
@@ -143,7 +140,7 @@ class BlockPool:
             if first is None:
                 raise OutOfMemory(
                     f"no contiguous run of {n_blocks} free blocks "
-                    f"({self.total_blocks - sum(n for _, n in self._ledger.values())} free in total)"
+                    f"({self.total_blocks - self._allocated} free in total)"
                 )
             return self._take_run(first, n_blocks)
 
@@ -172,8 +169,8 @@ class BlockPool:
             if entry is None:
                 raise InvalidArgument(f"handle {handle.id} is not live (double free?)")
             first, n_blocks = entry
-            for j in range(first, first + n_blocks):
-                self._bitmap[j] = False
+            self._bitmap[first : first + n_blocks] = bytes(n_blocks)
+            self._allocated -= n_blocks
             bb = self.config.block_bytes
             start = first * bb
             self._storage[start : start + n_blocks * bb] = bytes(n_blocks * bb)

@@ -1,22 +1,27 @@
 """Priority scheduler for simulated ML tasks.
 
 Lower priority value runs earlier; equal priorities run in arrival order.
+The queue is a binary heap keyed on (priority, arrival sequence), and a
+task's priority is read when it enters the queue: changing it while the
+task is queued does not move the task.
 Task work is a generator that yields the simulated cycle cost of each step
 (the cost model: one cycle per scalar multiply-add, ten per allocation).
 A task is preempted at the first step boundary on or past the quantum, its
 floating-point context snapshotted and restored bit-exactly on resume.
 Tasks whose consumed cycles cross the deprioritization threshold are
-penalized once.
+penalized once, before a preempted task re-enters the queue.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, TaskFault
 from .tensor import Tensor
 
 DEFAULT_PRIORITY = 10
@@ -32,6 +37,7 @@ class TaskState(Enum):
     RUNNING = "running"
     PREEMPTED = "preempted"
     DONE = "done"
+    FAULTED = "faulted"
 
 
 @dataclass(frozen=True)
@@ -138,8 +144,9 @@ class MlScheduler:
         self.config = config or SchedulerConfig()
         self.perf = PerfCounter()
         self.fp_registers: list[float] = [0.0] * FP_SLOTS
-        self._queue: list[tuple[MlTask, int]] = []
-        self._seq = 0
+        self._queue: list[tuple[int, int, MlTask]] = []  # heap of (priority, seq, task)
+        self._queued: set = set()  # ids of the tasks in _queue
+        self._seqs = itertools.count()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -148,27 +155,35 @@ class MlScheduler:
     # -- queue ------------------------------------------------------------
 
     def enqueue(self, task: MlTask) -> None:
+        """Queue a fresh task; its priority is read now, not when it is dequeued."""
         if task.state is not TaskState.QUEUED:
             raise InvalidArgument(
                 f"only fresh tasks can be enqueued, task {task.id!r} is {task.state.value}"
             )
-        self._insert(task)
+        if not isinstance(task.priority, int):
+            raise InvalidArgument(f"task {task.id!r} priority must be an int, got {task.priority!r}")
+        self._push((task.priority, next(self._seqs), task))
 
-    def _insert(self, task: MlTask) -> None:
+    def _push(self, entry: tuple[int, int, MlTask]) -> None:
+        """Queue a task under its (priority, seq) key; the seq breaks ties FIFO."""
+        task = entry[2]
         with self._lock:
-            if any(t.id == task.id for t, _ in self._queue):
+            try:
+                queued = task.id in self._queued
+            except TypeError:
+                raise InvalidArgument(f"task id {task.id!r} is not hashable") from None
+            if queued:
                 raise InvalidArgument(f"task id {task.id!r} is already queued")
-            self._queue.append((task, self._seq))
-            self._seq += 1
+            heapq.heappush(self._queue, entry)
+            self._queued.add(task.id)
 
     def dequeue(self) -> MlTask | None:
         """Pop the lowest-priority-value task, FIFO among ties; None if empty."""
         with self._lock:
             if not self._queue:
                 return None
-            best = min(range(len(self._queue)),
-                       key=lambda i: (self._queue[i][0].priority, self._queue[i][1]))
-            task, _ = self._queue.pop(best)
+            task = heapq.heappop(self._queue)[2]
+            self._queued.discard(task.id)
             return task
 
     # -- execution --------------------------------------------------------
@@ -177,24 +192,34 @@ class MlScheduler:
         """Dequeue up to n tasks and give each one timeslice.
 
         Tasks that finish contribute their ids (in completion order); tasks
-        that hit the quantum are preempted and re-queued. An empty queue
-        yields an empty list.
+        that hit the quantum are preempted, deprioritized if they crossed
+        the threshold, and re-queued. An empty queue yields an empty list.
+
+        If a task's work raises or yields a cost below one cycle, that task
+        is left FAULTED, the tasks of the batch not yet run go back under
+        their original (priority, seq) keys, and TaskFault is raised from
+        the original exception, carrying the ids completed before it.
         """
         if n < 1:
             raise InvalidArgument(f"batch size must be >= 1, got {n}")
-        batch: list[MlTask] = []
-        while len(batch) < n:
-            task = self.dequeue()
-            if task is None:
-                break
-            batch.append(task)
+        with self._lock:
+            batch = [heapq.heappop(self._queue) for _ in range(min(n, len(self._queue)))]
+            self._queued.difference_update(task.id for _, _, task in batch)
         completed = []
-        for task in batch:
-            if self._run_slice(task):
+        for i, (_, _, task) in enumerate(batch):
+            try:
+                done = self._run_slice(task)
+            except Exception as exc:  # work is caller code: any failure faults the task
+                task.state = TaskState.FAULTED
+                task._gen = None
+                for entry in batch[i + 1:]:
+                    self._push(entry)
+                raise TaskFault(f"task {task.id!r} faulted: {exc!r}", task.id, completed) from exc
+            self.adjust_scheduling(task)
+            if done:
                 completed.append(task.id)
             else:
-                self._insert(task)
-            self.adjust_scheduling(task)
+                self._push((task.priority, next(self._seqs), task))
         return completed
 
     def _run_slice(self, task: MlTask) -> bool:
@@ -252,6 +277,7 @@ class MlScheduler:
     def reset(self) -> None:
         with self._lock:
             self._queue.clear()
-            self._seq = 0
+            self._queued.clear()
+            self._seqs = itertools.count()
         self.perf.reset()
         self.fp_registers[:] = [0.0] * FP_SLOTS

@@ -1,6 +1,9 @@
+import time
 from random import Random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, consumes, invariant, multiple, rule
 
 from neurokernel.errors import InvalidArgument, OutOfMemory
 from neurokernel.mempool import BlockPool, PoolConfig, SharedBuffer
@@ -174,6 +177,87 @@ def test_randomized_invariants_against_brute_force():
             assert f1 + n1 <= f2, "overlapping handles"
         assert sum(pool.bitmap()) == sum(n for _, n in ranges)
         assert pool.free_blocks + pool.allocated_blocks == pool.total_blocks
+
+
+class PoolModel(RuleBasedStateMachine):
+    """BlockPool against a set of allocated blocks and brute-force first-fit."""
+
+    N_BLOCKS = 48
+    PAGE_BLOCKS = (4, 16)
+
+    live = Bundle("live")
+    freed = Bundle("freed")
+
+    def __init__(self):
+        super().__init__()
+        self.pool = small_pool(blocks=self.N_BLOCKS,
+                               classes=tuple(n * 4096 for n in self.PAGE_BLOCKS))
+        self.used: set[int] = set()
+
+    def _place(self, allocate, n_blocks, align):
+        bits = [i in self.used for i in range(self.N_BLOCKS)]
+        expected = brute_force_first_fit(bits, n_blocks, align)
+        if expected is None:
+            with pytest.raises(OutOfMemory):
+                allocate()
+            return multiple()
+        handle = allocate()
+        assert (handle.first_block, handle.n_blocks) == (expected, n_blocks)
+        assert self.pool.read(handle) == bytes(n_blocks * 4096)  # freed blocks were zeroed
+        self.pool.write(handle, 0, b"\xff" * n_blocks * 4096)
+        self.used.update(range(expected, expected + n_blocks))
+        return handle
+
+    @rule(target=live, n_blocks=st.integers(1, N_BLOCKS + 2))
+    def alloc(self, n_blocks):
+        return self._place(lambda: self.pool.alloc(n_blocks), n_blocks, 1)
+
+    @rule(target=live, n_blocks=st.sampled_from(PAGE_BLOCKS))
+    def alloc_large_page(self, n_blocks):
+        return self._place(lambda: self.pool.alloc_large_page(n_blocks * 4096), n_blocks, n_blocks)
+
+    @rule(target=freed, handle=consumes(live))
+    def free(self, handle):
+        self.pool.free(handle)
+        self.used.difference_update(range(handle.first_block, handle.first_block + handle.n_blocks))
+        return handle
+
+    @rule(handle=freed)
+    def double_free(self, handle):
+        with pytest.raises(InvalidArgument):
+            self.pool.free(handle)
+
+    @invariant()
+    def stats_match_model(self):
+        assert self.pool.bitmap() == tuple(i in self.used for i in range(self.N_BLOCKS))
+        assert self.pool.allocated_blocks == len(self.used)
+        assert self.pool.free_blocks == self.N_BLOCKS - len(self.used)
+
+
+TestPoolModel = PoolModel.TestCase
+TestPoolModel.settings = settings(max_examples=60, stateful_step_count=60, deadline=None)
+
+
+class TestFullScale:
+    def test_fill_and_drain_512_mib_pool_in_bounded_time(self):
+        pool = BlockPool(PoolConfig(pool_bytes=512 * MIB, block_bytes=4096))
+        deadline = time.perf_counter() + 10.0
+        handles = []
+        with pytest.raises(OutOfMemory):
+            while True:
+                handles.append(pool.alloc(1))
+                assert time.perf_counter() < deadline, f"{len(handles)} blocks filled"
+        assert len(handles) == pool.total_blocks == 131072
+        assert pool.free_blocks == 0
+        for handle in handles:
+            pool.free(handle)
+        assert time.perf_counter() < deadline
+        assert pool.free_blocks == pool.total_blocks
+        assert pool.bitmap_hex() == "00" * (131072 // 8)
+
+    def test_request_larger_than_pool_is_refused(self):
+        with pytest.raises(OutOfMemory):
+            small_pool().alloc(10**15)
 
 
 class TestBitmapHex:

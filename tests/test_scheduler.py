@@ -1,9 +1,12 @@
 import math
+import time
 from random import Random
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from neurokernel.errors import InvalidArgument
+from neurokernel.errors import InvalidArgument, KernelError, TaskFault
 from neurokernel.scheduler import (
     ALLOC_CYCLES,
     MlScheduler,
@@ -61,6 +64,17 @@ class TestQueueOrder:
         sched.enqueue(make_task("c"))
         sched.enqueue(make_task("d", priority=5))
         assert [sched.dequeue().id for _ in range(3)] == ["d", "b", "c"]
+
+    def test_unhashable_id_rejected(self):
+        with pytest.raises(InvalidArgument):
+            MlScheduler().enqueue(make_task(["not", "hashable"]))
+
+    def test_non_integer_priority_rejected(self):
+        sched = MlScheduler()
+        sched.enqueue(make_task("A"))
+        with pytest.raises(InvalidArgument):
+            sched.enqueue(make_task("B", priority="high"))
+        assert len(sched) == 1
 
     def test_priority_soundness_random(self):
         rng = Random(5)
@@ -225,6 +239,19 @@ class TestWorkBuilders:
         with pytest.raises(InvalidArgument):
             sched.batch_execute(1)
 
+    def test_zero_cost_step_faults_only_that_task(self):
+        def bad_work(ctx):
+            yield 0
+
+        sched = MlScheduler()
+        bad = MlTask("bad", bad_work)
+        sched.enqueue(bad)
+        sched.enqueue(make_task("ok"))
+        with pytest.raises(TaskFault):
+            sched.batch_execute(2)
+        assert bad.state is TaskState.FAULTED
+        assert sched.batch_execute(2) == ["ok"]
+
     def test_matmul_work_costs_and_result(self):
         a = Tensor.from_rows([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor.from_rows([[5.0, 6.0], [7.0, 8.0]])
@@ -235,6 +262,168 @@ class TestWorkBuilders:
         assert sched.batch_execute(1) == ["mm"]
         assert results[0] == matmul_naive(a, b)
         assert task.consumed_cycles == 2 * 2 * 2 + ALLOC_CYCLES
+
+
+class TestWorkFault:
+    @staticmethod
+    def failing(ctx):
+        yield 1
+        raise RuntimeError("work failed")
+
+    def test_fault_keeps_the_rest_of_the_batch(self):
+        sched = MlScheduler()
+        bad = MlTask("bad", self.failing)
+        sched.enqueue(bad)
+        for name in ("b", "c", "d"):
+            sched.enqueue(make_task(name))
+        with pytest.raises(KernelError) as info:
+            sched.batch_execute(4)
+        assert type(info.value) is TaskFault
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert info.value.task_id == "bad"
+        assert info.value.completed == []
+        assert bad.state is TaskState.FAULTED
+        assert len(sched) == 3
+        assert sched.batch_execute(4) == ["b", "c", "d"]
+
+    def test_unrun_tasks_keep_their_queue_position(self):
+        sched = MlScheduler(SchedulerConfig(quantum=5))
+        sched.enqueue(make_task("done", cycles=1))
+        sched.enqueue(make_task("long", cycles=20))
+        sched.enqueue(MlTask("bad", self.failing))
+        sched.enqueue(make_task("unrun"))
+        sched.enqueue(make_task("waiting"))
+        with pytest.raises(TaskFault) as info:
+            sched.batch_execute(4)
+        # Ids completed before the fault are reported, so callers can account for them.
+        assert info.value.completed == ["done"]
+        # "unrun" keeps its original key, ahead of "waiting"; "long" was preempted
+        # and re-queued behind both.
+        assert [sched.dequeue().id for _ in range(3)] == ["unrun", "waiting", "long"]
+
+    def test_faulted_task_cannot_be_enqueued_again(self):
+        sched = MlScheduler()
+        bad = MlTask("bad", self.failing)
+        sched.enqueue(bad)
+        with pytest.raises(TaskFault):
+            sched.batch_execute(1)
+        with pytest.raises(InvalidArgument):
+            sched.enqueue(bad)
+
+
+class SchedulerModel(RuleBasedStateMachine):
+    """MlScheduler against a list of queue entries in arrival order.
+
+    The model's next task is the first entry of that list stably sorted by
+    priority. A task of c unit steps finishes (or, if faulty, raises) in a
+    slice that starts with fewer than QUANTUM cycles left; otherwise the
+    slice burns QUANTUM cycles and the task re-enters at the back.
+    """
+
+    QUANTUM = 4
+    THRESHOLD = 9
+
+    def __init__(self):
+        super().__init__()
+        self.sched = MlScheduler(SchedulerConfig(quantum=self.QUANTUM,
+                                                 deprioritize_threshold=self.THRESHOLD))
+        self.entries = []  # [seq, priority, task, cycles left, cycles in total], in arrival order
+        self.seq = 0
+        self.faulty = set()
+
+    def _append(self, priority, task, left, cycles):
+        self.entries.append([self.seq, priority, task, left, cycles])
+        self.seq += 1
+
+    def _pop_model(self):
+        entry = sorted(self.entries, key=lambda e: e[1])[0]
+        self.entries.remove(entry)
+        return entry
+
+    @staticmethod
+    def faulty_work(cycles):
+        def work(ctx):
+            for _ in range(cycles):
+                yield 1
+            raise RuntimeError("work failed")
+
+        return work
+
+    @rule(priority=st.integers(0, 3), cycles=st.integers(1, 20), faulty=st.booleans())
+    def enqueue(self, priority, cycles, faulty):
+        work = self.faulty_work(cycles) if faulty else cycles_work(cycles)
+        task = MlTask(self.seq, work, priority=priority)
+        self.sched.enqueue(task)
+        if faulty:
+            self.faulty.add(task.id)
+        self._append(priority, task, cycles, cycles)
+
+    @precondition(lambda self: self.entries)
+    @rule(data=st.data())
+    def enqueue_duplicate_id(self, data):
+        task_id = data.draw(st.sampled_from([e[2].id for e in self.entries]))
+        with pytest.raises(InvalidArgument):
+            self.sched.enqueue(make_task(task_id))
+
+    @rule()
+    def dequeue(self):
+        task = self.sched.dequeue()
+        if not self.entries:
+            assert task is None
+        else:
+            assert task is self._pop_model()[2]
+
+    @rule(n=st.integers(1, 4))
+    def batch_execute(self, n):
+        batch = [self._pop_model() for _ in range(min(n, len(self.entries)))]
+        completed, priorities, fault = [], [], None
+        for i, (_, priority, task, left, cycles) in enumerate(batch):
+            used = min(left, self.QUANTUM)
+            if left < self.QUANTUM and task.id in self.faulty:
+                fault = task
+                self.entries.extend(batch[i + 1:])
+                self.entries.sort(key=lambda e: e[0])
+                break
+            before = cycles - left
+            if before <= self.THRESHOLD < before + used:
+                priority += 10
+            priorities.append((task, priority))
+            if left < self.QUANTUM:
+                completed.append(task.id)
+            else:
+                self._append(priority, task, left - used, cycles)
+        if fault is None:
+            assert self.sched.batch_execute(n) == completed
+        else:
+            with pytest.raises(TaskFault) as info:
+                self.sched.batch_execute(n)
+            assert (info.value.task_id, info.value.completed) == (fault.id, completed)
+            assert fault.state is TaskState.FAULTED
+        for task, priority in priorities:
+            assert task.priority == priority
+
+    @invariant()
+    def length_matches(self):
+        assert len(self.sched) == len(self.entries)
+
+
+TestSchedulerModel = SchedulerModel.TestCase
+TestSchedulerModel.settings = settings(max_examples=60, stateful_step_count=60, deadline=None)
+
+
+def test_twenty_thousand_tasks_drain_in_bounded_time():
+    rng = Random(20)
+    sched = MlScheduler()
+    tasks = [make_task(i, cycles=rng.randint(1, 3), priority=rng.randint(0, 9))
+             for i in range(20_000)]
+    deadline = time.perf_counter() + 10.0
+    for task in tasks:
+        sched.enqueue(task)
+    completed = []
+    while len(sched):
+        completed.extend(sched.batch_execute(4))
+        assert time.perf_counter() < deadline, f"{len(completed)} tasks drained"
+    assert completed == [t.id for t in sorted(tasks, key=lambda t: t.priority)]
 
 
 def test_reset_clears_everything():
