@@ -6,7 +6,9 @@ CLI looks for a path in --config first, then the NEUROKERNEL_CONFIG
 environment variable.
 
 Recognized keys: pool_bytes, block_bytes, large_page_classes, block_size,
-worker_count, deprioritize_threshold, batch_size, quantum.
+worker_count, deprioritize_threshold, batch_size, quantum. An unknown key
+or a key set twice is rejected with the line that holds it, so a typo
+cannot silently leave a default in force.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .mempool import PoolConfig
 ENV_VAR = "NEUROKERNEL_CONFIG"
 
 _LIST_KEYS = {"large_page_classes"}
+_KEYS = frozenset({
+    "pool_bytes", "block_bytes", "large_page_classes", "block_size",
+    "worker_count", "deprioritize_threshold", "batch_size", "quantum",
+})
 
 
 def parse_config(text: str) -> dict:
@@ -33,6 +39,10 @@ def parse_config(text: str) -> dict:
             raise InvalidArgument(f"config line {lineno}: expected 'key = value'")
         key = key.strip()
         value = value.strip()
+        if key not in _KEYS:
+            raise InvalidArgument(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise InvalidArgument(f"config line {lineno}: duplicate key {key!r}")
         try:
             if key in _LIST_KEYS:
                 values[key] = tuple(int(part.strip()) for part in value.split(","))

@@ -43,8 +43,20 @@ class Checkpoint:
     snapshot: bytes
 
 
+# The canonical snapshot encoding; the same options as
+# json.dumps(state, sort_keys=True, separators=(",", ":")).
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class Node:
-    """One simulated worker node with an inbox ordered Realtime before Bulk."""
+    """One simulated worker node with an inbox ordered Realtime before Bulk.
+
+    ``processed`` is append-only: records are added at the end and never
+    changed or removed, and ``last_outputs`` values are replaced, never
+    mutated. ``snapshot`` relies on both to encode each record and each
+    output once. ``id`` and ``modalities`` are fixed for the node's life.
+    ``Cluster.restore_node`` builds a new Node, whose fragments start empty.
+    """
 
     def __init__(self, node_id: int, modalities: frozenset[Modality]):
         if node_id == COORDINATOR_ID:
@@ -56,6 +68,15 @@ class Node:
         self.heartbeat_seq = 0
         self.processed: list[list] = []  # [tick, modality, tag, label]
         self.last_outputs: dict[Modality, tuple[str, tuple[float, ...]]] = {}
+        # Snapshot fragments: the JSON of processed[:_processed_encoded],
+        # comma-separated, and per modality the output tuple last encoded
+        # with its '"key":{...}' JSON.
+        self._processed_json = bytearray()
+        self._processed_encoded = 0
+        self._output_json: dict[Modality, tuple[tuple, bytes]] = {}
+        fixed = _CANONICAL.encode({"modalities": sorted(m.value for m in self.modalities),
+                                   "node_id": node_id})
+        self._tail_json = f',{fixed[1:-1]},"processed":['.encode()
         self.checkpoint_store: dict[tuple[int, int], Checkpoint] = {}
         self._metrics: dict[str, deque] = {
             "cpu": deque(maxlen=METRIC_WINDOW),
@@ -116,9 +137,38 @@ class Node:
             },
         }
 
+    def snapshot(self) -> bytes:
+        """The canonical JSON of state_dict(), UTF-8, built from cached fragments.
 
-def _serialize_state(state: dict) -> bytes:
-    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        Byte-equal to ``json.dumps(state_dict(), sort_keys=True,
+        separators=(",", ":")).encode()``. Only records appended since the
+        last call and outputs replaced since then are encoded; the heartbeat
+        and the metric windows are encoded on every call.
+        """
+        new = self.processed[self._processed_encoded:]
+        if new:
+            if self._processed_json:
+                self._processed_json += b","
+            self._processed_json += _CANONICAL.encode(new)[1:-1].encode()
+            self._processed_encoded += len(new)
+        outputs = []
+        for modality, entry in sorted(self.last_outputs.items(), key=lambda kv: kv[0].value):
+            cached = self._output_json.get(modality)
+            if cached is None or cached[0] is not entry:
+                label, vec = entry
+                body = _CANONICAL.encode({modality.value: {"label": label, "tensor": vec}})
+                cached = self._output_json[modality] = (entry, body[1:-1].encode())
+            outputs.append(cached[1])
+        metrics = _CANONICAL.encode({k: list(v) for k, v in self._metrics.items()})
+        return b"".join((
+            b'{"heartbeat_seq":%d,"last_outputs":{' % self.heartbeat_seq,
+            b",".join(outputs),
+            b'},"metrics":',
+            metrics.encode(),
+            self._tail_json,
+            self._processed_json,
+            b"]}",
+        ))
 
 
 class Cluster:
@@ -294,17 +344,21 @@ class Cluster:
     # -- checkpoints ---------------------------------------------------------
 
     def checkpoint_node(self, node_id: int) -> Checkpoint:
-        """Snapshot a node's state and replicate the checkpoint to one peer."""
+        """Snapshot a node's state and replicate the checkpoint to one peer.
+
+        The peer is the lowest-id non-failed other node.
+        """
         node = self.node(node_id)
         seq = next(self._checkpoint_seq[node_id])
-        chk = Checkpoint(node_id, seq, _serialize_state(node.state_dict()))
-        peers = [
-            n for nid, n in sorted(self.nodes.items())
-            if nid != node_id and n.liveness is not Liveness.FAILED
-        ]
-        if not peers:
+        chk = Checkpoint(node_id, seq, node.snapshot())
+        peer = min(
+            (nid for nid, n in self.nodes.items()
+             if nid != node_id and n.liveness is not Liveness.FAILED),
+            default=None,
+        )
+        if peer is None:
             raise NodeUnreachable("no peer available to replicate the checkpoint")
-        peers[0].checkpoint_store[(node_id, seq)] = chk
+        self.nodes[peer].checkpoint_store[(node_id, seq)] = chk
         return chk
 
     def restore_node(self, chk: Checkpoint, target_id: int | None = None) -> Node:

@@ -11,6 +11,7 @@ Equality of canonical forms then coincides with effect equivalence.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -53,6 +54,10 @@ class DrawPixel:
 
 
 PathOp = Union[Identity, Translate, DrawPixel]
+
+# int() alone also takes a sign, "_" separators, inner spaces and non-ASCII digits.
+_COORD = re.compile(r"-?[0-9]+")
+_HEX_COLOR = re.compile(r"#[0-9A-Fa-f]{6}")
 
 
 class Framebuffer:
@@ -106,22 +111,22 @@ def interpret_intent(intent: DrawPixel, fb: Framebuffer) -> Framebuffer:
 
 
 def parse_intent(text: str) -> DrawPixel:
-    """Parse the CLI intent syntax ``pixel:x,y,#RRGGBB``."""
+    """Parse the CLI intent syntax ``pixel:x,y,#RRGGBB``.
+
+    x and y are an optional ``-`` and ASCII digits, the color ``#`` and six
+    ASCII hex digits; spaces around each field are ignored.
+    """
     kind, _, rest = text.partition(":")
     if kind.strip() != "pixel":
         raise InvalidArgument(f"unsupported intent kind {kind.strip()!r}")
     parts = [p.strip() for p in rest.split(",")]
     if len(parts) != 3:
         raise InvalidArgument(f"intent needs x,y,#RRGGBB, got {rest!r}")
-    try:
-        x, y = int(parts[0]), int(parts[1])
-        hex_color = parts[2]
-        if not hex_color.startswith("#") or len(hex_color) != 7:
-            raise ValueError(hex_color)
-        color = (int(hex_color[1:3], 16), int(hex_color[3:5], 16), int(hex_color[5:7], 16))
-    except ValueError:
-        raise InvalidArgument(f"malformed intent {text!r}") from None
-    return DrawPixel(x, y, color)
+    x, y, hex_color = parts
+    if not (_COORD.fullmatch(x) and _COORD.fullmatch(y) and _HEX_COLOR.fullmatch(hex_color)):
+        raise InvalidArgument(f"malformed intent {text!r}")
+    color = (int(hex_color[1:3], 16), int(hex_color[3:5], 16), int(hex_color[5:7], 16))
+    return DrawPixel(int(x), int(y), color)
 
 
 def apply_path(path: Iterable[PathOp], fb: Framebuffer) -> Framebuffer:

@@ -2,6 +2,7 @@ import pytest
 
 from neurokernel.cli import main
 from neurokernel.config import ENV_VAR, parse_config, pool_config_from
+from neurokernel.errors import InvalidArgument
 
 
 def run(capsys, *argv):
@@ -220,3 +221,39 @@ class TestConfigParsing:
     def test_malformed_line_rejected(self):
         with pytest.raises(Exception):
             parse_config("pool_bytes eight\n")
+
+    @pytest.mark.parametrize("text, line, key", [
+        ("quantm = 5\nquantum = 1\nquantum = 2", 1, "'quantm'"),
+        ("# sizing\npool_bytes = 8\n\nPool_Bytes = 8\n", 4, "'Pool_Bytes'"),
+        ("block_bytes = 4096\n = 3\n", 2, "''"),
+    ])
+    def test_unknown_key_rejected_naming_the_line(self, text, line, key):
+        with pytest.raises(InvalidArgument, match=f"line {line}: unknown key {key}"):
+            parse_config(text)
+
+    def test_duplicate_key_rejected_naming_the_line(self):
+        with pytest.raises(InvalidArgument, match="line 3: duplicate key 'quantum'"):
+            parse_config("quantum = 5\n# again\nquantum = 1\n")
+
+    def test_duplicate_list_key_rejected(self):
+        with pytest.raises(InvalidArgument, match="line 2: duplicate key 'large_page_classes'"):
+            parse_config("large_page_classes = 65536\nlarge_page_classes = 1048576\n")
+
+    def test_every_documented_key_accepted(self):
+        text = (
+            "pool_bytes = 1\nblock_bytes = 2\nlarge_page_classes = 3, 4\nblock_size = 5\n"
+            "worker_count = 6\ndeprioritize_threshold = 7\nbatch_size = 8\nquantum = 9\n"
+        )
+        assert parse_config(text) == {
+            "pool_bytes": 1, "block_bytes": 2, "large_page_classes": (3, 4), "block_size": 5,
+            "worker_count": 6, "deprioritize_threshold": 7, "batch_size": 8, "quantum": 9,
+        }
+
+    def test_unknown_key_in_config_file_exits_one(self, capsys, tmp_path):
+        ops = tmp_path / "ops.txt"
+        ops.write_text("alloc 1\n")
+        config = tmp_path / "pool.conf"
+        config.write_text("pool_bytes = 32768\nblock_byte = 4096\n")
+        code, out, err = run(capsys, "pool-demo", "--ops", str(ops), "--config", str(config))
+        assert (code, out) == (1, "")
+        assert err == "InvalidArgument: config line 2: unknown key 'block_byte'\n"

@@ -1,11 +1,13 @@
-"""Byte-exact CLI output for seeded scripts: the safety net for pool and scheduler rewrites.
+"""Byte-exact CLI output for seeded scripts: the safety net for hot-path rewrites.
 
-Each case runs one subcommand on a script in tests/golden/ and compares the
-exit code and output with the recorded file: stdout in ``<case>.out`` for a
-run that succeeds, stderr in ``<case>.err`` for one that is refused. The
-recorded files hold the output of the bit-loop pool and the min-scan
-scheduler that the byte-map pool and the heap scheduler replaced. Regenerate
-one only for an intended change of behaviour, for example::
+Each case runs one subcommand on a script in tests/golden/ (or on no script,
+for a builtin input) and compares the exit code and output with the recorded
+file: stdout in ``<case>.out`` for a run that succeeds, stderr in
+``<case>.err`` for one that is refused. The recorded files hold the output of
+the bit-loop pool, the min-scan scheduler and the whole-state checkpoint
+encoder that the byte-map pool, the heap scheduler and the cached-fragment
+encoder replaced. Regenerate one only for an intended change of behaviour,
+for example::
 
     neurokernel sched-sim --tasks tests/golden/sched_preempt.tasks \
         --threshold 1000 --quantum 100 > tests/golden/sched_preempt.out
@@ -20,7 +22,7 @@ from neurokernel.config import ENV_VAR
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# case: (subcommand and flags, script, line appended to the script, exit code)
+# case: (subcommand and flags, script or None, line appended to the script, exit code)
 CASES = {
     "pool_fill": (["pool-demo", "--ops"], "pool_fill.ops", "", 0),
     # 21 free blocks in a row, but none of the 16-block runs is aligned.
@@ -30,6 +32,14 @@ CASES = {
         ["sched-sim", "--threshold", "1000", "--quantum", "100", "--tasks"],
         "sched_preempt.tasks", "", 0,
     ),
+    "orchestrate_demo": (["orchestrate", "--scenario", "demo", "--ticks", "8"], None, "", 0),
+    # Two kills: suspect, failed, rerouted and dropped work, refused inputs,
+    # and twelve checkpoint rounds over tags with quotes, backslashes and
+    # non-ASCII text.
+    "orchestrate_failover": (
+        ["orchestrate", "--ticks", "60", "--seed", "3", "--scenario"],
+        "orchestrate_failover.scenario", "", 0,
+    ),
 }
 
 
@@ -37,14 +47,16 @@ CASES = {
 def test_cli_output_matches_golden(case, capsys, tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
     argv, script, extra, expected_code = CASES[case]
-    path = GOLDEN / script
-    if extra:
-        path = tmp_path / script
-        path.write_text((GOLDEN / script).read_text() + extra)
-    code = main([*argv, str(path)])
+    if script is not None:
+        path = GOLDEN / script
+        if extra:
+            path = tmp_path / script
+            path.write_text((GOLDEN / script).read_text(encoding="utf-8") + extra, encoding="utf-8")
+        argv = [*argv, str(path)]
+    code = main(argv)
     out, err = capsys.readouterr()
     assert code == expected_code
     if expected_code == 0:
-        assert (out, err) == ((GOLDEN / f"{case}.out").read_text(), "")
+        assert (out, err) == ((GOLDEN / f"{case}.out").read_text(encoding="utf-8"), "")
     else:
-        assert (out, err) == ("", (GOLDEN / f"{case}.err").read_text())
+        assert (out, err) == ("", (GOLDEN / f"{case}.err").read_text(encoding="utf-8"))

@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from neurokernel.orchestrator import (
     parse_scenario,
     run_scenario,
 )
+from neurokernel.orchestrator.envelope import MAGIC
 
 
 class TestEnvelopeCodec:
@@ -73,6 +75,50 @@ class TestEnvelopeCodec:
         env = MessageEnvelope(msg_id=1, source=1, dest=2, payload=b"", version=2)
         with pytest.raises(InvalidArgument):
             encode(env)
+
+
+def _decode_or_refuse(data: bytes) -> None:
+    """decode returns an envelope or raises one of its two kinds; nothing else escapes."""
+    try:
+        env = decode(data)
+    except (InvalidArgument, ChecksumMismatch):
+        return
+    assert isinstance(env, MessageEnvelope)
+    assert encode(env) == data  # only a canonical frame is accepted
+
+
+_frames = st.builds(
+    MessageEnvelope,
+    msg_id=st.integers(min_value=0, max_value=2**64 - 1),
+    source=st.integers(min_value=0, max_value=2**32 - 1),
+    dest=st.integers(min_value=0, max_value=2**32 - 1),
+    payload=st.binary(max_size=64),
+    qos=st.sampled_from([QoS.REALTIME, QoS.BULK]),
+).map(encode)
+
+
+class TestEnvelopeFuzz:
+    @given(st.binary(max_size=96) | st.binary(max_size=96).map(lambda b: MAGIC + b"\x01\x00" + b))
+    def test_arbitrary_bytes(self, data):
+        _decode_or_refuse(data)
+
+    @given(_frames, st.data())
+    def test_truncated_frame_is_invalid(self, frame, data):
+        cut = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+        with pytest.raises(InvalidArgument):
+            decode(frame[:cut])
+
+    @given(_frames, st.data())
+    def test_mutated_frame(self, frame, data):
+        mutated = bytearray(frame)
+        edits = data.draw(st.lists(
+            st.tuples(st.integers(min_value=0, max_value=len(frame) - 1),
+                      st.integers(min_value=0, max_value=255)),
+            min_size=1, max_size=4,
+        ))
+        for index, value in edits:
+            mutated[index] = value
+        _decode_or_refuse(bytes(mutated))
 
 
 class TestFailureDetection:
@@ -197,6 +243,87 @@ class TestCheckpoints:
     def test_checkpoint_unknown_node_rejected(self):
         with pytest.raises(InvalidArgument):
             Cluster().checkpoint_node(99)
+
+
+def _canonical_state(node) -> bytes:
+    """The snapshot oracle: canonical JSON of the node's state_dict()."""
+    return json.dumps(node.state_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+_SNAPSHOT_TAGS = (
+    "person", "3m", "help", "hello", 'say"hi"', "back\\slash", '\\"', "café",
+    "日本語", "emoji\U0001F600", "tab\there", "line\u2028sep", "nul\x00byte",
+)
+
+
+class TestSnapshotOracle:
+    """Every checkpoint snapshot is byte-equal to json.dumps of state_dict()."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_long_run_with_failover_and_restores(self, seed):
+        rng = Random(seed)
+        modalities = list(Modality)
+        cluster = Cluster(timeout_ticks=3)
+        for node_id in range(1, 13):
+            cluster.add_node(node_id, set(rng.sample(modalities, rng.randint(1, 3))))
+        kills = {40: 4, 95: 7, 160: 11}
+        latest = {}
+        checkpoints = failovers = 0
+        for tick in range(1, 241):
+            if tick in kills:
+                cluster.silence(kills[tick])
+            cluster.heartbeat_tick()
+            for node in cluster.nodes.values():
+                if node.liveness is not Liveness.FAILED and not node.silenced:
+                    node.push_metrics(rng.random(), rng.random(), rng.random())
+            for _ in range(rng.randint(1, 4)):
+                try:
+                    cluster.submit_input(rng.choice(modalities), rng.choice(_SNAPSHOT_TAGS))
+                except NodeUnreachable:
+                    pass
+            cluster.detect_failures()
+            failovers += len(cluster.last_failover_events())
+            cluster.process_step()
+            if tick == 120:  # roll node 3 back to an older checkpoint, same id
+                cluster.restore_node(latest[3][0])
+            if tick == 150:  # bring failed node 4 back under a replacement id
+                assert cluster.nodes[4].liveness is Liveness.FAILED
+                cluster.restore_node(latest[4][-1], target_id=99)
+            if tick % 5 == 0:
+                live = [nid for nid, n in sorted(cluster.nodes.items())
+                        if n.liveness is not Liveness.FAILED]
+                for node_id in live:
+                    chk = cluster.checkpoint_node(node_id)
+                    assert chk.snapshot == _canonical_state(cluster.nodes[node_id]), (tick, node_id)
+                    latest.setdefault(node_id, []).append(chk)
+                    checkpoints += 1
+        assert checkpoints > 450 and failovers > 0
+        assert len(latest[99]) > 10
+
+    def test_checkpoint_after_more_work_is_reencoded(self):
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION, Modality.LANGUAGE})
+        cluster.add_node(2, {Modality.AUDIO})
+        node = cluster.nodes[1]
+        cluster.heartbeat_tick()
+        cluster.submit_input(Modality.VISION, "person")
+        cluster.process_step()
+        first = cluster.checkpoint_node(1)
+        assert first.snapshot == _canonical_state(node)
+        assert cluster.checkpoint_node(1).snapshot == first.snapshot
+        # New history, a replaced output for a modality seen before and a
+        # new one, new metrics and a new heartbeat: all must show.
+        cluster.heartbeat_tick()
+        node.push_metrics(0.25, 0.5, 1.0)
+        cluster.submit_input(Modality.VISION, 'say"hi"')
+        cluster.submit_input(Modality.LANGUAGE, "日本語")
+        cluster.process_step()
+        cluster.process_step()
+        second = cluster.checkpoint_node(1)
+        assert second.snapshot != first.snapshot
+        assert second.snapshot == _canonical_state(node)
+        restored = cluster.restore_node(first)
+        assert cluster.checkpoint_node(1).snapshot == first.snapshot == _canonical_state(restored)
 
 
 class TestLoadBalancer:

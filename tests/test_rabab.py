@@ -247,7 +247,30 @@ class TestIntents:
     def test_parse_intent(self):
         assert parse_intent("pixel:100,50,#FF0000") == DrawPixel(100, 50, (255, 0, 0))
 
-    @pytest.mark.parametrize("bad", ["circle:1,2,#000000", "pixel:1,2", "pixel:1,2,red"])
+    @pytest.mark.parametrize("text, expected", [
+        ("pixel: 7 , 0 ,#00ff7F", DrawPixel(7, 0, (0, 255, 127))),
+        ("pixel:-1,-20,#000000", DrawPixel(-1, -20, (0, 0, 0))),
+        ("pixel:0012,3,#ABCDEF", DrawPixel(12, 3, (0xAB, 0xCD, 0xEF))),
+    ])
+    def test_parse_accepts_ascii_digits_and_hex(self, text, expected):
+        assert parse_intent(text) == expected
+
+    @pytest.mark.parametrize("bad", [
+        "circle:1,2,#000000", "pixel:1,2", "pixel:1,2,red",
+        "pixel:1,2,#-10000",   # int() took "-1" as a channel
+        "pixel:1,2,# 00000",   # and " 0"
+        "pixel:1,2,#+F0000",   # and "+F"
+        "pixel:1,2,#\u0661\u0662\u0663\u0664\u0665\u0666",  # non-ASCII digits
+        "pixel:1,2,#0000000", "pixel:1,2,#00000", "pixel:1,2,000000#",
+        "pixel:1_0,2,#000000",  # int() took "1_0" as 10
+        "pixel:+1,2,#000000",
+        "pixel:1,\u0662,#000000",
+        "pixel:1 0,2,#000000",
+        "pixel:--1,2,#000000",
+        "pixel:-,2,#000000",
+        "pixel:,2,#000000",
+        "pixel:0x1,2,#000000",
+    ])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(InvalidArgument):
             parse_intent(bad)
