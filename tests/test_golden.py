@@ -3,14 +3,19 @@
 Each case runs one subcommand on a script in tests/golden/ (or on no script,
 for a builtin input) and compares the exit code and output with the recorded
 file: stdout in ``<case>.out`` for a run that succeeds, stderr in
-``<case>.err`` for one that is refused. The recorded files hold the output of
-the bit-loop pool, the min-scan scheduler and the whole-state checkpoint
-encoder that the byte-map pool, the heap scheduler and the cached-fragment
-encoder replaced. Regenerate one only for an intended change of behaviour,
-for example::
+``<case>.err`` for one that is refused. Subcommands that also report wall
+clock (``matmul-bench``'s ``nanos`` column, ``selftest``'s per-check seconds
+on stderr) are compared on stdout alone, with the timing column cut. The
+recorded files hold the output of the bit-loop pool, the min-scan scheduler,
+the whole-state checkpoint encoder and the three per-variant matmul loops
+that the byte-map pool, the heap scheduler, the cached-fragment encoder and
+the single transposed-column kernel replaced. Regenerate one only for an
+intended change of behaviour, for example::
 
     neurokernel sched-sim --tasks tests/golden/sched_preempt.tasks \
         --threshold 1000 --quantum 100 > tests/golden/sched_preempt.out
+    neurokernel matmul-bench --n 24 --trials 1 --seed 0 \
+        | cut -d, -f1-4,6 > tests/golden/matmul_bench.out
 """
 
 from pathlib import Path
@@ -40,6 +45,21 @@ CASES = {
         ["orchestrate", "--ticks", "60", "--seed", "3", "--scenario"],
         "orchestrate_failover.scenario", "", 0,
     ),
+    "accel_demo": (["accel-demo", "--n", "8"], None, "", 0),
+    "compute_div": (["compute", "--a", "6", "--b", "3", "--op", "div"], None, "", 0),
+}
+
+
+def _drop_nanos(out: str) -> str:
+    """matmul-bench CSV without its fifth column, the wall-clock nanos."""
+    rows = (line.split(",") for line in out.splitlines())
+    return "".join(",".join(row[:4] + row[5:]) + "\n" for row in rows)
+
+
+# case: (subcommand and flags, filter applied to stdout); stderr is not compared
+TIMED = {
+    "matmul_bench": (["matmul-bench", "--n", "24", "--trials", "1", "--seed", "0"], _drop_nanos),
+    "selftest": (["selftest", "--seed", "0"], str),
 }
 
 
@@ -60,3 +80,11 @@ def test_cli_output_matches_golden(case, capsys, tmp_path, monkeypatch):
         assert (out, err) == ((GOLDEN / f"{case}.out").read_text(encoding="utf-8"), "")
     else:
         assert (out, err) == ("", (GOLDEN / f"{case}.err").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(TIMED))
+def test_timed_cli_stdout_matches_golden(case, capsys, monkeypatch):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    argv, keep = TIMED[case]
+    assert main(argv) == 0
+    assert keep(capsys.readouterr().out) == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
