@@ -55,7 +55,8 @@ class Node:
     changed or removed, and ``last_outputs`` values are replaced, never
     mutated. ``snapshot`` relies on both to encode each record and each
     output once. ``id`` and ``modalities`` are fixed for the node's life.
-    ``Cluster.restore_node`` builds a new Node, whose fragments start empty.
+    ``Cluster.restore_node`` builds a new Node, whose fragments start empty;
+    restored onto an existing id, it keeps that node's ``checkpoint_store``.
     """
 
     def __init__(self, node_id: int, modalities: frozenset[Modality]):
@@ -362,7 +363,12 @@ class Cluster:
         return chk
 
     def restore_node(self, chk: Checkpoint, target_id: int | None = None) -> Node:
-        """Rebuild a node from a checkpoint, optionally onto a replacement id."""
+        """Rebuild a node from a checkpoint, optionally onto a replacement id.
+
+        A snapshot holds only the node's own state, so the replicas that the
+        node being replaced held for its peers carry over; a new id starts
+        with an empty store.
+        """
         try:
             state = json.loads(chk.snapshot)
             modalities = frozenset(Modality(m) for m in state["modalities"])
@@ -381,6 +387,8 @@ class Cluster:
             Modality(m): (entry["label"], tuple(entry["tensor"]))
             for m, entry in state["last_outputs"].items()
         }
+        if node_id in self.nodes:  # the peers' replicas are not in the snapshot
+            node.checkpoint_store = self.nodes[node_id].checkpoint_store
         self.nodes[node_id] = node
         self._last_heartbeat[node_id] = self.tick
         if node_id not in self._checkpoint_seq:

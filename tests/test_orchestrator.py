@@ -222,6 +222,17 @@ class TestCheckpoints:
         assert replacement.modalities == {Modality.VISION, Modality.SENSOR}
         assert cluster.balance_load(Modality.SENSOR) == 9
 
+    def test_restore_keeps_the_replicas_held_for_peers(self):
+        cluster = self.build()
+        cluster.add_node(3, {Modality.AUDIO})
+        own = cluster.checkpoint_node(1)
+        held = {(2, 1): cluster.checkpoint_node(2), (3, 1): cluster.checkpoint_node(3)}
+        assert cluster.nodes[1].checkpoint_store == held
+        cluster.restore_node(own)
+        assert cluster.nodes[1].checkpoint_store == held
+        # A replacement id held nothing, so it starts with an empty store.
+        assert cluster.restore_node(own, target_id=9).checkpoint_store == {}
+
     def test_corrupt_checkpoint_rejected(self):
         cluster = self.build()
         chk = cluster.checkpoint_node(1)
