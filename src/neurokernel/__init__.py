@@ -3,7 +3,7 @@
 Subsystems:
 
 - compute: checked 64-bit arithmetic behind an opcode dispatch
-- tensor: rank-1/2 float64 tensors with naive/blocked/parallel matmul
+- tensor: rank-1/2 float64 tensors; one kernel behind every matmul path
 - mempool: bitmap block pool, large pages, zero-copy shared buffers
 - accel: simulated accelerator device with a serialized task queue
 - scheduler: priority + FIFO ML task scheduler with FP-context isolation

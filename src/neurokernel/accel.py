@@ -13,6 +13,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from math import prod
 
 from .errors import DeviceBusy, InvalidArgument, OutOfMemory
 from .tensor import Tensor, elementwise_sum, matmul_naive
@@ -48,10 +49,7 @@ class AccelTask:
 
 
 def _shape_bytes(shape: tuple[int, ...]) -> int:
-    n = 1
-    for d in shape:
-        n *= d
-    return 8 * n
+    return 8 * prod(shape)
 
 
 class AccelDevice:

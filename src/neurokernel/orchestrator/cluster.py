@@ -363,12 +363,7 @@ class Cluster:
         return chk
 
     def restore_node(self, chk: Checkpoint, target_id: int | None = None) -> Node:
-        """Rebuild a node from a checkpoint, optionally onto a replacement id.
-
-        A snapshot holds only the node's own state, so the replicas that the
-        node being replaced held for its peers carry over; a new id starts
-        with an empty store.
-        """
+        """Rebuild a node from a checkpoint, optionally onto a replacement id."""
         try:
             state = json.loads(chk.snapshot)
             modalities = frozenset(Modality(m) for m in state["modalities"])

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .errors import InvalidArgument, TaskFault
-from .tensor import Tensor
+from .tensor import Tensor, _columns, _mac, _product, validate_matmul_shapes
 
 DEFAULT_PRIORITY = 10
 DEPRIORITIZE_PENALTY = 10
@@ -113,26 +113,25 @@ def cycles_work(total_cycles: int, chunk: int = 1) -> WorkFn:
 def matmul_work(a: Tensor, b: Tensor, on_result=None) -> WorkFn:
     """Matrix multiply as scheduler work, priced by the documented cost model.
 
-    Costs ALLOC_CYCLES for the output allocation plus k multiply-adds per
-    output element; the finished tensor is handed to on_result.
+    Shapes are checked when the work is built. The work costs ALLOC_CYCLES
+    for the output allocation, then k multiply-adds per output element, as
+    the tensor kernel computes each row; the product goes to on_result, or
+    Overflow is raised, at the final step.
     """
+    validate_matmul_shapes(a, b)
+    kk, n = b.shape
 
     def work(ctx: ExecContext) -> Iterator[int]:
-        m, kk = a.shape
-        n = b.shape[1]
         yield ALLOC_CYCLES
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(n):
-                acc = 0.0
-                for p in range(kk):
-                    acc += a.item(i, p) * b.item(p, j)
-                row.append(acc)
+        cols = _columns(b)
+        out = []
+        for row in a.rows():
+            out += _mac([row], cols)
+            for _ in range(n):
                 yield kk * MULADD_CYCLES
-            rows.append(row)
+        product = _product(out)
         if on_result is not None:
-            on_result(Tensor.from_rows(rows))
+            on_result(product)
 
     return work
 

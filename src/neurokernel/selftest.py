@@ -1,9 +1,9 @@
 """Runnable acceptance checks, one per subsystem property bundle.
 
-Each check pairs the implementation with an independent oracle: the naive
-triple loop for the multiply variants, a brute-force bitmap scan for the
-allocator, a stable sort for the scheduler queue, closed forms for the
-Beta and smoothing updates, and a direct path interpreter for
+Each check pairs the implementation with an independent oracle: an
+index-arithmetic triple loop for the multiply paths, a brute-force bitmap
+scan for the allocator, a stable sort for the scheduler queue, closed forms
+for the Beta and smoothing updates, and a direct path interpreter for
 canonicalization. `neurokernel selftest` prints one pass/fail line per
 check and exits nonzero if any fails.
 """
@@ -33,7 +33,7 @@ from .orchestrator.fusion import Modality
 from .orchestrator.runner import DEMO_SCENARIO, parse_scenario, run_scenario
 from .rabab.engine import RababEngine, cosine_similarity
 from .rabab.paths import DrawPixel, Identity, Translate, canonicalize_path
-from .scheduler import MlScheduler, MlTask, SchedulerConfig, TaskState, cycles_work
+from .scheduler import MlScheduler, MlTask, SchedulerConfig, TaskState, cycles_work, matmul_work
 from .tensor import MatmulConfig, Tensor, matmul_blocked, matmul_naive, matmul_parallel
 
 
@@ -87,6 +87,20 @@ def check_compute(seed: int = 0) -> str:
 # -- criterion 1: matmul oracle equivalence ----------------------------------
 
 
+def _reference_matmul(a: Tensor, b: Tensor) -> bytes:
+    """Flat-index triple loop, k innermost; shares no code with the tensor kernel."""
+    (m, kk), n = a.shape, b.shape[1]
+    ad, bd = a.tolist(), b.tolist()
+    out = []
+    for i in range(m):
+        for j in range(n):
+            acc = 0.0
+            for p in range(kk):
+                acc += ad[i * kk + p] * bd[p * n + j]
+            out.append(acc)
+    return Tensor((m, n), out).tobytes()
+
+
 def check_matmul(seed: int = 0) -> str:
     rng = Random(seed)
     block_sizes = (1, 2, 3, 8, 64)
@@ -95,13 +109,17 @@ def check_matmul(seed: int = 0) -> str:
         m, k, n = (rng.randint(1, 16) for _ in range(3))
         a = Tensor.random((m, k), rng)
         b = Tensor.random((k, n), rng)
-        oracle = matmul_naive(a, b).tobytes()
+        oracle = _reference_matmul(a, b)
+        _require(matmul_naive(a, b).tobytes() == oracle, f"naive diverged on {m}x{k}x{n}")
         for bs in block_sizes:
             got = matmul_blocked(a, b, MatmulConfig(block_size=bs)).tobytes()
             _require(got == oracle, f"blocked(bs={bs}) diverged on {m}x{k}x{n}")
         for workers in range(1, 9):
             got = matmul_parallel(a, b, MatmulConfig(worker_count=workers)).tobytes()
             _require(got == oracle, f"parallel(w={workers}) diverged on {m}x{k}x{n}")
+        results: list[Tensor] = []
+        list(matmul_work(a, b, on_result=results.append)(None))  # drive every step directly
+        _require(results[0].tobytes() == oracle, f"matmul_work diverged on {m}x{k}x{n}")
         pairs += 1
     return f"{pairs} random pairs bit-identical across 5 block sizes and 8 worker counts"
 
@@ -213,39 +231,31 @@ def check_zero_copy(seed: int = 0) -> str:
 # -- criterion 4: accelerator/host equality -----------------------------------
 
 
+def _on_device(dev: AccelDevice, a: Tensor, b: Tensor) -> bytes:
+    """a times b staged into dev, run there and read back."""
+    (m, k), n = a.shape, b.shape[1]
+    ra, rb, rout = dev.allocate(8 * m * k), dev.allocate(8 * k * n), dev.allocate(8 * m * n)
+    dev.write_tensor(ra, a)
+    dev.write_tensor(rb, b)
+    dev.execute_next()  # empty queue is a no-op
+    dev.submit(AccelTask(AccelOp.MATMUL, ra, (m, k), rb, (k, n), rout))
+    dev.execute_next()
+    return dev.read_tensor(rout, (m, n)).tobytes()
+
+
 def check_accel(seed: int = 0) -> str:
     rng = Random(seed)
     dev = AccelDevice()
     for n in range(1, 9):
-        a = Tensor.identity(n)
-        b = Tensor.random((n, n), rng)
-        ra, rb, rout = (dev.allocate(8 * n * n) for _ in range(3))
-        dev.write_tensor(ra, a)
-        dev.write_tensor(rb, b)
-        dev.execute_next()  # empty queue is a no-op
-        dev.submit(AccelTask(AccelOp.MATMUL, ra, (n, n), rb, (n, n), rout))
-        dev.execute_next()
-        host = matmul_naive(a, b)
-        _require(
-            dev.read_tensor(rout, (n, n)).tobytes() == host.tobytes(),
-            f"identity matmul n={n} diverged from host",
-        )
+        a, b = Tensor.identity(n), Tensor.random((n, n), rng)
+        host = matmul_naive(a, b).tobytes()
+        _require(_on_device(dev, a, b) == host, f"identity matmul n={n} diverged from host")
     for _ in range(20):
         m, k, n = (rng.randint(1, 8) for _ in range(3))
-        a = Tensor.random((m, k), rng)
-        b = Tensor.random((k, n), rng)
-        dev2 = AccelDevice()
-        ra = dev2.allocate(8 * m * k)
-        rb = dev2.allocate(8 * k * n)
-        rout = dev2.allocate(8 * m * n)
-        dev2.write_tensor(ra, a)
-        dev2.write_tensor(rb, b)
-        dev2.submit(AccelTask(AccelOp.MATMUL, ra, (m, k), rb, (k, n), rout))
-        dev2.execute_next()
-        _require(
-            dev2.read_tensor(rout, (m, n)).tobytes() == matmul_naive(a, b).tobytes(),
-            f"random matmul {m}x{k}x{n} diverged from host",
-        )
+        a, b = Tensor.random((m, k), rng), Tensor.random((k, n), rng)
+        host = matmul_naive(a, b).tobytes()
+        got = _on_device(AccelDevice(), a, b)
+        _require(got == host, f"random matmul {m}x{k}x{n} diverged from host")
     fifo_dev = AccelDevice()
     x = fifo_dev.allocate(8)
     y = fifo_dev.allocate(8)

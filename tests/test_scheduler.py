@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from neurokernel.errors import InvalidArgument, KernelError, TaskFault
+from neurokernel.errors import InvalidArgument, KernelError, Overflow, ShapeMismatch, TaskFault
 from neurokernel.scheduler import (
     ALLOC_CYCLES,
     MlScheduler,
@@ -262,6 +262,37 @@ class TestWorkBuilders:
         assert sched.batch_execute(1) == ["mm"]
         assert results[0] == matmul_naive(a, b)
         assert task.consumed_cycles == 2 * 2 * 2 + ALLOC_CYCLES
+
+    def test_matmul_work_rejects_nonconforming_shapes(self):
+        # 2x2 by 3x2 must not run and silently drop the third row of b.
+        a = Tensor.from_rows([[1.0, 2.0], [3.0, 4.0]])
+        b = Tensor.from_rows([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+        with pytest.raises(ShapeMismatch):
+            matmul_work(a, b)
+
+    def test_matmul_work_overflow_faults_with_overflow_at_the_last_step(self):
+        a = Tensor.from_rows([[1e200, 1e200]])
+        b = Tensor.from_rows([[1e200], [1e200]])
+        results = []
+        sched = MlScheduler(SchedulerConfig(quantum=1))
+        task = MlTask("mm", matmul_work(a, b, on_result=results.append))
+        sched.enqueue(task)
+        # One slice for the allocation, one for the single output element.
+        assert sched.batch_execute(1) == []
+        assert sched.batch_execute(1) == []
+        with pytest.raises(TaskFault) as info:
+            sched.batch_execute(1)
+        assert type(info.value.__cause__) is Overflow
+        assert task.state is TaskState.FAULTED
+        assert task.consumed_cycles == ALLOC_CYCLES + 2
+        assert results == []
+
+    def test_matmul_work_yields_the_cost_model_sequence(self):
+        rng = Random(4)
+        a = Tensor.random((3, 5), rng)
+        b = Tensor.random((5, 2), rng)
+        gen = matmul_work(a, b)(None)
+        assert list(gen) == [ALLOC_CYCLES] + [5] * (3 * 2)
 
 
 class TestWorkFault:

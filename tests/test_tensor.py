@@ -126,6 +126,9 @@ class TestMatmulNaive:
         b = Tensor.from_rows([[1e300, 0.0], [1e300, 0.0]])
         with pytest.raises(Overflow):
             matmul_naive(a, b)
+        for variant in (matmul_blocked, matmul_parallel):
+            with pytest.raises(Overflow):
+                variant(a, b, MatmulConfig(block_size=1, worker_count=2))
 
 
 class TestMatmulBlocked:
@@ -148,15 +151,6 @@ class TestMatmulBlocked:
     def test_zero_block_size_rejected(self):
         with pytest.raises(InvalidArgument):
             MatmulConfig(block_size=0)
-
-    def test_block_k_mode_matches_within_tolerance(self):
-        rng = Random(6)
-        a, b = Tensor.random((9, 7), rng), Tensor.random((7, 5), rng)
-        got = matmul_blocked(a, b, MatmulConfig(block_size=3, block_k=True))
-        expected = matmul_naive(a, b)
-        np.testing.assert_allclose(
-            np.array(got.rows()), np.array(expected.rows()), rtol=1e-9, atol=1e-12
-        )
 
 
 class TestMatmulParallel:
