@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Callable, Iterator
 
 from .errors import InvalidArgument, TaskFault
-from .tensor import Tensor, _columns, _mac, _product, validate_matmul_shapes
+from .tensor import Tensor, matmul_naive, validate_matmul_shapes
 
 DEFAULT_PRIORITY = 10
 DEPRIORITIZE_PENALTY = 10
@@ -114,22 +114,18 @@ def matmul_work(a: Tensor, b: Tensor, on_result=None) -> WorkFn:
     """Matrix multiply as scheduler work, priced by the documented cost model.
 
     Shapes are checked when the work is built. The work costs ALLOC_CYCLES
-    for the output allocation, then k multiply-adds per output element, as
-    the tensor kernel computes each row; the product goes to on_result, or
-    Overflow is raised, at the final step.
+    for the output allocation, then k multiply-adds per output element; its
+    final step computes the product with matmul_naive and hands it to
+    on_result, or raises Overflow.
     """
     validate_matmul_shapes(a, b)
-    kk, n = b.shape
+    (m, kk), n = a.shape, b.shape[1]
 
     def work(ctx: ExecContext) -> Iterator[int]:
         yield ALLOC_CYCLES
-        cols = _columns(b)
-        out = []
-        for row in a.rows():
-            out += _mac([row], cols)
-            for _ in range(n):
-                yield kk * MULADD_CYCLES
-        product = _product(out)
+        for _ in range(m * n):
+            yield kk * MULADD_CYCLES
+        product = matmul_naive(a, b)
         if on_result is not None:
             on_result(product)
 

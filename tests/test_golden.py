@@ -5,12 +5,12 @@ for a builtin input) and compares the exit code and output with the recorded
 file: stdout in ``<case>.out`` for a run that succeeds, stderr in
 ``<case>.err`` for one that is refused. Subcommands that also report wall
 clock (``matmul-bench``'s ``nanos`` column, ``selftest``'s per-check seconds
-on stderr) are compared on stdout alone, with the timing column cut. The
-recorded files hold the output of the bit-loop pool, the min-scan scheduler,
-the whole-state checkpoint encoder and the three per-variant matmul loops
-that the byte-map pool, the heap scheduler, the cached-fragment encoder and
-the single transposed-column kernel replaced. Regenerate one only for an
-intended change of behaviour, for example::
+on stderr) are compared on stdout alone, ``matmul-bench`` without
+``nanos``. The recorded files hold the output of the bit-loop pool, the
+min-scan scheduler, the whole-state checkpoint encoder and the three
+per-variant matmul loops that the byte-map pool, the heap scheduler, the
+cached-fragment encoder and the single transposed-column kernel replaced.
+Regenerate one only for an intended change of behaviour, for example::
 
     neurokernel sched-sim --tasks tests/golden/sched_preempt.tasks \
         --threshold 1000 --quantum 100 > tests/golden/sched_preempt.out
