@@ -55,8 +55,9 @@ class Node:
     changed or removed, and ``last_outputs`` values are replaced, never
     mutated. ``snapshot`` relies on both to encode each record and each
     output once. ``id`` and ``modalities`` are fixed for the node's life.
-    ``Cluster.restore_node`` builds a new Node, whose fragments start empty;
-    restored onto an existing id, it keeps that node's ``checkpoint_store``.
+    ``checkpoint_store`` maps a peer's id to the newest checkpoint it
+    replicated here. ``Cluster.restore_node`` builds a new Node, whose
+    fragments start empty, and keeps the store of the node it replaces.
     """
 
     def __init__(self, node_id: int, modalities: frozenset[Modality]):
@@ -78,7 +79,7 @@ class Node:
         fixed = _CANONICAL.encode({"modalities": sorted(m.value for m in self.modalities),
                                    "node_id": node_id})
         self._tail_json = f',{fixed[1:-1]},"processed":['.encode()
-        self.checkpoint_store: dict[tuple[int, int], Checkpoint] = {}
+        self.checkpoint_store: dict[int, Checkpoint] = {}
         self._metrics: dict[str, deque] = {
             "cpu": deque(maxlen=METRIC_WINDOW),
             "mem": deque(maxlen=METRIC_WINDOW),
@@ -181,7 +182,6 @@ class Cluster:
         self.timeout_ticks = timeout_ticks
         self.tick = 0
         self.nodes: dict[int, Node] = {}
-        self.heartbeat_log: list[Heartbeat] = []
         self._last_heartbeat: dict[int, int] = {}
         self._checkpoint_seq: dict[int, itertools.count] = {}
         self._next_msg_id = itertools.count(1)
@@ -214,7 +214,10 @@ class Cluster:
     # -- heartbeats and failure detection ------------------------------------
 
     def heartbeat_tick(self) -> list[Heartbeat]:
-        """Advance logical time one tick; every responsive node beats."""
+        """Advance logical time one tick; every responsive node beats.
+
+        The beats are returned, not logged: detection reads only the last tick.
+        """
         self.tick += 1
         beats = []
         for node_id in sorted(self.nodes):
@@ -222,32 +225,27 @@ class Cluster:
             if node.silenced or node.liveness is Liveness.FAILED:
                 continue
             node.heartbeat_seq += 1
-            beat = Heartbeat(node_id, node.heartbeat_seq, self.tick)
-            self.heartbeat_log.append(beat)
             self._last_heartbeat[node_id] = self.tick
-            beats.append(beat)
+            beats.append(Heartbeat(node_id, node.heartbeat_seq, self.tick))
         return beats
 
-    def detect_failures(self, timeout_ticks: int | None = None) -> list[int]:
+    def detect_failures(self) -> list[int]:
         """Two-phase detection; returns ids that became Failed on this call.
 
         A gap longer than the timeout makes a node Suspect, longer than
         twice the timeout makes it Failed and triggers failover of its
         pending work. Suspects whose heartbeats resume return to Alive.
         """
-        timeout = self.timeout_ticks if timeout_ticks is None else timeout_ticks
-        if timeout < 1:
-            raise InvalidArgument(f"timeout_ticks must be >= 1, got {timeout}")
         newly_failed = []
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             if node.liveness is Liveness.FAILED:
                 continue
             gap = self.tick - self._last_heartbeat[node_id]
-            if gap > 2 * timeout:
+            if gap > 2 * self.timeout_ticks:
                 node.liveness = Liveness.FAILED
                 newly_failed.append(node_id)
-            elif gap > timeout:
+            elif gap > self.timeout_ticks:
                 node.liveness = Liveness.SUSPECT
             else:
                 node.liveness = Liveness.ALIVE
@@ -335,7 +333,7 @@ class Cluster:
         therefore always give identical selections.
         """
         candidates = [
-            node for node_id, node in sorted(self.nodes.items())
+            node for node in self.nodes.values()
             if node.liveness is not Liveness.FAILED and modality in node.modalities
         ]
         if not candidates:
@@ -347,11 +345,10 @@ class Cluster:
     def checkpoint_node(self, node_id: int) -> Checkpoint:
         """Snapshot a node's state and replicate the checkpoint to one peer.
 
-        The peer is the lowest-id non-failed other node.
+        The peer is the lowest-id non-failed other node. It keeps only this
+        node's newest checkpoint: an older replica there is replaced.
         """
         node = self.node(node_id)
-        seq = next(self._checkpoint_seq[node_id])
-        chk = Checkpoint(node_id, seq, node.snapshot())
         peer = min(
             (nid for nid, n in self.nodes.items()
              if nid != node_id and n.liveness is not Liveness.FAILED),
@@ -359,35 +356,40 @@ class Cluster:
         )
         if peer is None:
             raise NodeUnreachable("no peer available to replicate the checkpoint")
-        self.nodes[peer].checkpoint_store[(node_id, seq)] = chk
+        chk = Checkpoint(node_id, next(self._checkpoint_seq[node_id]), node.snapshot())
+        self.nodes[peer].checkpoint_store[node_id] = chk
         return chk
 
     def restore_node(self, chk: Checkpoint, target_id: int | None = None) -> Node:
-        """Rebuild a node from a checkpoint, optionally onto a replacement id."""
+        """Rebuild a node from a checkpoint, optionally onto a replacement id.
+
+        A malformed snapshot raises InvalidArgument; the node table is unchanged.
+        """
+        node_id = chk.node_id if target_id is None else target_id
         try:
             state = json.loads(chk.snapshot)
-            modalities = frozenset(Modality(m) for m in state["modalities"])
             if state["node_id"] != chk.node_id:
                 raise ValueError("snapshot does not match checkpoint header")
+            node = Node(node_id, frozenset(Modality(m) for m in state["modalities"]))
+            node.heartbeat_seq = state["heartbeat_seq"]
+            for name, window in state["metrics"].items():
+                for value in window:
+                    if not 0.0 <= value <= 1.0:  # the range push_metrics enforces
+                        raise ValueError(f"{name} load {value} outside [0, 1]")
+                    node._metrics[name].append(value)
+            node.processed = [[tick, Modality(m).value, tag, label]
+                              for tick, m, tag, label in state["processed"]]
+            node.last_outputs = {
+                Modality(m): (entry["label"], tuple(entry["tensor"]))
+                for m, entry in state["last_outputs"].items()
+            }
         except (ValueError, KeyError, TypeError):
             raise InvalidArgument("unknown or corrupt checkpoint") from None
-        node_id = chk.node_id if target_id is None else target_id
-        node = Node(node_id, modalities)
-        node.heartbeat_seq = state["heartbeat_seq"]
-        for name, window in state["metrics"].items():
-            for value in window:
-                node._metrics[name].append(value)
-        node.processed = [list(r) for r in state["processed"]]
-        node.last_outputs = {
-            Modality(m): (entry["label"], tuple(entry["tensor"]))
-            for m, entry in state["last_outputs"].items()
-        }
         if node_id in self.nodes:  # the peers' replicas are not in the snapshot
             node.checkpoint_store = self.nodes[node_id].checkpoint_store
         self.nodes[node_id] = node
         self._last_heartbeat[node_id] = self.tick
-        if node_id not in self._checkpoint_seq:
-            self._checkpoint_seq[node_id] = itertools.count(1)
+        self._checkpoint_seq.setdefault(node_id, itertools.count(1))
         return node
 
     # -- fusion inputs ---------------------------------------------------------
@@ -399,8 +401,7 @@ class Cluster:
             node = self.nodes[node_id]
             if node.liveness is Liveness.FAILED:
                 continue
-            for record in node.processed:
-                tick, modality_value, _tag, label = record
+            for tick, modality_value, _tag, label in node.processed:
                 modality = Modality(modality_value)
                 vec = node.last_outputs.get(modality, (label, ()))[1]
                 current = latest.get(modality)

@@ -47,6 +47,14 @@ CASES = {
     ),
     "accel_demo": (["accel-demo", "--n", "8"], None, "", 0),
     "compute_div": (["compute", "--a", "6", "--b", "3", "--op", "div"], None, "", 0),
+    "rabab_demo": (["rabab-demo", "--iterations", "50", "--seed", "0"], None, "", 0),
+    "rabab_draw": (["rabab-draw", "--width", "4", "--height", "2", "--intent", "pixel:3,1,#FF8000"],
+                   None, "", 0),
+    # x = 4 is one past the last column of a 4-wide framebuffer.
+    "rabab_draw_refused": (
+        ["rabab-draw", "--width", "4", "--height", "2", "--intent", "pixel:4,1,#FF8000"],
+        None, "", 1,
+    ),
 }
 
 

@@ -1,13 +1,17 @@
 import json
+from collections import deque
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from neurokernel.errors import ChecksumMismatch, InvalidArgument, NodeUnreachable
 from neurokernel.orchestrator import (
     DEMO_SCENARIO,
+    Checkpoint,
     Cluster,
+    Heartbeat,
     Liveness,
     MessageEnvelope,
     Modality,
@@ -163,9 +167,8 @@ class TestFailureDetection:
 
     def test_heartbeat_sequences_strictly_increase(self):
         cluster = self.make_cluster()
-        for _ in range(5):
-            cluster.heartbeat_tick()
-        seqs = [b.seq for b in cluster.heartbeat_log if b.node_id == 1]
+        beats = [b for _ in range(5) for b in cluster.heartbeat_tick()]
+        seqs = [b.seq for b in beats if b.node_id == 1]
         assert seqs == sorted(set(seqs)) == [1, 2, 3, 4, 5]
 
     def test_failover_reroutes_pending_work(self):
@@ -226,7 +229,7 @@ class TestCheckpoints:
         cluster = self.build()
         cluster.add_node(3, {Modality.AUDIO})
         own = cluster.checkpoint_node(1)
-        held = {(2, 1): cluster.checkpoint_node(2), (3, 1): cluster.checkpoint_node(3)}
+        held = {2: cluster.checkpoint_node(2), 3: cluster.checkpoint_node(3)}
         assert cluster.nodes[1].checkpoint_store == held
         cluster.restore_node(own)
         assert cluster.nodes[1].checkpoint_store == held
@@ -240,16 +243,49 @@ class TestCheckpoints:
         with pytest.raises(InvalidArgument):
             cluster.restore_node(bad)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda state: state.pop("heartbeat_seq"),
+        lambda state: state["metrics"].update(gpu=[0.5]),
+        lambda state: state["last_outputs"].update(smell={"label": "x", "tensor": [1.0]}),
+        lambda state: state.update(processed=5),
+        lambda state: state["metrics"].update(cpu=[7.0]),  # push_metrics refuses it
+    ], ids=["no-heartbeat-seq", "unknown-metric", "unknown-modality", "processed-not-a-list",
+            "metric-out-of-range"])
+    @pytest.mark.parametrize("target_id", [None, 9])
+    def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt, target_id):
+        cluster = self.build()
+        chk = cluster.checkpoint_node(1)
+        state = json.loads(chk.snapshot)
+        corrupt(state)
+        bad = Checkpoint(chk.node_id, chk.seq, json.dumps(state).encode())
+        before = dict(cluster.nodes)
+        with pytest.raises(InvalidArgument) as refused:
+            cluster.restore_node(bad, target_id=target_id)
+        assert refused.value.detail == "unknown or corrupt checkpoint"
+        assert cluster.nodes == before  # Node compares by identity
+
     def test_checkpoint_replicated_to_peer(self):
         cluster = self.build()
         chk = cluster.checkpoint_node(1)
-        assert cluster.nodes[2].checkpoint_store[(1, chk.seq)] is chk
+        assert cluster.nodes[2].checkpoint_store[1] is chk
+
+    def test_peer_keeps_only_the_newest_replica_per_node(self):
+        cluster = self.build()
+        cluster.add_node(3, {Modality.AUDIO})
+        for _ in range(5):
+            newest = {nid: cluster.checkpoint_node(nid) for nid in (1, 2, 3)}
+        assert cluster.nodes[1].checkpoint_store == {2: newest[2], 3: newest[3]}
+        assert cluster.nodes[2].checkpoint_store == {1: newest[1]}
+        assert cluster.nodes[3].checkpoint_store == {}
+        assert {chk.seq for chk in newest.values()} == {5}
 
     def test_no_peer_means_unreachable(self):
         cluster = Cluster()
         cluster.add_node(1, {Modality.VISION})
         with pytest.raises(NodeUnreachable):
             cluster.checkpoint_node(1)
+        cluster.add_node(2, {Modality.VISION})
+        assert cluster.checkpoint_node(1).seq == 1  # the refused one took no number
 
     def test_checkpoint_unknown_node_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -491,3 +527,180 @@ class TestScenario:
         env = MessageEnvelope(msg_id=1, source=0, dest=1, payload=b"{}")
         with pytest.raises(NodeUnreachable):
             cluster.route(env)
+
+
+class ClusterModel(RuleBasedStateMachine):
+    """Cluster liveness and message conservation against a per-node model.
+
+    No metrics are pushed, so every predicted load is 0 and the balancer
+    picks the lowest-id non-failed supporter; the model then knows each
+    message's inbox, and in which order each node pops its inbox.
+    """
+
+    MAX_NODES = 5
+
+    def __init__(self):
+        super().__init__()
+        self.tick = 0
+        self.last_beat: dict[int, int] = {}  # node -> tick of its last heartbeat
+        self.seq: dict[int, int] = {}
+        self.modalities: dict[int, frozenset] = {}
+        self.liveness: dict[int, Liveness] = {}
+        self.silenced: set[int] = set()
+        # node -> (realtime, bulk) queues of (msg_id, modality, tag)
+        self.inbox: dict[int, tuple[deque, deque]] = {}
+        self.submitted: set[int] = set()
+        self.processed: set[int] = set()
+        self.dropped: set[int] = set()
+        self.next_tag = 0
+        self.checkpoints: dict[int, int] = {}  # node -> checkpoints taken
+        self.store: dict[int, dict[int, Checkpoint]] = {}  # peer -> source -> newest replica
+
+    @initialize(timeout=st.integers(1, 3))
+    def make_cluster(self, timeout):
+        self.timeout = timeout
+        self.cluster = Cluster(timeout_ticks=timeout)
+
+    def _live(self, modality=None):
+        return sorted(nid for nid, state in self.liveness.items()
+                      if state is not Liveness.FAILED
+                      and (modality is None or modality in self.modalities[nid]))
+
+    def _queue(self, node_id, qos):
+        return self.inbox[node_id][0 if qos is QoS.REALTIME else 1]
+
+    @rule(node_id=st.integers(1, MAX_NODES),
+          modalities=st.sets(st.sampled_from(list(Modality)), min_size=1, max_size=2))
+    def add_node(self, node_id, modalities):
+        if node_id in self.liveness:
+            with pytest.raises(InvalidArgument):
+                self.cluster.add_node(node_id, modalities)
+            return
+        self.cluster.add_node(node_id, modalities)
+        self.last_beat[node_id] = self.tick
+        self.seq[node_id] = 0
+        self.modalities[node_id] = frozenset(modalities)
+        self.liveness[node_id] = Liveness.ALIVE
+        self.inbox[node_id] = (deque(), deque())
+
+    @precondition(lambda self: self.liveness)
+    @rule(data=st.data(), silent=st.booleans())
+    def silence(self, data, silent):
+        node_id = data.draw(st.sampled_from(sorted(self.liveness)))
+        if silent:
+            self.cluster.silence(node_id)
+            self.silenced.add(node_id)
+        else:
+            self.cluster.unsilence(node_id)
+            self.silenced.discard(node_id)
+
+    @rule(ticks=st.integers(1, 3), detect=st.booleans())
+    def heartbeat_tick(self, ticks, detect):
+        """Advance some ticks; with detect, run detection after each one."""
+        for _ in range(ticks):
+            beats = self.cluster.heartbeat_tick()
+            self.tick += 1
+            expected = []
+            for node_id in self._live():
+                if node_id not in self.silenced:
+                    self.seq[node_id] += 1
+                    self.last_beat[node_id] = self.tick
+                    expected.append(Heartbeat(node_id, self.seq[node_id], self.tick))
+            assert beats == expected
+            if detect:
+                self.detect_failures()
+
+    @rule()
+    def detect_failures(self):
+        newly_failed = self.cluster.detect_failures()
+        expected = []
+        for node_id in self._live():
+            gap = self.tick - self.last_beat[node_id]
+            if gap > 2 * self.timeout:
+                self.liveness[node_id] = Liveness.FAILED
+                expected.append(node_id)
+            elif gap > self.timeout:
+                self.liveness[node_id] = Liveness.SUSPECT
+            else:
+                self.liveness[node_id] = Liveness.ALIVE
+        assert newly_failed == expected
+        events = []
+        for node_id in expected:
+            realtime, bulk = self.inbox[node_id]
+            for qos, queue in ((QoS.REALTIME, realtime), (QoS.BULK, bulk)):
+                while queue:
+                    msg_id, modality, tag = queue.popleft()
+                    live = self._live(modality)
+                    if live:
+                        self._queue(live[0], qos).append((msg_id, modality, tag))
+                        events.append((msg_id, live[0]))
+                    else:
+                        self.dropped.add(msg_id)
+                        events.append((msg_id, None))
+        assert self.cluster.last_failover_events() == events
+
+    @rule(modality=st.sampled_from(list(Modality)), qos=st.sampled_from([QoS.REALTIME, QoS.BULK]))
+    def submit_input(self, modality, qos):
+        tag = f"t{self.next_tag}"
+        self.next_tag += 1
+        live = self._live(modality)
+        if not live:
+            with pytest.raises(NodeUnreachable):
+                self.cluster.submit_input(modality, tag, qos)
+            return
+        target, msg_id = self.cluster.submit_input(modality, tag, qos)
+        assert target == live[0] and msg_id not in self.submitted
+        self.submitted.add(msg_id)
+        self._queue(target, qos).append((msg_id, modality, tag))
+
+    @rule()
+    def process_step(self):
+        records = self.cluster.process_step()
+        expected = []
+        for node_id in self._live():
+            if node_id in self.silenced:
+                continue
+            realtime, bulk = self.inbox[node_id]
+            queue = realtime or bulk
+            if queue:
+                msg_id, modality, tag = queue.popleft()
+                self.processed.add(msg_id)
+                expected.append((node_id, modality, tag, modality_process(modality, tag.encode())[0]))
+        assert records == expected
+
+    @precondition(lambda self: self.liveness)
+    @rule(data=st.data())
+    def checkpoint(self, data):
+        node_id = data.draw(st.sampled_from(sorted(self.liveness)))
+        peers = [nid for nid in self._live() if nid != node_id]
+        if not peers:
+            with pytest.raises(NodeUnreachable):
+                self.cluster.checkpoint_node(node_id)
+            return
+        chk = self.cluster.checkpoint_node(node_id)
+        self.checkpoints[node_id] = self.checkpoints.get(node_id, 0) + 1
+        assert (chk.node_id, chk.seq) == (node_id, self.checkpoints[node_id])
+        self.store.setdefault(peers[0], {})[node_id] = chk
+
+    @invariant()
+    def liveness_matches(self):
+        assert {nid: n.liveness for nid, n in self.cluster.nodes.items()} == self.liveness
+
+    @invariant()
+    def each_store_holds_the_newest_replica_per_source(self):
+        for node_id, node in self.cluster.nodes.items():
+            assert node.checkpoint_store == self.store.get(node_id, {})
+
+    @invariant()
+    def every_message_ends_exactly_once(self):
+        queued = [msg_id for rt, bulk in self.inbox.values() for msg_id, _m, _t in (*rt, *bulk)]
+        assert len(queued) == len(set(queued))
+        outcomes = (set(queued), self.processed, self.dropped)
+        assert set().union(*outcomes) == self.submitted
+        assert sum(map(len, outcomes)) == len(self.submitted)  # no message has two ends
+        for node_id, (realtime, bulk) in self.inbox.items():
+            assert self.cluster.nodes[node_id].pending == len(realtime) + len(bulk)
+
+
+TestClusterModel = ClusterModel.TestCase
+TestClusterModel.settings = settings(max_examples=60, stateful_step_count=60, deadline=None)
