@@ -159,8 +159,9 @@ class AccelDevice:
         return task_id
 
     def _read(self, region: AccelRegion, shape: tuple[int, ...]) -> Tensor:
-        raw = bytes(self._buffer[region.offset : region.offset + _shape_bytes(shape)])
-        return Tensor.frombytes(shape, raw)
+        end = region.offset + _shape_bytes(shape)
+        with memoryview(self._buffer)[region.offset : end] as raw:
+            return Tensor.frombytes(shape, raw)
 
     # Host staging helpers; execution itself never leaves the device buffer.
 

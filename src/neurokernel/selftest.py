@@ -101,12 +101,16 @@ def _reference_matmul(a: Tensor, b: Tensor) -> bytes:
     return Tensor((m, n), out).tobytes()
 
 
+# k either side of the tensor kernel's 64-wide slices of the inner dimension.
+_SEAM_SHAPES = ((3, 64, 5), (3, 65, 5), (2, 130, 3))
+
+
 def check_matmul(seed: int = 0) -> str:
     rng = Random(seed)
     block_sizes = (1, 2, 3, 8, 64)
-    pairs = 0
-    for _ in range(200):
-        m, k, n = (rng.randint(1, 16) for _ in range(3))
+    pairs = 200
+    random_shapes = ((rng.randint(1, 16) for _ in range(3)) for _ in range(pairs))
+    for m, k, n in itertools.chain(random_shapes, _SEAM_SHAPES):
         a = Tensor.random((m, k), rng)
         b = Tensor.random((k, n), rng)
         oracle = _reference_matmul(a, b)
@@ -120,7 +124,6 @@ def check_matmul(seed: int = 0) -> str:
         results: list[Tensor] = []
         list(matmul_work(a, b, on_result=results.append)(None))  # drive every step directly
         _require(results[0].tobytes() == oracle, f"matmul_work diverged on {m}x{k}x{n}")
-        pairs += 1
     return f"{pairs} random pairs bit-identical across 5 block sizes and 8 worker counts"
 
 

@@ -1,20 +1,38 @@
 """Dense rank-1/rank-2 float64 tensors and the one matrix kernel over them.
 
 Every matrix product (naive, blocked, parallel, the device's and the
-scheduler's) runs through ``_mac``: B is transposed once into column lists
-and each element is ``acc += x * y`` over ``zip(row, col)``. That fixes k's
-summation order, left to right (float addition does not associate), so tiles
-and row bands reproduce the naive product bit for bit on every Python;
-``sum`` and ``math.fsum`` compensate and would not. Under CPython no variant
-is faster: at n = 128 (2 cores, Python 3.11.7) naive took 0.11-0.15 s,
-32-wide tiles 0.12-0.14 s and 2 or 4 GIL-bound row-band threads 0.10-0.12 s.
+scheduler's) runs through ``_mac``. B is transposed once into column lists,
+and k is walked in slices of at most ``_WIDTH`` = 64 entries. Each slice runs
+a straight-line kernel generated for its width w, compiled on first use and
+cached (``_kernel``): it unpacks the w row entries into locals and, for each
+column, computes ``acc + r0 * c0 + r1 * c1 + ...``, where ``acc`` starts at
+0.0 and carries the partial sum from slice to slice. Python evaluates ``+``
+left to right and CPython never fuses a multiply with an add, so every
+element is ``((0.0 + a0*b0) + a1*b1) + ...`` in ascending k: the roundings of
+the loop ``acc += x * y`` it replaced, bit for bit on every Python. Tiles and
+row bands split only rows and columns, so they reproduce the naive product
+too; ``sum`` and ``math.fsum`` compensate and would not. The source is built
+from the integer w alone, and nothing is compiled at import.
+
+The width is bounded. One expression over the whole of k raises
+RecursionError in the compiler at k = 3,000 (Python 3.11), and a kernel per
+k costs compile time that grows with k (51 ms for one expression at
+k = 1,000), while a 64-wide kernel compiles in about 1 ms. Kernel alone,
+loop -> generated, best of 5 (2 cores, Python 3.11.7): n = 4 / 16 / 64 / 128
+square in 0.0071 / 0.27 / 12-14 / 95-112 ms -> 0.0048 / 0.12-0.16 / 6.4 /
+55-57 ms. The one loss measured is the degenerate 1 x 65,536 by 65,536 x 1
+dot product, 2.6-3.8 -> 4.2-5.8 ms, where per-slice overhead dominates.
+Under CPython no driver is faster than naive: at n = 128 naive took 48 ms,
+32-wide tiles 48-49 ms and 2 or 4 GIL-bound row-band threads 50-55 ms.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite, prod
 from random import Random
 from typing import Iterable, Sequence
@@ -23,6 +41,7 @@ from .errors import InvalidArgument, Overflow, ShapeMismatch
 
 MAX_WORKERS = 8
 DEFAULT_BLOCK_SIZE = 64
+_WIDTH = 64  # entries of k per generated kernel; bounds each expression and the cache
 
 
 @dataclass(frozen=True)
@@ -51,22 +70,24 @@ class Tensor:
     __slots__ = ("_shape", "_data")
 
     def __init__(self, shape: Sequence[int], data: Iterable[float]):
-        shape = tuple(int(d) for d in shape)
-        if len(shape) not in (1, 2):
-            raise InvalidArgument(f"tensor rank must be 1 or 2, got shape {shape}")
-        if any(d < 1 for d in shape):
-            raise InvalidArgument(f"tensor dimensions must be positive, got {shape}")
+        shape = _checked_shape(shape)
         values = [float(x) for x in data]
         expected = prod(shape)
         if len(values) != expected:
             raise InvalidArgument(
                 f"shape {shape} needs {expected} entries, got {len(values)}"
             )
-        for x in values:
-            if not isfinite(x):
-                raise InvalidArgument("tensor entries must be finite (no NaN/Inf)")
+        _require_finite(values)
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_data", values)
+
+    @classmethod
+    def _from_finite(cls, shape: tuple[int, ...], values: list[float]) -> "Tensor":
+        """Adopt values already checked: prod(shape) finite floats, owned by no one else."""
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "_shape", shape)
+        object.__setattr__(tensor, "_data", values)
+        return tensor
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -114,14 +135,20 @@ class Tensor:
         return cls(shape, [rng.uniform(-1.0, 1.0) for _ in range(prod(shape))])
 
     @classmethod
-    def frombytes(cls, shape: Sequence[int], raw: bytes) -> "Tensor":
-        shape = tuple(shape)
+    def frombytes(cls, shape: Sequence[int], raw: bytes | memoryview) -> "Tensor":
+        """Decode a tobytes() buffer; any bytes-like object, checked once."""
+        shape = _checked_shape(shape)
         n = prod(shape)
         if len(raw) != 8 * n:
             raise InvalidArgument(
                 f"shape {shape} needs {8 * n} bytes, got {len(raw)}"
             )
-        return cls(shape, struct.unpack(f"<{n}d", raw))
+        if sys.byteorder == "little":  # cast("d") is native order; tobytes() is "<d"
+            values = memoryview(raw).cast("d").tolist()
+        else:
+            values = list(struct.unpack(f"<{n}d", raw))
+        _require_finite(values)
+        return cls._from_finite(shape, values)
 
     def tobytes(self) -> bytes:
         """Little-endian float64 buffer; equality of buffers is bit equality."""
@@ -153,6 +180,20 @@ class Tensor:
         return f"Tensor({shape}, {self._data!r})" if self.size <= 8 else f"Tensor({shape})"
 
 
+def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
+    shape = tuple(int(d) for d in shape)
+    if len(shape) not in (1, 2):
+        raise InvalidArgument(f"tensor rank must be 1 or 2, got shape {shape}")
+    if any(d < 1 for d in shape):
+        raise InvalidArgument(f"tensor dimensions must be positive, got {shape}")
+    return shape
+
+
+def _require_finite(values: list[float]) -> None:
+    if not all(map(isfinite, values)):
+        raise InvalidArgument("tensor entries must be finite (no NaN/Inf)")
+
+
 def validate_matmul_shapes(a: Tensor, b: Tensor) -> None:
     """Check the inner dimensions conform; both operands must be rank 2."""
     if len(a.shape) != 2 or len(b.shape) != 2:
@@ -165,9 +206,8 @@ def validate_matmul_shapes(a: Tensor, b: Tensor) -> None:
 
 
 def _finite_or_overflow(values: list[float], op_name: str) -> None:
-    for v in values:
-        if not isfinite(v):
-            raise Overflow(f"{op_name} overflowed the float64 range")
+    if not all(map(isfinite, values)):
+        raise Overflow(f"{op_name} overflowed the float64 range")
 
 
 def elementwise_sum(a: Tensor, b: Tensor) -> Tensor:
@@ -177,7 +217,7 @@ def elementwise_sum(a: Tensor, b: Tensor) -> Tensor:
         )
     out = [x + y for x, y in zip(a._data, b._data)]
     _finite_or_overflow(out, "elementwise sum")
-    return Tensor(a.shape, out)
+    return Tensor._from_finite(a.shape, out)
 
 
 def _columns(b: Tensor) -> list[list[float]]:
@@ -186,17 +226,46 @@ def _columns(b: Tensor) -> list[list[float]]:
     return [b._data[j::n] for j in range(n)]
 
 
+@lru_cache(maxsize=_WIDTH)
+def _kernel(w: int):
+    """The compiled straight-line kernel for one slice of w entries of k.
+
+    ``kernel(row, cols, accs)`` unpacks the w row entries into locals and
+    returns ``acc + r0 * c0 + r1 * c1 + ...`` for each column and its running
+    sum. The source is built from the integer w alone.
+    """
+    r = ", ".join(f"r{p}" for p in range(w))
+    c = ", ".join(f"c{p}" for p in range(w))
+    terms = " + ".join(f"r{p} * c{p}" for p in range(w))
+    source = (
+        "def kernel(row, cols, accs):\n"
+        f"    {r}, = row\n"
+        "    out = []\n"
+        "    append = out.append\n"
+        f"    for acc, ({c},) in zip(accs, cols):\n"
+        f"        append(acc + {terms})\n"
+        "    return out\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<matmul kernel, width {w}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _mac(rows: list[list[float]], cols: list[list[float]]) -> list[list[float]]:
-    """Every row times every column: the package's one multiply-accumulate loop."""
-    out = []
-    for row in rows:
-        out_row = []
-        for col in cols:
-            acc = 0.0
-            for x, y in zip(row, col):
-                acc += x * y
-            out_row.append(acc)
-        out.append(out_row)
+    """Every row times every column: the package's one multiply-accumulate kernel.
+
+    k is walked in slices of at most _WIDTH entries, in ascending order; each
+    output's partial sum starts at 0.0 and is carried from slice to slice.
+    """
+    k = len(cols[0])
+    out = [[0.0] * len(cols)] * len(rows)  # one shared row: kernels never write to accs
+    if k <= _WIDTH:  # one slice: the rows and columns as they are, no copies
+        kernel = _kernel(k)
+        return [kernel(row, cols, accs) for row, accs in zip(rows, out)]
+    for lo in range(0, k, _WIDTH):
+        hi = lo + _WIDTH
+        kernel, segment = _kernel(min(_WIDTH, k - lo)), [col[lo:hi] for col in cols]
+        out = [kernel(row[lo:hi], segment, accs) for row, accs in zip(rows, out)]
     return out
 
 
@@ -204,7 +273,7 @@ def _product(rows: list[list[float]]) -> Tensor:
     """The kernel's output rows as a tensor; Overflow if any entry is not finite."""
     out = [x for row in rows for x in row]
     _finite_or_overflow(out, "matmul")
-    return Tensor((len(rows), len(rows[0])), out)
+    return Tensor._from_finite((len(rows), len(rows[0])), out)
 
 
 def matmul_naive(a: Tensor, b: Tensor) -> Tensor:

@@ -1,3 +1,4 @@
+import struct
 from random import Random
 
 import pytest
@@ -97,6 +98,15 @@ class TestSubmitExecute:
             dev.execute_next()
             assert dev.read_tensor(rout, (m, n)).tobytes() == matmul_naive(a, b).tobytes()
 
+    def test_unaligned_region_round_trips(self):
+        t = Tensor.random((3, 5), Random(23))
+        dev = AccelDevice()
+        dev.allocate(3)
+        region = dev.allocate(8 * t.size)
+        assert region.offset % 8 != 0
+        dev.write_tensor(region, t)
+        assert dev.read_tensor(region, (3, 5)).tobytes() == t.tobytes()
+
     def test_device_sum_equals_host(self):
         rng = Random(22)
         a, b = Tensor.random((4, 4), rng), Tensor.random((4, 4), rng)
@@ -129,6 +139,26 @@ class TestValidation:
         small = dev.allocate(8)
         with pytest.raises(InvalidArgument):
             dev.submit(AccelTask(AccelOp.ELEMWISE_SUM, small, (4,), small, (4,), small))
+
+    def test_poisoned_buffer_rejected_on_read(self):
+        a = Tensor.zeros((2, 2))
+        dev, (ra,) = loaded_device(a)
+        dev._buffer[ra.offset + 8 : ra.offset + 16] = struct.pack("<d", float("nan"))
+        with pytest.raises(InvalidArgument):
+            dev.read_tensor(ra, (2, 2))
+
+    @pytest.mark.parametrize("op", [AccelOp.MATMUL, AccelOp.ELEMWISE_SUM])
+    @pytest.mark.parametrize("poisoned", [0, 1])
+    def test_poisoned_operand_rejected_on_execute(self, op, poisoned):
+        a = Tensor.identity(2)
+        dev, regions = loaded_device(a, a)
+        target = regions[poisoned]
+        dev._buffer[target.offset : target.offset + 8] = struct.pack("<d", float("nan"))
+        rout = dev.allocate(8 * 4)
+        dev.submit(AccelTask(op, regions[0], (2, 2), regions[1], (2, 2), rout))
+        with pytest.raises(InvalidArgument):
+            dev.execute_next()
+        assert dev.execute_next() is None
 
     def test_undersized_output_rejected(self):
         a = Tensor.zeros((2, 2))

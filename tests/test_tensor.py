@@ -1,9 +1,15 @@
+import struct
+from math import copysign, prod
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
+from neurokernel.accel import AccelDevice, AccelOp, AccelTask
 from neurokernel.errors import InvalidArgument, Overflow, ShapeMismatch
+from neurokernel.scheduler import matmul_work
+from neurokernel.selftest import _reference_matmul
 from neurokernel.tensor import (
     MatmulConfig,
     Tensor,
@@ -43,6 +49,17 @@ class TestConstruction:
     def test_bytes_round_trip(self):
         t = Tensor.random((3, 4), Random(1))
         assert Tensor.frombytes((3, 4), t.tobytes()) == t
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (0,), (0, 2), (-1, 2), (-1, -1)])
+    def test_frombytes_rejects_bad_shapes(self, shape):
+        with pytest.raises(InvalidArgument):
+            Tensor.frombytes(shape, bytes(8 * abs(prod(shape))))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_frombytes_rejects_non_finite_bytes(self, bad):
+        raw = struct.pack("<3d", 1.0, bad, 2.0)
+        with pytest.raises(InvalidArgument):
+            Tensor.frombytes((3,), raw)
 
 
 class TestShapeValidation:
@@ -189,3 +206,75 @@ def test_row_partition_covers_every_row_exactly_once():
             for lo, hi in bounds:
                 covered.extend(range(lo, hi))
             assert covered == list(range(m))
+
+
+def _device_product(a, b):
+    dev = AccelDevice()
+    ra, rb, rout = (dev.allocate(8 * size) for size in (a.size, b.size, a.shape[0] * b.shape[1]))
+    dev.write_tensor(ra, a)
+    dev.write_tensor(rb, b)
+    dev.submit(AccelTask(AccelOp.MATMUL, ra, a.shape, rb, b.shape, rout))
+    dev.execute_next()
+    return dev.read_tensor(rout, (a.shape[0], b.shape[1]))
+
+
+def _work_product(a, b):
+    results = []
+    list(matmul_work(a, b, on_result=results.append)(None))
+    return results[0]
+
+
+# Every route to the kernel; blocked and parallel with settings that split the
+# output into several tiles and bands.
+PRODUCT_PATHS = {
+    "naive": matmul_naive,
+    "blocked": lambda a, b: matmul_blocked(a, b, MatmulConfig(block_size=2)),
+    "parallel": lambda a, b: matmul_parallel(a, b, MatmulConfig(worker_count=3)),
+    "matmul_work": _work_product,
+    "device": _device_product,
+}
+
+
+class TestKernelSeam:
+    """Depths either side of the kernel's 64-wide slices of k, bit for bit."""
+
+    @pytest.mark.parametrize("path", sorted(PRODUCT_PATHS))
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 127, 128, 129, 200])
+    def test_every_path_equals_the_reference(self, path, k):
+        rng = Random(k)
+        a, b = Tensor.random((3, k), rng), Tensor.random((k, 4), rng)
+        assert PRODUCT_PATHS[path](a, b).tobytes() == _reference_matmul(a, b)
+
+    @pytest.mark.parametrize("path", sorted(PRODUCT_PATHS))
+    @pytest.mark.parametrize("k", [2, 130])
+    def test_all_negative_zero_terms_sum_to_positive_zero(self, path, k):
+        # Even p: -0.0 * positive; odd p: 0.0 * negative. Every term is -0.0.
+        a = Tensor((2, k), [-0.0, 0.0] * k)
+        b = Tensor((k, 2), [1.0, 2.0, -1.0, -2.0] * (k // 2))
+        assert all(copysign(1.0, x * y) == -1.0 for x, y in zip(a.rows()[0], b.tolist()[::2]))
+        got = PRODUCT_PATHS[path](a, b)
+        assert got.tobytes() == _reference_matmul(a, b)
+        assert all(copysign(1.0, x) == 1.0 for x in got.tolist())
+
+    @pytest.mark.parametrize("path", sorted(PRODUCT_PATHS))
+    def test_overflow_in_the_last_slice_is_reported(self, path):
+        # The first 128 terms sum to 1.664e308; the 129th pushes it past 1.8e308.
+        k = 129
+        a = Tensor((1, k), [1e300] * k)
+        b = Tensor((k, 1), [1.3e6] * (k - 1) + [1e8])
+        with pytest.raises(Overflow):
+            PRODUCT_PATHS[path](a, b)
+
+    # No shrink phase: shrinking up to 2,400 drawn entries took over three
+    # minutes on a failing kernel. The failing example is reported unshrunk.
+    @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.data())
+    def test_host_paths_equal_the_reference(self, data):
+        m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, 200))
+        entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+        a = Tensor((m, k), data.draw(st.lists(entries, min_size=m * k, max_size=m * k)))
+        b = Tensor((k, n), data.draw(st.lists(entries, min_size=k * n, max_size=k * n)))
+        oracle = _reference_matmul(a, b)
+        for name in ("naive", "blocked", "parallel", "matmul_work"):
+            assert PRODUCT_PATHS[name](a, b).tobytes() == oracle, name
