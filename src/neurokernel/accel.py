@@ -62,6 +62,7 @@ class AccelDevice:
         except MemoryError:
             raise OutOfMemory("host cannot back the device buffer") from None
         self._regions: dict[int, AccelRegion] = {}
+        self._used = 0  # regions are never freed, so each starts where the last ended
         self._queue: deque[tuple[int, AccelTask]] = deque()
         self._next_region = itertools.count(1)
         self._next_task = itertools.count(1)
@@ -69,33 +70,24 @@ class AccelDevice:
         self._lock = threading.Lock()
 
     @property
-    def buffer_bytes(self) -> int:
-        return DEVICE_BUFFER_BYTES
-
-    @property
     def free_bytes(self) -> int:
-        with self._lock:
-            return DEVICE_BUFFER_BYTES - sum(r.size for r in self._regions.values())
+        return DEVICE_BUFFER_BYTES - self._used
 
     @property
     def queued_tasks(self) -> int:
         return len(self._queue)
 
     def allocate(self, size: int) -> AccelRegion:
-        """First-fit region in the device buffer."""
+        """The next region of the device buffer: it starts at the bump offset."""
         if size < 1:
             raise InvalidArgument(f"region size must be positive, got {size}")
         with self._lock:
-            cursor = 0
-            for region in sorted(self._regions.values(), key=lambda r: r.offset):
-                if region.offset - cursor >= size:
-                    break
-                cursor = region.offset + region.size
-            if DEVICE_BUFFER_BYTES - cursor < size:
+            if DEVICE_BUFFER_BYTES - self._used < size:
                 raise OutOfMemory(
                     f"no {size}-byte region free in the {DEVICE_BUFFER_BYTES}-byte buffer"
                 )
-            region = AccelRegion(next(self._next_region), cursor, size, self._device_id)
+            region = AccelRegion(next(self._next_region), self._used, size, self._device_id)
+            self._used += size
             self._regions[region.id] = region
             return region
 

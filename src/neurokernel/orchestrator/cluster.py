@@ -16,7 +16,7 @@ from enum import Enum
 
 from ..errors import InvalidArgument, NodeUnreachable
 from .envelope import CURRENT_VERSION, MessageEnvelope, QoS, decode, encode
-from .fusion import Modality, modality_process
+from .fusion import Modality, modality_label, modality_process
 
 COORDINATOR_ID = 0
 METRIC_WINDOW = 3
@@ -48,6 +48,12 @@ class Checkpoint:
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+def _count(value) -> int:
+    if type(value) is not int or value < 0:  # a bool is an int subclass, not a count
+        raise ValueError(f"{value!r} is not a count")
+    return value
+
+
 class Node:
     """One simulated worker node with an inbox ordered Realtime before Bulk.
 
@@ -56,8 +62,7 @@ class Node:
     mutated. ``snapshot`` relies on both to encode each record and each
     output once. ``id`` and ``modalities`` are fixed for the node's life.
     ``checkpoint_store`` maps a peer's id to the newest checkpoint it
-    replicated here. ``Cluster.restore_node`` builds a new Node, whose
-    fragments start empty, and keeps the store of the node it replaces.
+    replicated here; it is not in the snapshot, which ``from_snapshot`` reads.
     """
 
     def __init__(self, node_id: int, modalities: frozenset[Modality]):
@@ -80,11 +85,7 @@ class Node:
                                    "node_id": node_id})
         self._tail_json = f',{fixed[1:-1]},"processed":['.encode()
         self.checkpoint_store: dict[int, Checkpoint] = {}
-        self._metrics: dict[str, deque] = {
-            "cpu": deque(maxlen=METRIC_WINDOW),
-            "mem": deque(maxlen=METRIC_WINDOW),
-            "io": deque(maxlen=METRIC_WINDOW),
-        }
+        self._metrics = {name: deque(maxlen=METRIC_WINDOW) for name in ("cpu", "mem", "io")}
         self._inbox_rt: deque[MessageEnvelope] = deque()
         self._inbox_bulk: deque[MessageEnvelope] = deque()
 
@@ -171,6 +172,38 @@ class Node:
             self._processed_json,
             b"]}",
         ))
+
+    @classmethod
+    def from_snapshot(cls, snapshot: bytes, node_id: int, as_id: int) -> Node:
+        """Rebuild node ``node_id``, as ``as_id``, from bytes its snapshot() wrote.
+
+        Metrics go through push_metrics, labels through the stub's lookup, and
+        outputs are derived from each modality's last record. Bytes that the
+        rebuilt node's snapshot() does not reproduce raise InvalidArgument.
+        """
+        try:
+            state = json.loads(snapshot)
+            node = cls(node_id, frozenset(map(Modality, state["modalities"])))
+            node.heartbeat_seq = _count(state["heartbeat_seq"])
+            for sample in zip(*(state["metrics"][name] for name in node._metrics)):
+                node.push_metrics(*sample)
+            served = {m.value: m for m in node.modalities}  # KeyError: a modality not served
+            for tick, value, tag, _label in state["processed"]:
+                label = modality_label(served[value], tag.encode())
+                node.processed.append([_count(tick), value, tag, label])
+            last_tags = {value: tag for _tick, value, tag, _label in node.processed}
+            for value, tag in last_tags.items():
+                node.last_outputs[served[value]] = modality_process(served[value], tag.encode())
+            if node.snapshot() != snapshot:
+                raise ValueError("not the bytes snapshot() writes")
+        except (InvalidArgument, ValueError, KeyError, TypeError, AttributeError, RecursionError):
+            raise InvalidArgument("unknown or corrupt checkpoint") from None
+        if as_id != node_id:  # the checked state, moved onto the replacement id
+            moved = cls(as_id, node.modalities)
+            moved.heartbeat_seq, moved._metrics = node.heartbeat_seq, node._metrics
+            moved.processed, moved.last_outputs = node.processed, node.last_outputs
+            node = moved
+        return node
 
 
 class Cluster:
@@ -286,7 +319,13 @@ class Cluster:
         dest.deliver(decode(encode(env)))
 
     def submit_input(self, modality: Modality, tag: str, qos: QoS = QoS.REALTIME) -> tuple[int, int]:
-        """Balance, wrap, and route one modality work item; (node, msg_id)."""
+        """Balance, wrap, and route one nonempty UTF-8 str tag; (node, msg_id)."""
+        if not isinstance(tag, str) or not tag:
+            raise InvalidArgument(f"tag must be a nonempty str, got {tag!r}")
+        try:
+            tag.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidArgument(f"tag {tag!r} is not encodable as UTF-8") from None
         target = self.balance_load(modality)
         payload = json.dumps(
             {"modality": modality.value, "tag": tag}, sort_keys=True
@@ -361,30 +400,9 @@ class Cluster:
         return chk
 
     def restore_node(self, chk: Checkpoint, target_id: int | None = None) -> Node:
-        """Rebuild a node from a checkpoint, optionally onto a replacement id.
-
-        A malformed snapshot raises InvalidArgument; the node table is unchanged.
-        """
+        """Rebuild a checkpointed node, optionally under a new id; a refusal changes no node."""
         node_id = chk.node_id if target_id is None else target_id
-        try:
-            state = json.loads(chk.snapshot)
-            if state["node_id"] != chk.node_id:
-                raise ValueError("snapshot does not match checkpoint header")
-            node = Node(node_id, frozenset(Modality(m) for m in state["modalities"]))
-            node.heartbeat_seq = state["heartbeat_seq"]
-            for name, window in state["metrics"].items():
-                for value in window:
-                    if not 0.0 <= value <= 1.0:  # the range push_metrics enforces
-                        raise ValueError(f"{name} load {value} outside [0, 1]")
-                    node._metrics[name].append(value)
-            node.processed = [[tick, Modality(m).value, tag, label]
-                              for tick, m, tag, label in state["processed"]]
-            node.last_outputs = {
-                Modality(m): (entry["label"], tuple(entry["tensor"]))
-                for m, entry in state["last_outputs"].items()
-            }
-        except (ValueError, KeyError, TypeError):
-            raise InvalidArgument("unknown or corrupt checkpoint") from None
+        node = Node.from_snapshot(chk.snapshot, chk.node_id, node_id)
         if node_id in self.nodes:  # the peers' replicas are not in the snapshot
             node.checkpoint_store = self.nodes[node_id].checkpoint_store
         self.nodes[node_id] = node
@@ -396,15 +414,14 @@ class Cluster:
 
     def collect_outputs(self) -> dict[Modality, tuple[str, tuple[float, ...]]]:
         """Most recent output per modality across non-failed nodes."""
-        latest: dict[Modality, tuple[int, int, str, tuple[float, ...]]] = {}
+        latest: dict[Modality, tuple[int, str, tuple[float, ...]]] = {}
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             if node.liveness is Liveness.FAILED:
                 continue
             for tick, modality_value, _tag, label in node.processed:
                 modality = Modality(modality_value)
-                vec = node.last_outputs.get(modality, (label, ()))[1]
                 current = latest.get(modality)
                 if current is None or tick >= current[0]:
-                    latest[modality] = (tick, node_id, label, vec)
-        return {m: (label, vec) for m, (_t, _n, label, vec) in latest.items()}
+                    latest[modality] = (tick, label, node.last_outputs[modality][1])
+        return {m: (label, vec) for m, (_tick, label, vec) in latest.items()}

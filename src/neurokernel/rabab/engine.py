@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ..errors import InvalidArgument, ResourceConsumed
 
@@ -46,10 +46,6 @@ class KnowledgeGraph:
 
     def weight(self, subject: str, obj: str) -> float:
         return self._edges.get((subject, obj), 0.0)
-
-    def edges(self) -> Iterator[tuple[str, str, float]]:
-        for (subject, obj), w in sorted(self._edges.items()):
-            yield subject, obj, w
 
     def evolve(self, subject: str, obj: str, target: float) -> float:
         """Move the edge weight one smoothing step toward the target.
@@ -125,10 +121,7 @@ class LinearResource:
 class RababEngine:
     """Single-owner access point for all mutating reasoning state."""
 
-    def __init__(self, embedding_dim: int = EMBEDDING_DIM):
-        if embedding_dim < 1:
-            raise InvalidArgument("embedding dimension must be positive")
-        self.embedding_dim = embedding_dim
+    def __init__(self):
         self.graph = KnowledgeGraph()
         self._predicates: dict[str, Predicate] = {}
         self._resources: dict[int, LinearResource] = {}
@@ -173,11 +166,6 @@ class RababEngine:
 
     def evolve_kernel_state(self, subject: str, obj: str, target: float) -> float:
         return self.graph.evolve(subject, obj, target)
-
-    # -- embeddings -----------------------------------------------------------
-
-    def embed(self, data: bytes | str) -> tuple[float, ...]:
-        return embed(data, self.embedding_dim)
 
     # -- linear resources -------------------------------------------------------
 

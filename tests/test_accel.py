@@ -1,4 +1,5 @@
 import struct
+from itertools import accumulate
 from random import Random
 
 import pytest
@@ -45,6 +46,14 @@ class TestAllocate:
     def test_zero_size_rejected(self):
         with pytest.raises(InvalidArgument):
             AccelDevice().allocate(0)
+
+    def test_offsets_are_the_running_sum_of_sizes(self):
+        dev = AccelDevice()
+        rng = Random(3)
+        sizes = [rng.randint(1, 4096) for _ in range(64)]
+        offsets = [dev.allocate(size).offset for size in sizes]
+        assert offsets == list(accumulate(sizes, initial=0))[:-1]
+        assert dev.free_bytes == 1048576 - sum(sizes)
 
     def test_regions_are_disjoint_under_random_sizes(self):
         dev = AccelDevice()

@@ -189,6 +189,17 @@ class TestFailureDetection:
         assert records == [(2, Modality.VISION, "person", "person")]
 
 
+def _canonical(state) -> bytes:
+    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _add_unserved_record(state):
+    """A consistent record and output for audio, which node 1 does not serve."""
+    label, vec = modality_process(Modality.AUDIO, b"help")
+    state["processed"].append([1, "audio", "help", label])
+    state["last_outputs"]["audio"] = {"label": label, "tensor": list(vec)}
+
+
 class TestCheckpoints:
     def build(self):
         cluster = Cluster()
@@ -249,15 +260,31 @@ class TestCheckpoints:
         lambda state: state["last_outputs"].update(smell={"label": "x", "tensor": [1.0]}),
         lambda state: state.update(processed=5),
         lambda state: state["metrics"].update(cpu=[7.0]),  # push_metrics refuses it
+        lambda state: state.update(heartbeat_seq="x"),
+        lambda state: state.update(heartbeat_seq=True),
+        lambda state: state.update(heartbeat_seq=2.5),
+        lambda state: state.update(heartbeat_seq=-4),
+        lambda state: state["processed"][0].__setitem__(2, 5),
+        lambda state: state["processed"][0].__setitem__(3, ["person"]),
+        lambda state: state["last_outputs"]["vision"].update(tensor="person"),
+        lambda state: state["last_outputs"]["vision"].update(tensor=[]),
+        lambda state: state["processed"][0].__setitem__(0, True),
+        lambda state: state["last_outputs"].clear(),
+        lambda state: state["metrics"].update(cpu=[0.5] * 4, mem=[0.5] * 4, io=[0.5] * 4),
+        _add_unserved_record,
     ], ids=["no-heartbeat-seq", "unknown-metric", "unknown-modality", "processed-not-a-list",
-            "metric-out-of-range"])
+            "metric-out-of-range", "heartbeat-seq-str", "heartbeat-seq-bool",
+            "heartbeat-seq-float", "heartbeat-seq-negative", "int-tag", "list-label",
+            "string-tensor", "empty-tensor", "bool-tick", "outputs-emptied",
+            "four-sample-window", "unserved-modality"])
     @pytest.mark.parametrize("target_id", [None, 9])
     def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt, target_id):
         cluster = self.build()
         chk = cluster.checkpoint_node(1)
         state = json.loads(chk.snapshot)
         corrupt(state)
-        bad = Checkpoint(chk.node_id, chk.seq, json.dumps(state).encode())
+        # Canonical bytes, so only the corruption can be what is refused.
+        bad = Checkpoint(chk.node_id, chk.seq, _canonical(state))
         before = dict(cluster.nodes)
         with pytest.raises(InvalidArgument) as refused:
             cluster.restore_node(bad, target_id=target_id)
@@ -294,7 +321,7 @@ class TestCheckpoints:
 
 def _canonical_state(node) -> bytes:
     """The snapshot oracle: canonical JSON of the node's state_dict()."""
-    return json.dumps(node.state_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _canonical(node.state_dict())
 
 
 _SNAPSHOT_TAGS = (
@@ -371,6 +398,113 @@ class TestSnapshotOracle:
         assert second.snapshot == _canonical_state(node)
         restored = cluster.restore_node(first)
         assert cluster.checkpoint_node(1).snapshot == first.snapshot == _canonical_state(restored)
+
+
+@st.composite
+def _checkpointed_runs(draw):
+    """A cluster after a generated run, and a checkpoint of its node 1.
+
+    Node 2 serves nothing, so every input goes to node 1; it is the peer
+    that holds node 1's replica.
+    """
+    served = sorted(draw(st.sets(st.sampled_from(list(Modality)), min_size=1)),
+                    key=lambda m: m.value)
+    cluster = Cluster()
+    cluster.add_node(1, served)
+    cluster.add_node(2, set())
+    unit = st.floats(0.0, 1.0)
+    for _ in range(draw(st.integers(0, 8))):
+        cluster.heartbeat_tick()
+        if draw(st.booleans()):
+            cluster.nodes[1].push_metrics(draw(unit), draw(unit), draw(unit))
+        for _ in range(draw(st.integers(0, 2))):
+            tag = draw(st.sampled_from(_SNAPSHOT_TAGS) | st.text(min_size=1, max_size=6))
+            cluster.submit_input(draw(st.sampled_from(served)), tag)
+        cluster.process_step()
+        cluster.process_step()
+    return cluster, cluster.checkpoint_node(1)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**64) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(value):
+    """Every (container, key) pair inside a decoded JSON value, depth first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in list(items):
+        yield value, key
+        yield from _slots(child)
+
+
+def _renamed(snapshot: bytes, node_id: int) -> bytes:
+    """The snapshot a node restored onto node_id writes: only the id differs."""
+    return _canonical({**json.loads(snapshot), "node_id": node_id})
+
+
+def _restore_or_refuse(cluster, chk, target_id) -> None:
+    """restore_node rebuilds exactly the snapshot, or refuses and changes nothing."""
+    before = dict(cluster.nodes)
+    try:
+        node = cluster.restore_node(chk, target_id=target_id)
+    except InvalidArgument as refused:
+        assert refused.detail == "unknown or corrupt checkpoint"
+        assert cluster.nodes == before  # Node compares by identity
+        return
+    assert node.snapshot() == _renamed(chk.snapshot, node.id) == _canonical_state(node)
+    # An accepted node keeps working: no operation on it raises outside KernelError.
+    cluster.heartbeat_tick()
+    cluster.checkpoint_node(node.id)
+    outputs = cluster.collect_outputs()
+    if outputs:
+        fuse(outputs)
+
+
+class TestSnapshotFuzz:
+    """restore_node accepts exactly the bytes Node.snapshot() writes."""
+
+    @given(_checkpointed_runs(), st.sampled_from([None, 9]))
+    @settings(deadline=None)
+    def test_generated_snapshot_round_trips(self, run, target_id):
+        cluster, chk = run
+        restored = cluster.restore_node(chk, target_id=target_id)
+        assert restored.id == (target_id or 1)
+        assert restored.snapshot() == _renamed(chk.snapshot, restored.id)
+        assert cluster.restore_node(chk).snapshot() == chk.snapshot
+
+    @given(_checkpointed_runs(), st.sampled_from([None, 9]), st.data())
+    @settings(deadline=None)
+    def test_json_value_mutation(self, run, target_id, data):
+        cluster, chk = run
+        state = json.loads(chk.snapshot)
+        container, key = data.draw(st.sampled_from(list(_slots(state))))
+        if data.draw(st.booleans()):
+            container[key] = data.draw(_json_values)
+        else:
+            del container[key]
+        _restore_or_refuse(cluster, Checkpoint(1, chk.seq, _canonical(state)), target_id)
+
+    @given(_checkpointed_runs(), st.sampled_from([None, 9]), st.data())
+    @settings(deadline=None)
+    def test_byte_mutation(self, run, target_id, data):
+        cluster, chk = run
+        mutated = bytearray(chk.snapshot)
+        edits = data.draw(st.lists(
+            st.tuples(st.integers(0, len(mutated) - 1), st.integers(0, 255)),
+            min_size=1, max_size=4,
+        ))
+        for index, value in edits:
+            mutated[index] = value
+        cut = data.draw(st.integers(0, len(mutated)))
+        _restore_or_refuse(cluster, Checkpoint(1, chk.seq, bytes(mutated[:cut])), target_id)
 
 
 class TestLoadBalancer:
@@ -479,6 +613,19 @@ class TestInboxQoS:
         assert records[0][2] == "person"
         records = cluster.process_step()
         assert records[0][2] == "obstacle"
+
+
+class TestSubmitInput:
+    @pytest.mark.parametrize("tag", [5, "", "\ud800"], ids=["int", "empty", "lone-surrogate"])
+    def test_bad_tag_refused_and_nothing_routed(self, tag):
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION})
+        cluster.add_node(2, {Modality.AUDIO})
+        with pytest.raises(InvalidArgument):
+            cluster.submit_input(Modality.VISION, tag)
+        assert cluster.nodes[1].pending == 0
+        assert cluster.submit_input(Modality.AUDIO, "help") == (2, 1)  # no msg id used up
+        assert cluster.process_step() == [(2, Modality.AUDIO, "help", "asking for help")]
 
 
 class TestScenario:

@@ -139,7 +139,6 @@ class TestEmbedding:
 
     def test_dimension(self):
         assert len(embed(b"x")) == 32
-        assert len(RababEngine(embedding_dim=8).embed(b"x")) == 8
 
 
 class TestCosineSimilarity:
