@@ -20,9 +20,9 @@ from random import Random
 
 from .accel import AccelDevice, AccelOp, AccelTask
 from .compute import Opcode, simple_compute
-from .config import pool_config_from, resolve_config
+from .config import config_from, resolve_config
 from .errors import InvalidArgument, KernelError
-from .mempool import BlockPool
+from .mempool import BlockPool, PoolConfig
 from .orchestrator.runner import DEMO_SCENARIO, parse_scenario, run_scenario
 from .rabab.engine import RababEngine
 from .rabab.paths import Framebuffer, interpret_intent, parse_intent
@@ -57,17 +57,15 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_matmul_bench(args) -> int:
-    values = resolve_config(args.config)
-    block = args.block if args.block is not None else values.get("block_size", 64)
-    workers = args.workers if args.workers is not None else values.get("worker_count", 4)
+    config = config_from(MatmulConfig, resolve_config(args.config),
+                         block_size=args.block, worker_count=args.workers)
     rng = Random(args.seed)
     a = Tensor.random((args.n, args.n), rng)
     b = Tensor.random((args.n, args.n), rng)
     variants = (
         ("naive", lambda: matmul_naive(a, b)),
-        ("blocked", lambda: matmul_blocked(a, b, MatmulConfig(block_size=block))),
-        ("parallel", lambda: matmul_parallel(
-            a, b, MatmulConfig(block_size=block, worker_count=workers))),
+        ("blocked", lambda: matmul_blocked(a, b, config)),
+        ("parallel", lambda: matmul_parallel(a, b, config)),
     )
     writer = _csv_writer()
     writer.writerow(["variant", "n", "block", "workers", "nanos", "checksum"])
@@ -78,12 +76,12 @@ def _cmd_matmul_bench(args) -> int:
             nanos = time.perf_counter_ns() - start
             # Left to right on every Python: sum() is compensated from 3.12 on.
             checksum = repr(reduce(operator.add, out.tolist(), 0.0))
-            writer.writerow([name, args.n, block, workers, nanos, checksum])
+            writer.writerow([name, args.n, config.block_size, config.worker_count, nanos, checksum])
     return 0
 
 
 def _cmd_pool_demo(args) -> int:
-    pool = BlockPool(pool_config_from(resolve_config(args.config)))
+    pool = BlockPool(config_from(PoolConfig, resolve_config(args.config)))
     handles: list = []
     for lineno, raw in enumerate(_read_file(args.ops).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -132,14 +130,8 @@ def _cmd_accel_demo(args) -> int:
 
 
 def _cmd_sched_sim(args) -> int:
-    values = resolve_config(args.config)
-    config = SchedulerConfig(
-        deprioritize_threshold=args.threshold
-        if args.threshold is not None
-        else values.get("deprioritize_threshold", 1_000_000),
-        batch_size=values.get("batch_size", 4),
-        quantum=args.quantum if args.quantum is not None else values.get("quantum", 10_000),
-    )
+    config = config_from(SchedulerConfig, resolve_config(args.config),
+                         deprioritize_threshold=args.threshold, quantum=args.quantum)
     sched = MlScheduler(config)
     tasks: dict[str, MlTask] = {}
     for lineno, raw in enumerate(_read_file(args.tasks).splitlines(), start=1):

@@ -6,18 +6,19 @@ CLI looks for a path in --config first, then the NEUROKERNEL_CONFIG
 environment variable.
 
 Recognized keys: pool_bytes, block_bytes, large_page_classes, block_size,
-worker_count, deprioritize_threshold, batch_size, quantum. An unknown key
-or a key set twice is rejected with the line that holds it, so a typo
-cannot silently leave a default in force.
+worker_count, deprioritize_threshold, batch_size, quantum: the fields of
+PoolConfig, MatmulConfig and SchedulerConfig, whose defaults apply to keys
+not set. An unknown key or a key set twice is rejected with the line that
+holds it, so a typo cannot silently leave a default in force.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import InvalidArgument
-from .mempool import PoolConfig
 
 ENV_VAR = "NEUROKERNEL_CONFIG"
 
@@ -68,12 +69,12 @@ def resolve_config(cli_path: str | None) -> dict:
     return load_config(path) if path else {}
 
 
-def pool_config_from(values: dict) -> PoolConfig:
-    kwargs = {}
-    if "pool_bytes" in values:
-        kwargs["pool_bytes"] = values["pool_bytes"]
-    if "block_bytes" in values:
-        kwargs["block_bytes"] = values["block_bytes"]
-    if "large_page_classes" in values:
-        kwargs["large_page_classes"] = values["large_page_classes"]
-    return PoolConfig(**kwargs)
+def config_from(config_type, values: dict, **flags):
+    """A ``config_type`` dataclass from the file's values for its fields.
+
+    A flag that is not None overrides the file; a field set by neither keeps
+    the dataclass default, so the defaults live only there.
+    """
+    kwargs = {f.name: values[f.name] for f in fields(config_type) if f.name in values}
+    kwargs.update((name, flag) for name, flag in flags.items() if flag is not None)
+    return config_type(**kwargs)

@@ -61,8 +61,10 @@ class Node:
     changed or removed, and ``last_outputs`` values are replaced, never
     mutated. ``snapshot`` relies on both to encode each record and each
     output once. ``id`` and ``modalities`` are fixed for the node's life.
+    The coordinator's records of the node are not in the snapshot:
     ``checkpoint_store`` maps a peer's id to the newest checkpoint it
-    replicated here; it is not in the snapshot, which ``from_snapshot`` reads.
+    replicated here, ``last_heartbeat`` is the tick of the node's last beat
+    and ``checkpoint_seq`` the number of its newest checkpoint (0 for none).
     """
 
     def __init__(self, node_id: int, modalities: frozenset[Modality]):
@@ -72,6 +74,8 @@ class Node:
         self.modalities = frozenset(modalities)
         self.liveness = Liveness.ALIVE
         self.silenced = False
+        self.last_heartbeat = 0
+        self.checkpoint_seq = 0
         self.heartbeat_seq = 0
         self.processed: list[list] = []  # [tick, modality, tag, label]
         self.last_outputs: dict[Modality, tuple[str, tuple[float, ...]]] = {}
@@ -206,8 +210,23 @@ class Node:
         return node
 
 
+def _request(env: MessageEnvelope, server: Node | None = None) -> tuple[Modality, str]:
+    """The (modality, tag) that a submit_input payload asks for, served by ``server``."""
+    try:
+        request = json.loads(env.payload)
+        modality, tag = Modality(request["modality"]), request["tag"]
+    except (ValueError, KeyError, TypeError):
+        raise InvalidArgument(f"message {env.msg_id} is not an input request") from None
+    if server is not None and modality not in server.modalities:
+        raise InvalidArgument(f"node {server.id} does not support {modality.value}")
+    return modality, tag
+
+
 class Cluster:
-    """Coordinator-stepped cluster with two-phase heartbeat failure detection."""
+    """Coordinator-stepped cluster with two-phase heartbeat failure detection.
+
+    ``nodes`` is kept in ascending id order, the order of every walk.
+    """
 
     def __init__(self, timeout_ticks: int = 3):
         if timeout_ticks < 1:
@@ -215,8 +234,6 @@ class Cluster:
         self.timeout_ticks = timeout_ticks
         self.tick = 0
         self.nodes: dict[int, Node] = {}
-        self._last_heartbeat: dict[int, int] = {}
-        self._checkpoint_seq: dict[int, itertools.count] = {}
         self._next_msg_id = itertools.count(1)
         self._failover_log: list[tuple[int, int | None]] = []
 
@@ -225,10 +242,17 @@ class Cluster:
     def add_node(self, node_id: int, modalities) -> Node:
         if node_id in self.nodes:
             raise InvalidArgument(f"node {node_id} already exists")
-        node = Node(node_id, frozenset(modalities))
-        self.nodes[node_id] = node
-        self._last_heartbeat[node_id] = self.tick
-        self._checkpoint_seq[node_id] = itertools.count(1)
+        return self._insert(Node(node_id, frozenset(modalities)))
+
+    def _insert(self, node: Node) -> Node:
+        """Put a node in the table, as having beaten now, keeping ids in order."""
+        node.last_heartbeat = self.tick
+        nodes = self.nodes
+        in_order = node.id in nodes or not nodes or node.id > next(reversed(nodes))
+        nodes[node.id] = node  # a replaced id keeps its place, a new one goes last
+        if not in_order:
+            for node_id in sorted(nodes):
+                nodes[node_id] = nodes.pop(node_id)
         return node
 
     def node(self, node_id: int) -> Node:
@@ -253,13 +277,12 @@ class Cluster:
         """
         self.tick += 1
         beats = []
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
+        for node in self.nodes.values():
             if node.silenced or node.liveness is Liveness.FAILED:
                 continue
             node.heartbeat_seq += 1
-            self._last_heartbeat[node_id] = self.tick
-            beats.append(Heartbeat(node_id, node.heartbeat_seq, self.tick))
+            node.last_heartbeat = self.tick
+            beats.append(Heartbeat(node.id, node.heartbeat_seq, self.tick))
         return beats
 
     def detect_failures(self) -> list[int]:
@@ -270,14 +293,13 @@ class Cluster:
         pending work. Suspects whose heartbeats resume return to Alive.
         """
         newly_failed = []
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
+        for node in self.nodes.values():
             if node.liveness is Liveness.FAILED:
                 continue
-            gap = self.tick - self._last_heartbeat[node_id]
+            gap = self.tick - node.last_heartbeat
             if gap > 2 * self.timeout_ticks:
                 node.liveness = Liveness.FAILED
-                newly_failed.append(node_id)
+                newly_failed.append(node.id)
             elif gap > self.timeout_ticks:
                 node.liveness = Liveness.SUSPECT
             else:
@@ -295,10 +317,8 @@ class Cluster:
         events = []
         for env in self.nodes[failed_id].drain_inbox():
             try:
-                request = json.loads(env.payload)
-                modality = Modality(request["modality"])
-                target = self.balance_load(modality)
-            except (ValueError, KeyError, NodeUnreachable):
+                target = self.balance_load(_request(env)[0])
+            except (InvalidArgument, NodeUnreachable):
                 events.append((env.msg_id, None))  # nothing can serve it
                 continue
             rerouted = MessageEnvelope(
@@ -343,24 +363,17 @@ class Cluster:
         Returns (node, modality, tag, label) records in node-id order.
         """
         records = []
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
+        for node in self.nodes.values():
             if node.liveness is Liveness.FAILED or node.silenced:
                 continue
             env = node.pop_next()
             if env is None:
                 continue
-            request = json.loads(env.payload)
-            modality = Modality(request["modality"])
-            if modality not in node.modalities:
-                raise InvalidArgument(
-                    f"node {node_id} does not support {modality.value}"
-                )
-            tag = request["tag"]
+            modality, tag = _request(env, node)
             label, vec = modality_process(modality, tag.encode("utf-8"))
             node.processed.append([self.tick, modality.value, tag, label])
             node.last_outputs[modality] = (label, vec)
-            records.append((node_id, modality, tag, label))
+            records.append((node.id, modality, tag, label))
         return records
 
     # -- load balancing ---------------------------------------------------------
@@ -384,39 +397,46 @@ class Cluster:
     def checkpoint_node(self, node_id: int) -> Checkpoint:
         """Snapshot a node's state and replicate the checkpoint to one peer.
 
-        The peer is the lowest-id non-failed other node. It keeps only this
-        node's newest checkpoint: an older replica there is replaced.
+        The peer is the first non-failed other node in the table, so the
+        lowest-id one. It keeps only this node's newest checkpoint: an older
+        replica there is replaced.
         """
         node = self.node(node_id)
-        peer = min(
-            (nid for nid, n in self.nodes.items()
-             if nid != node_id and n.liveness is not Liveness.FAILED),
-            default=None,
+        peer = next(
+            (n for n in self.nodes.values() if n is not node and n.liveness is not Liveness.FAILED),
+            None,
         )
         if peer is None:
             raise NodeUnreachable("no peer available to replicate the checkpoint")
-        chk = Checkpoint(node_id, next(self._checkpoint_seq[node_id]), node.snapshot())
-        self.nodes[peer].checkpoint_store[node_id] = chk
+        chk = Checkpoint(node_id, node.checkpoint_seq + 1, node.snapshot())
+        node.checkpoint_seq = chk.seq
+        peer.checkpoint_store[node_id] = chk
         return chk
 
     def restore_node(self, chk: Checkpoint, target_id: int | None = None) -> Node:
-        """Rebuild a checkpointed node, optionally under a new id; a refusal changes no node."""
+        """Rebuild a checkpointed node, optionally under a new id; a refusal changes no node.
+
+        Onto an existing id, what the snapshot does not hold carries over from
+        the node replaced: the replicas it keeps for peers, its checkpoint
+        number and its queued messages. A queued message of a modality the
+        restored node does not serve refuses the restore.
+        """
         node_id = chk.node_id if target_id is None else target_id
         node = Node.from_snapshot(chk.snapshot, chk.node_id, node_id)
-        if node_id in self.nodes:  # the peers' replicas are not in the snapshot
-            node.checkpoint_store = self.nodes[node_id].checkpoint_store
-        self.nodes[node_id] = node
-        self._last_heartbeat[node_id] = self.tick
-        self._checkpoint_seq.setdefault(node_id, itertools.count(1))
-        return node
+        old = self.nodes.get(node_id)
+        if old is not None:
+            for env in (*old._inbox_rt, *old._inbox_bulk):
+                _request(env, node)
+            node.checkpoint_store, node.checkpoint_seq = old.checkpoint_store, old.checkpoint_seq
+            node._inbox_rt, node._inbox_bulk = old._inbox_rt, old._inbox_bulk
+        return self._insert(node)
 
     # -- fusion inputs ---------------------------------------------------------
 
     def collect_outputs(self) -> dict[Modality, tuple[str, tuple[float, ...]]]:
         """Most recent output per modality across non-failed nodes."""
         latest: dict[Modality, tuple[int, str, tuple[float, ...]]] = {}
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
+        for node in self.nodes.values():
             if node.liveness is Liveness.FAILED:
                 continue
             for tick, modality_value, _tag, label in node.processed:

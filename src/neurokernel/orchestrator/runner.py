@@ -96,8 +96,7 @@ def run_scenario(
             cluster.silence(node_id)
             events.append((tick, "kill", f"node={node_id}"))
         cluster.heartbeat_tick()
-        for node_id in sorted(cluster.nodes):
-            node = cluster.nodes[node_id]
+        for node in cluster.nodes.values():
             if node.liveness is not Liveness.FAILED and not node.silenced:
                 node.push_metrics(rng.random(), rng.random(), rng.random())
         for modality, tag in inputs_by_tick.get(tick, ()):
@@ -112,7 +111,7 @@ def run_scenario(
             nid for nid, n in cluster.nodes.items() if n.liveness is Liveness.SUSPECT
         }
         failed = cluster.detect_failures()
-        for node_id, node in sorted(cluster.nodes.items()):
+        for node_id, node in cluster.nodes.items():
             if node.liveness is Liveness.SUSPECT and node_id not in was_suspect:
                 events.append((tick, "suspect", f"node={node_id}"))
         for node_id in failed:
@@ -125,10 +124,7 @@ def run_scenario(
                 (tick, "processed", f"node={node_id} modality={modality.value} label={label}")
             )
         if tick % CHECKPOINT_PERIOD == 0:
-            live = [
-                nid for nid, n in sorted(cluster.nodes.items())
-                if n.liveness is not Liveness.FAILED
-            ]
+            live = [nid for nid, n in cluster.nodes.items() if n.liveness is not Liveness.FAILED]
             if len(live) > 1:
                 for node_id in live:
                     chk = cluster.checkpoint_node(node_id)

@@ -64,16 +64,14 @@ class KnowledgeGraph:
         return w
 
 
-def embed(data: bytes | str, dim: int = EMBEDDING_DIM) -> tuple[float, ...]:
+def embed(data: bytes | str) -> tuple[float, ...]:
     """Deterministic unit-norm embedding: slot i hashes (input, i) into [-1, 1]."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     if not data:
         raise InvalidArgument("cannot embed empty input")
-    if dim < 1:
-        raise InvalidArgument(f"embedding dimension must be positive, got {dim}")
     raw = []
-    for slot in range(dim):
+    for slot in range(EMBEDDING_DIM):
         digest = hashlib.sha256(data + slot.to_bytes(4, "little")).digest()
         value = int.from_bytes(digest[:8], "little")
         raw.append(value / float(2**64 - 1) * 2.0 - 1.0)
@@ -161,11 +159,6 @@ class RababEngine:
         else:
             pred.beta += 1.0
         return pred
-
-    # -- knowledge graph -----------------------------------------------------
-
-    def evolve_kernel_state(self, subject: str, obj: str, target: float) -> float:
-        return self.graph.evolve(subject, obj, target)
 
     # -- linear resources -------------------------------------------------------
 

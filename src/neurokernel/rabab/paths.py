@@ -63,14 +63,12 @@ _HEX_COLOR = re.compile(r"#[0-9A-Fa-f]{6}")
 class Framebuffer:
     """Width x height grid of RGB triples, black by default."""
 
-    def __init__(self, width: int = DEFAULT_WIDTH, height: int = DEFAULT_HEIGHT,
-                 fill: Color = BLACK):
+    def __init__(self, width: int = DEFAULT_WIDTH, height: int = DEFAULT_HEIGHT):
         if width < 1 or height < 1:
             raise InvalidArgument(f"framebuffer must be at least 1x1, got {width}x{height}")
-        fill = _check_color(fill)
         self.width = width
         self.height = height
-        self._pixels: list[Color] = [fill] * (width * height)
+        self._pixels: list[Color] = [BLACK] * (width * height)
 
     def get(self, x: int, y: int) -> Color:
         self._check_bounds(x, y)

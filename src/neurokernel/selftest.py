@@ -461,7 +461,7 @@ def check_rabab(seed: int = 0) -> str:
         steps = 0
         w = 0.0
         while steps < 100 and abs(w - target) >= 1e-3:
-            w = engine2.evolve_kernel_state("subject", "object", target)
+            w = engine2.graph.evolve("subject", "object", target)
             steps += 1
         _require(abs(w - target) < 1e-3, f"no convergence to {target} in 100 steps")
 

@@ -1,8 +1,10 @@
 import pytest
 
 from neurokernel.cli import main
-from neurokernel.config import ENV_VAR, parse_config, pool_config_from
+from neurokernel.config import ENV_VAR, config_from, parse_config
 from neurokernel.errors import InvalidArgument
+from neurokernel.mempool import PoolConfig
+from neurokernel.scheduler import SchedulerConfig
 
 
 def run(capsys, *argv):
@@ -54,6 +56,12 @@ class TestMatmulBench:
         checksums2 = [line.split(",")[-1] for line in out2.strip().splitlines()[1:]]
         assert checksums1 == checksums2
         assert len(set(checksums1)) == 1  # all variants agree on the result
+
+    @pytest.mark.parametrize("flag, value", [("--block", "0"), ("--workers", "9")])
+    def test_invalid_config_fails_before_any_output(self, capsys, flag, value):
+        code, out, err = run(capsys, "matmul-bench", "--n", "4", "--trials", "1", flag, value)
+        assert (code, out) == (1, "")
+        assert "InvalidArgument" in err
 
 
 class TestPoolDemo:
@@ -215,8 +223,14 @@ class TestConfigParsing:
         )
         assert values["pool_bytes"] == 8388608
         assert values["large_page_classes"] == (65536, 1048576)
-        cfg = pool_config_from(values)
-        assert cfg.pool_bytes == 8388608
+        cfg = config_from(PoolConfig, values)
+        assert cfg == PoolConfig(pool_bytes=8388608, block_bytes=4096,
+                                 large_page_classes=(65536, 1048576))
+
+    def test_a_flag_overrides_the_file_and_defaults_fill_the_rest(self):
+        values = parse_config("quantum = 5\nbatch_size = 2\npool_bytes = 8\n")
+        cfg = config_from(SchedulerConfig, values, quantum=7, deprioritize_threshold=None)
+        assert cfg == SchedulerConfig(batch_size=2, quantum=7)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(Exception):

@@ -247,6 +247,26 @@ class TestCheckpoints:
         # A replacement id held nothing, so it starts with an empty store.
         assert cluster.restore_node(own, target_id=9).checkpoint_store == {}
 
+    def test_rollback_processes_the_queued_message(self):
+        cluster = self.build()
+        chk = cluster.checkpoint_node(1)
+        assert cluster.submit_input(Modality.VISION, "obstacle") == (1, 2)
+        cluster.restore_node(chk)
+        assert cluster.nodes[1].pending == 1
+        label = modality_process(Modality.VISION, b"obstacle")[0]
+        assert cluster.process_step() == [(1, Modality.VISION, "obstacle", label)]
+        assert cluster.checkpoint_node(1).seq == 2  # the checkpoint number carried over too
+
+    def test_restore_refused_when_a_queued_message_is_not_served(self):
+        cluster = self.build()
+        vision = cluster.checkpoint_node(1)
+        assert cluster.submit_input(Modality.AUDIO, "help") == (2, 2)
+        before = dict(cluster.nodes)
+        with pytest.raises(InvalidArgument):
+            cluster.restore_node(vision, target_id=2)
+        assert cluster.nodes == before  # Node compares by identity
+        assert [env.msg_id for env in cluster.nodes[2].drain_inbox()] == [2]
+
     def test_corrupt_checkpoint_rejected(self):
         cluster = self.build()
         chk = cluster.checkpoint_node(1)
@@ -317,6 +337,19 @@ class TestCheckpoints:
     def test_checkpoint_unknown_node_rejected(self):
         with pytest.raises(InvalidArgument):
             Cluster().checkpoint_node(99)
+
+
+class TestNodeTable:
+    def test_nodes_kept_in_id_order_whatever_the_arrival(self):
+        cluster = Cluster()
+        cluster.add_node(5, {Modality.VISION})
+        cluster.add_node(3, {Modality.AUDIO})
+        chk = cluster.checkpoint_node(5)
+        cluster.restore_node(chk, target_id=1)
+        assert list(cluster.nodes) == [1, 3, 5]
+        # The peer is the lowest-id live node other than the checkpointed one.
+        assert cluster.checkpoint_node(5) is cluster.nodes[1].checkpoint_store[5]
+        assert cluster.checkpoint_node(1) is cluster.nodes[3].checkpoint_store[1]
 
 
 def _canonical_state(node) -> bytes:
@@ -627,6 +660,20 @@ class TestSubmitInput:
         assert cluster.submit_input(Modality.AUDIO, "help") == (2, 1)  # no msg id used up
         assert cluster.process_step() == [(2, Modality.AUDIO, "help", "asking for help")]
 
+    def test_a_routed_message_that_is_not_a_request(self):
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION})
+        cluster.add_node(2, {Modality.VISION})
+        cluster.route(MessageEnvelope(msg_id=7, source=0, dest=1, payload=b"[]"))
+        cluster.route(MessageEnvelope(msg_id=8, source=0, dest=2, payload=b"{}"))
+        cluster.silence(1)
+        with pytest.raises(InvalidArgument):  # node 2's message
+            cluster.process_step()
+        for _ in range(7):
+            cluster.heartbeat_tick()
+        assert cluster.detect_failures() == [1]
+        assert cluster.last_failover_events() == [(7, None)]  # dropped, not rerouted
+
 
 class TestScenario:
     def test_demo_produces_exact_strings(self):
@@ -702,6 +749,7 @@ class ClusterModel(RuleBasedStateMachine):
         self.next_tag = 0
         self.checkpoints: dict[int, int] = {}  # node -> checkpoints taken
         self.store: dict[int, dict[int, Checkpoint]] = {}  # peer -> source -> newest replica
+        self.newest: tuple[Checkpoint, int] | None = None  # and its heartbeat seq
 
     @initialize(timeout=st.integers(1, 3))
     def make_cluster(self, timeout):
@@ -828,6 +876,41 @@ class ClusterModel(RuleBasedStateMachine):
         self.checkpoints[node_id] = self.checkpoints.get(node_id, 0) + 1
         assert (chk.node_id, chk.seq) == (node_id, self.checkpoints[node_id])
         self.store.setdefault(peers[0], {})[node_id] = chk
+        self.newest = (chk, self.seq[node_id])
+
+    @precondition(lambda self: self.newest is not None)
+    @rule(data=st.data())
+    def restore(self, data):
+        """Restore the newest checkpoint onto its own id or onto an unused one.
+
+        Onto its own id, the replicas, the checkpoint number and the queued
+        messages carry over, so the model keeps them; an unused id starts
+        with none of them.
+        """
+        chk, seq = self.newest
+        unused = [nid for nid in range(1, self.MAX_NODES + 1) if nid not in self.liveness]
+        target = data.draw(st.sampled_from([chk.node_id, *unused]))
+        restored = self.cluster.restore_node(chk, target_id=target)
+        modalities = self.modalities[chk.node_id]
+        assert (restored.id, restored.modalities, restored.heartbeat_seq) == (target, modalities, seq)
+        assert restored.liveness is Liveness.ALIVE and not restored.silenced
+        self.liveness[target] = Liveness.ALIVE
+        self.silenced.discard(target)
+        self.last_beat[target] = self.tick
+        self.seq[target] = seq
+        self.modalities[target] = modalities
+        self.inbox.setdefault(target, (deque(), deque()))
+
+    @invariant()
+    def table_in_id_order(self):
+        assert list(self.cluster.nodes) == sorted(self.cluster.nodes)
+
+    @invariant()
+    def last_beat_and_checkpoint_number_match(self):
+        nodes = self.cluster.nodes
+        assert {nid: n.last_heartbeat for nid, n in nodes.items()} == self.last_beat
+        assert {nid: n.checkpoint_seq for nid, n in nodes.items()} == {
+            nid: self.checkpoints.get(nid, 0) for nid in self.liveness}
 
     @invariant()
     def liveness_matches(self):
