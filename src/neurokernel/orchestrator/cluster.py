@@ -325,17 +325,28 @@ class Cluster:
                 msg_id=env.msg_id, source=env.source, dest=target,
                 payload=env.payload, qos=env.qos, version=env.version,
             )
-            self.route(rerouted)
+            self._deliver(rerouted)
             events.append((env.msg_id, target))
         return events
 
     # -- messaging ------------------------------------------------------------
 
     def route(self, env: MessageEnvelope) -> None:
-        """Deliver an envelope through the wire codec to the dest inbox."""
+        """Deliver an envelope through the wire codec to the dest inbox.
+
+        A payload that is not a request the dest serves is refused with
+        InvalidArgument and nothing is queued, so every queued message can
+        be processed.
+        """
+        self._deliver(env, check=True)
+
+    def _deliver(self, env: MessageEnvelope, check: bool = False) -> None:
+        """route, without decoding a payload built here or already checked."""
         dest = self.node(env.dest)
         if dest.liveness is Liveness.FAILED:
             raise NodeUnreachable(f"node {env.dest} has failed")
+        if check:
+            _request(env, dest)
         dest.deliver(decode(encode(env)))
 
     def submit_input(self, modality: Modality, tag: str, qos: QoS = QoS.REALTIME) -> tuple[int, int]:
@@ -354,7 +365,7 @@ class Cluster:
             msg_id=next(self._next_msg_id), source=COORDINATOR_ID, dest=target,
             payload=payload, qos=qos, version=CURRENT_VERSION,
         )
-        self.route(env)
+        self._deliver(env)
         return target, env.msg_id
 
     def process_step(self) -> list[tuple[int, Modality, str, str]]:

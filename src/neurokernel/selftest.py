@@ -103,6 +103,8 @@ def _reference_matmul(a: Tensor, b: Tensor) -> bytes:
 
 # k either side of the tensor kernel's 64-wide slices of the inner dimension.
 _SEAM_SHAPES = ((3, 64, 5), (3, 65, 5), (2, 130, 3))
+# Above matmul_parallel's cutoff, in uneven bands: the worker-process path.
+_POOL_SHAPE = (65, 65, 65)
 
 
 def check_matmul(seed: int = 0) -> str:
@@ -124,6 +126,12 @@ def check_matmul(seed: int = 0) -> str:
         results: list[Tensor] = []
         list(matmul_work(a, b, on_result=results.append)(None))  # drive every step directly
         _require(results[0].tobytes() == oracle, f"matmul_work diverged on {m}x{k}x{n}")
+    m, k, n = _POOL_SHAPE
+    a, b = Tensor.random((m, k), rng), Tensor.random((k, n), rng)
+    oracle = _reference_matmul(a, b)
+    for workers in (8, 2):  # largest first: the pool that starts serves both
+        got = matmul_parallel(a, b, MatmulConfig(worker_count=workers)).tobytes()
+        _require(got == oracle, f"parallel(w={workers}) diverged on {m}x{k}x{n}")
     return f"{pairs} random pairs bit-identical across 5 block sizes and 8 worker counts"
 
 

@@ -22,22 +22,33 @@ loop -> generated, best of 5 (2 cores, Python 3.11.7): n = 4 / 16 / 64 / 128
 square in 0.0071 / 0.27 / 12-14 / 95-112 ms -> 0.0048 / 0.12-0.16 / 6.4 /
 55-57 ms. The one loss measured is the degenerate 1 x 65,536 by 65,536 x 1
 dot product, 2.6-3.8 -> 4.2-5.8 ms, where per-slice overhead dominates.
-Under CPython no driver is faster than naive: at n = 128 naive took 48 ms,
-32-wide tiles 48-49 ms and 2 or 4 GIL-bound row-band threads 50-55 ms.
+
+Tiles are a driver, not a speed-up: at n = 128 naive took 48 ms and 32-wide
+tiles 48-49 ms. Row bands are a speed-up, because ``matmul_parallel`` runs
+them in worker processes, where the GIL does not serialize them. The pool is
+a ``ProcessPoolExecutor`` on the ``forkserver`` start method, started on the
+first product of at least _POOL_MIN_MACS multiply-adds and kept for the life
+of the process; ``multiprocessing`` is imported only then. Each band and B's
+columns travel pickled as lists of floats, which round-trip exactly, and the
+workers run the same ``_mac``, so the bands are bit-identical to naive. The
+main module must be importable and its entry point guarded by
+``if __name__ == "__main__":``, since each worker re-imports it; a main read
+from stdin cannot be, and breaks the pool (one KernelError).
 """
 
 from __future__ import annotations
 
+import atexit
 import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, prod
 from random import Random
 from typing import Iterable, Sequence
 
-from .errors import InvalidArgument, Overflow, ShapeMismatch
+from .errors import InvalidArgument, KernelError, Overflow, ShapeMismatch
 
 MAX_WORKERS = 8
 DEFAULT_BLOCK_SIZE = 64
@@ -46,7 +57,7 @@ _WIDTH = 64  # entries of k per generated kernel; bounds each expression and the
 
 @dataclass(frozen=True)
 class MatmulConfig:
-    """Output tile edge for matmul_blocked and thread count for matmul_parallel."""
+    """Output tile edge for matmul_blocked and worker process count for matmul_parallel."""
 
     block_size: int = DEFAULT_BLOCK_SIZE
     worker_count: int = 4
@@ -308,16 +319,69 @@ def _partition_rows(m: int, workers: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def matmul_parallel(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> Tensor:
-    """The kernel over contiguous row bands, one per pool thread.
+# Row bands go to worker processes from this many multiply-adds (m*k*n) on.
+# Squares with 2 workers against naive, median of 25 (2 cores, Python 3.11.7):
+# 0.63-1.13x at n = 48, 0.76-1.07x at n = 64, 1.06-1.35x at n = 72 and
+# 1.32-1.48x at n = 88; below the cutoff the round trip costs what it saves.
+_POOL_MIN_MACS = 64 ** 3
+_pool = None  # (ProcessPoolExecutor, its worker count), started on first use
+_pool_lock = threading.Lock()  # one caller at a time starts, replaces or maps on _pool
 
-    The pool hands back every band, in order, or re-raises a worker's error;
-    callers never see a partial result.
+
+def _close_pool() -> None:
+    """Shut the worker pool down, if there is one; the next call starts a fresh one."""
+    global _pool
+    if _pool is not None:
+        _pool[0].shutdown()
+        _pool = None
+
+
+# At exit, before module teardown: an executor first collected during teardown
+# runs a cleanup callback that finds its module's globals gone.
+atexit.register(_close_pool)
+
+
+def _on_pool(
+    workers: int, bands: list[list[list[float]]], cols: list[list[float]]
+) -> list[list[list[float]]]:
+    """``_mac`` of each band against cols in the persistent worker pool, in band order.
+
+    The pool starts on first use, with ``workers`` processes, and is replaced
+    by a larger one when a call asks for more; it lives until the interpreter
+    exits. A worker that dies breaks the pool: the call raises one
+    KernelError and the next call starts a fresh pool.
+    """
+    global _pool
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    with _pool_lock:
+        if _pool is not None and _pool[1] < workers:
+            _close_pool()
+        if _pool is None:
+            # forkserver forks each worker from a single-threaded server, never
+            # from this process and its threads; the worker re-imports __main__.
+            context = multiprocessing.get_context("forkserver")
+            _pool = (ProcessPoolExecutor(workers, mp_context=context), workers)
+        try:
+            return list(_pool[0].map(_mac, bands, [cols] * len(bands)))
+        except BrokenProcessPool as exc:
+            _close_pool()
+            raise KernelError(f"a matmul worker process died: {exc}") from exc
+
+
+def matmul_parallel(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> Tensor:
+    """The kernel over contiguous row bands, one per worker process.
+
+    Below _POOL_MIN_MACS, or with one band, the product runs in this process.
+    Callers get every band, in order, or one KernelError; never a partial
+    result.
     """
     config = config or MatmulConfig()
     validate_matmul_shapes(a, b)
     rows, cols = a.rows(), _columns(b)
     bands = [rows[lo:hi] for lo, hi in _partition_rows(len(rows), config.worker_count) if lo < hi]
-    with ThreadPoolExecutor(len(bands), thread_name_prefix="matmul-worker") as pool:
-        products = list(pool.map(_mac, bands, [cols] * len(bands)))
+    if len(bands) == 1 or len(rows) * len(cols[0]) * len(cols) < _POOL_MIN_MACS:
+        return _product(_mac(rows, cols))
+    products = _on_pool(config.worker_count, bands, cols)
     return _product([row for band in products for row in band])

@@ -661,18 +661,23 @@ class TestSubmitInput:
         assert cluster.process_step() == [(2, Modality.AUDIO, "help", "asking for help")]
 
     def test_a_routed_message_that_is_not_a_request(self):
+        # Refused at route with nothing queued: process_step would pop it and
+        # raise mid-walk, losing it and the records of the nodes before it.
         cluster = Cluster()
         cluster.add_node(1, {Modality.VISION})
         cluster.add_node(2, {Modality.VISION})
-        cluster.route(MessageEnvelope(msg_id=7, source=0, dest=1, payload=b"[]"))
-        cluster.route(MessageEnvelope(msg_id=8, source=0, dest=2, payload=b"{}"))
-        cluster.silence(1)
-        with pytest.raises(InvalidArgument):  # node 2's message
-            cluster.process_step()
-        for _ in range(7):
-            cluster.heartbeat_tick()
-        assert cluster.detect_failures() == [1]
-        assert cluster.last_failover_events() == [(7, None)]  # dropped, not rerouted
+        refused = [b"[]", b"{}", b'{"modality": "audio", "tag": "help"}']  # the last: not served
+        for msg_id, payload in enumerate(refused, 7):
+            with pytest.raises(InvalidArgument):
+                cluster.route(MessageEnvelope(msg_id=msg_id, source=0, dest=2, payload=payload))
+        assert [node.pending for node in cluster.nodes.values()] == [0, 0]
+        cluster.route(MessageEnvelope(msg_id=10, source=0, dest=2,
+                                      payload=b'{"modality": "vision", "tag": "person"}'))
+        assert cluster.submit_input(Modality.VISION, "cup") == (1, 1)
+        records = cluster.process_step()
+        assert [record[:3] for record in records] == [
+            (1, Modality.VISION, "cup"), (2, Modality.VISION, "person")]
+        assert [node.pending for node in cluster.nodes.values()] == [0, 0]
 
 
 class TestScenario:

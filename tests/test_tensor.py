@@ -1,13 +1,21 @@
+import os
+import signal
 import struct
+import subprocess
+import sys
+import textwrap
+from concurrent.futures.process import BrokenProcessPool
 from math import copysign, prod
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import neurokernel.tensor as tensor
 from neurokernel.accel import AccelDevice, AccelOp, AccelTask
-from neurokernel.errors import InvalidArgument, Overflow, ShapeMismatch
+from neurokernel.errors import InvalidArgument, KernelError, Overflow, ShapeMismatch
 from neurokernel.scheduler import matmul_work
 from neurokernel.selftest import _reference_matmul
 from neurokernel.tensor import (
@@ -196,6 +204,104 @@ class TestMatmulParallel:
         a, b = Tensor.random((2, 5), rng), Tensor.random((5, 2), rng)
         got = matmul_parallel(a, b, MatmulConfig(worker_count=8))
         assert got.tobytes() == matmul_naive(a, b).tobytes()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_python(args, timeout, **kwargs):
+    """A fresh interpreter on this checkout's package; its main is args[0]."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=env, **kwargs)
+
+
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """(worker count, band heights) of each product sent to the worker pool."""
+    calls = []
+    on_pool = tensor._on_pool
+
+    def spy(workers, bands, cols):
+        calls.append((workers, [len(band) for band in bands]))
+        return on_pool(workers, bands, cols)
+
+    monkeypatch.setattr(tensor, "_on_pool", spy)
+    return calls
+
+
+class TestProcessPool:
+    """matmul_parallel from _POOL_MIN_MACS multiply-adds on: bands in worker processes."""
+
+    @pytest.mark.parametrize("workers, heights", [
+        (2, [35, 35]), (3, [24, 23, 23]), (8, [9, 9, 9, 9, 9, 9, 8, 8]),
+    ])
+    def test_uneven_bands_across_the_seam_bit_equal_naive(self, pool_calls, workers, heights):
+        rng = Random(workers)
+        a, b = Tensor.random((70, 130), rng), Tensor.random((130, 70), rng)
+        got = matmul_parallel(a, b, MatmulConfig(worker_count=workers))
+        assert pool_calls == [(workers, heights)]
+        assert got.tobytes() == matmul_naive(a, b).tobytes()
+
+    def test_the_cutoff(self, pool_calls):
+        rng = Random(12)
+        config = MatmulConfig(worker_count=2)
+        for m, k, n in ((63, 64, 65), (64, 64, 64)):  # 262,080 and 262,144 multiply-adds
+            a, b = Tensor.random((m, k), rng), Tensor.random((k, n), rng)
+            assert matmul_parallel(a, b, config).tobytes() == matmul_naive(a, b).tobytes()
+        assert tensor._POOL_MIN_MACS == 64 ** 3
+        assert pool_calls == [(2, [32, 32])]
+
+    def test_overflow_only_in_a_worker_band(self, pool_calls):
+        rows = Tensor.random((70, 70), Random(13)).rows()
+        rows[-1] = [1e300] * 70
+        a, b = Tensor.from_rows(rows), Tensor((70, 70), [1e10] * 4900)
+        matmul_naive(Tensor.from_rows(rows[:35]), b)  # the first band is finite
+        with pytest.raises(Overflow):
+            matmul_parallel(a, b, MatmulConfig(worker_count=2))
+        assert pool_calls == [(2, [35, 35])]
+
+    def test_a_killed_worker_is_one_kernel_error_then_a_fresh_pool(self):
+        rng = Random(14)
+        a, b = Tensor.random((64, 64), rng), Tensor.random((64, 64), rng)
+        config = MatmulConfig(worker_count=2)
+        expected = matmul_naive(a, b).tobytes()
+        assert matmul_parallel(a, b, config).tobytes() == expected
+        pool = tensor._pool[0]
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(10)
+        assert not victim.is_alive()
+        with pytest.raises(KernelError) as caught:
+            matmul_parallel(a, b, config)
+        assert type(caught.value) is KernelError
+        assert isinstance(caught.value.__cause__, BrokenProcessPool)
+        assert matmul_parallel(a, b, config).tobytes() == expected
+        assert tensor._pool[0] is not pool
+
+    def test_a_main_read_from_stdin_breaks_the_pool_as_one_kernel_error(self):
+        # Workers re-import __main__, and "<stdin>" cannot be re-read.
+        script = textwrap.dedent("""
+            from random import Random
+            from neurokernel.errors import KernelError
+            from neurokernel.tensor import MatmulConfig, Tensor, matmul_parallel
+            a = Tensor.random((64, 64), Random(0))
+            try:
+                matmul_parallel(a, a, MatmulConfig(worker_count=2))
+            except KernelError as exc:
+                print(type(exc).__name__, type(exc.__cause__).__name__)
+        """)
+        proc = _run_python(["-"], timeout=60, input=script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "KernelError BrokenProcessPool\n"
+
+    def test_the_pool_does_not_hold_up_interpreter_exit(self):
+        proc = _run_python(["-m", "neurokernel.cli", "matmul-bench", "--n", "96",
+                            "--workers", "2", "--trials", "1"], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split(",")[0] for line in proc.stdout.splitlines()] == [
+            "variant", "naive", "blocked", "parallel"]
 
 
 def test_row_partition_covers_every_row_exactly_once():
