@@ -90,29 +90,36 @@ class Node:
         self._tail_json = f',{fixed[1:-1]},"processed":['.encode()
         self.checkpoint_store: dict[int, Checkpoint] = {}
         self._metrics = {name: deque(maxlen=METRIC_WINDOW) for name in ("cpu", "mem", "io")}
+        self._load = 0.0
         self._inbox_rt: deque[MessageEnvelope] = deque()
         self._inbox_bulk: deque[MessageEnvelope] = deque()
 
     def push_metrics(self, cpu: float, mem: float, io: float) -> None:
-        for name, value in (("cpu", cpu), ("mem", mem), ("io", io)):
+        """Add one sample to each window, or to none, and store the load they give."""
+        sample = (cpu, mem, io)
+        for name, value in zip(self._metrics, sample):
             if not 0.0 <= value <= 1.0:
                 raise InvalidArgument(f"{name} load {value} outside [0, 1]")
-            self._metrics[name].append(value)
-
-    def _avg(self, name: str) -> float:
-        window = self._metrics[name]
-        return sum(window) / len(window) if window else 0.0
+        load = 0.0
+        for weight, window, value in zip(LOAD_WEIGHTS, self._metrics.values(), sample):
+            window.append(value)
+            total = 0.0  # left to right: from Python 3.12, sum() compensates rounding
+            for x in window:
+                total += x
+            load += weight * (total / len(window))
+        self._load = load
 
     def predicted_load(self) -> float:
-        """0.5*cpu + 0.3*mem + 0.2*io over 3-sample moving averages."""
-        w_cpu, w_mem, w_io = LOAD_WEIGHTS
-        return w_cpu * self._avg("cpu") + w_mem * self._avg("mem") + w_io * self._avg("io")
+        """0.5*cpu + 0.3*mem + 0.2*io over 3-sample moving averages; 0 with no sample."""
+        return self._load
 
     def deliver(self, env: MessageEnvelope) -> None:
-        if env.qos is QoS.REALTIME:
-            self._inbox_rt.append(env)
-        else:
-            self._inbox_bulk.append(env)
+        """Queue a request this node serves; anything else raises InvalidArgument."""
+        _request(env, self)
+        self._enqueue(env)
+
+    def _enqueue(self, env: MessageEnvelope) -> None:
+        (self._inbox_rt if env.qos is QoS.REALTIME else self._inbox_bulk).append(env)
 
     def pop_next(self) -> MessageEnvelope | None:
         if self._inbox_rt:
@@ -205,6 +212,7 @@ class Node:
         if as_id != node_id:  # the checked state, moved onto the replacement id
             moved = cls(as_id, node.modalities)
             moved.heartbeat_seq, moved._metrics = node.heartbeat_seq, node._metrics
+            moved._load = node._load
             moved.processed, moved.last_outputs = node.processed, node.last_outputs
             node = moved
         return node
@@ -234,6 +242,8 @@ class Cluster:
         self.timeout_ticks = timeout_ticks
         self.tick = 0
         self.nodes: dict[int, Node] = {}
+        # Per modality, the nodes serving it in id order; _insert drops it.
+        self._supporters: dict[Modality, list[Node]] | None = None
         self._next_msg_id = itertools.count(1)
         self._failover_log: list[tuple[int, int | None]] = []
 
@@ -247,6 +257,7 @@ class Cluster:
     def _insert(self, node: Node) -> Node:
         """Put a node in the table, as having beaten now, keeping ids in order."""
         node.last_heartbeat = self.tick
+        self._supporters = None
         nodes = self.nodes
         in_order = node.id in nodes or not nodes or node.id > next(reversed(nodes))
         nodes[node.id] = node  # a replaced id keeps its place, a new one goes last
@@ -347,7 +358,7 @@ class Cluster:
             raise NodeUnreachable(f"node {env.dest} has failed")
         if check:
             _request(env, dest)
-        dest.deliver(decode(encode(env)))
+        dest._enqueue(decode(encode(env)))
 
     def submit_input(self, modality: Modality, tag: str, qos: QoS = QoS.REALTIME) -> tuple[int, int]:
         """Balance, wrap, and route one nonempty UTF-8 str tag; (node, msg_id)."""
@@ -395,13 +406,17 @@ class Cluster:
         Ties break toward the lowest node id; identical metric histories
         therefore always give identical selections.
         """
-        candidates = [
-            node for node in self.nodes.values()
-            if node.liveness is not Liveness.FAILED and modality in node.modalities
-        ]
-        if not candidates:
+        supporters = self._supporters
+        if supporters is None:
+            supporters = self._supporters = {
+                m: [node for node in self.nodes.values() if m in node.modalities] for m in Modality}
+        best = None
+        for node in supporters.get(modality, ()):  # id order, so the first of equal loads wins
+            if node.liveness is not Liveness.FAILED and (best is None or node._load < best._load):
+                best = node
+        if best is None:
             raise NodeUnreachable(f"no live node supports {modality.value}")
-        return min(candidates, key=lambda n: (n.predicted_load(), n.id)).id
+        return best.id
 
     # -- checkpoints ---------------------------------------------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,18 +65,30 @@ class KnowledgeGraph:
         return w
 
 
+_SLOT_SUFFIXES = tuple(slot.to_bytes(4, "little") for slot in range(EMBEDDING_DIM))
+_U64_MAX = float(2**64 - 1)
+_FIRST_U64 = struct.Struct("<Q").unpack_from  # int.from_bytes(digest[:8], "little")
+
+
 def embed(data: bytes | str) -> tuple[float, ...]:
-    """Deterministic unit-norm embedding: slot i hashes (input, i) into [-1, 1]."""
+    """Deterministic unit-norm embedding: slot i hashes (input, i) into [-1, 1].
+
+    Slot i is sha256(data + i as 4 little-endian bytes), continued from one hash of data.
+    """
     if isinstance(data, str):
         data = data.encode("utf-8")
     if not data:
         raise InvalidArgument("cannot embed empty input")
+    prefix = hashlib.sha256(data)
     raw = []
-    for slot in range(EMBEDDING_DIM):
-        digest = hashlib.sha256(data + slot.to_bytes(4, "little")).digest()
-        value = int.from_bytes(digest[:8], "little")
-        raw.append(value / float(2**64 - 1) * 2.0 - 1.0)
-    norm = math.sqrt(sum(x * x for x in raw))
+    squares = 0.0  # left to right: from Python 3.12, sum() compensates rounding
+    for suffix in _SLOT_SUFFIXES:
+        slot_hash = prefix.copy()
+        slot_hash.update(suffix)
+        x = _FIRST_U64(slot_hash.digest())[0] / _U64_MAX * 2.0 - 1.0
+        raw.append(x)
+        squares += x * x
+    norm = math.sqrt(squares)
     if norm == 0.0:
         raise InvalidArgument("degenerate embedding (zero norm)")
     return tuple(x / norm for x in raw)

@@ -1,4 +1,6 @@
+import builtins
 import json
+import math
 from collections import deque
 from random import Random
 
@@ -25,6 +27,22 @@ from neurokernel.orchestrator import (
     run_scenario,
 )
 from neurokernel.orchestrator.envelope import MAGIC
+from neurokernel.rabab import embed
+
+
+def _left_to_right(values) -> float:
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _load(windows) -> float:
+    """The predicted load of (cpu, mem, io) sample windows, recomputed."""
+    load = 0.0
+    for weight, window in zip((0.5, 0.3, 0.2), windows):
+        load += weight * (_left_to_right(window) / len(window)) if window else 0.0
+    return load
 
 
 class TestEnvelopeCodec:
@@ -580,6 +598,66 @@ class TestLoadBalancer:
         cluster.nodes[1].push_metrics(1.0, 0.5, 0.25)
         assert cluster.nodes[1].predicted_load() == pytest.approx(0.5 + 0.15 + 0.05)
 
+    def test_refused_sample_changes_no_window(self):
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION})
+        node = cluster.nodes[1]
+        node.push_metrics(0.2, 0.2, 0.2)
+        with pytest.raises(InvalidArgument):
+            node.push_metrics(0.9, 0.9, 1.5)
+        assert node.state_dict()["metrics"] == {"cpu": [0.2], "mem": [0.2], "io": [0.2]}
+        assert node.predicted_load() == _load(([0.2], [0.2], [0.2]))
+
+    def test_routing_follows_membership_changes(self):
+        """balance_load against the oracle after each kind of table change."""
+        V, A, L, S = Modality.VISION, Modality.AUDIO, Modality.LANGUAGE, Modality.SENSOR
+        cluster = Cluster()
+
+        def routes():
+            """balance_load per modality, checked against the recomputed loads."""
+            loads = {}
+            for node_id, node in cluster.nodes.items():
+                loads[node_id] = _load(node.state_dict()["metrics"].values())
+                assert node.predicted_load() == loads[node_id]
+            chosen = {}
+            for modality in Modality:
+                live = [(loads[node_id], node_id) for node_id, node in cluster.nodes.items()
+                        if node.liveness is not Liveness.FAILED and modality in node.modalities]
+                try:
+                    chosen[modality] = cluster.balance_load(modality)
+                except NodeUnreachable:
+                    chosen[modality] = None
+                assert chosen[modality] == min(live, default=(None, None))[1]
+            return chosen
+
+        cluster.add_node(5, {V, A})
+        cluster.add_node(3, {V})  # below the last id; neither has samples
+        assert routes() == {V: 3, A: 5, L: None, S: None}
+        cluster.nodes[3].push_metrics(0.5, 0.5, 0.5)
+        assert routes() == {V: 5, A: 5, L: None, S: None}
+        chk5 = cluster.checkpoint_node(5)
+        cluster.restore_node(chk5, target_id=2)  # a new id, below the others
+        assert routes() == {V: 2, A: 2, L: None, S: None}
+        cluster.add_node(4, {L, S})
+        cluster.nodes[4].push_metrics(0.1, 0.0, 0.0)
+        cluster.restore_node(cluster.checkpoint_node(4), target_id=2)  # 2 now serves L, S
+        assert routes() == {V: 5, A: 5, L: 2, S: 2}  # 2 and 4 tie; the lower id wins
+        cluster.nodes[2].push_metrics(0.3, 0.0, 0.0)
+        assert routes() == {V: 5, A: 5, L: 4, S: 4}
+        cluster.restore_node(chk5)  # onto its own id: the same modalities
+        assert routes() == {V: 5, A: 5, L: 4, S: 4}
+        target, msg_id = cluster.submit_input(A, "help")
+        assert target == 5
+        cluster.heartbeat_tick()
+        cluster.silence(5)
+        for _ in range(7):
+            cluster.heartbeat_tick()
+        assert cluster.detect_failures() == [5]
+        assert cluster.last_failover_events() == [(msg_id, None)]  # nothing else serves audio
+        assert routes() == {V: 3, A: None, L: 4, S: 4}
+        cluster.restore_node(chk5, target_id=6)  # the failed node's state on a new id
+        assert routes() == {V: 6, A: 6, L: 4, S: 4}
+
 
 class TestFusion:
     def out(self, label):
@@ -680,6 +758,71 @@ class TestSubmitInput:
         assert [node.pending for node in cluster.nodes.values()] == [0, 0]
 
 
+    def test_a_message_delivered_straight_to_a_node(self):
+        # Node.deliver refuses what route refuses, so process_step cannot
+        # lose the message or the records of the nodes walked before it.
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION})
+        cluster.add_node(2, {Modality.VISION})
+        assert cluster.submit_input(Modality.VISION, "cup") == (1, 1)
+        for payload in (b"{}", b'{"modality": "audio", "tag": "help"}'):
+            with pytest.raises(InvalidArgument):
+                cluster.nodes[2].deliver(MessageEnvelope(msg_id=9, source=0, dest=2, payload=payload))
+        assert [node.pending for node in cluster.nodes.values()] == [1, 0]
+        cluster.nodes[2].deliver(MessageEnvelope(msg_id=10, source=0, dest=2,
+                                                 payload=b'{"modality": "vision", "tag": "person"}'))
+        records = cluster.process_step()
+        assert [record[:3] for record in records] == [
+            (1, Modality.VISION, "cup"), (2, Modality.VISION, "person")]
+        assert [node.pending for node in cluster.nodes.values()] == [0, 0]
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(values, start=0):
+    """sum() with float rounding compensated, as Python 3.12's sum() does."""
+    values = list(values)
+    if values and all(type(x) is float for x in values):
+        return start + math.fsum(values)
+    return _BUILTIN_SUM(values, start)
+
+
+class TestFloatSumsAreLeftToRight:
+    """Loads, embeddings and checkpoints do not depend on how sum() adds floats."""
+
+    # cpu, mem, io windows whose load is 0.6000000000000001 summed left to
+    # right and 0.6 from exactly rounded sums.
+    WINDOWS = ((0.5, 0.6, 0.6), (0.6, 0.6, 0.9), (0.5, 0.4, 0.7))
+    TAGS = [f"t{i}" for i in range(200)]
+
+    def build(self):
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION})
+        cluster.add_node(2, {Modality.AUDIO})
+        for sample in zip(*self.WINDOWS):
+            cluster.nodes[1].push_metrics(*sample)
+        for tag in self.TAGS[:20]:
+            cluster.submit_input(Modality.VISION, tag)
+            cluster.process_step()
+        return cluster
+
+    def test_compensated_builtin_sum_changes_nothing(self, monkeypatch):
+        assert any(_compensated_sum(w) != _left_to_right(w) for w in self.WINDOWS)
+        load = self.build().nodes[1].predicted_load()
+        assert load == _load(self.WINDOWS)
+        vectors = [embed(tag) for tag in self.TAGS]
+        chk = self.build().checkpoint_node(1)
+        monkeypatch.setattr(builtins, "sum", _compensated_sum)
+        assert self.build().nodes[1].predicted_load() == load
+        assert [embed(tag) for tag in self.TAGS] == vectors
+        cluster = Cluster()
+        cluster.add_node(2, {Modality.AUDIO})
+        restored = cluster.restore_node(chk)  # written with plain sums
+        assert restored.snapshot() == chk.snapshot
+        assert restored.predicted_load() == load
+
+
 class TestScenario:
     def test_demo_produces_exact_strings(self):
         events, summary, action = run_scenario(parse_scenario(DEMO_SCENARIO), ticks=8, seed=0)
@@ -729,10 +872,10 @@ class TestScenario:
 
 
 class ClusterModel(RuleBasedStateMachine):
-    """Cluster liveness and message conservation against a per-node model.
+    """Cluster liveness, routing and message conservation against a per-node model.
 
-    No metrics are pushed, so every predicted load is 0 and the balancer
-    picks the lowest-id non-failed supporter; the model then knows each
+    The model keeps each node's metric windows, so it knows the balancer's
+    choice, min over non-failed supporters of (load, id); it then knows each
     message's inbox, and in which order each node pops its inbox.
     """
 
@@ -744,6 +887,7 @@ class ClusterModel(RuleBasedStateMachine):
         self.last_beat: dict[int, int] = {}  # node -> tick of its last heartbeat
         self.seq: dict[int, int] = {}
         self.modalities: dict[int, frozenset] = {}
+        self.windows: dict[int, tuple[deque, deque, deque]] = {}  # cpu, mem, io samples
         self.liveness: dict[int, Liveness] = {}
         self.silenced: set[int] = set()
         # node -> (realtime, bulk) queues of (msg_id, modality, tag)
@@ -754,7 +898,8 @@ class ClusterModel(RuleBasedStateMachine):
         self.next_tag = 0
         self.checkpoints: dict[int, int] = {}  # node -> checkpoints taken
         self.store: dict[int, dict[int, Checkpoint]] = {}  # peer -> source -> newest replica
-        self.newest: tuple[Checkpoint, int] | None = None  # and its heartbeat seq
+        # and the node's heartbeat seq, modalities and windows when it was taken
+        self.newest: tuple[Checkpoint, int, frozenset, tuple] | None = None
 
     @initialize(timeout=st.integers(1, 3))
     def make_cluster(self, timeout):
@@ -765,6 +910,10 @@ class ClusterModel(RuleBasedStateMachine):
         return sorted(nid for nid, state in self.liveness.items()
                       if state is not Liveness.FAILED
                       and (modality is None or modality in self.modalities[nid]))
+
+    def _route(self, modality):
+        live = self._live(modality)
+        return min(live, key=lambda nid: (_load(self.windows[nid]), nid)) if live else None
 
     def _queue(self, node_id, qos):
         return self.inbox[node_id][0 if qos is QoS.REALTIME else 1]
@@ -780,8 +929,20 @@ class ClusterModel(RuleBasedStateMachine):
         self.last_beat[node_id] = self.tick
         self.seq[node_id] = 0
         self.modalities[node_id] = frozenset(modalities)
+        self.windows[node_id] = tuple(deque(maxlen=3) for _ in range(3))
         self.liveness[node_id] = Liveness.ALIVE
         self.inbox[node_id] = (deque(), deque())
+
+    # Few distinct values, so equal loads and the id tie-break come up.
+    SAMPLES = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+    @precondition(lambda self: self.liveness)
+    @rule(data=st.data(), cpu=SAMPLES, mem=SAMPLES, io=SAMPLES)
+    def push_metrics(self, data, cpu, mem, io):
+        node_id = data.draw(st.sampled_from(sorted(self.liveness)))
+        self.cluster.nodes[node_id].push_metrics(cpu, mem, io)
+        for window, value in zip(self.windows[node_id], (cpu, mem, io)):
+            window.append(value)
 
     @precondition(lambda self: self.liveness)
     @rule(data=st.data(), silent=st.booleans())
@@ -830,10 +991,10 @@ class ClusterModel(RuleBasedStateMachine):
             for qos, queue in ((QoS.REALTIME, realtime), (QoS.BULK, bulk)):
                 while queue:
                     msg_id, modality, tag = queue.popleft()
-                    live = self._live(modality)
-                    if live:
-                        self._queue(live[0], qos).append((msg_id, modality, tag))
-                        events.append((msg_id, live[0]))
+                    target = self._route(modality)
+                    if target is not None:
+                        self._queue(target, qos).append((msg_id, modality, tag))
+                        events.append((msg_id, target))
                     else:
                         self.dropped.add(msg_id)
                         events.append((msg_id, None))
@@ -843,13 +1004,13 @@ class ClusterModel(RuleBasedStateMachine):
     def submit_input(self, modality, qos):
         tag = f"t{self.next_tag}"
         self.next_tag += 1
-        live = self._live(modality)
-        if not live:
+        expected = self._route(modality)
+        if expected is None:
             with pytest.raises(NodeUnreachable):
                 self.cluster.submit_input(modality, tag, qos)
             return
         target, msg_id = self.cluster.submit_input(modality, tag, qos)
-        assert target == live[0] and msg_id not in self.submitted
+        assert target == expected and msg_id not in self.submitted
         self.submitted.add(msg_id)
         self._queue(target, qos).append((msg_id, modality, tag))
 
@@ -881,22 +1042,27 @@ class ClusterModel(RuleBasedStateMachine):
         self.checkpoints[node_id] = self.checkpoints.get(node_id, 0) + 1
         assert (chk.node_id, chk.seq) == (node_id, self.checkpoints[node_id])
         self.store.setdefault(peers[0], {})[node_id] = chk
-        self.newest = (chk, self.seq[node_id])
+        windows = tuple(deque(w, maxlen=3) for w in self.windows[node_id])
+        self.newest = (chk, self.seq[node_id], self.modalities[node_id], windows)
 
     @precondition(lambda self: self.newest is not None)
     @rule(data=st.data())
     def restore(self, data):
-        """Restore the newest checkpoint onto its own id or onto an unused one.
+        """Restore the newest checkpoint onto any id, used or not.
 
-        Onto its own id, the replicas, the checkpoint number and the queued
-        messages carry over, so the model keeps them; an unused id starts
-        with none of them.
+        Onto a used id, the replicas, the checkpoint number and the queued
+        messages carry over, so the model keeps them, and a queued message
+        the restored modalities do not serve refuses the restore; an unused
+        id starts with none of them.
         """
-        chk, seq = self.newest
-        unused = [nid for nid in range(1, self.MAX_NODES + 1) if nid not in self.liveness]
-        target = data.draw(st.sampled_from([chk.node_id, *unused]))
+        chk, seq, modalities, windows = self.newest
+        target = data.draw(st.integers(1, self.MAX_NODES))
+        realtime, bulk = self.inbox.get(target, ((), ()))
+        if any(modality not in modalities for _msg, modality, _tag in (*realtime, *bulk)):
+            with pytest.raises(InvalidArgument):
+                self.cluster.restore_node(chk, target_id=target)
+            return
         restored = self.cluster.restore_node(chk, target_id=target)
-        modalities = self.modalities[chk.node_id]
         assert (restored.id, restored.modalities, restored.heartbeat_seq) == (target, modalities, seq)
         assert restored.liveness is Liveness.ALIVE and not restored.silenced
         self.liveness[target] = Liveness.ALIVE
@@ -904,6 +1070,7 @@ class ClusterModel(RuleBasedStateMachine):
         self.last_beat[target] = self.tick
         self.seq[target] = seq
         self.modalities[target] = modalities
+        self.windows[target] = tuple(deque(w, maxlen=3) for w in windows)
         self.inbox.setdefault(target, (deque(), deque()))
 
     @invariant()
@@ -916,6 +1083,18 @@ class ClusterModel(RuleBasedStateMachine):
         assert {nid: n.last_heartbeat for nid, n in nodes.items()} == self.last_beat
         assert {nid: n.checkpoint_seq for nid, n in nodes.items()} == {
             nid: self.checkpoints.get(nid, 0) for nid in self.liveness}
+
+    @invariant()
+    def balance_load_is_the_least_loaded_live_supporter(self):
+        for node_id, windows in self.windows.items():
+            assert self.cluster.nodes[node_id].predicted_load() == _load(windows)
+        for modality in Modality:
+            expected = self._route(modality)
+            if expected is None:
+                with pytest.raises(NodeUnreachable):
+                    self.cluster.balance_load(modality)
+            else:
+                assert self.cluster.balance_load(modality) == expected
 
     @invariant()
     def liveness_matches(self):

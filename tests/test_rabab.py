@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 from random import Random
 
 import pytest
@@ -131,8 +133,24 @@ class TestEmbedding:
         assert cosine_similarity(embed(b"a"), embed(b"b")) < 1.0
 
     def test_empty_input_rejected(self):
-        with pytest.raises(InvalidArgument):
-            embed(b"")
+        for empty in (b"", ""):
+            with pytest.raises(InvalidArgument):
+                embed(empty)
+
+    # str (ASCII and not), bytes, long and short; the digest is the sha256 of
+    # their embeddings packed as little-endian doubles, recorded from the
+    # per-slot sha256(data + slot) form under Python 3.11.
+    PINNED_INPUTS = (
+        "a", "person", "t1", "t4800", "hello world", " padded tag ", "0", "x" * 1000,
+        "é", "naïve café", "日本語のタグ", "🙂", "Ωμέγα\n",
+        b"\x00", b"\xff\xfe\xfd", b"obstacle", b"\x00" * 64, bytes(range(256)),
+        "t17".encode("utf-8") * 3, "ß".encode("utf-16-le"),
+    )
+    PINNED_DIGEST = "810928b1c08ba2cae8856aa63473130ddcfccbfa8c922e0e5190d99cf27dcaf7"
+
+    def test_outputs_pinned_bit_for_bit(self):
+        packed = b"".join(struct.pack("<32d", *embed(item)) for item in self.PINNED_INPUTS)
+        assert hashlib.sha256(packed).hexdigest() == self.PINNED_DIGEST
 
     def test_string_input_is_utf8(self):
         assert embed("tag") == embed(b"tag")
