@@ -16,7 +16,7 @@ from enum import Enum
 
 from ..errors import InvalidArgument, NodeUnreachable
 from .envelope import CURRENT_VERSION, MessageEnvelope, QoS, decode, encode
-from .fusion import Modality, modality_label, modality_process
+from .fusion import Modality, modality_process
 
 COORDINATOR_ID = 0
 METRIC_WINDOW = 3
@@ -57,37 +57,34 @@ def _count(value) -> int:
 class Node:
     """One simulated worker node with an inbox ordered Realtime before Bulk.
 
-    ``processed`` is append-only: records are added at the end and never
-    changed or removed, and ``last_outputs`` values are replaced, never
-    mutated. ``snapshot`` relies on both to encode each record and each
-    output once. ``id`` and ``modalities`` are fixed for the node's life.
+    ``latest`` keeps, per modality served, the last input processed: its
+    tick, tag and label, and the stub's output vector for it. A new input of
+    the modality replaces the entry, so a node's state does not grow with
+    its uptime. ``id`` and ``modalities`` are fixed for the node's life.
     The coordinator's records of the node are not in the snapshot:
     ``checkpoint_store`` maps a peer's id to the newest checkpoint it
     replicated here, ``last_heartbeat`` is the tick of the node's last beat
     and ``checkpoint_seq`` the number of its newest checkpoint (0 for none).
     """
 
-    def __init__(self, node_id: int, modalities: frozenset[Modality]):
+    def __init__(self, node_id: int, modalities):
+        if type(node_id) is not int:  # a bool is an int subclass, not an id
+            raise InvalidArgument(f"node id must be an int, got {node_id!r}")
         if node_id == COORDINATOR_ID:
             raise InvalidArgument(f"node id {COORDINATOR_ID} is reserved for the coordinator")
+        try:
+            self.modalities = frozenset(modalities)
+            if not all(isinstance(m, Modality) for m in self.modalities):
+                raise TypeError
+        except TypeError:
+            raise InvalidArgument(f"modalities must be a set of Modality, got {modalities!r}") from None
         self.id = node_id
-        self.modalities = frozenset(modalities)
         self.liveness = Liveness.ALIVE
         self.silenced = False
         self.last_heartbeat = 0
         self.checkpoint_seq = 0
         self.heartbeat_seq = 0
-        self.processed: list[list] = []  # [tick, modality, tag, label]
-        self.last_outputs: dict[Modality, tuple[str, tuple[float, ...]]] = {}
-        # Snapshot fragments: the JSON of processed[:_processed_encoded],
-        # comma-separated, and per modality the output tuple last encoded
-        # with its '"key":{...}' JSON.
-        self._processed_json = bytearray()
-        self._processed_encoded = 0
-        self._output_json: dict[Modality, tuple[tuple, bytes]] = {}
-        fixed = _CANONICAL.encode({"modalities": sorted(m.value for m in self.modalities),
-                                   "node_id": node_id})
-        self._tail_json = f',{fixed[1:-1]},"processed":['.encode()
+        self.latest: dict[Modality, tuple[int, str, str, tuple[float, ...]]] = {}
         self.checkpoint_store: dict[int, Checkpoint] = {}
         self._metrics = {name: deque(maxlen=METRIC_WINDOW) for name in ("cpu", "mem", "io")}
         self._load = 0.0
@@ -138,58 +135,34 @@ class Node:
     def pending(self) -> int:
         return len(self._inbox_rt) + len(self._inbox_bulk)
 
-    def state_dict(self) -> dict:
-        return {
-            "node_id": self.id,
-            "modalities": sorted(m.value for m in self.modalities),
-            "heartbeat_seq": self.heartbeat_seq,
-            "metrics": {k: list(v) for k, v in self._metrics.items()},
-            "processed": [list(r) for r in self.processed],
-            "last_outputs": {
-                m.value: {"label": label, "tensor": list(vec)}
-                for m, (label, vec) in sorted(self.last_outputs.items(), key=lambda kv: kv[0].value)
-            },
-        }
+    def _record(self, modality: Modality, tick: int, tag: str) -> str:
+        """Run the modality's stub on tag at tick, keep it as the modality's latest; the label."""
+        label, vec = modality_process(modality, tag.encode("utf-8"))
+        self.latest[modality] = (tick, tag, label, vec)
+        return label
 
     def snapshot(self) -> bytes:
-        """The canonical JSON of state_dict(), UTF-8, built from cached fragments.
+        """The canonical JSON of the node's state, UTF-8; its size does not grow with uptime.
 
-        Byte-equal to ``json.dumps(state_dict(), sort_keys=True,
-        separators=(",", ":")).encode()``. Only records appended since the
-        last call and outputs replaced since then are encoded; the heartbeat
-        and the metric windows are encoded on every call.
+        ``json.dumps(state, sort_keys=True, separators=(",", ":"))`` of the
+        id, modalities, heartbeat number, metric windows and, per modality,
+        the latest ``[tick, tag, label]``. Output vectors are not stored:
+        they are a function of the modality and tag.
         """
-        new = self.processed[self._processed_encoded:]
-        if new:
-            if self._processed_json:
-                self._processed_json += b","
-            self._processed_json += _CANONICAL.encode(new)[1:-1].encode()
-            self._processed_encoded += len(new)
-        outputs = []
-        for modality, entry in sorted(self.last_outputs.items(), key=lambda kv: kv[0].value):
-            cached = self._output_json.get(modality)
-            if cached is None or cached[0] is not entry:
-                label, vec = entry
-                body = _CANONICAL.encode({modality.value: {"label": label, "tensor": vec}})
-                cached = self._output_json[modality] = (entry, body[1:-1].encode())
-            outputs.append(cached[1])
-        metrics = _CANONICAL.encode({k: list(v) for k, v in self._metrics.items()})
-        return b"".join((
-            b'{"heartbeat_seq":%d,"last_outputs":{' % self.heartbeat_seq,
-            b",".join(outputs),
-            b'},"metrics":',
-            metrics.encode(),
-            self._tail_json,
-            self._processed_json,
-            b"]}",
-        ))
+        return _CANONICAL.encode({
+            "heartbeat_seq": self.heartbeat_seq,
+            "latest": {m.value: (tick, tag, label) for m, (tick, tag, label, _vec) in self.latest.items()},
+            "metrics": {name: list(window) for name, window in self._metrics.items()},
+            "modalities": sorted(m.value for m in self.modalities),
+            "node_id": self.id,
+        }).encode()
 
     @classmethod
     def from_snapshot(cls, snapshot: bytes, node_id: int, as_id: int) -> Node:
         """Rebuild node ``node_id``, as ``as_id``, from bytes its snapshot() wrote.
 
-        Metrics go through push_metrics, labels through the stub's lookup, and
-        outputs are derived from each modality's last record. Bytes that the
+        Metrics go through push_metrics and each latest input through
+        _record, which derives its label and output again. Bytes that the
         rebuilt node's snapshot() does not reproduce raise InvalidArgument.
         """
         try:
@@ -199,12 +172,8 @@ class Node:
             for sample in zip(*(state["metrics"][name] for name in node._metrics)):
                 node.push_metrics(*sample)
             served = {m.value: m for m in node.modalities}  # KeyError: a modality not served
-            for tick, value, tag, _label in state["processed"]:
-                label = modality_label(served[value], tag.encode())
-                node.processed.append([_count(tick), value, tag, label])
-            last_tags = {value: tag for _tick, value, tag, _label in node.processed}
-            for value, tag in last_tags.items():
-                node.last_outputs[served[value]] = modality_process(served[value], tag.encode())
+            for value, (tick, tag, _label) in state["latest"].items():
+                node._record(served[value], _count(tick), tag)
             if node.snapshot() != snapshot:
                 raise ValueError("not the bytes snapshot() writes")
         except (InvalidArgument, ValueError, KeyError, TypeError, AttributeError, RecursionError):
@@ -212,8 +181,7 @@ class Node:
         if as_id != node_id:  # the checked state, moved onto the replacement id
             moved = cls(as_id, node.modalities)
             moved.heartbeat_seq, moved._metrics = node.heartbeat_seq, node._metrics
-            moved._load = node._load
-            moved.processed, moved.last_outputs = node.processed, node.last_outputs
+            moved._load, moved.latest = node._load, node.latest
             node = moved
         return node
 
@@ -250,9 +218,10 @@ class Cluster:
     # -- membership ---------------------------------------------------------
 
     def add_node(self, node_id: int, modalities) -> Node:
+        node = Node(node_id, modalities)  # first: it refuses an unhashable id the lookup would raise on
         if node_id in self.nodes:
             raise InvalidArgument(f"node {node_id} already exists")
-        return self._insert(Node(node_id, frozenset(modalities)))
+        return self._insert(node)
 
     def _insert(self, node: Node) -> Node:
         """Put a node in the table, as having beaten now, keeping ids in order."""
@@ -362,6 +331,8 @@ class Cluster:
 
     def submit_input(self, modality: Modality, tag: str, qos: QoS = QoS.REALTIME) -> tuple[int, int]:
         """Balance, wrap, and route one nonempty UTF-8 str tag; (node, msg_id)."""
+        if not isinstance(modality, Modality):
+            raise InvalidArgument(f"unknown modality {modality!r}")
         if not isinstance(tag, str) or not tag:
             raise InvalidArgument(f"tag must be a nonempty str, got {tag!r}")
         try:
@@ -392,10 +363,7 @@ class Cluster:
             if env is None:
                 continue
             modality, tag = _request(env, node)
-            label, vec = modality_process(modality, tag.encode("utf-8"))
-            node.processed.append([self.tick, modality.value, tag, label])
-            node.last_outputs[modality] = (label, vec)
-            records.append((node.id, modality, tag, label))
+            records.append((node.id, modality, tag, node._record(modality, self.tick, tag)))
         return records
 
     # -- load balancing ---------------------------------------------------------
@@ -460,14 +428,16 @@ class Cluster:
     # -- fusion inputs ---------------------------------------------------------
 
     def collect_outputs(self) -> dict[Modality, tuple[str, tuple[float, ...]]]:
-        """Most recent output per modality across non-failed nodes."""
-        latest: dict[Modality, tuple[int, str, tuple[float, ...]]] = {}
+        """Most recent output per modality across non-failed nodes.
+
+        Of equal ticks, the node walked last, so the highest id, wins.
+        """
+        latest: dict[Modality, tuple[int, str, str, tuple[float, ...]]] = {}
         for node in self.nodes.values():
             if node.liveness is Liveness.FAILED:
                 continue
-            for tick, modality_value, _tag, label in node.processed:
-                modality = Modality(modality_value)
+            for modality, entry in node.latest.items():
                 current = latest.get(modality)
-                if current is None or tick >= current[0]:
-                    latest[modality] = (tick, label, node.last_outputs[modality][1])
-        return {m: (label, vec) for m, (_tick, label, vec) in latest.items()}
+                if current is None or entry[0] >= current[0]:
+                    latest[modality] = entry
+        return {m: (label, vec) for m, (_tick, _tag, label, vec) in latest.items()}

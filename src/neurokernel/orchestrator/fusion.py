@@ -50,19 +50,14 @@ class FusedRepresentation:
     summary: str
 
 
-def modality_label(kind: Modality, raw: bytes) -> str:
-    """The stub's label lookup: the stripped tag, mapped through the kind's table."""
+def modality_process(kind: Modality, raw: bytes) -> tuple[str, tuple[float, ...]]:
+    """Run one modality stub: the stripped tag's label in the kind's table, plus a unit-norm embedding."""
     if not isinstance(kind, Modality):
         raise InvalidArgument(f"unknown modality {kind!r}")
     if not raw:
         raise InvalidArgument("modality input must be nonempty")
     tag = raw.decode("utf-8", errors="replace").strip()
-    return MODALITY_LABELS[kind].get(tag, tag)
-
-
-def modality_process(kind: Modality, raw: bytes) -> tuple[str, tuple[float, ...]]:
-    """Run one modality stub: label lookup by tag plus a unit-norm embedding."""
-    return modality_label(kind, raw), embed(raw)
+    return MODALITY_LABELS[kind].get(tag, tag), embed(raw)
 
 
 def _meters(sensor_label: str) -> str:

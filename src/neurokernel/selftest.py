@@ -11,7 +11,6 @@ check and exits nonzero if any fails.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -425,11 +424,8 @@ def check_orchestrator(seed: int = 0) -> str:
     cluster2.submit_input(Modality.SENSOR, "3m")
     cluster2.process_step()
     cluster2.nodes[1].push_metrics(0.9, 0.9, 0.9)
-    cluster2.restore_node(chk)
-    restored = json.dumps(
-        cluster2.nodes[1].state_dict(), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    _require(restored == chk.snapshot, "restore is not a byte-exact round trip")
+    restored = cluster2.restore_node(chk)
+    _require(restored.snapshot() == chk.snapshot, "restore is not a byte-exact round trip")
 
     events, summary, action = run_scenario(parse_scenario(DEMO_SCENARIO), ticks=8, seed=seed)
     _require(

@@ -349,7 +349,9 @@ def _on_pool(
     The pool starts on first use, with ``workers`` processes, and is replaced
     by a larger one when a call asks for more; it lives until the interpreter
     exits. A worker that dies breaks the pool: the call raises one
-    KernelError and the next call starts a fresh pool.
+    KernelError and the next call starts a fresh pool. A worker found dead
+    before the map breaks it too: the executor's manager thread takes a
+    death it sees together with the submit's wake-up for the wake-up alone.
     """
     global _pool
     import multiprocessing
@@ -364,6 +366,11 @@ def _on_pool(
             context = multiprocessing.get_context("forkserver")
             _pool = (ProcessPoolExecutor(workers, mp_context=context), workers)
         try:
+            processes = tuple(_pool[0]._processes.values())
+            if any(p.exitcode is not None for p in processes):
+                for p in processes:  # the dead one may hold the call queue's lock for good
+                    p.terminate()
+                raise BrokenProcessPool("a worker process exited before the call")
             return list(_pool[0].map(_mac, bands, [cols] * len(bands)))
         except BrokenProcessPool as exc:
             _close_pool()

@@ -7,6 +7,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, consumes, invaria
 
 from neurokernel.errors import InvalidArgument, OutOfMemory
 from neurokernel.mempool import BlockPool, PoolConfig, SharedBuffer
+from neurokernel.selftest import _scan_first_fit
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -132,18 +133,6 @@ class TestLargePages:
             pool.alloc_large_page(4 * 4096)
 
 
-def brute_force_first_fit(bits, n_blocks, align=1):
-    start = 0
-    while start + n_blocks <= len(bits):
-        if align > 1 and start % align:
-            start += align - (start % align)
-            continue
-        if not any(bits[start : start + n_blocks]):
-            return start
-        start += 1
-    return None
-
-
 def test_randomized_invariants_against_brute_force():
     pool = small_pool(blocks=32, classes=(4 * 4096,))
     rng = Random(13)
@@ -153,7 +142,7 @@ def test_randomized_invariants_against_brute_force():
         roll = rng.random()
         if roll < 0.55 or not live:
             n = rng.randint(1, 5)
-            expected = brute_force_first_fit(bits, n)
+            expected = _scan_first_fit(bits, n)
             try:
                 handle = pool.alloc(n)
             except OutOfMemory:
@@ -164,7 +153,7 @@ def test_randomized_invariants_against_brute_force():
         elif roll < 0.85:
             pool.free(live.pop(rng.randrange(len(live))))
         else:
-            expected = brute_force_first_fit(bits, 4, align=4)
+            expected = _scan_first_fit(bits, 4, align=4)
             try:
                 handle = pool.alloc_large_page(4 * 4096)
             except OutOfMemory:
@@ -196,7 +185,7 @@ class PoolModel(RuleBasedStateMachine):
 
     def _place(self, allocate, n_blocks, align):
         bits = [i in self.used for i in range(self.N_BLOCKS)]
-        expected = brute_force_first_fit(bits, n_blocks, align)
+        expected = _scan_first_fit(bits, n_blocks, align)
         if expected is None:
             with pytest.raises(OutOfMemory):
                 allocate()

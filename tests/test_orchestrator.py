@@ -1,6 +1,7 @@
 import builtins
 import json
 import math
+import re
 from collections import deque
 from random import Random
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from neurokernel.errors import ChecksumMismatch, InvalidArgument, NodeUnreachable
+from neurokernel.errors import ChecksumMismatch, InvalidArgument, KernelError, NodeUnreachable
 from neurokernel.orchestrator import (
     DEMO_SCENARIO,
     Checkpoint,
@@ -17,6 +18,7 @@ from neurokernel.orchestrator import (
     Liveness,
     MessageEnvelope,
     Modality,
+    Node,
     QoS,
     decide,
     decode,
@@ -212,10 +214,8 @@ def _canonical(state) -> bytes:
 
 
 def _add_unserved_record(state):
-    """A consistent record and output for audio, which node 1 does not serve."""
-    label, vec = modality_process(Modality.AUDIO, b"help")
-    state["processed"].append([1, "audio", "help", label])
-    state["last_outputs"]["audio"] = {"label": label, "tensor": list(vec)}
+    """A consistent record for audio, which node 1 does not serve."""
+    state["latest"]["audio"] = [1, "help", modality_process(Modality.AUDIO, b"help")[0]]
 
 
 class TestCheckpoints:
@@ -228,20 +228,15 @@ class TestCheckpoints:
         cluster.process_step()
         return cluster
 
-    def serialized(self, cluster, node_id):
-        return json.dumps(
-            cluster.nodes[node_id].state_dict(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-
     def test_round_trip_is_byte_exact(self):
         cluster = self.build()
         chk = cluster.checkpoint_node(1)
         cluster.submit_input(Modality.SENSOR, "3m")
         cluster.process_step()
         cluster.nodes[1].push_metrics(0.5, 0.5, 0.5)
-        assert self.serialized(cluster, 1) != chk.snapshot
+        assert cluster.nodes[1].snapshot() != chk.snapshot
         cluster.restore_node(chk)
-        assert self.serialized(cluster, 1) == chk.snapshot
+        assert cluster.nodes[1].snapshot() == chk.snapshot
 
     def test_restore_onto_replacement_serves_old_modalities(self):
         cluster = self.build()
@@ -295,25 +290,25 @@ class TestCheckpoints:
     @pytest.mark.parametrize("corrupt", [
         lambda state: state.pop("heartbeat_seq"),
         lambda state: state["metrics"].update(gpu=[0.5]),
-        lambda state: state["last_outputs"].update(smell={"label": "x", "tensor": [1.0]}),
-        lambda state: state.update(processed=5),
+        lambda state: state["latest"].update(smell=[1, "x", "x"]),
+        lambda state: state.update(latest=5),
         lambda state: state["metrics"].update(cpu=[7.0]),  # push_metrics refuses it
         lambda state: state.update(heartbeat_seq="x"),
         lambda state: state.update(heartbeat_seq=True),
         lambda state: state.update(heartbeat_seq=2.5),
         lambda state: state.update(heartbeat_seq=-4),
-        lambda state: state["processed"][0].__setitem__(2, 5),
-        lambda state: state["processed"][0].__setitem__(3, ["person"]),
-        lambda state: state["last_outputs"]["vision"].update(tensor="person"),
-        lambda state: state["last_outputs"]["vision"].update(tensor=[]),
-        lambda state: state["processed"][0].__setitem__(0, True),
-        lambda state: state["last_outputs"].clear(),
+        lambda state: state["latest"]["vision"].__setitem__(1, 5),
+        lambda state: state["latest"]["vision"].__setitem__(2, ["person"]),
+        lambda state: state["latest"]["vision"].append([1.0, 0.0]),
+        lambda state: state.update(last_outputs={"vision": {"label": "person", "tensor": []}}),
+        lambda state: state["latest"]["vision"].__setitem__(0, True),
+        lambda state: state["latest"]["vision"].__setitem__(2, "someone"),
         lambda state: state["metrics"].update(cpu=[0.5] * 4, mem=[0.5] * 4, io=[0.5] * 4),
         _add_unserved_record,
-    ], ids=["no-heartbeat-seq", "unknown-metric", "unknown-modality", "processed-not-a-list",
+    ], ids=["no-heartbeat-seq", "unknown-metric", "unknown-modality", "latest-not-a-dict",
             "metric-out-of-range", "heartbeat-seq-str", "heartbeat-seq-bool",
             "heartbeat-seq-float", "heartbeat-seq-negative", "int-tag", "list-label",
-            "string-tensor", "empty-tensor", "bool-tick", "outputs-emptied",
+            "stored-tensor", "stored-outputs", "bool-tick", "wrong-label",
             "four-sample-window", "unserved-modality"])
     @pytest.mark.parametrize("target_id", [None, 9])
     def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt, target_id):
@@ -328,6 +323,39 @@ class TestCheckpoints:
             cluster.restore_node(bad, target_id=target_id)
         assert refused.value.detail == "unknown or corrupt checkpoint"
         assert cluster.nodes == before  # Node compares by identity
+
+    def test_snapshot_format(self):
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION, Modality.LANGUAGE})
+        cluster.add_node(2, {Modality.AUDIO})
+        node = cluster.nodes[1]
+        cluster.heartbeat_tick()
+        cluster.submit_input(Modality.VISION, "person")
+        cluster.process_step()
+        first = cluster.checkpoint_node(1)
+        assert first.snapshot == _canonical({
+            "heartbeat_seq": 1, "latest": {"vision": [1, "person", "person"]},
+            "metrics": {"cpu": [], "io": [], "mem": []}, "modalities": ["language", "vision"],
+            "node_id": 1,
+        })
+        assert cluster.checkpoint_node(1).snapshot == first.snapshot
+        # A replaced record for a modality seen before, a new one, new
+        # metrics and a new heartbeat: all must show, and nothing else.
+        cluster.heartbeat_tick()
+        node.push_metrics(0.25, 0.5, 1.0)
+        cluster.submit_input(Modality.VISION, 'say"hi"')
+        cluster.submit_input(Modality.LANGUAGE, "日本語")
+        cluster.process_step()
+        cluster.process_step()
+        second = cluster.checkpoint_node(1)
+        assert second.snapshot == _canonical({
+            "heartbeat_seq": 2,
+            "latest": {"language": [2, "日本語", "日本語"], "vision": [2, 'say"hi"', 'say"hi"']},
+            "metrics": {"cpu": [0.25], "io": [1.0], "mem": [0.5]}, "modalities": ["language", "vision"],
+            "node_id": 1,
+        })
+        restored = cluster.restore_node(first)
+        assert cluster.checkpoint_node(1).snapshot == first.snapshot == restored.snapshot()
 
     def test_checkpoint_replicated_to_peer(self):
         cluster = self.build()
@@ -369,10 +397,53 @@ class TestNodeTable:
         assert cluster.checkpoint_node(5) is cluster.nodes[1].checkpoint_store[5]
         assert cluster.checkpoint_node(1) is cluster.nodes[3].checkpoint_store[1]
 
+    # Accepted, "x" broke every later add_node and submit_input.
+    @pytest.mark.parametrize("node_id", ["x", True, 1.5], ids=["str", "bool", "float"])
+    def test_an_id_that_is_not_an_int_is_refused(self, node_id):
+        cluster = Cluster()
+        cluster.add_node(2, {Modality.VISION})
+        before = dict(cluster.nodes)
+        with pytest.raises(InvalidArgument):
+            cluster.add_node(node_id, {Modality.AUDIO})
+        assert cluster.nodes == before
+        cluster.add_node(3, {Modality.AUDIO})
+        assert list(cluster.nodes) == [2, 3]
+        assert cluster.submit_input(Modality.AUDIO, "help") == (3, 1)
 
-def _canonical_state(node) -> bytes:
-    """The snapshot oracle: canonical JSON of the node's state_dict()."""
-    return _canonical(node.state_dict())
+    @pytest.mark.parametrize("modalities", ["vision", {"vision"}, [Modality.AUDIO, "audio"], 5],
+                             ids=["str", "set-of-str", "mixed", "int"])
+    def test_a_modality_that_is_not_a_modality_is_refused(self, modalities):
+        cluster = Cluster()
+        cluster.add_node(2, {Modality.VISION})
+        before = dict(cluster.nodes)
+        with pytest.raises(InvalidArgument):
+            cluster.add_node(1, modalities)
+        assert cluster.nodes == before
+        assert cluster.balance_load(Modality.VISION) == 2
+
+
+def _agree(live, twin, name, *args):
+    """name(*args) on a cluster and on its twin: the same value, or the same refusal, re-raised."""
+    try:
+        expected = getattr(twin, name)(*args)
+    except KernelError as refused:
+        with pytest.raises(KernelError) as caught:
+            getattr(live, name)(*args)
+        assert (type(caught.value), caught.value.detail) == (type(refused), refused.detail), name
+        raise
+    got = getattr(live, name)(*args)
+    if isinstance(got, Node):
+        assert got.snapshot() == expected.snapshot(), name
+    else:
+        assert got == expected, name
+    return got
+
+
+def _beating(cluster, node_id) -> bool:
+    """The node has the coordinator records restore_node gives: Alive, not silenced, beat now."""
+    node = cluster.nodes[node_id]
+    return (node.liveness is Liveness.ALIVE and not node.silenced
+            and node.last_heartbeat == cluster.tick)
 
 
 _SNAPSHOT_TAGS = (
@@ -381,98 +452,135 @@ _SNAPSHOT_TAGS = (
 )
 
 
-class TestSnapshotOracle:
-    """Every checkpoint snapshot is byte-equal to json.dumps of state_dict()."""
+class TestReplayOracle:
+    """A node restored from a checkpoint, then given the same inputs, is the node that never stopped.
+
+    The twin cluster gets every call the cluster gets, and after each
+    checkpoint of a beating node it restores that node from the checkpoint.
+    Both must then give the same records, outputs and snapshots.
+    """
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_long_run_with_failover_and_restores(self, seed):
         rng = Random(seed)
         modalities = list(Modality)
-        cluster = Cluster(timeout_ticks=3)
+        live, twin = Cluster(timeout_ticks=3), Cluster(timeout_ticks=3)
         for node_id in range(1, 13):
-            cluster.add_node(node_id, set(rng.sample(modalities, rng.randint(1, 3))))
+            _agree(live, twin, "add_node", node_id, set(rng.sample(modalities, rng.randint(1, 3))))
         kills = {40: 4, 95: 7, 160: 11}
         latest = {}
-        checkpoints = failovers = 0
+        restores = failovers = 0
         for tick in range(1, 241):
             if tick in kills:
-                cluster.silence(kills[tick])
-            cluster.heartbeat_tick()
-            for node in cluster.nodes.values():
+                _agree(live, twin, "silence", kills[tick])
+            _agree(live, twin, "heartbeat_tick")
+            for node_id, node in live.nodes.items():
                 if node.liveness is not Liveness.FAILED and not node.silenced:
-                    node.push_metrics(rng.random(), rng.random(), rng.random())
+                    sample = rng.random(), rng.random(), rng.random()
+                    node.push_metrics(*sample)
+                    twin.nodes[node_id].push_metrics(*sample)
             for _ in range(rng.randint(1, 4)):
                 try:
-                    cluster.submit_input(rng.choice(modalities), rng.choice(_SNAPSHOT_TAGS))
+                    _agree(live, twin, "submit_input", rng.choice(modalities), rng.choice(_SNAPSHOT_TAGS))
                 except NodeUnreachable:
                     pass
-            cluster.detect_failures()
-            failovers += len(cluster.last_failover_events())
-            cluster.process_step()
+            _agree(live, twin, "detect_failures")
+            failovers += len(_agree(live, twin, "last_failover_events"))
+            _agree(live, twin, "process_step")
+            _agree(live, twin, "collect_outputs")
             if tick == 120:  # roll node 3 back to an older checkpoint, same id
-                cluster.restore_node(latest[3][0])
+                _agree(live, twin, "restore_node", latest[3][0])
             if tick == 150:  # bring failed node 4 back under a replacement id
-                assert cluster.nodes[4].liveness is Liveness.FAILED
-                cluster.restore_node(latest[4][-1], target_id=99)
+                assert live.nodes[4].liveness is Liveness.FAILED
+                _agree(live, twin, "restore_node", latest[4][-1], 99)
             if tick % 5 == 0:
-                live = [nid for nid, n in sorted(cluster.nodes.items())
-                        if n.liveness is not Liveness.FAILED]
-                for node_id in live:
-                    chk = cluster.checkpoint_node(node_id)
-                    assert chk.snapshot == _canonical_state(cluster.nodes[node_id]), (tick, node_id)
+                for node_id in [nid for nid, n in live.nodes.items() if n.liveness is not Liveness.FAILED]:
+                    chk = _agree(live, twin, "checkpoint_node", node_id)  # the same snapshot
                     latest.setdefault(node_id, []).append(chk)
-                    checkpoints += 1
-        assert checkpoints > 450 and failovers > 0
+                    if _beating(live, node_id):
+                        twin.restore_node(chk)
+                        restores += 1
+        assert restores > 450 and failovers > 0
         assert len(latest[99]) > 10
+        assert {nid: n.snapshot() for nid, n in twin.nodes.items()} == {
+            nid: n.snapshot() for nid, n in live.nodes.items()}
 
-    def test_checkpoint_after_more_work_is_reencoded(self):
+
+class TestBoundedCheckpoints:
+    """A node's snapshot does not grow with its uptime."""
+
+    def run(self, ticks):
+        """Node 1 serves vision and audio, one input of each per tick; its snapshot and checkpoint sizes."""
         cluster = Cluster()
-        cluster.add_node(1, {Modality.VISION, Modality.LANGUAGE})
-        cluster.add_node(2, {Modality.AUDIO})
-        node = cluster.nodes[1]
+        cluster.add_node(1, {Modality.VISION, Modality.AUDIO})
+        cluster.add_node(2, set())
+        sizes = []
+        for tick in range(1, ticks + 1):
+            cluster.heartbeat_tick()
+            cluster.nodes[1].push_metrics(0.25, 0.5, 0.75)
+            cluster.submit_input(Modality.VISION, "person")
+            cluster.submit_input(Modality.AUDIO, "help")
+            cluster.process_step()
+            cluster.process_step()
+            if tick % 5 == 0:
+                sizes.append(len(cluster.checkpoint_node(1).snapshot))
+        return cluster.nodes[1].snapshot(), sizes
+
+    def test_snapshot_size_does_not_depend_on_the_tick_count(self):
+        short, short_sizes = self.run(100)
+        long, long_sizes = self.run(2000)
+        # Only the counters differ: the heartbeat number and the two records'
+        # ticks, each one digit longer at 2,000 than at 100.
+        assert re.sub(rb"\d+", b"#", long) == re.sub(rb"\d+", b"#", short)
+        assert len(long) == len(short) + 3
+        # So total checkpoint bytes grow linearly: 20 times the ticks, at most
+        # 20 times the bytes plus the longer counters.
+        assert len(long_sizes) == 20 * len(short_sizes)
+        assert max(long_sizes) - min(short_sizes) <= 9
+        assert sum(long_sizes) < 21 * sum(short_sizes)
+
+
+_served = st.sets(st.sampled_from(list(Modality)), min_size=1).map(
+    lambda served: sorted(served, key=lambda m: m.value))
+
+
+def _ticks(served):
+    """Ticks of work for node 1: an optional metric sample, then up to two inputs."""
+    unit = st.floats(0.0, 1.0)
+    tag = st.sampled_from(_SNAPSHOT_TAGS) | st.text(min_size=1, max_size=6)
+    return st.lists(st.tuples(st.none() | st.tuples(unit, unit, unit),
+                              st.lists(st.tuples(st.sampled_from(served), tag), max_size=2)),
+                    max_size=8)
+
+
+def _two_nodes(served) -> Cluster:
+    """Node 1 serves ``served``; node 2 serves nothing, so it is node 1's peer and gets no input."""
+    cluster = Cluster()
+    cluster.add_node(1, served)
+    cluster.add_node(2, set())
+    return cluster
+
+
+def _feed(cluster, ticks) -> list:
+    """Run the ticks of work; each tick's records, outputs and node 1's predicted load."""
+    seen = []
+    for sample, inputs in ticks:
         cluster.heartbeat_tick()
-        cluster.submit_input(Modality.VISION, "person")
-        cluster.process_step()
-        first = cluster.checkpoint_node(1)
-        assert first.snapshot == _canonical_state(node)
-        assert cluster.checkpoint_node(1).snapshot == first.snapshot
-        # New history, a replaced output for a modality seen before and a
-        # new one, new metrics and a new heartbeat: all must show.
-        cluster.heartbeat_tick()
-        node.push_metrics(0.25, 0.5, 1.0)
-        cluster.submit_input(Modality.VISION, 'say"hi"')
-        cluster.submit_input(Modality.LANGUAGE, "日本語")
-        cluster.process_step()
-        cluster.process_step()
-        second = cluster.checkpoint_node(1)
-        assert second.snapshot != first.snapshot
-        assert second.snapshot == _canonical_state(node)
-        restored = cluster.restore_node(first)
-        assert cluster.checkpoint_node(1).snapshot == first.snapshot == _canonical_state(restored)
+        if sample is not None:
+            cluster.nodes[1].push_metrics(*sample)
+        for modality, tag in inputs:
+            cluster.submit_input(modality, tag)
+        records = cluster.process_step() + cluster.process_step()
+        seen.append((records, cluster.collect_outputs(), cluster.nodes[1].predicted_load()))
+    return seen
 
 
 @st.composite
 def _checkpointed_runs(draw):
-    """A cluster after a generated run, and a checkpoint of its node 1.
-
-    Node 2 serves nothing, so every input goes to node 1; it is the peer
-    that holds node 1's replica.
-    """
-    served = sorted(draw(st.sets(st.sampled_from(list(Modality)), min_size=1)),
-                    key=lambda m: m.value)
-    cluster = Cluster()
-    cluster.add_node(1, served)
-    cluster.add_node(2, set())
-    unit = st.floats(0.0, 1.0)
-    for _ in range(draw(st.integers(0, 8))):
-        cluster.heartbeat_tick()
-        if draw(st.booleans()):
-            cluster.nodes[1].push_metrics(draw(unit), draw(unit), draw(unit))
-        for _ in range(draw(st.integers(0, 2))):
-            tag = draw(st.sampled_from(_SNAPSHOT_TAGS) | st.text(min_size=1, max_size=6))
-            cluster.submit_input(draw(st.sampled_from(served)), tag)
-        cluster.process_step()
-        cluster.process_step()
+    """A two-node cluster after a generated run, and a checkpoint of its node 1."""
+    served = draw(_served)
+    cluster = _two_nodes(served)
+    _feed(cluster, draw(_ticks(served)))
     return cluster, cluster.checkpoint_node(1)
 
 
@@ -510,7 +618,7 @@ def _restore_or_refuse(cluster, chk, target_id) -> None:
         assert refused.detail == "unknown or corrupt checkpoint"
         assert cluster.nodes == before  # Node compares by identity
         return
-    assert node.snapshot() == _renamed(chk.snapshot, node.id) == _canonical_state(node)
+    assert node.snapshot() == _renamed(chk.snapshot, node.id)
     # An accepted node keeps working: no operation on it raises outside KernelError.
     cluster.heartbeat_tick()
     cluster.checkpoint_node(node.id)
@@ -530,6 +638,21 @@ class TestSnapshotFuzz:
         assert restored.id == (target_id or 1)
         assert restored.snapshot() == _renamed(chk.snapshot, restored.id)
         assert cluster.restore_node(chk).snapshot() == chk.snapshot
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_restored_node_replays_as_the_node_that_never_stopped(self, data):
+        # The twin's node 1 ran none of the work before the checkpoint: all it
+        # knows of it comes from the snapshot.
+        served = data.draw(_served)
+        before, after = data.draw(_ticks(served)), data.draw(_ticks(served))
+        live, twin = _two_nodes(served), _two_nodes(served)
+        _feed(live, before)
+        for _ in before:
+            twin.heartbeat_tick()
+        twin.restore_node(live.checkpoint_node(1))
+        assert _feed(twin, after) == _feed(live, after)
+        assert twin.checkpoint_node(1).snapshot == live.checkpoint_node(1).snapshot
 
     @given(_checkpointed_runs(), st.sampled_from([None, 9]), st.data())
     @settings(deadline=None)
@@ -605,7 +728,7 @@ class TestLoadBalancer:
         node.push_metrics(0.2, 0.2, 0.2)
         with pytest.raises(InvalidArgument):
             node.push_metrics(0.9, 0.9, 1.5)
-        assert node.state_dict()["metrics"] == {"cpu": [0.2], "mem": [0.2], "io": [0.2]}
+        assert json.loads(node.snapshot())["metrics"] == {"cpu": [0.2], "mem": [0.2], "io": [0.2]}
         assert node.predicted_load() == _load(([0.2], [0.2], [0.2]))
 
     def test_routing_follows_membership_changes(self):
@@ -617,7 +740,8 @@ class TestLoadBalancer:
             """balance_load per modality, checked against the recomputed loads."""
             loads = {}
             for node_id, node in cluster.nodes.items():
-                loads[node_id] = _load(node.state_dict()["metrics"].values())
+                metrics = json.loads(node.snapshot())["metrics"]
+                loads[node_id] = _load(metrics[name] for name in ("cpu", "mem", "io"))
                 assert node.predicted_load() == loads[node_id]
             chosen = {}
             for modality in Modality:
@@ -737,6 +861,16 @@ class TestSubmitInput:
         assert cluster.nodes[1].pending == 0
         assert cluster.submit_input(Modality.AUDIO, "help") == (2, 1)  # no msg id used up
         assert cluster.process_step() == [(2, Modality.AUDIO, "help", "asking for help")]
+
+    @pytest.mark.parametrize("modality", ["vision", None, {"vision"}], ids=["str", "none", "set"])
+    def test_a_modality_that_is_not_a_modality_is_refused(self, modality):
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION})
+        before = dict(cluster.nodes)
+        with pytest.raises(InvalidArgument):
+            cluster.submit_input(modality, "person")
+        assert cluster.nodes == before and cluster.nodes[1].pending == 0
+        assert cluster.submit_input(Modality.VISION, "person") == (1, 1)  # no msg id used up
 
     def test_a_routed_message_that_is_not_a_request(self):
         # Refused at route with nothing queued: process_step would pop it and
@@ -877,6 +1011,10 @@ class ClusterModel(RuleBasedStateMachine):
     The model keeps each node's metric windows, so it knows the balancer's
     choice, min over non-failed supporters of (load, id); it then knows each
     message's inbox, and in which order each node pops its inbox.
+
+    A twin cluster gets every call and must answer as the cluster does; a
+    checkpoint of a beating node may also be restored onto the twin's node,
+    which must then go on as the node that never stopped.
     """
 
     MAX_NODES = 5
@@ -905,6 +1043,10 @@ class ClusterModel(RuleBasedStateMachine):
     def make_cluster(self, timeout):
         self.timeout = timeout
         self.cluster = Cluster(timeout_ticks=timeout)
+        self.twin = Cluster(timeout_ticks=timeout)
+
+    def _both(self, name, *args):
+        return _agree(self.cluster, self.twin, name, *args)
 
     def _live(self, modality=None):
         return sorted(nid for nid, state in self.liveness.items()
@@ -923,9 +1065,9 @@ class ClusterModel(RuleBasedStateMachine):
     def add_node(self, node_id, modalities):
         if node_id in self.liveness:
             with pytest.raises(InvalidArgument):
-                self.cluster.add_node(node_id, modalities)
+                self._both("add_node", node_id, modalities)
             return
-        self.cluster.add_node(node_id, modalities)
+        self._both("add_node", node_id, modalities)
         self.last_beat[node_id] = self.tick
         self.seq[node_id] = 0
         self.modalities[node_id] = frozenset(modalities)
@@ -940,7 +1082,8 @@ class ClusterModel(RuleBasedStateMachine):
     @rule(data=st.data(), cpu=SAMPLES, mem=SAMPLES, io=SAMPLES)
     def push_metrics(self, data, cpu, mem, io):
         node_id = data.draw(st.sampled_from(sorted(self.liveness)))
-        self.cluster.nodes[node_id].push_metrics(cpu, mem, io)
+        for cluster in (self.cluster, self.twin):
+            cluster.nodes[node_id].push_metrics(cpu, mem, io)
         for window, value in zip(self.windows[node_id], (cpu, mem, io)):
             window.append(value)
 
@@ -949,17 +1092,17 @@ class ClusterModel(RuleBasedStateMachine):
     def silence(self, data, silent):
         node_id = data.draw(st.sampled_from(sorted(self.liveness)))
         if silent:
-            self.cluster.silence(node_id)
+            self._both("silence", node_id)
             self.silenced.add(node_id)
         else:
-            self.cluster.unsilence(node_id)
+            self._both("unsilence", node_id)
             self.silenced.discard(node_id)
 
     @rule(ticks=st.integers(1, 3), detect=st.booleans())
     def heartbeat_tick(self, ticks, detect):
         """Advance some ticks; with detect, run detection after each one."""
         for _ in range(ticks):
-            beats = self.cluster.heartbeat_tick()
+            beats = self._both("heartbeat_tick")
             self.tick += 1
             expected = []
             for node_id in self._live():
@@ -973,7 +1116,7 @@ class ClusterModel(RuleBasedStateMachine):
 
     @rule()
     def detect_failures(self):
-        newly_failed = self.cluster.detect_failures()
+        newly_failed = self._both("detect_failures")
         expected = []
         for node_id in self._live():
             gap = self.tick - self.last_beat[node_id]
@@ -998,7 +1141,7 @@ class ClusterModel(RuleBasedStateMachine):
                     else:
                         self.dropped.add(msg_id)
                         events.append((msg_id, None))
-        assert self.cluster.last_failover_events() == events
+        assert self._both("last_failover_events") == events
 
     @rule(modality=st.sampled_from(list(Modality)), qos=st.sampled_from([QoS.REALTIME, QoS.BULK]))
     def submit_input(self, modality, qos):
@@ -1007,16 +1150,16 @@ class ClusterModel(RuleBasedStateMachine):
         expected = self._route(modality)
         if expected is None:
             with pytest.raises(NodeUnreachable):
-                self.cluster.submit_input(modality, tag, qos)
+                self._both("submit_input", modality, tag, qos)
             return
-        target, msg_id = self.cluster.submit_input(modality, tag, qos)
+        target, msg_id = self._both("submit_input", modality, tag, qos)
         assert target == expected and msg_id not in self.submitted
         self.submitted.add(msg_id)
         self._queue(target, qos).append((msg_id, modality, tag))
 
     @rule()
     def process_step(self):
-        records = self.cluster.process_step()
+        records = self._both("process_step")
         expected = []
         for node_id in self._live():
             if node_id in self.silenced:
@@ -1030,15 +1173,18 @@ class ClusterModel(RuleBasedStateMachine):
         assert records == expected
 
     @precondition(lambda self: self.liveness)
-    @rule(data=st.data())
-    def checkpoint(self, data):
+    @rule(data=st.data(), replay=st.booleans())
+    def checkpoint(self, data, replay):
+        """Checkpoint a node; with replay, restore the twin's node from it."""
         node_id = data.draw(st.sampled_from(sorted(self.liveness)))
         peers = [nid for nid in self._live() if nid != node_id]
         if not peers:
             with pytest.raises(NodeUnreachable):
-                self.cluster.checkpoint_node(node_id)
+                self._both("checkpoint_node", node_id)
             return
-        chk = self.cluster.checkpoint_node(node_id)
+        chk = self._both("checkpoint_node", node_id)  # the same snapshot
+        if replay and _beating(self.cluster, node_id):
+            self.twin.restore_node(chk)
         self.checkpoints[node_id] = self.checkpoints.get(node_id, 0) + 1
         assert (chk.node_id, chk.seq) == (node_id, self.checkpoints[node_id])
         self.store.setdefault(peers[0], {})[node_id] = chk
@@ -1060,9 +1206,9 @@ class ClusterModel(RuleBasedStateMachine):
         realtime, bulk = self.inbox.get(target, ((), ()))
         if any(modality not in modalities for _msg, modality, _tag in (*realtime, *bulk)):
             with pytest.raises(InvalidArgument):
-                self.cluster.restore_node(chk, target_id=target)
+                self._both("restore_node", chk, target)
             return
-        restored = self.cluster.restore_node(chk, target_id=target)
+        restored = self._both("restore_node", chk, target)
         assert (restored.id, restored.modalities, restored.heartbeat_seq) == (target, modalities, seq)
         assert restored.liveness is Liveness.ALIVE and not restored.silenced
         self.liveness[target] = Liveness.ALIVE
@@ -1072,6 +1218,15 @@ class ClusterModel(RuleBasedStateMachine):
         self.modalities[target] = modalities
         self.windows[target] = tuple(deque(w, maxlen=3) for w in windows)
         self.inbox.setdefault(target, (deque(), deque()))
+
+    @invariant()
+    def the_twin_is_the_same_cluster(self):
+        def state(cluster):
+            return {nid: (n.snapshot(), n.liveness, n.silenced, n.last_heartbeat, n.checkpoint_seq,
+                          n.checkpoint_store, n.pending, n.predicted_load())
+                    for nid, n in cluster.nodes.items()}
+        assert state(self.twin) == state(self.cluster)
+        assert self.twin.collect_outputs() == self.cluster.collect_outputs()
 
     @invariant()
     def table_in_id_order(self):

@@ -1,3 +1,4 @@
+import multiprocessing.connection
 import os
 import signal
 import struct
@@ -279,6 +280,35 @@ class TestProcessPool:
         assert isinstance(caught.value.__cause__, BrokenProcessPool)
         assert matmul_parallel(a, b, config).tobytes() == expected
         assert tensor._pool[0] is not pool
+
+    def test_a_death_seen_only_with_the_wake_up_is_still_one_kernel_error(self, monkeypatch):
+        # CPython's executor manager thread takes a wait that returns the
+        # submit's wake-up and a dead worker's sentinel together for a wake-up
+        # alone; the live workers then compute the product, or block for good
+        # on the call queue's lock if the dead worker held it. Here the
+        # manager's wait always comes out that way: it returns on a result or
+        # a wake-up, with whatever worker sentinels are ready by then. A death
+        # that only the manager could find, after 10 s, is handed over and
+        # recorded, so a miss fails the test instead of hanging it.
+        real_wait = multiprocessing.connection.wait
+        missed = []
+
+        def wait(objects, timeout=None):
+            sentinels = [o for o in objects if isinstance(o, int)]
+            readers = [o for o in objects if not isinstance(o, int)]
+            if not (sentinels and readers):  # not the manager's wait
+                return real_wait(objects, timeout)
+            while True:
+                ready = real_wait(readers, 10)
+                dead = real_wait(sentinels, 0)
+                if ready or dead:
+                    missed.extend(() if ready else dead)
+                    return ready + dead
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", wait)
+        tensor._close_pool()  # a pool whose manager waits through the patch
+        self.test_a_killed_worker_is_one_kernel_error_then_a_fresh_pool()
+        assert not missed
 
     def test_a_main_read_from_stdin_breaks_the_pool_as_one_kernel_error(self):
         # Workers re-import __main__, and "<stdin>" cannot be re-read.
