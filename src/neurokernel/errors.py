@@ -25,6 +25,13 @@ class InvalidArgument(KernelError):
     kind = "InvalidArgument"
 
 
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """value, if it is an int of at least minimum; otherwise InvalidArgument."""
+    if type(value) is not int or value < minimum:  # a bool is an int subclass, not a count
+        raise InvalidArgument(f"{name} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
 class TaskFault(InvalidArgument):
     """A task's work raised, or yielded a step cost below one cycle.
 

@@ -6,7 +6,9 @@ blocks is the first match of n zero bytes, found in C by bytearray.find.
 Large pages come out of the same arena but must start on an offset aligned
 to their own size; a misaligned match restarts the search at the next
 aligned offset. Sharing one arena keeps conservation checkable across both
-allocators. Also home to the zero-copy SharedBuffer used for device
+allocators. Every free block's storage is zero: write() is the only path
+that changes storage, so free() zeroes only the blocks of a handle that was
+written. Also home to the zero-copy SharedBuffer used for device
 interchange.
 """
 
@@ -16,7 +18,7 @@ import itertools
 import threading
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, OutOfMemory
+from .errors import InvalidArgument, OutOfMemory, check_count
 
 DEFAULT_POOL_BYTES = 8 * 1024 * 1024
 DEFAULT_BLOCK_BYTES = 4096
@@ -33,16 +35,17 @@ class PoolConfig:
     large_page_classes: tuple[int, ...] = DEFAULT_LARGE_PAGE_CLASSES
 
     def __post_init__(self):
-        if self.block_bytes < 1:
-            raise InvalidArgument(f"block_bytes must be positive, got {self.block_bytes}")
-        if self.pool_bytes < 1 or self.pool_bytes % self.block_bytes != 0:
+        check_count(self.block_bytes, "block_bytes")
+        if check_count(self.pool_bytes, "pool_bytes") % self.block_bytes != 0:
             raise InvalidArgument(
                 f"pool_bytes {self.pool_bytes} must be a positive multiple of "
                 f"block_bytes {self.block_bytes}"
             )
-        classes = tuple(sorted(set(int(c) for c in self.large_page_classes)))
+        if not isinstance(self.large_page_classes, (tuple, list, set, frozenset)):
+            raise InvalidArgument(f"large_page_classes must be a collection, got {self.large_page_classes!r}")
+        classes = tuple(sorted({check_count(c, "large page class") for c in self.large_page_classes}))
         for cls_bytes in classes:
-            if cls_bytes < 1 or cls_bytes % self.block_bytes != 0:
+            if cls_bytes % self.block_bytes != 0:
                 raise InvalidArgument(
                     f"large page class {cls_bytes} must be a positive multiple of "
                     f"block_bytes {self.block_bytes}"
@@ -76,6 +79,7 @@ class BlockPool:
                 f"host cannot back a {self.config.pool_bytes}-byte pool"
             ) from None
         self._ledger: dict[int, tuple[int, int]] = {}
+        self._written: set[int] = set()  # ids of live handles whose storage write() changed
         self._next_handle = itertools.count(1)
         self._lock = threading.Lock()
 
@@ -133,8 +137,7 @@ class BlockPool:
 
     def alloc(self, n_blocks: int) -> BlockHandle:
         """First-fit allocation of a contiguous run; contents read as zero."""
-        if n_blocks < 1:
-            raise InvalidArgument(f"must allocate at least one block, got {n_blocks}")
+        check_count(n_blocks, "n_blocks")
         with self._lock:
             first = self._find_run(n_blocks)
             if first is None:
@@ -146,7 +149,7 @@ class BlockPool:
 
     def alloc_large_page(self, class_bytes: int) -> BlockHandle:
         """Allocate one large page: a class-aligned run of class/block blocks."""
-        if class_bytes not in self.config.large_page_classes:
+        if check_count(class_bytes, "class_bytes") not in self.config.large_page_classes:
             raise InvalidArgument(
                 f"{class_bytes} is not a registered large-page class "
                 f"{self.config.large_page_classes}"
@@ -160,30 +163,40 @@ class BlockPool:
                 )
             return self._take_run(first, n_blocks)
 
+    def _entry(self, handle: BlockHandle) -> tuple[int, int]:
+        """(first block, block count) of a handle live in this pool."""
+        if type(handle) is not BlockHandle or type(handle.id) is not int:
+            raise InvalidArgument(f"not a BlockHandle: {handle!r}")
+        if handle.pool_id != self._pool_id:
+            raise InvalidArgument("handle belongs to a different pool")
+        entry = self._ledger.get(handle.id)
+        if entry is None:
+            raise InvalidArgument(f"handle {handle.id} is not live in this pool")
+        return entry
+
     def free(self, handle: BlockHandle) -> None:
-        """Release a live handle; its blocks are zeroed before reuse."""
+        """Release a live handle; blocks it wrote are zeroed, so free storage stays zero."""
         with self._lock:
-            if handle.pool_id != self._pool_id:
-                raise InvalidArgument("handle belongs to a different pool")
-            entry = self._ledger.get(handle.id)
-            if entry is None:
-                raise InvalidArgument(f"handle {handle.id} is not live (double free?)")
-            first, n_blocks = entry
+            first, n_blocks = self._entry(handle)
             self._bitmap[first : first + n_blocks] = bytes(n_blocks)
             self._allocated -= n_blocks
-            bb = self.config.block_bytes
-            start = first * bb
-            self._storage[start : start + n_blocks * bb] = bytes(n_blocks * bb)
+            if handle.id in self._written:
+                self._written.remove(handle.id)
+                bb = self.config.block_bytes
+                start = first * bb
+                self._storage[start : start + n_blocks * bb] = bytes(n_blocks * bb)
             del self._ledger[handle.id]
 
     # -- data access ------------------------------------------------------
 
-    def _span(self, handle: BlockHandle, offset: int, length: int) -> tuple[int, int]:
-        if handle.pool_id != self._pool_id or handle.id not in self._ledger:
-            raise InvalidArgument(f"handle {handle.id} is not live in this pool")
-        first, n_blocks = self._ledger[handle.id]
+    def _span(self, handle: BlockHandle, offset: int, length: int | None) -> tuple[int, int]:
+        """Storage (start, length) of an access; a length of None runs to the end."""
+        first, n_blocks = self._entry(handle)
         span = n_blocks * self.config.block_bytes
-        if offset < 0 or length < 0 or offset + length > span:
+        check_count(offset, "offset", 0)
+        if length is None:
+            length = max(0, span - offset)
+        if check_count(length, "length", 0) + offset > span:
             raise InvalidArgument(
                 f"access [{offset}, {offset + length}) outside {span}-byte allocation"
             )
@@ -191,16 +204,16 @@ class BlockPool:
 
     def read(self, handle: BlockHandle, offset: int = 0, length: int | None = None) -> bytes:
         with self._lock:
-            if length is None:
-                entry = self._ledger.get(handle.id)
-                length = entry[1] * self.config.block_bytes - offset if entry else 0
             start, length = self._span(handle, offset, length)
             return bytes(self._storage[start : start + length])
 
     def write(self, handle: BlockHandle, offset: int, data: bytes) -> None:
+        if not isinstance(data, (bytes, bytearray)):
+            raise InvalidArgument(f"data must be bytes, got {type(data).__name__}")
         with self._lock:
             start, length = self._span(handle, offset, len(data))
             self._storage[start : start + length] = data
+            self._written.add(handle.id)
 
 
 class SharedBufferView:

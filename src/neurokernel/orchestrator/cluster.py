@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from ..errors import InvalidArgument, NodeUnreachable
+from ..errors import InvalidArgument, NodeUnreachable, check_count
 from .envelope import CURRENT_VERSION, MessageEnvelope, QoS, decode, encode
 from .fusion import Modality, modality_process
 
@@ -46,12 +46,6 @@ class Checkpoint:
 # The canonical snapshot encoding; the same options as
 # json.dumps(state, sort_keys=True, separators=(",", ":")).
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-def _count(value) -> int:
-    if type(value) is not int or value < 0:  # a bool is an int subclass, not a count
-        raise ValueError(f"{value!r} is not a count")
-    return value
 
 
 class Node:
@@ -158,22 +152,25 @@ class Node:
         }).encode()
 
     @classmethod
-    def from_snapshot(cls, snapshot: bytes, node_id: int, as_id: int) -> Node:
-        """Rebuild node ``node_id``, as ``as_id``, from bytes its snapshot() wrote.
+    def from_snapshot(cls, snapshot: bytes, node_id: int, as_id: int, now: int) -> Node:
+        """Rebuild node ``node_id``, as ``as_id``, at tick ``now``, from bytes its snapshot() wrote.
 
         Metrics go through push_metrics and each latest input through
         _record, which derives its label and output again. Bytes that the
-        rebuilt node's snapshot() does not reproduce raise InvalidArgument.
+        rebuilt node's snapshot() does not reproduce, or that record an input
+        after ``now``, raise InvalidArgument.
         """
         try:
             state = json.loads(snapshot)
             node = cls(node_id, frozenset(map(Modality, state["modalities"])))
-            node.heartbeat_seq = _count(state["heartbeat_seq"])
+            node.heartbeat_seq = check_count(state["heartbeat_seq"], "heartbeat_seq", 0)
             for sample in zip(*(state["metrics"][name] for name in node._metrics)):
                 node.push_metrics(*sample)
             served = {m.value: m for m in node.modalities}  # KeyError: a modality not served
             for value, (tick, tag, _label) in state["latest"].items():
-                node._record(served[value], _count(tick), tag)
+                if check_count(tick, "tick", 0) > now:
+                    raise ValueError(f"input recorded at tick {tick}, after tick {now}")
+                node._record(served[value], tick, tag)
             if node.snapshot() != snapshot:
                 raise ValueError("not the bytes snapshot() writes")
         except (InvalidArgument, ValueError, KeyError, TypeError, AttributeError, RecursionError):
@@ -413,10 +410,11 @@ class Cluster:
         Onto an existing id, what the snapshot does not hold carries over from
         the node replaced: the replicas it keeps for peers, its checkpoint
         number and its queued messages. A queued message of a modality the
-        restored node does not serve refuses the restore.
+        restored node does not serve refuses the restore, and so does an input
+        recorded at a tick later than the cluster's clock.
         """
         node_id = chk.node_id if target_id is None else target_id
-        node = Node.from_snapshot(chk.snapshot, chk.node_id, node_id)
+        node = Node.from_snapshot(chk.snapshot, chk.node_id, node_id, self.tick)
         old = self.nodes.get(node_id)
         if old is not None:
             for env in (*old._inbox_rt, *old._inbox_bulk):

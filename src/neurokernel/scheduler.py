@@ -7,7 +7,10 @@ task is queued does not move the task.
 Task work is a generator that yields the simulated cycle cost of each step
 (the cost model: one cycle per scalar multiply-add, ten per allocation).
 A task is preempted at the first step boundary on or past the quantum, its
-floating-point context snapshotted and restored bit-exactly on resume.
+floating-point context snapshotted and restored bit-exactly on resume. A
+timeslice is one loop over the generator; the cycles it used are added to
+the task's consumed_cycles and the perf counter when the slice ends, also
+when a step faults, so a fault still counts every step yielded before it.
 Tasks whose consumed cycles cross the deprioritization threshold are
 penalized once, before a preempted task re-enters the queue.
 """
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .errors import InvalidArgument, TaskFault
+from .errors import InvalidArgument, TaskFault, check_count
 from .tensor import Tensor, matmul_naive, validate_matmul_shapes
 
 DEFAULT_PRIORITY = 10
@@ -48,8 +51,7 @@ class SchedulerConfig:
 
     def __post_init__(self):
         for name in ("deprioritize_threshold", "batch_size", "quantum"):
-            if getattr(self, name) < 1:
-                raise InvalidArgument(f"{name} must be positive")
+            check_count(getattr(self, name), name)
 
 
 class PerfCounter:
@@ -96,16 +98,12 @@ class MlTask:
 
 
 def cycles_work(total_cycles: int, chunk: int = 1) -> WorkFn:
-    """Synthetic work burning a fixed cycle budget in chunk-sized steps."""
-    if total_cycles < 1 or chunk < 1:
-        raise InvalidArgument("cycles_work needs positive total and chunk")
+    """Synthetic work burning a fixed cycle budget in chunk-sized steps, the last one short."""
+    full, rest = divmod(check_count(total_cycles, "total_cycles"), check_count(chunk, "chunk"))
+    tail = (rest,) if rest else ()
 
     def work(ctx: ExecContext) -> Iterator[int]:
-        remaining = total_cycles
-        while remaining > 0:
-            step = min(chunk, remaining)
-            remaining -= step
-            yield step
+        return itertools.chain(itertools.repeat(chunk, full), tail)
 
     return work
 
@@ -151,11 +149,13 @@ class MlScheduler:
 
     def enqueue(self, task: MlTask) -> None:
         """Queue a fresh task; its priority is read now, not when it is dequeued."""
+        if not isinstance(task, MlTask):
+            raise InvalidArgument(f"only an MlTask can be enqueued, got {task!r}")
         if task.state is not TaskState.QUEUED:
             raise InvalidArgument(
                 f"only fresh tasks can be enqueued, task {task.id!r} is {task.state.value}"
             )
-        if not isinstance(task.priority, int):
+        if type(task.priority) is not int:  # a bool is an int subclass, not a priority
             raise InvalidArgument(f"task {task.id!r} priority must be an int, got {task.priority!r}")
         self._push((task.priority, next(self._seqs), task))
 
@@ -195,8 +195,7 @@ class MlScheduler:
         their original (priority, seq) keys, and TaskFault is raised from
         the original exception, carrying the ids completed before it.
         """
-        if n < 1:
-            raise InvalidArgument(f"batch size must be >= 1, got {n}")
+        check_count(n, "batch size")
         with self._lock:
             batch = [heapq.heappop(self._queue) for _ in range(min(n, len(self._queue)))]
             self._queued.difference_update(task.id for _, _, task in batch)
@@ -219,7 +218,7 @@ class MlScheduler:
 
     def _run_slice(self, task: MlTask) -> bool:
         if task.state is TaskState.QUEUED:
-            task._gen = task.work(ExecContext(self.fp_registers, task))
+            task._gen = iter(task.work(ExecContext(self.fp_registers, task)))
             self.fp_registers[:] = task.fp_context  # fresh context load
             task.state = TaskState.RUNNING
         elif task.state is TaskState.PREEMPTED:
@@ -228,23 +227,22 @@ class MlScheduler:
         else:
             raise InvalidArgument(f"task {task.id!r} is not runnable ({task.state.value})")
 
-        used = 0
-        while True:
-            try:
-                cost = next(task._gen)
-            except StopIteration:
-                task.fp_context = list(self.fp_registers)
-                task.state = TaskState.DONE
-                return True
-            if cost < 1:
-                raise InvalidArgument("work steps must consume at least one cycle")
-            task.consumed_cycles += cost
-            self.perf.add(cost)
-            used += cost
-            if used >= self.config.quantum:
-                self.save_fp_context(task)
-                task.state = TaskState.PREEMPTED
-                return False
+        used, quantum = 0, self.config.quantum
+        try:
+            for cost in task._gen:
+                if cost < 1:
+                    raise InvalidArgument("work steps must consume at least one cycle")
+                used += cost
+                if used >= quantum:
+                    self.save_fp_context(task)
+                    task.state = TaskState.PREEMPTED
+                    return False
+            task.fp_context = list(self.fp_registers)
+            task.state = TaskState.DONE
+            return True
+        finally:  # the slice's cycles count once, at its end, however it ends
+            task.consumed_cycles += used
+            self.perf.add(used)
 
     def adjust_scheduling(self, task: MlTask) -> int:
         """Cycle-feedback deprioritization, applied once per threshold crossing."""

@@ -38,7 +38,6 @@ from stdin cannot be, and breaks the pool (one KernelError).
 
 from __future__ import annotations
 
-import atexit
 import struct
 import sys
 import threading
@@ -329,16 +328,32 @@ _pool_lock = threading.Lock()  # one caller at a time starts, replaces or maps o
 
 
 def _close_pool() -> None:
-    """Shut the worker pool down, if there is one; the next call starts a fresh one."""
+    """Shut the worker pool down, if there is one; the next call starts a fresh one.
+
+    If any worker has exited, every worker is terminated first: the dead one
+    may hold the call queue's lock, and shutdown() would wait for good on the
+    live ones blocked behind it.
+    """
     global _pool
     if _pool is not None:
+        processes = tuple(_pool[0]._processes.values())
+        if any(p.exitcode is not None for p in processes):
+            for p in processes:
+                p.terminate()
         _pool[0].shutdown()
         _pool = None
 
 
-# At exit, before module teardown: an executor first collected during teardown
-# runs a cleanup callback that finds its module's globals gone.
-atexit.register(_close_pool)
+@lru_cache(maxsize=None)
+def _close_at_exit() -> None:
+    """Close the pool at exit, once registered, after concurrent.futures is imported.
+
+    Threading's exit hooks run last registered first, so the pool closes
+    before concurrent.futures joins its executors, a join that a dead worker
+    would hang; and before module teardown, when an executor first collected
+    runs a callback whose globals are gone.
+    """
+    threading._register_atexit(_close_pool)
 
 
 def _on_pool(
@@ -365,11 +380,9 @@ def _on_pool(
             # from this process and its threads; the worker re-imports __main__.
             context = multiprocessing.get_context("forkserver")
             _pool = (ProcessPoolExecutor(workers, mp_context=context), workers)
+            _close_at_exit()
         try:
-            processes = tuple(_pool[0]._processes.values())
-            if any(p.exitcode is not None for p in processes):
-                for p in processes:  # the dead one may hold the call queue's lock for good
-                    p.terminate()
+            if any(p.exitcode is not None for p in _pool[0]._processes.values()):
                 raise BrokenProcessPool("a worker process exited before the call")
             return list(_pool[0].map(_mac, bands, [cols] * len(bands)))
         except BrokenProcessPool as exc:

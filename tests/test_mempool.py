@@ -168,6 +168,31 @@ def test_randomized_invariants_against_brute_force():
         assert pool.free_blocks + pool.allocated_blocks == pool.total_blocks
 
 
+def test_fresh_allocations_read_zero_after_random_writes():
+    # free() zeroes only the handles write() touched: every block a fresh
+    # allocation gets must still read as zero.
+    pool = small_pool(blocks=32, classes=(4 * 4096,))
+    rng = Random(21)
+    live = []
+    for _ in range(2000):
+        roll = rng.random()
+        if roll < 0.4 or not live:
+            try:
+                handle = pool.alloc_large_page(4 * 4096) if roll < 0.1 else pool.alloc(rng.randint(1, 5))
+            except OutOfMemory:
+                continue
+            assert pool.read(handle) == bytes(handle.n_blocks * 4096)
+            live.append(handle)
+        elif roll < 0.75:
+            handle = live[rng.randrange(len(live))]
+            offset = rng.randrange(handle.n_blocks * 4096)
+            data = bytes([rng.randint(1, 255)]) * rng.randint(1, handle.n_blocks * 4096 - offset)
+            pool.write(handle, offset, data)
+            assert pool.read(handle, offset, len(data)) == data
+        else:
+            pool.free(live.pop(rng.randrange(len(live))))
+
+
 class PoolModel(RuleBasedStateMachine):
     """BlockPool against a set of allocated blocks and brute-force first-fit."""
 

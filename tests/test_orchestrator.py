@@ -305,11 +305,12 @@ class TestCheckpoints:
         lambda state: state["latest"]["vision"].__setitem__(2, "someone"),
         lambda state: state["metrics"].update(cpu=[0.5] * 4, mem=[0.5] * 4, io=[0.5] * 4),
         _add_unserved_record,
+        lambda state: state["latest"]["vision"].__setitem__(0, 10**9),
     ], ids=["no-heartbeat-seq", "unknown-metric", "unknown-modality", "latest-not-a-dict",
             "metric-out-of-range", "heartbeat-seq-str", "heartbeat-seq-bool",
             "heartbeat-seq-float", "heartbeat-seq-negative", "int-tag", "list-label",
             "stored-tensor", "stored-outputs", "bool-tick", "wrong-label",
-            "four-sample-window", "unserved-modality"])
+            "four-sample-window", "unserved-modality", "tick-after-the-clock"])
     @pytest.mark.parametrize("target_id", [None, 9])
     def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt, target_id):
         cluster = self.build()

@@ -7,6 +7,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from neurokernel.errors import InvalidArgument, KernelError, Overflow, ShapeMismatch, TaskFault
+from neurokernel.mempool import BlockHandle, BlockPool, PoolConfig
 from neurokernel.scheduler import (
     ALLOC_CYCLES,
     MlScheduler,
@@ -332,6 +333,23 @@ class TestWorkFault:
         # and re-queued behind both.
         assert [sched.dequeue().id for _ in range(3)] == ["unrun", "waiting", "long"]
 
+    @pytest.mark.parametrize("fault", ["raise", "zero-cost step"])
+    def test_a_fault_mid_slice_counts_every_step_before_it(self, fault):
+        def work(ctx):
+            yield 3
+            yield 4
+            if fault == "raise":
+                raise RuntimeError("work failed")
+            yield 0
+
+        sched = MlScheduler()
+        task = MlTask("bad", work)
+        sched.enqueue(task)
+        with pytest.raises(TaskFault):
+            sched.batch_execute(1)
+        assert task.consumed_cycles == 7
+        assert sched.perf.cpu_cycles == 7
+
     def test_faulted_task_cannot_be_enqueued_again(self):
         sched = MlScheduler()
         bad = MlTask("bad", self.failing)
@@ -340,6 +358,45 @@ class TestWorkFault:
             sched.batch_execute(1)
         with pytest.raises(InvalidArgument):
             sched.enqueue(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pool, handle, sched: pool.alloc("3"),
+    lambda pool, handle, sched: pool.alloc(None),
+    lambda pool, handle, sched: pool.alloc(2.5),
+    lambda pool, handle, sched: pool.alloc(True),
+    lambda pool, handle, sched: pool.alloc_large_page(16384.0),
+    lambda pool, handle, sched: pool.free(None),
+    lambda pool, handle, sched: pool.free(BlockHandle([1], 0, 1, handle.pool_id)),
+    lambda pool, handle, sched: pool.read(handle, "a"),
+    lambda pool, handle, sched: pool.read(handle, 0, 2.5),
+    lambda pool, handle, sched: pool.write(handle, 0, "str"),
+    lambda pool, handle, sched: PoolConfig(pool_bytes="x"),
+    lambda pool, handle, sched: PoolConfig(block_bytes=None),
+    lambda pool, handle, sched: PoolConfig(large_page_classes=None),
+    lambda pool, handle, sched: PoolConfig(large_page_classes=(65536.0,)),
+    lambda pool, handle, sched: SchedulerConfig(quantum="2"),
+    lambda pool, handle, sched: SchedulerConfig(quantum=2.5),
+    lambda pool, handle, sched: sched.batch_execute("4"),
+    lambda pool, handle, sched: sched.batch_execute(None),
+    lambda pool, handle, sched: cycles_work("5"),
+    lambda pool, handle, sched: cycles_work(5.5),
+    lambda pool, handle, sched: cycles_work(5, chunk=True),
+    lambda pool, handle, sched: sched.enqueue(None),
+    lambda pool, handle, sched: sched.enqueue(make_task("b", priority=True)),
+], ids=["alloc-str", "alloc-none", "alloc-float", "alloc-bool", "large-page-float",
+        "free-none", "free-unhashable-id", "read-str-offset", "read-float-length", "write-str",
+        "pool-bytes-str", "block-bytes-none", "classes-none", "class-float",
+        "quantum-str", "quantum-float", "batch-str", "batch-none",
+        "cycles-str", "cycles-float", "chunk-bool", "enqueue-none",
+        "priority-bool"])
+def test_the_jobs_layers_refuse_bad_arguments_with_invalid_argument(call):
+    pool = BlockPool(PoolConfig(pool_bytes=8 * 4096, large_page_classes=(4 * 4096,)))
+    handle, sched = pool.alloc(1), MlScheduler()
+    sched.enqueue(make_task("queued"))
+    with pytest.raises(InvalidArgument):
+        call(pool, handle, sched)
+    assert (pool.allocated_blocks, pool.live_handles, len(sched)) == (1, 1, 1)
 
 
 class SchedulerModel(RuleBasedStateMachine):

@@ -1,3 +1,4 @@
+import inspect
 import multiprocessing.connection
 import os
 import signal
@@ -218,6 +219,33 @@ def _run_python(args, timeout, **kwargs):
                           timeout=timeout, env=env, **kwargs)
 
 
+def _manager_wait(real_wait, missed):
+    """connection.wait as CPython's executor manager thread misreads it.
+
+    The manager takes a wait that returns the submit's wake-up and a dead
+    worker's sentinel together for a wake-up alone; the live workers then
+    compute the product, or block for good on the call queue's lock if the
+    dead worker held it. This wait always comes out that way for the
+    manager: it returns on a result or a wake-up, with whatever worker
+    sentinels are ready by then. A death that only the manager could find,
+    after 10 s, is appended to ``missed`` and handed over, so a miss fails a
+    test instead of hanging it.
+    """
+    def wait(objects, timeout=None):
+        sentinels = [o for o in objects if isinstance(o, int)]
+        readers = [o for o in objects if not isinstance(o, int)]
+        if not (sentinels and readers):  # not the manager's wait
+            return real_wait(objects, timeout)
+        while True:
+            ready = real_wait(readers, 10)
+            dead = real_wait(sentinels, 0)
+            if ready or dead:
+                missed.extend(() if ready else dead)
+                return ready + dead
+
+    return wait
+
+
 @pytest.fixture
 def pool_calls(monkeypatch):
     """(worker count, band heights) of each product sent to the worker pool."""
@@ -282,33 +310,55 @@ class TestProcessPool:
         assert tensor._pool[0] is not pool
 
     def test_a_death_seen_only_with_the_wake_up_is_still_one_kernel_error(self, monkeypatch):
-        # CPython's executor manager thread takes a wait that returns the
-        # submit's wake-up and a dead worker's sentinel together for a wake-up
-        # alone; the live workers then compute the product, or block for good
-        # on the call queue's lock if the dead worker held it. Here the
-        # manager's wait always comes out that way: it returns on a result or
-        # a wake-up, with whatever worker sentinels are ready by then. A death
-        # that only the manager could find, after 10 s, is handed over and
-        # recorded, so a miss fails the test instead of hanging it.
-        real_wait = multiprocessing.connection.wait
         missed = []
-
-        def wait(objects, timeout=None):
-            sentinels = [o for o in objects if isinstance(o, int)]
-            readers = [o for o in objects if not isinstance(o, int)]
-            if not (sentinels and readers):  # not the manager's wait
-                return real_wait(objects, timeout)
-            while True:
-                ready = real_wait(readers, 10)
-                dead = real_wait(sentinels, 0)
-                if ready or dead:
-                    missed.extend(() if ready else dead)
-                    return ready + dead
-
-        monkeypatch.setattr(multiprocessing.connection, "wait", wait)
+        monkeypatch.setattr(multiprocessing.connection, "wait",
+                            _manager_wait(multiprocessing.connection.wait, missed))
         tensor._close_pool()  # a pool whose manager waits through the patch
         self.test_a_killed_worker_is_one_kernel_error_then_a_fresh_pool()
         assert not missed
+
+    @pytest.mark.parametrize("then", ["grow", "exit"])
+    def test_closing_a_pool_with_a_dead_worker_does_not_hang(self, tmp_path, then):
+        # Of two idle workers, one blocks reading the call queue while holding
+        # its lock and the other waits for the lock. The reader is killed
+        # (found by its wait channel where /proc shows it, else the first
+        # worker is), the manager misses the death, and then the pool is
+        # replaced by a larger one, or the interpreter exits.
+        script = tmp_path / "dead_worker.py"
+        script.write_text(inspect.getsource(_manager_wait) + textwrap.dedent("""
+            import multiprocessing.connection, os, signal, sys, time
+            from random import Random
+            from neurokernel import tensor
+            from neurokernel.tensor import MatmulConfig, Tensor, matmul_naive, matmul_parallel
+
+            def reader(processes):
+                deadline = time.monotonic() + 5
+                while time.monotonic() < deadline:
+                    for p in processes:
+                        try:
+                            with open(f"/proc/{p.pid}/wchan") as f:
+                                if "pipe" in f.read():
+                                    return p
+                        except OSError:
+                            pass
+                    time.sleep(0.01)
+                return processes[0]
+
+            if __name__ == "__main__":
+                missed = []
+                multiprocessing.connection.wait = _manager_wait(multiprocessing.connection.wait, missed)
+                a = Tensor.random((64, 64), Random(0))
+                matmul_parallel(a, a, MatmulConfig(worker_count=2))
+                victim = reader(list(tensor._pool[0]._processes.values()))
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(10)
+                if sys.argv[1] == "grow":
+                    got = matmul_parallel(a, a, MatmulConfig(worker_count=3))
+                    print(got.tobytes() == matmul_naive(a, a).tobytes(), missed)
+        """))
+        proc = _run_python([str(script), then], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("True []\n" if then == "grow" else "")
 
     def test_a_main_read_from_stdin_breaks_the_pool_as_one_kernel_error(self):
         # Workers re-import __main__, and "<stdin>" cannot be re-read.
