@@ -13,10 +13,11 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ..errors import InvalidArgument, NodeUnreachable, check_count
 from .envelope import CURRENT_VERSION, MessageEnvelope, QoS, decode, encode
-from .fusion import Modality, modality_process
+from .fusion import Modality, modality_label, modality_process
 
 COORDINATOR_ID = 0
 METRIC_WINDOW = 3
@@ -29,8 +30,13 @@ class Liveness(Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class Heartbeat:
+class Heartbeat(NamedTuple):
+    """One node's beat: its id, its heartbeat number and the tick it beat at.
+
+    Immutable, and a tuple: it compares equal to the plain
+    ``(node_id, seq, tick)``.
+    """
+
     node_id: int
     seq: int
     tick: int
@@ -46,19 +52,23 @@ class Checkpoint:
 # The canonical snapshot encoding; the same options as
 # json.dumps(state, sort_keys=True, separators=(",", ":")).
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The request payload encoding, json.dumps(request, sort_keys=True), built once.
+_REQUEST = json.JSONEncoder(sort_keys=True)
 
 
 class Node:
     """One simulated worker node with an inbox ordered Realtime before Bulk.
 
-    ``latest`` keeps, per modality served, the last input processed: its
-    tick, tag and label, and the stub's output vector for it. A new input of
-    the modality replaces the entry, so a node's state does not grow with
-    its uptime. ``id`` and ``modalities`` are fixed for the node's life.
-    The coordinator's records of the node are not in the snapshot:
-    ``checkpoint_store`` maps a peer's id to the newest checkpoint it
-    replicated here, ``last_heartbeat`` is the tick of the node's last beat
-    and ``checkpoint_seq`` the number of its newest checkpoint (0 for none).
+    ``latest`` keeps, per modality served, the last input processed as
+    ``(tick, tag, label)``, the triple its snapshot holds. A new input of the
+    modality replaces the entry, so a node's state does not grow with its
+    uptime. The stub's output vector is not kept: ``Cluster.collect_outputs``
+    computes it for the records it returns. ``id`` and ``modalities`` are
+    fixed for the node's life. The coordinator's records of the node are
+    not in the snapshot: ``checkpoint_store`` maps a peer's id to the newest
+    checkpoint it replicated here, ``last_heartbeat`` is the tick of the
+    node's last beat and ``checkpoint_seq`` the number of its newest
+    checkpoint (0 for none).
     """
 
     def __init__(self, node_id: int, modalities):
@@ -78,7 +88,7 @@ class Node:
         self.last_heartbeat = 0
         self.checkpoint_seq = 0
         self.heartbeat_seq = 0
-        self.latest: dict[Modality, tuple[int, str, str, tuple[float, ...]]] = {}
+        self.latest: dict[Modality, tuple[int, str, str]] = {}
         self.checkpoint_store: dict[int, Checkpoint] = {}
         self._metrics = {name: deque(maxlen=METRIC_WINDOW) for name in ("cpu", "mem", "io")}
         self._load = 0.0
@@ -130,9 +140,9 @@ class Node:
         return len(self._inbox_rt) + len(self._inbox_bulk)
 
     def _record(self, modality: Modality, tick: int, tag: str) -> str:
-        """Run the modality's stub on tag at tick, keep it as the modality's latest; the label."""
-        label, vec = modality_process(modality, tag.encode("utf-8"))
-        self.latest[modality] = (tick, tag, label, vec)
+        """Label tag with the modality's stub at tick, keep it as the modality's latest; the label."""
+        label = modality_label(modality, tag.encode("utf-8"))
+        self.latest[modality] = (tick, tag, label)
         return label
 
     def snapshot(self) -> bytes:
@@ -145,7 +155,7 @@ class Node:
         """
         return _CANONICAL.encode({
             "heartbeat_seq": self.heartbeat_seq,
-            "latest": {m.value: (tick, tag, label) for m, (tick, tag, label, _vec) in self.latest.items()},
+            "latest": {m.value: entry for m, entry in self.latest.items()},
             "metrics": {name: list(window) for name, window in self._metrics.items()},
             "modalities": sorted(m.value for m in self.modalities),
             "node_id": self.id,
@@ -156,7 +166,7 @@ class Node:
         """Rebuild node ``node_id``, as ``as_id``, at tick ``now``, from bytes its snapshot() wrote.
 
         Metrics go through push_metrics and each latest input through
-        _record, which derives its label and output again. Bytes that the
+        _record, which derives its label again. Bytes that the
         rebuilt node's snapshot() does not reproduce, or that record an input
         after ``now``, raise InvalidArgument.
         """
@@ -252,14 +262,14 @@ class Cluster:
 
         The beats are returned, not logged: detection reads only the last tick.
         """
-        self.tick += 1
+        self.tick = tick = self.tick + 1
         beats = []
         for node in self.nodes.values():
             if node.silenced or node.liveness is Liveness.FAILED:
                 continue
-            node.heartbeat_seq += 1
-            node.last_heartbeat = self.tick
-            beats.append(Heartbeat(node.id, node.heartbeat_seq, self.tick))
+            node.heartbeat_seq = seq = node.heartbeat_seq + 1
+            node.last_heartbeat = tick
+            beats.append(Heartbeat(node.id, seq, tick))
         return beats
 
     def detect_failures(self) -> list[int]:
@@ -328,8 +338,6 @@ class Cluster:
 
     def submit_input(self, modality: Modality, tag: str, qos: QoS = QoS.REALTIME) -> tuple[int, int]:
         """Balance, wrap, and route one nonempty UTF-8 str tag; (node, msg_id)."""
-        if not isinstance(modality, Modality):
-            raise InvalidArgument(f"unknown modality {modality!r}")
         if not isinstance(tag, str) or not tag:
             raise InvalidArgument(f"tag must be a nonempty str, got {tag!r}")
         try:
@@ -337,9 +345,7 @@ class Cluster:
         except UnicodeEncodeError:
             raise InvalidArgument(f"tag {tag!r} is not encodable as UTF-8") from None
         target = self.balance_load(modality)
-        payload = json.dumps(
-            {"modality": modality.value, "tag": tag}, sort_keys=True
-        ).encode("utf-8")
+        payload = _REQUEST.encode({"modality": modality.value, "tag": tag}).encode("utf-8")
         env = MessageEnvelope(
             msg_id=next(self._next_msg_id), source=COORDINATOR_ID, dest=target,
             payload=payload, qos=qos, version=CURRENT_VERSION,
@@ -371,6 +377,8 @@ class Cluster:
         Ties break toward the lowest node id; identical metric histories
         therefore always give identical selections.
         """
+        if not isinstance(modality, Modality):
+            raise InvalidArgument(f"unknown modality {modality!r}")
         supporters = self._supporters
         if supporters is None:
             supporters = self._supporters = {
@@ -413,6 +421,8 @@ class Cluster:
         restored node does not serve refuses the restore, and so does an input
         recorded at a tick later than the cluster's clock.
         """
+        if not isinstance(chk, Checkpoint):
+            raise InvalidArgument(f"not a checkpoint: {chk!r}")
         node_id = chk.node_id if target_id is None else target_id
         node = Node.from_snapshot(chk.snapshot, chk.node_id, node_id, self.tick)
         old = self.nodes.get(node_id)
@@ -426,11 +436,13 @@ class Cluster:
     # -- fusion inputs ---------------------------------------------------------
 
     def collect_outputs(self) -> dict[Modality, tuple[str, tuple[float, ...]]]:
-        """Most recent output per modality across non-failed nodes.
+        """Most recent output per modality across non-failed nodes: (label, vector).
 
-        Of equal ticks, the node walked last, so the highest id, wins.
+        Of equal ticks, the node walked last, so the highest id, wins. The
+        stub runs again on each winning record's tag, so this is the one
+        place output vectors are computed: one embedding per modality returned.
         """
-        latest: dict[Modality, tuple[int, str, str, tuple[float, ...]]] = {}
+        latest: dict[Modality, tuple[int, str, str]] = {}
         for node in self.nodes.values():
             if node.liveness is Liveness.FAILED:
                 continue
@@ -438,4 +450,4 @@ class Cluster:
                 current = latest.get(modality)
                 if current is None or entry[0] >= current[0]:
                     latest[modality] = entry
-        return {m: (label, vec) for m, (_tick, _tag, label, vec) in latest.items()}
+        return {m: modality_process(m, tag.encode("utf-8")) for m, (_, tag, _) in latest.items()}

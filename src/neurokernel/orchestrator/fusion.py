@@ -1,7 +1,9 @@
 """Deterministic modality stubs, label fusion, and the action rule table.
 
 The per-modality "models" are lookup stubs: the tag carried in the raw
-input selects a label, and the tensor is a hash embedding of the bytes.
+input selects a label (``modality_label``), and the tensor is a hash
+embedding of the bytes. A cluster node keeps only the label;
+``modality_process`` adds the embedding where an output vector is read.
 Fusion renders the labels through fixed templates in Vision, Sensor,
 Audio, Language order; the decision stage maps the fused sentence through
 a fixed keyword rule table.
@@ -50,14 +52,19 @@ class FusedRepresentation:
     summary: str
 
 
-def modality_process(kind: Modality, raw: bytes) -> tuple[str, tuple[float, ...]]:
-    """Run one modality stub: the stripped tag's label in the kind's table, plus a unit-norm embedding."""
+def modality_label(kind: Modality, raw: bytes) -> str:
+    """The stub's label for nonempty raw bytes: the stripped tag's entry in kind's table, or the tag."""
     if not isinstance(kind, Modality):
         raise InvalidArgument(f"unknown modality {kind!r}")
-    if not raw:
-        raise InvalidArgument("modality input must be nonempty")
+    if not isinstance(raw, (bytes, bytearray)) or not raw:
+        raise InvalidArgument(f"modality input must be nonempty bytes, got {raw!r}")
     tag = raw.decode("utf-8", errors="replace").strip()
-    return MODALITY_LABELS[kind].get(tag, tag), embed(raw)
+    return MODALITY_LABELS[kind].get(tag, tag)
+
+
+def modality_process(kind: Modality, raw: bytes) -> tuple[str, tuple[float, ...]]:
+    """Run one modality stub: its label for raw, plus the unit-norm embedding of raw."""
+    return modality_label(kind, raw), embed(raw)
 
 
 def _meters(sensor_label: str) -> str:

@@ -76,7 +76,12 @@ def embed(data: bytes | str) -> tuple[float, ...]:
     Slot i is sha256(data + i as 4 little-endian bytes), continued from one hash of data.
     """
     if isinstance(data, str):
-        data = data.encode("utf-8")
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvalidArgument(f"cannot embed {data!r}: not encodable as UTF-8") from None
+    elif not isinstance(data, (bytes, bytearray)):
+        raise InvalidArgument(f"embed takes bytes or str, got {data!r}")
     if not data:
         raise InvalidArgument("cannot embed empty input")
     prefix = hashlib.sha256(data)

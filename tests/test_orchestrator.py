@@ -1,8 +1,12 @@
 import builtins
+import hashlib
 import json
 import math
 import re
+import struct
 from collections import deque
+from itertools import cycle
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -12,6 +16,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from neurokernel.errors import ChecksumMismatch, InvalidArgument, KernelError, NodeUnreachable
 from neurokernel.orchestrator import (
     DEMO_SCENARIO,
+    FUSION_ORDER,
     Checkpoint,
     Cluster,
     Heartbeat,
@@ -28,6 +33,7 @@ from neurokernel.orchestrator import (
     parse_scenario,
     run_scenario,
 )
+from neurokernel.orchestrator import fusion
 from neurokernel.orchestrator.envelope import MAGIC
 from neurokernel.rabab import embed
 
@@ -185,6 +191,12 @@ class TestFailureDetection:
         cluster.detect_failures()
         assert cluster.nodes[1].liveness is Liveness.ALIVE
 
+    def test_a_beat_is_an_immutable_tuple(self):
+        beats = self.make_cluster().heartbeat_tick()
+        assert beats == [(1, 1, 1), (2, 1, 1)]  # node_id, seq, tick
+        with pytest.raises(AttributeError):
+            beats[0].seq = 5
+
     def test_heartbeat_sequences_strictly_increase(self):
         cluster = self.make_cluster()
         beats = [b for _ in range(5) for b in cluster.heartbeat_tick()]
@@ -306,11 +318,12 @@ class TestCheckpoints:
         lambda state: state["metrics"].update(cpu=[0.5] * 4, mem=[0.5] * 4, io=[0.5] * 4),
         _add_unserved_record,
         lambda state: state["latest"]["vision"].__setitem__(0, 10**9),
+        lambda state: state["latest"].update(vision=[1, "", ""]),
     ], ids=["no-heartbeat-seq", "unknown-metric", "unknown-modality", "latest-not-a-dict",
             "metric-out-of-range", "heartbeat-seq-str", "heartbeat-seq-bool",
             "heartbeat-seq-float", "heartbeat-seq-negative", "int-tag", "list-label",
             "stored-tensor", "stored-outputs", "bool-tick", "wrong-label",
-            "four-sample-window", "unserved-modality", "tick-after-the-clock"])
+            "four-sample-window", "unserved-modality", "tick-after-the-clock", "empty-tag"])
     @pytest.mark.parametrize("target_id", [None, 9])
     def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt, target_id):
         cluster = self.build()
@@ -838,6 +851,88 @@ class TestModalityStubs:
         )
 
 
+class TestOutputsAreComputedWhereRead:
+    """Nodes keep labels only; collect_outputs embeds, once per modality it returns."""
+
+    @pytest.fixture
+    def embeds(self, monkeypatch):
+        """The inputs fusion embeds from here on, in call order."""
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return embed(raw)
+
+        monkeypatch.setattr(fusion, "embed", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_only_collect_outputs_embeds_the_newest_record_per_modality(self, seed, embeds):
+        rng = Random(seed)
+        modalities = list(Modality)
+        cluster = Cluster()
+        for node_id in range(1, 9):
+            cluster.add_node(node_id, set(rng.sample(modalities, rng.randint(1, 2))))
+        newest = {node_id: {} for node_id in cluster.nodes}  # node -> modality -> (tick, tag)
+        saved = {}  # node -> (its newest checkpoint, its records when taken)
+        restores = returned = 0
+        for tick in range(1, 81):
+            if tick in (20, 45):
+                cluster.silence(rng.choice(list(cluster.nodes)))
+            cluster.heartbeat_tick()
+            cluster.detect_failures()
+            for _ in range(rng.randint(0, 4)):
+                try:
+                    cluster.submit_input(rng.choice(modalities), rng.choice(_SNAPSHOT_TAGS))
+                except NodeUnreachable:
+                    pass
+            for node_id, modality, tag, _label in cluster.process_step():
+                newest[node_id][modality] = (tick, tag)
+            live = [nid for nid, n in cluster.nodes.items() if n.liveness is not Liveness.FAILED]
+            if tick % 3 == 0 and len(live) > 1:
+                node_id = rng.choice(live)
+                saved[node_id] = (cluster.checkpoint_node(node_id), dict(newest[node_id]))
+            if tick % 10 == 0 and saved:  # roll a node back, or bring a failed one back
+                node_id = rng.choice(sorted(saved))
+                chk, records = saved[node_id]
+                cluster.restore_node(chk)
+                newest[node_id] = dict(records)
+                restores += 1
+            assert embeds == []  # nothing but collect_outputs embeds
+            expected = {}  # modality -> (tick, node, tag): highest tick, then highest id
+            for node_id, n in cluster.nodes.items():
+                if n.liveness is not Liveness.FAILED:
+                    for modality, (at, tag) in newest[node_id].items():
+                        expected[modality] = max(expected.get(modality, (-1,)), (at, node_id, tag))
+            outputs = cluster.collect_outputs()
+            assert sorted(embeds) == sorted(tag.encode("utf-8") for _at, _node, tag in expected.values())
+            assert outputs == {m: (fusion.modality_label(m, tag.encode("utf-8")), embed(tag))
+                               for m, (_at, _node, tag) in expected.items()}
+            returned += len(outputs)
+            embeds.clear()
+        assert restores == 8 and returned > 100
+
+    def test_the_failover_golden_vectors_are_pinned(self, monkeypatch):
+        """Benchmark digests do not hash output vectors, so their bits are pinned here."""
+        seen = []
+        collect = Cluster.collect_outputs
+
+        def recorded(cluster):
+            seen.append(collect(cluster))
+            return seen[-1]
+
+        monkeypatch.setattr(Cluster, "collect_outputs", recorded)
+        text = (Path(__file__).parent / "golden" / "orchestrate_failover.scenario").read_text("utf-8")
+        run_scenario(parse_scenario(text), ticks=60, seed=3)
+        (outputs,) = seen
+        digest = hashlib.sha256()
+        for modality in (m for m in FUSION_ORDER if m in outputs):
+            label, vector = outputs[modality]
+            digest.update(f"{modality.value}\n{label}\n".encode())
+            digest.update(struct.pack("<32d", *vector))
+        assert digest.hexdigest() == "7ee2aad8bf67d23c4bf67a6da24e51f20f4755d9e5b0efbd34c71554b1a9e73d"
+
+
 class TestInboxQoS:
     def test_realtime_processed_before_bulk(self):
         cluster = Cluster()
@@ -872,6 +967,16 @@ class TestSubmitInput:
             cluster.submit_input(modality, "person")
         assert cluster.nodes == before and cluster.nodes[1].pending == 0
         assert cluster.submit_input(Modality.VISION, "person") == (1, 1)  # no msg id used up
+
+    def test_the_payload_is_the_request_as_sorted_key_json(self):
+        cluster = Cluster()
+        cluster.add_node(1, set(Modality))
+        requests = list(zip(cycle(Modality), _SNAPSHOT_TAGS))
+        for modality, tag in requests:
+            cluster.submit_input(modality, tag)
+        assert [env.payload for env in cluster.nodes[1].drain_inbox()] == [
+            json.dumps({"modality": m.value, "tag": tag}, sort_keys=True).encode("utf-8")
+            for m, tag in requests]
 
     def test_a_routed_message_that_is_not_a_request(self):
         # Refused at route with nothing queued: process_step would pop it and
@@ -910,6 +1015,35 @@ class TestSubmitInput:
         assert [record[:3] for record in records] == [
             (1, Modality.VISION, "cup"), (2, Modality.VISION, "person")]
         assert [node.pending for node in cluster.nodes.values()] == [0, 0]
+
+
+# Each escaped as TypeError, AttributeError or UnicodeEncodeError.
+@pytest.mark.parametrize("call", [
+    lambda cluster: embed(5),
+    lambda cluster: embed("\ud800"),
+    lambda cluster: modality_process(Modality.VISION, "x"),
+    lambda cluster: modality_process(Modality.VISION, 5),
+    lambda cluster: cluster.balance_load("vision"),
+    lambda cluster: cluster.balance_load(["vision"]),
+    lambda cluster: cluster.restore_node(None),
+    lambda cluster: cluster.restore_node((1, 1, b"{}")),
+], ids=["embed-int", "embed-lone-surrogate", "process-str", "process-int",
+        "balance-str", "balance-list", "restore-none", "restore-tuple"])
+def test_the_cluster_path_refuses_bad_arguments_with_invalid_argument(call):
+    cluster = Cluster()
+    cluster.add_node(1, {Modality.VISION})
+    cluster.add_node(2, {Modality.AUDIO})
+    cluster.heartbeat_tick()
+    cluster.submit_input(Modality.VISION, "person")
+    cluster.process_step()
+    chk = cluster.checkpoint_node(1)
+    before = {node_id: node.snapshot() for node_id, node in cluster.nodes.items()}
+    with pytest.raises(InvalidArgument):
+        call(cluster)
+    assert {node_id: node.snapshot() for node_id, node in cluster.nodes.items()} == before
+    assert cluster.balance_load(Modality.VISION) == 1
+    assert cluster.restore_node(chk).snapshot() == chk.snapshot
+    assert cluster.collect_outputs() == {Modality.VISION: modality_process(Modality.VISION, b"person")}
 
 
 _BUILTIN_SUM = builtins.sum
