@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
-from .errors import DeviceBusy, InvalidArgument, OutOfMemory
+from .errors import DeviceBusy, InvalidArgument, OutOfMemory, check_count
 from .tensor import Tensor, elementwise_sum, matmul_naive
 
 DEVICE_BUFFER_BYTES = 1024 * 1024
@@ -69,18 +69,9 @@ class AccelDevice:
         self._busy = False
         self._lock = threading.Lock()
 
-    @property
-    def free_bytes(self) -> int:
-        return DEVICE_BUFFER_BYTES - self._used
-
-    @property
-    def queued_tasks(self) -> int:
-        return len(self._queue)
-
     def allocate(self, size: int) -> AccelRegion:
         """The next region of the device buffer: it starts at the bump offset."""
-        if size < 1:
-            raise InvalidArgument(f"region size must be positive, got {size}")
+        check_count(size, "region size")
         with self._lock:
             if DEVICE_BUFFER_BYTES - self._used < size:
                 raise OutOfMemory(

@@ -99,6 +99,7 @@ class BlockPool:
 
     @property
     def live_handles(self) -> int:
+        """Handles allocated and not yet freed; the jobs benchmark's leak check reads it."""
         return len(self._ledger)
 
     def bitmap(self) -> tuple[bool, ...]:
@@ -244,8 +245,7 @@ class SharedBuffer:
     """
 
     def __init__(self, size: int = 4096):
-        if size < 1:
-            raise InvalidArgument(f"buffer size must be positive, got {size}")
+        check_count(size, "buffer size")
         self._storage = bytearray(size)
         self.size = size
         self.copy_counter = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -22,6 +22,7 @@ from .fusion import Modality, modality_label, modality_process
 COORDINATOR_ID = 0
 METRIC_WINDOW = 3
 LOAD_WEIGHTS = (0.5, 0.3, 0.2)  # cpu, mem, io
+_SAMPLE_TYPES = (float, int)  # exact types: a bool is an int subclass, not a load
 
 
 class Liveness(Enum):
@@ -96,11 +97,14 @@ class Node:
         self._inbox_bulk: deque[MessageEnvelope] = deque()
 
     def push_metrics(self, cpu: float, mem: float, io: float) -> None:
-        """Add one sample to each window, or to none, and store the load they give."""
+        """Add one sample to each window, or to none, and store the load they give.
+
+        A sample is an int or float (not a bool) in [0, 1].
+        """
         sample = (cpu, mem, io)
-        for name, value in zip(self._metrics, sample):
-            if not 0.0 <= value <= 1.0:
-                raise InvalidArgument(f"{name} load {value} outside [0, 1]")
+        for value in sample:
+            if type(value) not in _SAMPLE_TYPES or not 0.0 <= value <= 1.0:
+                raise InvalidArgument(f"metric sample {sample!r} is not three numbers in [0, 1]")
         load = 0.0
         for weight, window, value in zip(LOAD_WEIGHTS, self._metrics.values(), sample):
             window.append(value)
@@ -113,11 +117,6 @@ class Node:
     def predicted_load(self) -> float:
         """0.5*cpu + 0.3*mem + 0.2*io over 3-sample moving averages; 0 with no sample."""
         return self._load
-
-    def deliver(self, env: MessageEnvelope) -> None:
-        """Queue a request this node serves; anything else raises InvalidArgument."""
-        _request(env, self)
-        self._enqueue(env)
 
     def _enqueue(self, env: MessageEnvelope) -> None:
         (self._inbox_rt if env.qos is QoS.REALTIME else self._inbox_bulk).append(env)
@@ -212,9 +211,7 @@ class Cluster:
     """
 
     def __init__(self, timeout_ticks: int = 3):
-        if timeout_ticks < 1:
-            raise InvalidArgument(f"timeout_ticks must be >= 1, got {timeout_ticks}")
-        self.timeout_ticks = timeout_ticks
+        self.timeout_ticks = check_count(timeout_ticks, "timeout_ticks")
         self.tick = 0
         self.nodes: dict[int, Node] = {}
         # Per modality, the nodes serving it in id order; _insert drops it.
@@ -253,6 +250,7 @@ class Cluster:
         self.node(node_id).silenced = True
 
     def unsilence(self, node_id: int) -> None:
+        """Let a silenced node beat again: the one way a Suspect node turns Alive."""
         self.node(node_id).silenced = False
 
     # -- heartbeats and failure detection ------------------------------------
@@ -305,36 +303,18 @@ class Cluster:
         for env in self.nodes[failed_id].drain_inbox():
             try:
                 target = self.balance_load(_request(env)[0])
-            except (InvalidArgument, NodeUnreachable):
+            except NodeUnreachable:
                 events.append((env.msg_id, None))  # nothing can serve it
                 continue
-            rerouted = MessageEnvelope(
-                msg_id=env.msg_id, source=env.source, dest=target,
-                payload=env.payload, qos=env.qos, version=env.version,
-            )
-            self._deliver(rerouted)
+            self._deliver(replace(env, dest=target))
             events.append((env.msg_id, target))
         return events
 
     # -- messaging ------------------------------------------------------------
 
-    def route(self, env: MessageEnvelope) -> None:
-        """Deliver an envelope through the wire codec to the dest inbox.
-
-        A payload that is not a request the dest serves is refused with
-        InvalidArgument and nothing is queued, so every queued message can
-        be processed.
-        """
-        self._deliver(env, check=True)
-
-    def _deliver(self, env: MessageEnvelope, check: bool = False) -> None:
-        """route, without decoding a payload built here or already checked."""
-        dest = self.node(env.dest)
-        if dest.liveness is Liveness.FAILED:
-            raise NodeUnreachable(f"node {env.dest} has failed")
-        if check:
-            _request(env, dest)
-        dest._enqueue(decode(encode(env)))
+    def _deliver(self, env: MessageEnvelope) -> None:
+        """Send a request built here to balance_load's live pick, through the wire codec."""
+        self.nodes[env.dest]._enqueue(decode(encode(env)))
 
     def submit_input(self, modality: Modality, tag: str, qos: QoS = QoS.REALTIME) -> tuple[int, int]:
         """Balance, wrap, and route one nonempty UTF-8 str tag; (node, msg_id)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from ..errors import InvalidArgument, NodeUnreachable
+from ..errors import InvalidArgument, NodeUnreachable, check_count
 from .cluster import Cluster, Liveness
 from .fusion import Modality, decide, fuse
 
@@ -74,8 +74,7 @@ def run_scenario(
     Returns the event log as (tick, event, detail) rows plus the final
     fused summary and decision (None if nothing was processed).
     """
-    if ticks < 1:
-        raise InvalidArgument(f"ticks must be >= 1, got {ticks}")
+    check_count(ticks, "ticks")
     rng = Random(seed)
     cluster = Cluster(timeout_ticks=timeout_ticks)
     events: list[tuple[int, str, str]] = []

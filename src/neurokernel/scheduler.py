@@ -55,16 +55,13 @@ class SchedulerConfig:
 
 
 class PerfCounter:
-    """Simulated CPU-cycle counter; never decreases except on reset."""
+    """Simulated CPU-cycle counter; it never decreases."""
 
     def __init__(self):
         self.cpu_cycles = 0
 
     def add(self, cycles: int) -> None:
         self.cpu_cycles += cycles
-
-    def reset(self) -> None:
-        self.cpu_cycles = 0
 
 
 class ExecContext:
@@ -209,7 +206,9 @@ class MlScheduler:
                 for entry in batch[i + 1:]:
                     self._push(entry)
                 raise TaskFault(f"task {task.id!r} faulted: {exc!r}", task.id, completed) from exc
-            self.adjust_scheduling(task)
+            if not task._penalized and task.consumed_cycles > self.config.deprioritize_threshold:
+                task.priority += DEPRIORITIZE_PENALTY  # once per task, on crossing the threshold
+                task._penalized = True
             if done:
                 completed.append(task.id)
             else:
@@ -217,15 +216,17 @@ class MlScheduler:
         return completed
 
     def _run_slice(self, task: MlTask) -> bool:
+        """One timeslice: load the task's FP context, run it, save the context; True if done.
+
+        The one place a context is loaded or saved. A fresh task's context is
+        all zeros, so it starts from a clean register file.
+        """
         if task.state is TaskState.QUEUED:
             task._gen = iter(task.work(ExecContext(self.fp_registers, task)))
-            self.fp_registers[:] = task.fp_context  # fresh context load
-            task.state = TaskState.RUNNING
-        elif task.state is TaskState.PREEMPTED:
-            self.restore_fp_context(task)
-            task.state = TaskState.RUNNING
-        else:
+        elif task.state is not TaskState.PREEMPTED:
             raise InvalidArgument(f"task {task.id!r} is not runnable ({task.state.value})")
+        self.fp_registers[:] = task.fp_context
+        task.state = TaskState.RUNNING
 
         used, quantum = 0, self.config.quantum
         try:
@@ -234,7 +235,7 @@ class MlScheduler:
                     raise InvalidArgument("work steps must consume at least one cycle")
                 used += cost
                 if used >= quantum:
-                    self.save_fp_context(task)
+                    task.fp_context = list(self.fp_registers)
                     task.state = TaskState.PREEMPTED
                     return False
             task.fp_context = list(self.fp_registers)
@@ -243,34 +244,3 @@ class MlScheduler:
         finally:  # the slice's cycles count once, at its end, however it ends
             task.consumed_cycles += used
             self.perf.add(used)
-
-    def adjust_scheduling(self, task: MlTask) -> int:
-        """Cycle-feedback deprioritization, applied once per threshold crossing."""
-        if not task._penalized and task.consumed_cycles > self.config.deprioritize_threshold:
-            task.priority += DEPRIORITIZE_PENALTY
-            task._penalized = True
-        return task.priority
-
-    # -- floating-point context -------------------------------------------
-
-    def save_fp_context(self, task: MlTask) -> None:
-        if task.state is not TaskState.RUNNING:
-            raise InvalidArgument(
-                f"can only save the context of a running task, {task.id!r} is {task.state.value}"
-            )
-        task.fp_context = list(self.fp_registers)
-
-    def restore_fp_context(self, task: MlTask) -> None:
-        if task.state is not TaskState.PREEMPTED:
-            raise InvalidArgument(
-                f"can only restore a preempted task, {task.id!r} is {task.state.value}"
-            )
-        self.fp_registers[:] = task.fp_context
-
-    def reset(self) -> None:
-        with self._lock:
-            self._queue.clear()
-            self._queued.clear()
-            self._seqs = itertools.count()
-        self.perf.reset()
-        self.fp_registers[:] = [0.0] * FP_SLOTS

@@ -47,7 +47,7 @@ from math import isfinite, prod
 from random import Random
 from typing import Iterable, Sequence
 
-from .errors import InvalidArgument, KernelError, Overflow, ShapeMismatch
+from .errors import InvalidArgument, KernelError, Overflow, ShapeMismatch, check_count
 
 MAX_WORKERS = 8
 DEFAULT_BLOCK_SIZE = 64
@@ -62,9 +62,8 @@ class MatmulConfig:
     worker_count: int = 4
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise InvalidArgument(f"block_size must be >= 1, got {self.block_size}")
-        if not 1 <= self.worker_count <= MAX_WORKERS:
+        check_count(self.block_size, "block_size")
+        if check_count(self.worker_count, "worker_count") > MAX_WORKERS:
             raise InvalidArgument(
                 f"worker_count must be in 1..{MAX_WORKERS}, got {self.worker_count}"
             )

@@ -6,7 +6,8 @@ import pytest
 
 from neurokernel.accel import AccelDevice, AccelOp, AccelTask
 from neurokernel.errors import DeviceBusy, InvalidArgument, OutOfMemory
-from neurokernel.tensor import Tensor, elementwise_sum, matmul_naive
+from neurokernel.mempool import SharedBuffer
+from neurokernel.tensor import MatmulConfig, Tensor, elementwise_sum, matmul_naive
 
 
 def loaded_device(*tensors):
@@ -19,17 +20,19 @@ def loaded_device(*tensors):
     return dev, regions
 
 
+def allocate_remainder(dev, used):
+    """Check that exactly the bytes past used are free: one more is OOM, the rest fit there."""
+    with pytest.raises(OutOfMemory):
+        dev.allocate(1048576 - used + 1)
+    assert dev.allocate(1048576 - used).offset == used
+
+
 class TestInit:
-    def test_fresh_device_has_full_buffer(self):
-        assert AccelDevice().free_bytes == 1048576
-
-    def test_fresh_device_has_empty_queue(self):
-        assert AccelDevice().queued_tasks == 0
-
     def test_devices_are_independent(self):
         dev1, dev2 = AccelDevice(), AccelDevice()
         dev1.allocate(1024)
-        assert dev2.free_bytes == 1048576
+        allocate_remainder(dev2, 0)
+        allocate_remainder(dev1, 1024)
 
 
 class TestAllocate:
@@ -53,7 +56,7 @@ class TestAllocate:
         sizes = [rng.randint(1, 4096) for _ in range(64)]
         offsets = [dev.allocate(size).offset for size in sizes]
         assert offsets == list(accumulate(sizes, initial=0))[:-1]
-        assert dev.free_bytes == 1048576 - sum(sizes)
+        allocate_remainder(dev, sum(sizes))
 
     def test_regions_are_disjoint_under_random_sizes(self):
         dev = AccelDevice()
@@ -187,3 +190,27 @@ def test_device_busy_guard():
         dev.execute_next()
     dev._busy = False
     assert dev.execute_next() is not None
+
+
+@pytest.mark.parametrize("call", [
+    lambda dev: dev.allocate(2.5),
+    lambda dev: dev.allocate("8"),
+    lambda dev: dev.allocate(None),
+    lambda dev: dev.allocate(True),
+    lambda dev: MatmulConfig(worker_count="2"),
+    lambda dev: MatmulConfig(worker_count=2.5),
+    lambda dev: MatmulConfig(worker_count=True),
+    lambda dev: MatmulConfig(block_size="8"),
+    lambda dev: MatmulConfig(block_size=2.5),
+    lambda dev: SharedBuffer("x"),
+    lambda dev: SharedBuffer(2.5),
+    lambda dev: SharedBuffer(True),
+], ids=["allocate-float", "allocate-str", "allocate-none", "allocate-bool",
+        "workers-str", "workers-float", "workers-bool", "block-str", "block-float",
+        "buffer-str", "buffer-float", "buffer-bool"])
+def test_the_offload_layers_refuse_bad_counts_with_invalid_argument(call):
+    dev = AccelDevice()
+    dev.allocate(8)
+    with pytest.raises(InvalidArgument):
+        call(dev)
+    allocate_remainder(dev, 8)  # the bump offset did not move

@@ -740,8 +740,10 @@ class TestLoadBalancer:
         cluster.add_node(1, {Modality.VISION})
         node = cluster.nodes[1]
         node.push_metrics(0.2, 0.2, 0.2)
-        with pytest.raises(InvalidArgument):
-            node.push_metrics(0.9, 0.9, 1.5)
+        for sample in ((0.9, 0.9, 1.5), (0.9, 0.9, "a"), (0.9, None, 0.9), (True, 0.9, 0.9),
+                       (0.9, 0.9, math.nan)):
+            with pytest.raises(InvalidArgument):
+                node.push_metrics(*sample)
         assert json.loads(node.snapshot())["metrics"] == {"cpu": [0.2], "mem": [0.2], "io": [0.2]}
         assert node.predicted_load() == _load(([0.2], [0.2], [0.2]))
 
@@ -978,44 +980,6 @@ class TestSubmitInput:
             json.dumps({"modality": m.value, "tag": tag}, sort_keys=True).encode("utf-8")
             for m, tag in requests]
 
-    def test_a_routed_message_that_is_not_a_request(self):
-        # Refused at route with nothing queued: process_step would pop it and
-        # raise mid-walk, losing it and the records of the nodes before it.
-        cluster = Cluster()
-        cluster.add_node(1, {Modality.VISION})
-        cluster.add_node(2, {Modality.VISION})
-        refused = [b"[]", b"{}", b'{"modality": "audio", "tag": "help"}']  # the last: not served
-        for msg_id, payload in enumerate(refused, 7):
-            with pytest.raises(InvalidArgument):
-                cluster.route(MessageEnvelope(msg_id=msg_id, source=0, dest=2, payload=payload))
-        assert [node.pending for node in cluster.nodes.values()] == [0, 0]
-        cluster.route(MessageEnvelope(msg_id=10, source=0, dest=2,
-                                      payload=b'{"modality": "vision", "tag": "person"}'))
-        assert cluster.submit_input(Modality.VISION, "cup") == (1, 1)
-        records = cluster.process_step()
-        assert [record[:3] for record in records] == [
-            (1, Modality.VISION, "cup"), (2, Modality.VISION, "person")]
-        assert [node.pending for node in cluster.nodes.values()] == [0, 0]
-
-
-    def test_a_message_delivered_straight_to_a_node(self):
-        # Node.deliver refuses what route refuses, so process_step cannot
-        # lose the message or the records of the nodes walked before it.
-        cluster = Cluster()
-        cluster.add_node(1, {Modality.VISION})
-        cluster.add_node(2, {Modality.VISION})
-        assert cluster.submit_input(Modality.VISION, "cup") == (1, 1)
-        for payload in (b"{}", b'{"modality": "audio", "tag": "help"}'):
-            with pytest.raises(InvalidArgument):
-                cluster.nodes[2].deliver(MessageEnvelope(msg_id=9, source=0, dest=2, payload=payload))
-        assert [node.pending for node in cluster.nodes.values()] == [1, 0]
-        cluster.nodes[2].deliver(MessageEnvelope(msg_id=10, source=0, dest=2,
-                                                 payload=b'{"modality": "vision", "tag": "person"}'))
-        records = cluster.process_step()
-        assert [record[:3] for record in records] == [
-            (1, Modality.VISION, "cup"), (2, Modality.VISION, "person")]
-        assert [node.pending for node in cluster.nodes.values()] == [0, 0]
-
 
 # Each escaped as TypeError, AttributeError or UnicodeEncodeError.
 @pytest.mark.parametrize("call", [
@@ -1027,8 +991,15 @@ class TestSubmitInput:
     lambda cluster: cluster.balance_load(["vision"]),
     lambda cluster: cluster.restore_node(None),
     lambda cluster: cluster.restore_node((1, 1, b"{}")),
+    lambda cluster: Cluster(timeout_ticks="3"),
+    lambda cluster: Cluster(timeout_ticks=2.5),
+    lambda cluster: Cluster(timeout_ticks=True),
+    lambda cluster: run_scenario(parse_scenario(DEMO_SCENARIO), "3"),
+    lambda cluster: run_scenario(parse_scenario(DEMO_SCENARIO), 2.5),
+    lambda cluster: run_scenario(parse_scenario(DEMO_SCENARIO), True),
 ], ids=["embed-int", "embed-lone-surrogate", "process-str", "process-int",
-        "balance-str", "balance-list", "restore-none", "restore-tuple"])
+        "balance-str", "balance-list", "restore-none", "restore-tuple",
+        "timeout-str", "timeout-float", "timeout-bool", "ticks-str", "ticks-float", "ticks-bool"])
 def test_the_cluster_path_refuses_bad_arguments_with_invalid_argument(call):
     cluster = Cluster()
     cluster.add_node(1, {Modality.VISION})
@@ -1125,19 +1096,6 @@ class TestScenario:
         assert run_scenario(scenario, 8, seed=5) == run_scenario(
             parse_scenario(DEMO_SCENARIO), 8, seed=5
         )
-
-    def test_route_to_failed_node_is_unreachable(self):
-        cluster = Cluster()
-        cluster.add_node(1, {Modality.VISION})
-        cluster.add_node(2, {Modality.AUDIO})
-        cluster.heartbeat_tick()
-        cluster.silence(1)
-        for _ in range(7):
-            cluster.heartbeat_tick()
-        cluster.detect_failures()
-        env = MessageEnvelope(msg_id=1, source=0, dest=1, payload=b"{}")
-        with pytest.raises(NodeUnreachable):
-            cluster.route(env)
 
 
 class ClusterModel(RuleBasedStateMachine):

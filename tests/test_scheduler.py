@@ -164,7 +164,6 @@ class TestAdjustScheduling:
         while task.state is not TaskState.DONE:
             sched.batch_execute(1)
         assert task.priority == 20
-        assert sched.adjust_scheduling(task) == 20  # idempotent per crossing
 
 
 class TestFpContext:
@@ -189,18 +188,6 @@ class TestFpContext:
             sched.batch_execute(2)
         assert observed["first"] == first  # bit-exact despite interleaving
         assert observed["second"] == second
-
-    def test_restore_on_never_preempted_task_rejected(self):
-        sched = MlScheduler()
-        task = make_task("fresh")
-        with pytest.raises(InvalidArgument):
-            sched.restore_fp_context(task)
-
-    def test_save_requires_running(self):
-        sched = MlScheduler()
-        task = make_task("fresh")
-        with pytest.raises(InvalidArgument):
-            sched.save_fp_context(task)
 
     def test_randomized_preemption_points(self):
         rng = Random(31)
@@ -512,13 +499,3 @@ def test_twenty_thousand_tasks_drain_in_bounded_time():
         completed.extend(sched.batch_execute(4))
         assert time.perf_counter() < deadline, f"{len(completed)} tasks drained"
     assert completed == [t.id for t in sorted(tasks, key=lambda t: t.priority)]
-
-
-def test_reset_clears_everything():
-    sched = MlScheduler()
-    sched.enqueue(make_task("x", cycles=5))
-    sched.batch_execute(1)
-    sched.reset()
-    assert len(sched) == 0
-    assert sched.perf.cpu_cycles == 0
-    assert sched.fp_registers == [0.0] * 16
