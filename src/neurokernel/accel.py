@@ -16,7 +16,7 @@ from enum import Enum
 from math import prod
 
 from .errors import DeviceBusy, InvalidArgument, OutOfMemory, check_count
-from .tensor import Tensor, elementwise_sum, matmul_naive
+from .tensor import Tensor, _checked_shape, elementwise_sum, matmul_naive
 
 DEVICE_BUFFER_BYTES = 1024 * 1024
 
@@ -83,6 +83,8 @@ class AccelDevice:
             return region
 
     def _check_region(self, region: AccelRegion, needed: int, role: str) -> None:
+        if not isinstance(region, AccelRegion):
+            raise InvalidArgument(f"{role} region must be an AccelRegion, got {region!r}")
         if region.device_id != self._device_id or self._regions.get(region.id) != region:
             raise InvalidArgument(f"{role} region {region.id} is not live on this device")
         if needed > region.size:
@@ -149,11 +151,13 @@ class AccelDevice:
     # Host staging helpers; execution itself never leaves the device buffer.
 
     def write_tensor(self, region: AccelRegion, tensor: Tensor) -> None:
+        if not isinstance(tensor, Tensor):
+            raise InvalidArgument(f"not a Tensor: {tensor!r}")
         raw = tensor.tobytes()
         self._check_region(region, len(raw), "target")
         self._buffer[region.offset : region.offset + len(raw)] = raw
 
     def read_tensor(self, region: AccelRegion, shape: tuple[int, ...]) -> Tensor:
-        shape = tuple(shape)
+        shape = _checked_shape(shape)
         self._check_region(region, _shape_bytes(shape), "source")
         return self._read(region, shape)

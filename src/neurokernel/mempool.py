@@ -224,6 +224,8 @@ class SharedBufferView:
         self._buffer = buffer
 
     def write(self, offset: int, data: bytes) -> None:
+        if not isinstance(data, (bytes, bytearray)):
+            raise InvalidArgument(f"data must be bytes, got {type(data).__name__}")
         self._buffer._check_range(offset, len(data))
         self._buffer._storage[offset : offset + len(data)] = data
 
@@ -251,7 +253,7 @@ class SharedBuffer:
         self.copy_counter = 0
 
     def _check_range(self, offset: int, length: int) -> None:
-        if offset < 0 or length < 0 or offset + length > self.size:
+        if check_count(offset, "offset", 0) + check_count(length, "length", 0) > self.size:
             raise InvalidArgument(
                 f"access [{offset}, {offset + length}) outside {self.size}-byte buffer"
             )

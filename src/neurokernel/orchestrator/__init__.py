@@ -1,12 +1,6 @@
 """Distributed multi-modal orchestration: envelopes, cluster, fusion, scenarios."""
 
-from .cluster import (
-    Checkpoint,
-    Cluster,
-    Heartbeat,
-    Liveness,
-    Node,
-)
+from .cluster import Checkpoint, Cluster, Liveness, Node
 from .envelope import CURRENT_VERSION, MessageEnvelope, QoS, decode, encode
 from .fusion import (
     DEFAULT_DECISION,
@@ -27,7 +21,6 @@ __all__ = [
     "DEMO_SCENARIO",
     "FUSION_ORDER",
     "FusedRepresentation",
-    "Heartbeat",
     "Liveness",
     "MessageEnvelope",
     "Modality",

@@ -13,7 +13,6 @@ import json
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
 
 from ..errors import InvalidArgument, NodeUnreachable, check_count
 from .envelope import CURRENT_VERSION, MessageEnvelope, QoS, decode, encode
@@ -29,18 +28,6 @@ class Liveness(Enum):
     ALIVE = "alive"
     SUSPECT = "suspect"
     FAILED = "failed"
-
-
-class Heartbeat(NamedTuple):
-    """One node's beat: its id, its heartbeat number and the tick it beat at.
-
-    Immutable, and a tuple: it compares equal to the plain
-    ``(node_id, seq, tick)``.
-    """
-
-    node_id: int
-    seq: int
-    tick: int
 
 
 @dataclass(frozen=True)
@@ -242,7 +229,7 @@ class Cluster:
     def node(self, node_id: int) -> Node:
         try:
             return self.nodes[node_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise InvalidArgument(f"unknown node {node_id}") from None
 
     def silence(self, node_id: int) -> None:
@@ -255,20 +242,18 @@ class Cluster:
 
     # -- heartbeats and failure detection ------------------------------------
 
-    def heartbeat_tick(self) -> list[Heartbeat]:
+    def heartbeat_tick(self) -> None:
         """Advance logical time one tick; every responsive node beats.
 
-        The beats are returned, not logged: detection reads only the last tick.
+        A beat is recorded on the node alone, as its ``heartbeat_seq`` and
+        ``last_heartbeat``: detection reads only the last tick.
         """
         self.tick = tick = self.tick + 1
-        beats = []
         for node in self.nodes.values():
             if node.silenced or node.liveness is Liveness.FAILED:
                 continue
-            node.heartbeat_seq = seq = node.heartbeat_seq + 1
+            node.heartbeat_seq += 1
             node.last_heartbeat = tick
-            beats.append(Heartbeat(node.id, seq, tick))
-        return beats
 
     def detect_failures(self) -> list[int]:
         """Two-phase detection; returns ids that became Failed on this call.
@@ -317,13 +302,20 @@ class Cluster:
         self.nodes[env.dest]._enqueue(decode(encode(env)))
 
     def submit_input(self, modality: Modality, tag: str, qos: QoS = QoS.REALTIME) -> tuple[int, int]:
-        """Balance, wrap, and route one nonempty UTF-8 str tag; (node, msg_id)."""
+        """Balance, wrap, and route one nonempty UTF-8 str tag; (node, msg_id).
+
+        A refused argument routes nothing and uses no message id.
+        """
         if not isinstance(tag, str) or not tag:
             raise InvalidArgument(f"tag must be a nonempty str, got {tag!r}")
         try:
             tag.encode("utf-8")
         except UnicodeEncodeError:
             raise InvalidArgument(f"tag {tag!r} is not encodable as UTF-8") from None
+        try:
+            qos = QoS(qos)
+        except ValueError:
+            raise InvalidArgument(f"unknown qos {qos!r}") from None
         target = self.balance_load(modality)
         payload = _REQUEST.encode({"modality": modality.value, "tag": tag}).encode("utf-8")
         env = MessageEnvelope(

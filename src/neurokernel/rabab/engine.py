@@ -197,15 +197,5 @@ class RababEngine:
         return res.payload
 
     def leaked_resources(self) -> int:
-        """Allocated-but-never-consumed count; reported at shutdown."""
+        """Allocated-but-never-consumed count: the engine's one leak report."""
         return len(self._resources) - self._consumed_count
-
-    def shutdown(self) -> dict:
-        report = {
-            "predicates": len(self._predicates),
-            "graph_edges": len(self.graph),
-            "allocated": len(self._resources),
-            "consumed": self._consumed_count,
-            "leaked": self.leaked_resources(),
-        }
-        return report

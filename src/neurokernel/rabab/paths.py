@@ -7,6 +7,10 @@ pixel -> color map the draws leave behind, so the canonical form is that
 map rendered as draws: translations folded into coordinates, shadowed
 draws dropped (last write per pixel wins), survivors in raster order.
 Equality of canonical forms then coincides with effect equivalence.
+
+``canonicalize_path`` is the one implementation of a path's meaning:
+``apply_path`` draws the canonical form, so a path it refuses draws nothing.
+``selftest._effect_signature`` interprets paths on its own, as the oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from ..errors import InvalidArgument
+from ..errors import InvalidArgument, OutOfMemory, check_count
 
 DEFAULT_WIDTH = 128
 DEFAULT_HEIGHT = 128
@@ -64,20 +68,22 @@ class Framebuffer:
     """Width x height grid of RGB triples, black by default."""
 
     def __init__(self, width: int = DEFAULT_WIDTH, height: int = DEFAULT_HEIGHT):
-        if width < 1 or height < 1:
-            raise InvalidArgument(f"framebuffer must be at least 1x1, got {width}x{height}")
-        self.width = width
-        self.height = height
-        self._pixels: list[Color] = [BLACK] * (width * height)
+        self.width = check_count(width, "framebuffer width")
+        self.height = check_count(height, "framebuffer height")
+        try:
+            self._pixels: list[Color] = [BLACK] * (width * height)
+        except (MemoryError, OverflowError):
+            raise OutOfMemory(f"host cannot hold a {width}x{height} framebuffer") from None
 
     def get(self, x: int, y: int) -> Color:
         self._check_bounds(x, y)
         return self._pixels[y * self.width + x]
 
     def _check_bounds(self, x: int, y: int) -> None:
-        if not (0 <= x < self.width and 0 <= y < self.height):
+        """Refuse a pixel outside the grid, or coordinates that are not ints."""
+        if type(x) is not int or type(y) is not int or not (0 <= x < self.width and 0 <= y < self.height):
             raise InvalidArgument(
-                f"pixel ({x}, {y}) outside {self.width}x{self.height} framebuffer"
+                f"pixel ({x!r}, {y!r}) outside {self.width}x{self.height} framebuffer"
             )
 
     def _set(self, x: int, y: int, color: Color) -> None:
@@ -128,19 +134,9 @@ def parse_intent(text: str) -> DrawPixel:
 
 
 def apply_path(path: Iterable[PathOp], fb: Framebuffer) -> Framebuffer:
-    """Run a transform path directly against a framebuffer."""
-    tx = ty = 0
-    for op in path:
-        if isinstance(op, Identity):
-            continue
-        if isinstance(op, Translate):
-            tx += op.dx
-            ty += op.dy
-            continue
-        if isinstance(op, DrawPixel):
-            interpret_intent(DrawPixel(op.x + tx, op.y + ty, op.color), fb)
-            continue
-        raise InvalidArgument(f"unknown path op {op!r}")
+    """Draw a transform path's canonical form; a path it refuses draws nothing."""
+    for op in canonicalize_path(path, fb.width, fb.height):
+        fb._set(op.x, op.y, op.color)
     return fb
 
 
@@ -165,7 +161,7 @@ def canonicalize_path(
             continue
         if isinstance(op, DrawPixel):
             x, y = op.x + tx, op.y + ty
-            if not (0 <= x < width and 0 <= y < height):
+            if type(x) is not int or type(y) is not int or not (0 <= x < width and 0 <= y < height):
                 raise InvalidArgument(
                     f"folded draw at ({x}, {y}) is outside {width}x{height}"
                 )

@@ -80,15 +80,18 @@ class Tensor:
 
     def __init__(self, shape: Sequence[int], data: Iterable[float]):
         shape = _checked_shape(shape)
-        values = [float(x) for x in data]
+        try:
+            values = list(data)
+        except TypeError:
+            raise InvalidArgument(f"tensor entries must be iterable, got {data!r}") from None
         expected = prod(shape)
         if len(values) != expected:
             raise InvalidArgument(
                 f"shape {shape} needs {expected} entries, got {len(values)}"
             )
-        _require_finite(values)
+        _require_finite(values)  # before float(), which would parse a str entry
         object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_data", values)
+        object.__setattr__(self, "_data", list(map(float, values)))
 
     @classmethod
     def _from_finite(cls, shape: tuple[int, ...], values: list[float]) -> "Tensor":
@@ -128,12 +131,12 @@ class Tensor:
 
     @classmethod
     def zeros(cls, shape: Sequence[int]) -> "Tensor":
+        shape = _checked_shape(shape)
         return cls(shape, [0.0] * prod(shape))
 
     @classmethod
     def identity(cls, n: int) -> "Tensor":
-        if n < 1:
-            raise InvalidArgument(f"identity size must be positive, got {n}")
+        check_count(n, "identity size")
         data = [0.0] * (n * n)
         for i in range(n):
             data[i * n + i] = 1.0
@@ -141,6 +144,7 @@ class Tensor:
 
     @classmethod
     def random(cls, shape: Sequence[int], rng: Random) -> "Tensor":
+        shape = _checked_shape(shape)
         return cls(shape, [rng.uniform(-1.0, 1.0) for _ in range(prod(shape))])
 
     @classmethod
@@ -190,16 +194,24 @@ class Tensor:
 
 
 def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(d) for d in shape)
+    try:
+        shape = tuple(shape)
+    except TypeError:
+        raise InvalidArgument(f"tensor shape must be a sequence of ints, got {shape!r}") from None
     if len(shape) not in (1, 2):
         raise InvalidArgument(f"tensor rank must be 1 or 2, got shape {shape}")
-    if any(d < 1 for d in shape):
-        raise InvalidArgument(f"tensor dimensions must be positive, got {shape}")
+    for d in shape:
+        check_count(d, "tensor dimension")
     return shape
 
 
-def _require_finite(values: list[float]) -> None:
-    if not all(map(isfinite, values)):
+def _require_finite(values: list) -> None:
+    """Refuse an entry that is not a finite real number: NaN, Inf, a str, None, an int past float64."""
+    try:
+        finite = all(map(isfinite, values))
+    except (TypeError, OverflowError):
+        raise InvalidArgument("tensor entries must be real numbers") from None
+    if not finite:
         raise InvalidArgument("tensor entries must be finite (no NaN/Inf)")
 
 

@@ -205,12 +205,45 @@ def test_device_busy_guard():
     lambda dev: SharedBuffer("x"),
     lambda dev: SharedBuffer(2.5),
     lambda dev: SharedBuffer(True),
+    lambda dev: SharedBuffer(16).view().write(0, "ab"),
+    lambda dev: SharedBuffer(16).view().write(0, None),
+    lambda dev: SharedBuffer(16).view().read("a", 1),
+    lambda dev: Tensor((2.9,), [1.0, 2.0]),
+    lambda dev: Tensor((True,), [1.0]),
+    lambda dev: Tensor(("2",), [1.0, 2.0]),
+    lambda dev: Tensor(None, [1.0]),
+    lambda dev: Tensor((2,), ["a", "b"]),
+    lambda dev: Tensor((2,), ["1.5", "2"]),
+    lambda dev: Tensor((1,), [10**400]),
+    lambda dev: Tensor((1,), None),
+    lambda dev: Tensor.zeros(None),
+    lambda dev: Tensor.random(None, Random(1)),
+    lambda dev: Tensor.identity("3"),
 ], ids=["allocate-float", "allocate-str", "allocate-none", "allocate-bool",
         "workers-str", "workers-float", "workers-bool", "block-str", "block-float",
-        "buffer-str", "buffer-float", "buffer-bool"])
+        "buffer-str", "buffer-float", "buffer-bool", "view-write-str", "view-write-none",
+        "view-read-str", "dim-float", "dim-bool", "dim-str", "shape-none", "entry-str",
+        "entry-numeric-str", "entry-huge-int", "entries-none", "zeros-none", "random-none",
+        "identity-str"])
 def test_the_offload_layers_refuse_bad_counts_with_invalid_argument(call):
     dev = AccelDevice()
     dev.allocate(8)
     with pytest.raises(InvalidArgument):
         call(dev)
     allocate_remainder(dev, 8)  # the bump offset did not move
+
+
+@pytest.mark.parametrize("call", [
+    lambda dev, region: dev.read_tensor(None, (1,)),
+    lambda dev, region: dev.write_tensor(None, Tensor.vector([1.0])),
+    lambda dev, region: dev.write_tensor(region, None),
+    lambda dev, region: dev.write_tensor(region, [1.0]),
+    lambda dev, region: dev.read_tensor(region, None),
+    lambda dev, region: dev.read_tensor(region, ("1",)),
+], ids=["read-none-region", "write-none-region", "write-none", "write-list",
+        "read-none-shape", "read-str-shape"])
+def test_staging_refuses_what_is_not_a_region_tensor_or_shape(call):
+    dev, (region,) = loaded_device(Tensor.vector([2.0]))
+    with pytest.raises(InvalidArgument):
+        call(dev, region)
+    assert dev.read_tensor(region, (1,)) == Tensor.vector([2.0])

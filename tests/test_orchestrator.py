@@ -19,7 +19,6 @@ from neurokernel.orchestrator import (
     FUSION_ORDER,
     Checkpoint,
     Cluster,
-    Heartbeat,
     Liveness,
     MessageEnvelope,
     Modality,
@@ -191,16 +190,12 @@ class TestFailureDetection:
         cluster.detect_failures()
         assert cluster.nodes[1].liveness is Liveness.ALIVE
 
-    def test_a_beat_is_an_immutable_tuple(self):
-        beats = self.make_cluster().heartbeat_tick()
-        assert beats == [(1, 1, 1), (2, 1, 1)]  # node_id, seq, tick
-        with pytest.raises(AttributeError):
-            beats[0].seq = 5
-
     def test_heartbeat_sequences_strictly_increase(self):
         cluster = self.make_cluster()
-        beats = [b for _ in range(5) for b in cluster.heartbeat_tick()]
-        seqs = [b.seq for b in beats if b.node_id == 1]
+        seqs = []
+        for _ in range(5):
+            assert cluster.heartbeat_tick() is None
+            seqs.append(cluster.nodes[1].heartbeat_seq)
         assert seqs == sorted(set(seqs)) == [1, 2, 3, 4, 5]
 
     def test_failover_reroutes_pending_work(self):
@@ -970,6 +965,15 @@ class TestSubmitInput:
         assert cluster.nodes == before and cluster.nodes[1].pending == 0
         assert cluster.submit_input(Modality.VISION, "person") == (1, 1)  # no msg id used up
 
+    @pytest.mark.parametrize("qos", [5, "realtime", None], ids=["int", "str", "none"])
+    def test_a_refused_qos_uses_no_message_id(self, qos):
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION})
+        with pytest.raises(InvalidArgument):
+            cluster.submit_input(Modality.VISION, "x", qos=qos)
+        assert cluster.nodes[1].pending == 0
+        assert cluster.submit_input(Modality.VISION, "person") == (1, 1)  # no msg id used up
+
     def test_the_payload_is_the_request_as_sorted_key_json(self):
         cluster = Cluster()
         cluster.add_node(1, set(Modality))
@@ -997,9 +1001,13 @@ class TestSubmitInput:
     lambda cluster: run_scenario(parse_scenario(DEMO_SCENARIO), "3"),
     lambda cluster: run_scenario(parse_scenario(DEMO_SCENARIO), 2.5),
     lambda cluster: run_scenario(parse_scenario(DEMO_SCENARIO), True),
+    lambda cluster: cluster.silence([1]),
+    lambda cluster: cluster.unsilence({}),
+    lambda cluster: cluster.checkpoint_node([1]),
 ], ids=["embed-int", "embed-lone-surrogate", "process-str", "process-int",
         "balance-str", "balance-list", "restore-none", "restore-tuple",
-        "timeout-str", "timeout-float", "timeout-bool", "ticks-str", "ticks-float", "ticks-bool"])
+        "timeout-str", "timeout-float", "timeout-bool", "ticks-str", "ticks-float", "ticks-bool",
+        "silence-list", "unsilence-dict", "checkpoint-list"])
 def test_the_cluster_path_refuses_bad_arguments_with_invalid_argument(call):
     cluster = Cluster()
     cluster.add_node(1, {Modality.VISION})
@@ -1195,15 +1203,14 @@ class ClusterModel(RuleBasedStateMachine):
     def heartbeat_tick(self, ticks, detect):
         """Advance some ticks; with detect, run detection after each one."""
         for _ in range(ticks):
-            beats = self._both("heartbeat_tick")
+            assert self._both("heartbeat_tick") is None
             self.tick += 1
-            expected = []
             for node_id in self._live():
                 if node_id not in self.silenced:
                     self.seq[node_id] += 1
                     self.last_beat[node_id] = self.tick
-                    expected.append(Heartbeat(node_id, self.seq[node_id], self.tick))
-            assert beats == expected
+            beats = {nid: (n.heartbeat_seq, n.last_heartbeat) for nid, n in self.cluster.nodes.items()}
+            assert beats == {nid: (self.seq[nid], self.last_beat[nid]) for nid in self.liveness}
             if detect:
                 self.detect_failures()
 

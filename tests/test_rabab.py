@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from neurokernel.errors import InvalidArgument, ResourceConsumed
+from neurokernel.errors import InvalidArgument, OutOfMemory, ResourceConsumed
 from neurokernel.rabab import (
     BLACK,
     RED,
@@ -213,7 +213,6 @@ class TestLinearResources:
         consumed = engine.allocate_linear("used")
         engine.consume_linear(consumed)
         assert engine.leaked_resources() == 1
-        assert engine.shutdown()["leaked"] == 1
 
     def test_foreign_resource_rejected(self):
         mine = RababEngine().allocate_linear("x")
@@ -292,6 +291,22 @@ class TestIntents:
         with pytest.raises(InvalidArgument):
             parse_intent(bad)
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: Framebuffer("4", 4), InvalidArgument),
+        (lambda: Framebuffer(4, 4.5), InvalidArgument),
+        (lambda: Framebuffer(True, 4), InvalidArgument),
+        (lambda: Framebuffer(0, 4), InvalidArgument),
+        (lambda: Framebuffer(10**30, 4), OutOfMemory),  # refused before any allocation
+        (lambda: Framebuffer(2**31, 2**31), OutOfMemory),
+        (lambda: Framebuffer(4, 4).get("x", 0), InvalidArgument),
+        (lambda: Framebuffer(4, 4).get(1.0, 0), InvalidArgument),
+        (lambda: interpret_intent(DrawPixel(True, 0, RED), Framebuffer(4, 4)), InvalidArgument),
+    ], ids=["width-str", "height-float", "width-bool", "width-zero", "overflow", "too-large",
+            "get-str", "get-float", "draw-bool"])
+    def test_bad_framebuffer_arguments_are_one_kernel_error(self, call, error):
+        with pytest.raises(error):
+            call()
+
     def test_ppm_output(self):
         fb = Framebuffer(2, 1)
         interpret_intent(DrawPixel(1, 0, RED), fb)
@@ -338,12 +353,21 @@ class TestPathCanonicalization:
             canonicalize_path([Translate(-2, 0), DrawPixel(1, 1, RED)], width=8, height=8)
 
     def test_canonical_form_reproduces_the_effect(self):
-        path = [Translate(1, 0), DrawPixel(1, 1, RED), Translate(0, 2), DrawPixel(1, 1, BLUE)]
-        direct = Framebuffer(8, 8)
-        apply_path(path, direct)
-        via_canonical = Framebuffer(8, 8)
-        apply_path(canonicalize_path(path, 8, 8), via_canonical)
-        assert direct.pixels() == via_canonical.pixels()
+        path = [Translate(1, 0), DrawPixel(1, 1, RED), Translate(0, 2), DrawPixel(1, 1, BLUE),
+                DrawPixel(0, 0, RED), DrawPixel(0, 0, BLUE)]
+        expected = [BLACK] * 64
+        expected[1 * 8 + 2], expected[3 * 8 + 2], expected[2 * 8 + 1] = RED, BLUE, BLUE
+        assert apply_path(path, Framebuffer(8, 8)).pixels() == expected
+        assert apply_path(canonicalize_path(path, 8, 8), Framebuffer(8, 8)).pixels() == expected
+
+    @pytest.mark.parametrize("bad", [DrawPixel(7, 0, RED), DrawPixel(0, 0, (256, 0, 0)),
+                                     DrawPixel(0.5, 0, RED), "draw"],
+                             ids=["out-of-bounds", "bad-color", "float", "unknown-op"])
+    def test_a_refused_path_draws_nothing(self, bad):
+        fb = Framebuffer(8, 8)
+        with pytest.raises(InvalidArgument):
+            apply_path([DrawPixel(1, 1, RED), Translate(1, 0), bad], fb)
+        assert fb.pixels() == [BLACK] * 64
 
     def test_inequivalent_paths_detected(self):
         assert not paths_equivalent([DrawPixel(1, 1, RED)], [DrawPixel(1, 2, RED)])
