@@ -94,7 +94,9 @@ class AccelDevice:
 
     def submit(self, task: AccelTask) -> int:
         """Validate and enqueue a task; returns its id. Execution is FIFO."""
-        a_shape, b_shape = tuple(task.a_shape), tuple(task.b_shape)
+        if not isinstance(task, AccelTask):
+            raise InvalidArgument(f"not an AccelTask: {task!r}")
+        a_shape, b_shape = _checked_shape(task.a_shape), _checked_shape(task.b_shape)
         self._check_region(task.a, _shape_bytes(a_shape), "input a")
         self._check_region(task.b, _shape_bytes(b_shape), "input b")
         if task.op is AccelOp.ELEMWISE_SUM:

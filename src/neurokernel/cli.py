@@ -4,7 +4,9 @@ Reports go to stdout as CSV (or a single result line); diagnostics go to
 stderr. Every subcommand that takes --seed is byte-reproducible for a
 fixed seed, except the wall-clock nanos column of matmul-bench, which is
 inherently timing. Exit codes: 0 success, 1 domain error (the kernel
-error kind is printed), 2 usage error.
+error kind is printed), 2 usage error. Script and config files are read as
+UTF-8 by ``config.read_text`` and split by ``config.directives``; a file
+that cannot be read is one InvalidArgument, so it exits 1.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ import operator
 import sys
 import time
 from functools import reduce
-from pathlib import Path
 from random import Random
 
 from .accel import AccelDevice, AccelOp, AccelTask
 from .compute import Opcode, simple_compute
-from .config import config_from, resolve_config
+from .config import config_from, directives, read_text, resolve_config
 from .errors import InvalidArgument, KernelError
 from .mempool import BlockPool, PoolConfig
 from .orchestrator.runner import DEMO_SCENARIO, parse_scenario, run_scenario
@@ -41,13 +42,6 @@ _OP_NAMES = {"add": Opcode.ADD, "sub": Opcode.SUBTRACT, "mul": Opcode.MULTIPLY, 
 
 def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
-
-
-def _read_file(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InvalidArgument(f"cannot read {path}: {exc}") from None
 
 
 def _cmd_compute(args) -> int:
@@ -83,10 +77,7 @@ def _cmd_matmul_bench(args) -> int:
 def _cmd_pool_demo(args) -> int:
     pool = BlockPool(config_from(PoolConfig, resolve_config(args.config)))
     handles: list = []
-    for lineno, raw in enumerate(_read_file(args.ops).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in directives(read_text(args.ops)):
         parts = line.split()
         try:
             if parts[0] == "alloc" and len(parts) == 2:
@@ -134,15 +125,12 @@ def _cmd_sched_sim(args) -> int:
                          deprioritize_threshold=args.threshold, quantum=args.quantum)
     sched = MlScheduler(config)
     tasks: dict[str, MlTask] = {}
-    for lineno, raw in enumerate(_read_file(args.tasks).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in directives(read_text(args.tasks)):
         parts = line.split()
         if len(parts) != 6 or parts[0] != "task" or parts[2] != "prio" or parts[4] != "cycles":
             raise InvalidArgument(f"tasks line {lineno}: expected 'task <id> prio <p> cycles <c>'")
-        try:
-            task = MlTask(parts[1], cycles_work(int(parts[5])), priority=int(parts[3]))
+        try:  # a quantum-sized step ends each slice where 1-cycle steps would
+            task = MlTask(parts[1], cycles_work(int(parts[5]), config.quantum), priority=int(parts[3]))
         except ValueError:
             raise InvalidArgument(f"tasks line {lineno}: malformed numbers") from None
         sched.enqueue(task)
@@ -159,7 +147,7 @@ def _cmd_sched_sim(args) -> int:
 
 
 def _cmd_orchestrate(args) -> int:
-    text = DEMO_SCENARIO if args.scenario == "demo" else _read_file(args.scenario)
+    text = DEMO_SCENARIO if args.scenario == "demo" else read_text(args.scenario)
     scenario = parse_scenario(text)
     events, summary, action = run_scenario(
         scenario, ticks=args.ticks, seed=args.seed, timeout_ticks=args.timeout

@@ -1,4 +1,7 @@
-"""Key-value configuration files.
+"""Key-value configuration files, and the one reader of every CLI input file.
+
+``read_text`` reads a config or script file as UTF-8, and ``directives``
+numbers its lines; each caller keeps its own grammar and messages.
 
 Format: one ``key = value`` pair per line, '#' starts a comment. Values
 are integers; ``large_page_classes`` takes a comma-separated list. The
@@ -17,6 +20,7 @@ from __future__ import annotations
 import os
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterator
 
 from .errors import InvalidArgument
 
@@ -29,12 +33,24 @@ _KEYS = frozenset({
 })
 
 
-def parse_config(text: str) -> dict:
-    values: dict[str, int | tuple[int, ...]] = {}
+def read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidArgument(f"cannot read {path}: {exc}") from None
+
+
+def directives(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line left non-blank once its '#' comment is cut."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield lineno, line
+
+
+def parse_config(text: str) -> dict:
+    values: dict[str, int | tuple[int, ...]] = {}
+    for lineno, line in directives(text):
         key, sep, value = line.partition("=")
         if not sep:
             raise InvalidArgument(f"config line {lineno}: expected 'key = value'")
@@ -56,17 +72,10 @@ def parse_config(text: str) -> dict:
     return values
 
 
-def load_config(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.is_file():
-        raise InvalidArgument(f"config file {path} does not exist")
-    return parse_config(path.read_text(encoding="utf-8"))
-
-
 def resolve_config(cli_path: str | None) -> dict:
     """CLI flag wins over the environment variable; absent both is empty."""
     path = cli_path or os.environ.get(ENV_VAR)
-    return load_config(path) if path else {}
+    return parse_config(read_text(path)) if path else {}
 
 
 def config_from(config_type, values: dict, **flags):

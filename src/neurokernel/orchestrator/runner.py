@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
+from ..config import directives
 from ..errors import InvalidArgument, NodeUnreachable, check_count
 from .cluster import Cluster, Liveness
 from .fusion import Modality, decide, fuse
@@ -43,10 +44,7 @@ class Scenario:
 
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in directives(text):
         parts = line.split()
         try:
             if parts[0] == "node" and len(parts) == 3:

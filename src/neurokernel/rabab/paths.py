@@ -147,33 +147,33 @@ def canonicalize_path(
 ) -> tuple[DrawPixel, ...]:
     """Reduce a path to its normal form: folded, shadow-free, raster-ordered draws.
 
-    Raises InvalidArgument when folding the translations pushes a draw out
+    Raises InvalidArgument when a coordinate, a delta or the size is not an
+    int (a bool is not), or when folding the translations pushes a draw out
     of bounds, since running that path would fault the same way.
     """
+    check_count(width, "path width")
+    check_count(height, "path height")
     tx = ty = 0
-    final: dict[tuple[int, int], Color] = {}
+    final: dict[tuple[int, int], Color] = {}  # keyed (y, x), so sorted keys are raster order
     for op in path:
         if isinstance(op, Identity):
             continue
         if isinstance(op, Translate):
+            if type(op.dx) is not int or type(op.dy) is not int:
+                raise InvalidArgument(f"translation deltas must be ints, got ({op.dx!r}, {op.dy!r})")
             tx += op.dx
             ty += op.dy
             continue
         if isinstance(op, DrawPixel):
+            if type(op.x) is not int or type(op.y) is not int:
+                raise InvalidArgument(f"draw coordinates must be ints, got ({op.x!r}, {op.y!r})")
             x, y = op.x + tx, op.y + ty
-            if type(x) is not int or type(y) is not int or not (0 <= x < width and 0 <= y < height):
-                raise InvalidArgument(
-                    f"folded draw at ({x}, {y}) is outside {width}x{height}"
-                )
-            final[(x, y)] = _check_color(op.color)
+            if not (0 <= x < width and 0 <= y < height):
+                raise InvalidArgument(f"folded draw at ({x}, {y}) is outside {width}x{height}")
+            final[(y, x)] = _check_color(op.color)
             continue
         raise InvalidArgument(f"unknown path op {op!r}")
-    return tuple(
-        DrawPixel(x, y, color)
-        for (y, x), color in sorted(
-            ((y, x), c) for (x, y), c in final.items()
-        )
-    )
+    return tuple(DrawPixel(x, y, final[y, x]) for y, x in sorted(final))
 
 
 def paths_equivalent(

@@ -240,10 +240,21 @@ def test_the_offload_layers_refuse_bad_counts_with_invalid_argument(call):
     lambda dev, region: dev.write_tensor(region, [1.0]),
     lambda dev, region: dev.read_tensor(region, None),
     lambda dev, region: dev.read_tensor(region, ("1",)),
+    lambda dev, region: dev.submit(None),
+    lambda dev, region: dev.submit(AccelTask(AccelOp.ELEMWISE_SUM, region, ("a", 1),
+                                             region, ("a", 1), region)),
+    lambda dev, region: dev.submit(AccelTask(AccelOp.ELEMWISE_SUM, region, (0.5, 2),
+                                             region, (0.5, 2), region)),
+    lambda dev, region: dev.submit(AccelTask(AccelOp.MATMUL, region, (True, 1),
+                                             region, (1, 1), region)),
+    lambda dev, region: dev.submit(AccelTask(AccelOp.MATMUL, region, (1, 1),
+                                             region, (1, True), region)),
 ], ids=["read-none-region", "write-none-region", "write-none", "write-list",
-        "read-none-shape", "read-str-shape"])
+        "read-none-shape", "read-str-shape", "submit-none", "submit-str-shape",
+        "submit-float-shape", "submit-bool-shape-a", "submit-bool-shape-b"])
 def test_staging_refuses_what_is_not_a_region_tensor_or_shape(call):
     dev, (region,) = loaded_device(Tensor.vector([2.0]))
     with pytest.raises(InvalidArgument):
         call(dev, region)
+    assert dev.execute_next() is None  # nothing was queued
     assert dev.read_tensor(region, (1,)) == Tensor.vector([2.0])

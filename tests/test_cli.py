@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import neurokernel
 from neurokernel.cli import main
-from neurokernel.config import ENV_VAR, config_from, parse_config
+from neurokernel.config import ENV_VAR, config_from, directives, parse_config
 from neurokernel.errors import InvalidArgument
 from neurokernel.mempool import PoolConfig
 from neurokernel.scheduler import SchedulerConfig
@@ -160,6 +166,51 @@ class TestSchedSim:
         assert code == 0
         assert out.strip().splitlines()[1] == "hog,1,20,50"
 
+    def test_full_scale_threshold_runs_in_bounded_time(self, tmp_path):
+        """README's full-scale config with a task past the 1e9-cycle threshold, in a fresh process."""
+        tasks = tmp_path / "tasks.txt"
+        tasks.write_text("task big prio 10 cycles 2000000000\ntask small prio 10 cycles 5000\n")
+        config = tmp_path / "full.conf"
+        config.write_text(
+            "pool_bytes = 536870912\nlarge_page_classes = 2097152, 1073741824\n"
+            "deprioritize_threshold = 1000000000\nquantum = 10000\n"
+        )
+        src = str(Path(neurokernel.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        env.pop(ENV_VAR, None)
+        done = subprocess.run(
+            [sys.executable, "-m", "neurokernel.cli", "sched-sim", "--tasks", str(tasks),
+             "--config", str(config)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (
+            "task_id,completion_index,final_priority,consumed_cycles\n"
+            "small,1,10,5000\nbig,2,20,2000000000\n"
+        )
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("argv", [
+        ["pool-demo", "--ops", "{bad}"],
+        ["sched-sim", "--tasks", "{bad}"],
+        ["orchestrate", "--ticks", "1", "--scenario", "{bad}"],
+        ["pool-demo", "--ops", "{good}", "--config", "{bad}"],
+    ], ids=["ops", "tasks", "scenario", "config"])
+    @pytest.mark.parametrize("content", [b"\xffalloc 1\n", None], ids=["not-utf8", "missing"])
+    def test_an_unreadable_file_is_one_invalid_argument_line(self, capsys, tmp_path, monkeypatch,
+                                                             argv, content):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("alloc 1\n")
+        if content is not None:
+            bad.write_bytes(content)
+        code, out, err = run(capsys, *(a.format(good=good, bad=bad) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"InvalidArgument: cannot read {bad}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestOrchestrate:
     def test_demo_scenario_emits_exact_strings(self, capsys):
@@ -231,6 +282,10 @@ class TestConfigParsing:
         values = parse_config("quantum = 5\nbatch_size = 2\npool_bytes = 8\n")
         cfg = config_from(SchedulerConfig, values, quantum=7, deprioritize_threshold=None)
         assert cfg == SchedulerConfig(batch_size=2, quantum=7)
+
+    def test_directives_number_lines_and_drop_comments_and_blanks(self):
+        text = "# head\n  alloc 1  # trailing\n\n   \n\tfree 1\nlpage#x\n#"
+        assert list(directives(text)) == [(2, "alloc 1"), (5, "free 1"), (6, "lpage")]
 
     def test_malformed_line_rejected(self):
         with pytest.raises(Exception):

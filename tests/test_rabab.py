@@ -301,8 +301,12 @@ class TestIntents:
         (lambda: Framebuffer(4, 4).get("x", 0), InvalidArgument),
         (lambda: Framebuffer(4, 4).get(1.0, 0), InvalidArgument),
         (lambda: interpret_intent(DrawPixel(True, 0, RED), Framebuffer(4, 4)), InvalidArgument),
+        (lambda: canonicalize_path([DrawPixel(0, 0, RED)], "8", 8), InvalidArgument),
+        (lambda: canonicalize_path([DrawPixel(0, 0, RED)], 8, 8.0), InvalidArgument),
+        (lambda: canonicalize_path([DrawPixel(0, 0, RED)], True, 8), InvalidArgument),
     ], ids=["width-str", "height-float", "width-bool", "width-zero", "overflow", "too-large",
-            "get-str", "get-float", "draw-bool"])
+            "get-str", "get-float", "draw-bool", "path-width-str", "path-height-float",
+            "path-width-bool"])
     def test_bad_framebuffer_arguments_are_one_kernel_error(self, call, error):
         with pytest.raises(error):
             call()
@@ -361,8 +365,11 @@ class TestPathCanonicalization:
         assert apply_path(canonicalize_path(path, 8, 8), Framebuffer(8, 8)).pixels() == expected
 
     @pytest.mark.parametrize("bad", [DrawPixel(7, 0, RED), DrawPixel(0, 0, (256, 0, 0)),
-                                     DrawPixel(0.5, 0, RED), "draw"],
-                             ids=["out-of-bounds", "bad-color", "float", "unknown-op"])
+                                     DrawPixel(0.5, 0, RED), DrawPixel(True, 0, RED),
+                                     DrawPixel("1", 0, RED), Translate(True, 0),
+                                     Translate(0, 0.5), "draw"],
+                             ids=["out-of-bounds", "bad-color", "float", "bool", "str",
+                                  "translate-bool", "translate-float", "unknown-op"])
     def test_a_refused_path_draws_nothing(self, bad):
         fb = Framebuffer(8, 8)
         with pytest.raises(InvalidArgument):

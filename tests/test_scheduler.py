@@ -3,7 +3,7 @@ import time
 from random import Random
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from neurokernel.errors import InvalidArgument, KernelError, Overflow, ShapeMismatch, TaskFault
@@ -217,6 +217,26 @@ class TestWorkBuilders:
     def test_cycles_work_validates(self):
         with pytest.raises(InvalidArgument):
             cycles_work(0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 200)), min_size=1, max_size=8),
+           st.integers(1, 50), st.integers(1, 300), st.integers(1, 5))
+    def test_quantum_sized_chunks_schedule_like_one_cycle_steps(self, tasks, quantum, threshold,
+                                                               batch):
+        """sched-sim's quantum-sized steps against the 1-cycle oracle."""
+        def run(chunk):
+            sched = MlScheduler(SchedulerConfig(deprioritize_threshold=threshold,
+                                                batch_size=batch, quantum=quantum))
+            queued = [MlTask(i, cycles_work(cycles, chunk), priority=prio)
+                      for i, (prio, cycles) in enumerate(tasks)]
+            for task in queued:
+                sched.enqueue(task)
+            completed = []
+            while len(sched):
+                completed.extend(sched.batch_execute(batch))
+            return completed, [(t.priority, t.consumed_cycles) for t in queued]
+
+        assert run(quantum) == run(1)
 
     def test_zero_cost_steps_rejected(self):
         def bad_work(ctx):
