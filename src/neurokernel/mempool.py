@@ -109,12 +109,9 @@ class BlockPool:
 
     def bitmap_hex(self) -> str:
         """Bitmap packed MSB-first, so the hex string reads in block order."""
-        bits = self.bitmap()
-        out = bytearray((len(bits) + 7) // 8)
-        for i, bit in enumerate(bits):
-            if bit:
-                out[i // 8] |= 0x80 >> (i % 8)
-        return out.hex()
+        with self._lock:  # one binary digit per block; the shift pads the last byte with zeros
+            digits = self._bitmap.translate(bytes.maketrans(b"\x00\x01", b"01"))
+        return (int(digits, 2) << -len(digits) % 8).to_bytes((len(digits) + 7) // 8, "big").hex()
 
     # -- allocation -------------------------------------------------------
 

@@ -13,6 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 
 from ..errors import InvalidArgument, NodeUnreachable, check_count
 from .envelope import CURRENT_VERSION, MessageEnvelope, QoS, decode, encode
@@ -37,11 +38,10 @@ class Checkpoint:
     snapshot: bytes
 
 
-# The canonical snapshot encoding; the same options as
-# json.dumps(state, sort_keys=True, separators=(",", ":")).
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# The request payload encoding, json.dumps(request, sort_keys=True), built once.
-_REQUEST = json.JSONEncoder(sort_keys=True)
+# Each modality's '"<value>":[' key in a snapshot's "latest", in sorted key order.
+_LATEST_KEYS = tuple((m, _json_str(m.value) + ":[") for m in sorted(Modality, key=lambda m: m.value))
+# Each modality's request payload up to the tag: json.dumps(request, sort_keys=True).
+_REQUEST_HEADS = {m: f'{{"modality": {_json_str(m.value)}, "tag": ' for m in Modality}
 
 
 class Node:
@@ -71,6 +71,9 @@ class Node:
         except TypeError:
             raise InvalidArgument(f"modalities must be a set of Modality, got {modalities!r}") from None
         self.id = node_id
+        # What follows the metrics in every snapshot: id and modalities never change.
+        served = ",".join(_json_str(value) for value in sorted(m.value for m in self.modalities))
+        self._snapshot_tail = f',"modalities":[{served}],"node_id":{node_id}}}'
         self.liveness = Liveness.ALIVE
         self.silenced = False
         self.last_heartbeat = 0
@@ -88,13 +91,20 @@ class Node:
 
         A sample is an int or float (not a bool) in [0, 1].
         """
-        sample = (cpu, mem, io)
-        for value in sample:
-            if type(value) not in _SAMPLE_TYPES or not 0.0 <= value <= 1.0:
-                raise InvalidArgument(f"metric sample {sample!r} is not three numbers in [0, 1]")
+        if not (type(cpu) in _SAMPLE_TYPES and type(mem) in _SAMPLE_TYPES and type(io) in _SAMPLE_TYPES
+                and 0.0 <= cpu <= 1.0 and 0.0 <= mem <= 1.0 and 0.0 <= io <= 1.0):
+            raise InvalidArgument(f"metric sample {(cpu, mem, io)!r} is not three numbers in [0, 1]")
+        windows = cpus, mems, ios = self._metrics.values()
+        cpus.append(cpu)
+        mems.append(mem)
+        ios.append(io)
+        if len(cpus) == METRIC_WINDOW:  # the loop below, unrolled, with LOAD_WEIGHTS
+            (c0, c1, c2), (m0, m1, m2), (i0, i1, i2) = windows
+            self._load = (0.0 + 0.5 * ((0.0 + c0 + c1 + c2) / 3) + 0.3 * ((0.0 + m0 + m1 + m2) / 3)
+                          + 0.2 * ((0.0 + i0 + i1 + i2) / 3))
+            return
         load = 0.0
-        for weight, window, value in zip(LOAD_WEIGHTS, self._metrics.values(), sample):
-            window.append(value)
+        for weight, window in zip(LOAD_WEIGHTS, windows):
             total = 0.0  # left to right: from Python 3.12, sum() compensates rounding
             for x in window:
                 total += x
@@ -137,15 +147,17 @@ class Node:
         ``json.dumps(state, sort_keys=True, separators=(",", ":"))`` of the
         id, modalities, heartbeat number, metric windows and, per modality,
         the latest ``[tick, tag, label]``. Output vectors are not stored:
-        they are a function of the modality and tag.
+        they are a function of the modality and tag. Written directly, as
+        that encoder would: strings escaped to ASCII, ints by str, samples by repr.
         """
-        return _CANONICAL.encode({
-            "heartbeat_seq": self.heartbeat_seq,
-            "latest": {m.value: entry for m, entry in self.latest.items()},
-            "metrics": {name: list(window) for name, window in self._metrics.items()},
-            "modalities": sorted(m.value for m in self.modalities),
-            "node_id": self.id,
-        }).encode()
+        cpus, mems, ios = self._metrics.values()
+        return "".join((
+            '{"heartbeat_seq":', str(self.heartbeat_seq), ',"latest":{',
+            ",".join([f"{key}{entry[0]},{_json_str(entry[1])},{_json_str(entry[2])}]"
+                      for m, key in _LATEST_KEYS if (entry := self.latest.get(m)) is not None]),
+            '},"metrics":{"cpu":[', ",".join(map(repr, cpus)), '],"io":[', ",".join(map(repr, ios)),
+            '],"mem":[', ",".join(map(repr, mems)), "]}", self._snapshot_tail,
+        )).encode()
 
     @classmethod
     def from_snapshot(cls, snapshot: bytes, node_id: int, as_id: int, now: int) -> Node:
@@ -317,7 +329,7 @@ class Cluster:
         except ValueError:
             raise InvalidArgument(f"unknown qos {qos!r}") from None
         target = self.balance_load(modality)
-        payload = _REQUEST.encode({"modality": modality.value, "tag": tag}).encode("utf-8")
+        payload = f"{_REQUEST_HEADS[modality]}{_json_str(tag)}}}".encode()
         env = MessageEnvelope(
             msg_id=next(self._next_msg_id), source=COORDINATOR_ID, dest=target,
             payload=payload, qos=qos, version=CURRENT_VERSION,

@@ -52,6 +52,8 @@ def _check_range(name: str, value: int, limit: int) -> None:
 
 
 def encode(env: MessageEnvelope) -> bytes:
+    if not isinstance(env, MessageEnvelope):
+        raise InvalidArgument(f"not a message envelope: {env!r}")
     if not 1 <= env.version <= CURRENT_VERSION:
         raise InvalidArgument(
             f"cannot encode version {env.version}; current version is {CURRENT_VERSION}"
@@ -73,6 +75,8 @@ def encode(env: MessageEnvelope) -> bytes:
 def decode(data: bytes) -> MessageEnvelope:
     """Parse a frame; structural faults are InvalidArgument, integrity
     faults ChecksumMismatch."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise InvalidArgument(f"a frame is bytes, got {data!r}")
     if len(data) < _HEADER.size + _CRC.size:
         raise InvalidArgument(f"frame truncated at {len(data)} bytes")
     magic, version, qos_raw, msg_id, source, dest, payload_len = _HEADER.unpack_from(data)

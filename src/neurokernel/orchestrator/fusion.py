@@ -100,6 +100,8 @@ def fuse(outputs: Mapping[Modality, tuple[str, Sequence[float]]]) -> FusedRepres
 
 def decide(fused: FusedRepresentation) -> str:
     """Map a fused summary through the fixed rule table; first match wins."""
+    if not isinstance(fused, FusedRepresentation):
+        raise InvalidArgument(f"not a fused representation: {fused!r}")
     for keywords, action in _DECISION_RULES:
         if all(k in fused.summary for k in keywords):
             return action

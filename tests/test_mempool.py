@@ -2,7 +2,7 @@ import time
 from random import Random
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, consumes, invariant, multiple, rule
 
 from neurokernel.errors import InvalidArgument, OutOfMemory
@@ -274,11 +274,31 @@ class TestFullScale:
             small_pool().alloc(10**15)
 
 
+def _packed_hex(bits) -> str:
+    """The map packed MSB-first by a loop over the blocks, as hex: the oracle."""
+    out = bytearray((len(bits) + 7) // 8)
+    for i, bit in enumerate(bits):
+        if bit:
+            out[i // 8] |= 0x80 >> (i % 8)
+    return out.hex()
+
+
 class TestBitmapHex:
     def test_msb_first_packing(self):
         pool = small_pool(blocks=8)
         pool.alloc(4)
         assert pool.bitmap_hex() == "f0"
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=200).filter(lambda bits: len(bits) % 8))
+    @settings(deadline=None)
+    def test_matches_the_per_block_loop(self, allocated):
+        pool = small_pool(blocks=len(allocated))
+        handles = [pool.alloc(1) for _ in allocated]
+        for handle, keep in zip(handles, allocated):
+            if not keep:
+                pool.free(handle)
+        assert pool.bitmap() == tuple(allocated)
+        assert pool.bitmap_hex() == _packed_hex(allocated)
 
 
 class TestSharedBuffer:

@@ -690,6 +690,78 @@ class TestSnapshotFuzz:
         _restore_or_refuse(cluster, Checkpoint(1, chk.seq, bytes(mutated[:cut])), target_id)
 
 
+# Text the canonical encoder escapes or passes through: quotes, backslashes,
+# control characters, non-ASCII and astral characters. No lone surrogates:
+# a tag must encode as UTF-8.
+_escaped_text = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\t\n é日 \U0001F600') | st.characters(blacklist_categories=("Cs",)),
+    min_size=1, max_size=8)
+# Samples push_metrics accepts, with the exact ints and the negative zero.
+_samples = st.tuples(*[st.sampled_from([0, 1, -0.0, 0.0, 1.0]) | st.floats(0.0, 1.0)] * 3)
+
+
+def _state(node) -> dict:
+    """The state a snapshot holds, read off the node: what the json.dumps oracle encodes."""
+    return {
+        "heartbeat_seq": node.heartbeat_seq,
+        "latest": {m.value: list(entry) for m, entry in node.latest.items()},
+        "metrics": {name: list(window) for name, window in node._metrics.items()},
+        "modalities": sorted(m.value for m in node.modalities),
+        "node_id": node.id,
+    }
+
+
+class TestFastPathsMatchTheirOracles:
+    """Snapshot, load and request payload are written by hand; json.dumps and loops are the oracles."""
+
+    @given(_served, st.integers(1, 3), st.lists(_samples, max_size=5),
+           st.lists(st.tuples(st.integers(0, 3), _escaped_text), max_size=6), st.integers(3, 2**32 - 1))
+    @settings(deadline=None)
+    def test_snapshot_is_the_canonical_json_dumps(self, served, beats, samples, inputs, new_id):
+        cluster = _two_nodes(served)
+        node = cluster.nodes[1]
+        for _ in range(beats):
+            cluster.heartbeat_tick()
+        assert node.snapshot() == _canonical(_state(node))
+        for sample in samples:
+            node.push_metrics(*sample)
+            assert node.snapshot() == _canonical(_state(node))
+        for index, tag in inputs:
+            cluster.heartbeat_tick()
+            cluster.submit_input(served[index % len(served)], tag)
+            cluster.process_step()
+            assert node.snapshot() == _canonical(_state(node))
+        chk = cluster.checkpoint_node(1)
+        for target_id in (None, new_id):
+            restored = cluster.restore_node(chk, target_id=target_id)
+            assert restored.snapshot() == _canonical(_state(restored))
+
+    @given(st.lists(_samples, min_size=1, max_size=7), st.data())
+    @settings(deadline=None)
+    def test_load_is_bit_identical_to_three_left_to_right_loops(self, samples, data):
+        node = Node(1, {Modality.VISION})
+        for count, sample in enumerate(samples, 1):
+            node.push_metrics(*sample)
+            windows = [[s[k] for s in samples[max(0, count - 3):count]] for k in range(3)]
+            assert node.predicted_load().hex() == _load(windows).hex()
+            bad = list(sample)
+            bad[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from([1.5, -0.1, math.nan, True, None, "0"]))
+            before = node.snapshot()
+            with pytest.raises(InvalidArgument) as refused:
+                node.push_metrics(*bad)
+            assert refused.value.detail == f"metric sample {tuple(bad)!r} is not three numbers in [0, 1]"
+            assert node.snapshot() == before and node.predicted_load().hex() == _load(windows).hex()
+
+    @given(st.sampled_from(list(Modality)), _escaped_text, st.sampled_from(list(QoS)))
+    @settings(deadline=None)
+    def test_request_payload_is_the_sorted_key_json_dumps(self, modality, tag, qos):
+        cluster = Cluster()
+        cluster.add_node(1, set(Modality))
+        cluster.submit_input(modality, tag, qos)
+        (env,) = cluster.nodes[1].drain_inbox()
+        assert env.payload == json.dumps({"modality": modality.value, "tag": tag}, sort_keys=True).encode("utf-8")
+
+
 class TestLoadBalancer:
     def test_low_load_node_wins(self):
         cluster = Cluster()
@@ -1004,10 +1076,13 @@ class TestSubmitInput:
     lambda cluster: cluster.silence([1]),
     lambda cluster: cluster.unsilence({}),
     lambda cluster: cluster.checkpoint_node([1]),
+    lambda cluster: encode(None),
+    lambda cluster: decode(None),
+    lambda cluster: decide(None),
 ], ids=["embed-int", "embed-lone-surrogate", "process-str", "process-int",
         "balance-str", "balance-list", "restore-none", "restore-tuple",
         "timeout-str", "timeout-float", "timeout-bool", "ticks-str", "ticks-float", "ticks-bool",
-        "silence-list", "unsilence-dict", "checkpoint-list"])
+        "silence-list", "unsilence-dict", "checkpoint-list", "encode-none", "decode-none", "decide-none"])
 def test_the_cluster_path_refuses_bad_arguments_with_invalid_argument(call):
     cluster = Cluster()
     cluster.add_node(1, {Modality.VISION})
