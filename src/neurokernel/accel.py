@@ -9,13 +9,12 @@ oracle, since there is no real hardware behind it.
 from __future__ import annotations
 
 import itertools
-import threading
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
-from .errors import DeviceBusy, InvalidArgument, OutOfMemory, check_count
+from .errors import InvalidArgument, OutOfMemory, check_count
 from .tensor import Tensor, _checked_shape, elementwise_sum, matmul_naive
 
 DEVICE_BUFFER_BYTES = 1024 * 1024
@@ -66,21 +65,18 @@ class AccelDevice:
         self._queue: deque[tuple[int, AccelTask]] = deque()
         self._next_region = itertools.count(1)
         self._next_task = itertools.count(1)
-        self._busy = False
-        self._lock = threading.Lock()
 
     def allocate(self, size: int) -> AccelRegion:
         """The next region of the device buffer: it starts at the bump offset."""
         check_count(size, "region size")
-        with self._lock:
-            if DEVICE_BUFFER_BYTES - self._used < size:
-                raise OutOfMemory(
-                    f"no {size}-byte region free in the {DEVICE_BUFFER_BYTES}-byte buffer"
-                )
-            region = AccelRegion(next(self._next_region), self._used, size, self._device_id)
-            self._used += size
-            self._regions[region.id] = region
-            return region
+        if DEVICE_BUFFER_BYTES - self._used < size:
+            raise OutOfMemory(
+                f"no {size}-byte region free in the {DEVICE_BUFFER_BYTES}-byte buffer"
+            )
+        region = AccelRegion(next(self._next_region), self._used, size, self._device_id)
+        self._used += size
+        self._regions[region.id] = region
+        return region
 
     def _check_region(self, region: AccelRegion, needed: int, role: str) -> None:
         if not isinstance(region, AccelRegion):
@@ -114,35 +110,29 @@ class AccelDevice:
         else:
             raise InvalidArgument(f"unknown device op {task.op!r}")
         self._check_region(task.out, _shape_bytes(out_shape), "output")
-        with self._lock:
-            task_id = next(self._next_task)
-            self._queue.append((task_id, task))
-            return task_id
+        task_id = next(self._next_task)
+        self._queue.append((task_id, task))
+        return task_id
 
     def execute_next(self) -> int | None:
         """Run the FIFO head to completion in-device; returns its id.
 
-        Returns None when the queue is empty. Raises DeviceBusy if another
-        execution is mid-flight: the device has a single task context.
+        Returns None when the queue is empty. A device has one calling
+        thread, so a task runs to its end before the next call can start.
+        A task that raises has already left the queue: the next call runs
+        the task after it.
         """
-        with self._lock:
-            if self._busy:
-                raise DeviceBusy("a task is already executing")
-            if not self._queue:
-                return None
-            self._busy = True
-            task_id, task = self._queue.popleft()
-        try:
-            a = self._read(task.a, tuple(task.a_shape))
-            b = self._read(task.b, tuple(task.b_shape))
-            if task.op is AccelOp.ELEMWISE_SUM:
-                result = elementwise_sum(a, b)
-            else:
-                result = matmul_naive(a, b)
-            raw = result.tobytes()
-            self._buffer[task.out.offset : task.out.offset + len(raw)] = raw
-        finally:
-            self._busy = False
+        if not self._queue:
+            return None
+        task_id, task = self._queue.popleft()
+        a = self._read(task.a, tuple(task.a_shape))
+        b = self._read(task.b, tuple(task.b_shape))
+        if task.op is AccelOp.ELEMWISE_SUM:
+            result = elementwise_sum(a, b)
+        else:
+            result = matmul_naive(a, b)
+        raw = result.tobytes()
+        self._buffer[task.out.offset : task.out.offset + len(raw)] = raw
         return task_id
 
     def _read(self, region: AccelRegion, shape: tuple[int, ...]) -> Tensor:

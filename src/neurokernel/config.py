@@ -42,6 +42,8 @@ def read_text(path: str | Path) -> str:
 
 def directives(text: str) -> Iterator[tuple[int, str]]:
     """(line number, line) for each line left non-blank once its '#' comment is cut."""
+    if not isinstance(text, str):
+        raise InvalidArgument(f"config or script text must be a str, got {type(text).__name__}")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:

@@ -74,7 +74,11 @@ class ResourceConsumed(KernelError):
 
 
 class DeviceBusy(KernelError):
-    """The accelerator already has a task mid-flight."""
+    """The accelerator already has a task mid-flight.
+
+    Nothing in the package raises it now that a device has one calling
+    thread; it stays exported until the benchmark harness stops importing it.
+    """
 
     kind = "DeviceBusy"
 

@@ -15,7 +15,6 @@ interchange.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 
 from .errors import InvalidArgument, OutOfMemory, check_count
@@ -81,7 +80,6 @@ class BlockPool:
         self._ledger: dict[int, tuple[int, int]] = {}
         self._written: set[int] = set()  # ids of live handles whose storage write() changed
         self._next_handle = itertools.count(1)
-        self._lock = threading.Lock()
 
     # -- stats ------------------------------------------------------------
 
@@ -104,13 +102,12 @@ class BlockPool:
 
     def bitmap(self) -> tuple[bool, ...]:
         """Snapshot of the allocation map; True means allocated."""
-        with self._lock:
-            return tuple(map(bool, self._bitmap))
+        return tuple(map(bool, self._bitmap))
 
     def bitmap_hex(self) -> str:
         """Bitmap packed MSB-first, so the hex string reads in block order."""
-        with self._lock:  # one binary digit per block; the shift pads the last byte with zeros
-            digits = self._bitmap.translate(bytes.maketrans(b"\x00\x01", b"01"))
+        # One binary digit per block; the shift pads the last byte with zeros.
+        digits = self._bitmap.translate(bytes.maketrans(b"\x00\x01", b"01"))
         return (int(digits, 2) << -len(digits) % 8).to_bytes((len(digits) + 7) // 8, "big").hex()
 
     # -- allocation -------------------------------------------------------
@@ -136,14 +133,13 @@ class BlockPool:
     def alloc(self, n_blocks: int) -> BlockHandle:
         """First-fit allocation of a contiguous run; contents read as zero."""
         check_count(n_blocks, "n_blocks")
-        with self._lock:
-            first = self._find_run(n_blocks)
-            if first is None:
-                raise OutOfMemory(
-                    f"no contiguous run of {n_blocks} free blocks "
-                    f"({self.total_blocks - self._allocated} free in total)"
-                )
-            return self._take_run(first, n_blocks)
+        first = self._find_run(n_blocks)
+        if first is None:
+            raise OutOfMemory(
+                f"no contiguous run of {n_blocks} free blocks "
+                f"({self.total_blocks - self._allocated} free in total)"
+            )
+        return self._take_run(first, n_blocks)
 
     def alloc_large_page(self, class_bytes: int) -> BlockHandle:
         """Allocate one large page: a class-aligned run of class/block blocks."""
@@ -153,13 +149,12 @@ class BlockPool:
                 f"{self.config.large_page_classes}"
             )
         n_blocks = class_bytes // self.config.block_bytes
-        with self._lock:
-            first = self._find_run(n_blocks, align_blocks=n_blocks)
-            if first is None:
-                raise OutOfMemory(
-                    f"no {class_bytes}-aligned run of {n_blocks} free blocks"
-                )
-            return self._take_run(first, n_blocks)
+        first = self._find_run(n_blocks, align_blocks=n_blocks)
+        if first is None:
+            raise OutOfMemory(
+                f"no {class_bytes}-aligned run of {n_blocks} free blocks"
+            )
+        return self._take_run(first, n_blocks)
 
     def _entry(self, handle: BlockHandle) -> tuple[int, int]:
         """(first block, block count) of a handle live in this pool."""
@@ -174,16 +169,15 @@ class BlockPool:
 
     def free(self, handle: BlockHandle) -> None:
         """Release a live handle; blocks it wrote are zeroed, so free storage stays zero."""
-        with self._lock:
-            first, n_blocks = self._entry(handle)
-            self._bitmap[first : first + n_blocks] = bytes(n_blocks)
-            self._allocated -= n_blocks
-            if handle.id in self._written:
-                self._written.remove(handle.id)
-                bb = self.config.block_bytes
-                start = first * bb
-                self._storage[start : start + n_blocks * bb] = bytes(n_blocks * bb)
-            del self._ledger[handle.id]
+        first, n_blocks = self._entry(handle)
+        self._bitmap[first : first + n_blocks] = bytes(n_blocks)
+        self._allocated -= n_blocks
+        if handle.id in self._written:
+            self._written.remove(handle.id)
+            bb = self.config.block_bytes
+            start = first * bb
+            self._storage[start : start + n_blocks * bb] = bytes(n_blocks * bb)
+        del self._ledger[handle.id]
 
     # -- data access ------------------------------------------------------
 
@@ -201,17 +195,15 @@ class BlockPool:
         return first * self.config.block_bytes + offset, length
 
     def read(self, handle: BlockHandle, offset: int = 0, length: int | None = None) -> bytes:
-        with self._lock:
-            start, length = self._span(handle, offset, length)
-            return bytes(self._storage[start : start + length])
+        start, length = self._span(handle, offset, length)
+        return bytes(self._storage[start : start + length])
 
     def write(self, handle: BlockHandle, offset: int, data: bytes) -> None:
         if not isinstance(data, (bytes, bytearray)):
             raise InvalidArgument(f"data must be bytes, got {type(data).__name__}")
-        with self._lock:
-            start, length = self._span(handle, offset, len(data))
-            self._storage[start : start + length] = data
-            self._written.add(handle.id)
+        start, length = self._span(handle, offset, len(data))
+        self._storage[start : start + length] = data
+        self._written.add(handle.id)
 
 
 class SharedBufferView:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
@@ -137,7 +136,6 @@ class MlScheduler:
         self._queue: list[tuple[int, int, MlTask]] = []  # heap of (priority, seq, task)
         self._queued: set = set()  # ids of the tasks in _queue
         self._seqs = itertools.count()
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -159,24 +157,22 @@ class MlScheduler:
     def _push(self, entry: tuple[int, int, MlTask]) -> None:
         """Queue a task under its (priority, seq) key; the seq breaks ties FIFO."""
         task = entry[2]
-        with self._lock:
-            try:
-                queued = task.id in self._queued
-            except TypeError:
-                raise InvalidArgument(f"task id {task.id!r} is not hashable") from None
-            if queued:
-                raise InvalidArgument(f"task id {task.id!r} is already queued")
-            heapq.heappush(self._queue, entry)
-            self._queued.add(task.id)
+        try:
+            queued = task.id in self._queued
+        except TypeError:
+            raise InvalidArgument(f"task id {task.id!r} is not hashable") from None
+        if queued:
+            raise InvalidArgument(f"task id {task.id!r} is already queued")
+        heapq.heappush(self._queue, entry)
+        self._queued.add(task.id)
 
     def dequeue(self) -> MlTask | None:
         """Pop the lowest-priority-value task, FIFO among ties; None if empty."""
-        with self._lock:
-            if not self._queue:
-                return None
-            task = heapq.heappop(self._queue)[2]
-            self._queued.discard(task.id)
-            return task
+        if not self._queue:
+            return None
+        task = heapq.heappop(self._queue)[2]
+        self._queued.discard(task.id)
+        return task
 
     # -- execution --------------------------------------------------------
 
@@ -193,9 +189,8 @@ class MlScheduler:
         the original exception, carrying the ids completed before it.
         """
         check_count(n, "batch size")
-        with self._lock:
-            batch = [heapq.heappop(self._queue) for _ in range(min(n, len(self._queue)))]
-            self._queued.difference_update(task.id for _, _, task in batch)
+        batch = [heapq.heappop(self._queue) for _ in range(min(n, len(self._queue)))]
+        self._queued.difference_update(task.id for _, _, task in batch)
         completed = []
         for i, (_, _, task) in enumerate(batch):
             try:

@@ -215,8 +215,14 @@ def _require_finite(values: list) -> None:
         raise InvalidArgument("tensor entries must be finite (no NaN/Inf)")
 
 
+def _check_operands(a: Tensor, b: Tensor, op_name: str) -> None:
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        raise InvalidArgument(f"{op_name} operands must be Tensors, got {type(a).__name__} and {type(b).__name__}")
+
+
 def validate_matmul_shapes(a: Tensor, b: Tensor) -> None:
-    """Check the inner dimensions conform; both operands must be rank 2."""
+    """Check both operands are Tensors of rank 2 whose inner dimensions conform."""
+    _check_operands(a, b, "matmul")
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ShapeMismatch(f"matmul needs rank-2 tensors, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -232,6 +238,7 @@ def _finite_or_overflow(values: list[float], op_name: str) -> None:
 
 
 def elementwise_sum(a: Tensor, b: Tensor) -> Tensor:
+    _check_operands(a, b, "elementwise sum")
     if a.shape != b.shape:
         raise ShapeMismatch(
             f"elementwise sum needs identical shapes, got {a.shape} and {b.shape}"
@@ -335,7 +342,6 @@ def _partition_rows(m: int, workers: int) -> list[tuple[int, int]]:
 # 1.32-1.48x at n = 88; below the cutoff the round trip costs what it saves.
 _POOL_MIN_MACS = 64 ** 3
 _pool = None  # (ProcessPoolExecutor, its worker count), started on first use
-_pool_lock = threading.Lock()  # one caller at a time starts, replaces or maps on _pool
 
 
 def _close_pool() -> None:
@@ -383,22 +389,21 @@ def _on_pool(
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    with _pool_lock:
-        if _pool is not None and _pool[1] < workers:
-            _close_pool()
-        if _pool is None:
-            # forkserver forks each worker from a single-threaded server, never
-            # from this process and its threads; the worker re-imports __main__.
-            context = multiprocessing.get_context("forkserver")
-            _pool = (ProcessPoolExecutor(workers, mp_context=context), workers)
-            _close_at_exit()
-        try:
-            if any(p.exitcode is not None for p in _pool[0]._processes.values()):
-                raise BrokenProcessPool("a worker process exited before the call")
-            return list(_pool[0].map(_mac, bands, [cols] * len(bands)))
-        except BrokenProcessPool as exc:
-            _close_pool()
-            raise KernelError(f"a matmul worker process died: {exc}") from exc
+    if _pool is not None and _pool[1] < workers:
+        _close_pool()
+    if _pool is None:
+        # forkserver forks each worker from a single-threaded server, never
+        # from this process and its threads; the worker re-imports __main__.
+        context = multiprocessing.get_context("forkserver")
+        _pool = (ProcessPoolExecutor(workers, mp_context=context), workers)
+        _close_at_exit()
+    try:
+        if any(p.exitcode is not None for p in _pool[0]._processes.values()):
+            raise BrokenProcessPool("a worker process exited before the call")
+        return list(_pool[0].map(_mac, bands, [cols] * len(bands)))
+    except BrokenProcessPool as exc:
+        _close_pool()
+        raise KernelError(f"a matmul worker process died: {exc}") from exc
 
 
 def matmul_parallel(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> Tensor:

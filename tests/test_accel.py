@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from neurokernel.accel import AccelDevice, AccelOp, AccelTask
-from neurokernel.errors import DeviceBusy, InvalidArgument, OutOfMemory
+from neurokernel.errors import InvalidArgument, OutOfMemory
 from neurokernel.mempool import SharedBuffer
 from neurokernel.tensor import MatmulConfig, Tensor, elementwise_sum, matmul_naive
 
@@ -178,18 +178,6 @@ class TestValidation:
         tiny = dev.allocate(8)
         with pytest.raises(InvalidArgument):
             dev.submit(AccelTask(AccelOp.MATMUL, ra, (2, 2), rb, (2, 2), tiny))
-
-
-def test_device_busy_guard():
-    x = Tensor.vector([1.0])
-    dev, (rx,) = loaded_device(x)
-    rout = dev.allocate(8)
-    dev.submit(AccelTask(AccelOp.ELEMWISE_SUM, rx, (1,), rx, (1,), rout))
-    dev._busy = True  # simulate a mid-flight task holding the context
-    with pytest.raises(DeviceBusy):
-        dev.execute_next()
-    dev._busy = False
-    assert dev.execute_next() is not None
 
 
 @pytest.mark.parametrize("call", [

@@ -10,6 +10,7 @@ from neurokernel.cli import main
 from neurokernel.config import ENV_VAR, config_from, directives, parse_config
 from neurokernel.errors import InvalidArgument
 from neurokernel.mempool import PoolConfig
+from neurokernel.orchestrator import parse_scenario
 from neurokernel.scheduler import SchedulerConfig
 
 
@@ -286,6 +287,13 @@ class TestConfigParsing:
     def test_directives_number_lines_and_drop_comments_and_blanks(self):
         text = "# head\n  alloc 1  # trailing\n\n   \n\tfree 1\nlpage#x\n#"
         assert list(directives(text)) == [(2, "alloc 1"), (5, "free 1"), (6, "lpage")]
+
+    @pytest.mark.parametrize("parse", [parse_config, parse_scenario, lambda text: list(directives(text))],
+                             ids=["parse_config", "parse_scenario", "directives"])
+    @pytest.mark.parametrize("text", [None, 5, b"quantum = 5\n"], ids=["None", "int", "bytes"])
+    def test_non_str_text_is_one_invalid_argument(self, parse, text):
+        with pytest.raises(InvalidArgument, match="must be a str"):
+            parse(text)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(Exception):

@@ -421,6 +421,15 @@ PRODUCT_PATHS = {
 }
 
 
+@pytest.mark.parametrize("op", [matmul_naive, matmul_blocked, matmul_parallel, elementwise_sum, matmul_work],
+                         ids=lambda op: op.__name__)
+@pytest.mark.parametrize("a, b", [(Tensor.identity(1), None), (None, Tensor.identity(1)),
+                                  (Tensor.identity(1), [[1.0]])], ids=["t-None", "None-t", "t-list"])
+def test_a_non_tensor_operand_is_one_invalid_argument(op, a, b):
+    with pytest.raises(InvalidArgument, match="Tensor"):
+        op(a, b)
+
+
 class TestKernelSeam:
     """Depths either side of the kernel's 64-wide slices of k, bit for bit."""
 
