@@ -81,7 +81,8 @@ class AccelDevice:
     def _check_region(self, region: AccelRegion, needed: int, role: str) -> None:
         if not isinstance(region, AccelRegion):
             raise InvalidArgument(f"{role} region must be an AccelRegion, got {region!r}")
-        if region.device_id != self._device_id or self._regions.get(region.id) != region:
+        if (region.device_id != self._device_id or type(region.id) is not int
+                or self._regions.get(region.id) != region):
             raise InvalidArgument(f"{role} region {region.id} is not live on this device")
         if needed > region.size:
             raise InvalidArgument(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 
-from .errors import InvalidArgument, Overflow
+from .errors import InvalidArgument, Overflow, check_type
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -22,9 +22,7 @@ class Opcode(IntEnum):
 
 
 def _check_operand(name: str, value: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidArgument(f"{name} must be an integer, got {type(value).__name__}")
-    if not INT64_MIN <= value <= INT64_MAX:
+    if not INT64_MIN <= check_type(value, int, name) <= INT64_MAX:
         raise InvalidArgument(f"{name}={value} is outside the signed 64-bit range")
 
 
@@ -38,7 +36,7 @@ def simple_compute(a: int, b: int, op: Opcode | int) -> int:
     _check_operand("a", a)
     _check_operand("b", b)
     try:
-        op = Opcode(op)
+        op = Opcode(check_type(op, int, "opcode"))
     except ValueError:
         raise InvalidArgument(f"unknown opcode {op!r}") from None
 

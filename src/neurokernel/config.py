@@ -3,16 +3,14 @@
 ``read_text`` reads a config or script file as UTF-8, and ``directives``
 numbers its lines; each caller keeps its own grammar and messages.
 
-Format: one ``key = value`` pair per line, '#' starts a comment. Values
-are integers; ``large_page_classes`` takes a comma-separated list. The
-CLI looks for a path in --config first, then the NEUROKERNEL_CONFIG
-environment variable.
+Format: one ``key = value`` pair per line, '#' starts a comment. The
+keys are the fields of PoolConfig, MatmulConfig and SchedulerConfig, whose
+defaults apply to keys not set. Values are integers; a field whose default
+is a tuple takes a comma-separated list. The CLI looks for a path in
+--config first, then the NEUROKERNEL_CONFIG environment variable.
 
-Recognized keys: pool_bytes, block_bytes, large_page_classes, block_size,
-worker_count, deprioritize_threshold, batch_size, quantum: the fields of
-PoolConfig, MatmulConfig and SchedulerConfig, whose defaults apply to keys
-not set. An unknown key or a key set twice is rejected with the line that
-holds it, so a typo cannot silently leave a default in force.
+An unknown key or a key set twice is rejected with the line that holds
+it, so a typo cannot silently leave a default in force.
 """
 
 from __future__ import annotations
@@ -22,28 +20,30 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Iterator
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, check_type
 
 ENV_VAR = "NEUROKERNEL_CONFIG"
 
-_LIST_KEYS = {"large_page_classes"}
-_KEYS = frozenset({
-    "pool_bytes", "block_bytes", "large_page_classes", "block_size",
-    "worker_count", "deprioritize_threshold", "batch_size", "quantum",
-})
+
+def _config_types() -> tuple[type, ...]:
+    """The dataclasses whose fields are the keys, imported here: reading a scenario imports none."""
+    from .mempool import PoolConfig
+    from .scheduler import SchedulerConfig
+    from .tensor import MatmulConfig
+
+    return PoolConfig, MatmulConfig, SchedulerConfig
 
 
 def read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(check_type(path, (str, os.PathLike), "path")).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise InvalidArgument(f"cannot read {path}: {exc}") from None
 
 
 def directives(text: str) -> Iterator[tuple[int, str]]:
     """(line number, line) for each line left non-blank once its '#' comment is cut."""
-    if not isinstance(text, str):
-        raise InvalidArgument(f"config or script text must be a str, got {type(text).__name__}")
+    check_type(text, str, "config or script text")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -51,6 +51,7 @@ def directives(text: str) -> Iterator[tuple[int, str]]:
 
 
 def parse_config(text: str) -> dict:
+    known = {f.name: f for config_type in _config_types() for f in fields(config_type)}
     values: dict[str, int | tuple[int, ...]] = {}
     for lineno, line in directives(text):
         key, sep, value = line.partition("=")
@@ -58,12 +59,12 @@ def parse_config(text: str) -> dict:
             raise InvalidArgument(f"config line {lineno}: expected 'key = value'")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in known:
             raise InvalidArgument(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise InvalidArgument(f"config line {lineno}: duplicate key {key!r}")
         try:
-            if key in _LIST_KEYS:
+            if isinstance(known[key].default, tuple):  # a tuple default takes a comma-separated list
                 values[key] = tuple(int(part.strip()) for part in value.split(","))
             else:
                 values[key] = int(value)
@@ -76,6 +77,7 @@ def parse_config(text: str) -> dict:
 
 def resolve_config(cli_path: str | None) -> dict:
     """CLI flag wins over the environment variable; absent both is empty."""
+    check_type(cli_path, (str, os.PathLike, type(None)), "config path")
     path = cli_path or os.environ.get(ENV_VAR)
     return parse_config(read_text(path)) if path else {}
 
@@ -86,6 +88,9 @@ def config_from(config_type, values: dict, **flags):
     A flag that is not None overrides the file; a field set by neither keeps
     the dataclass default, so the defaults live only there.
     """
+    if config_type not in _config_types():
+        raise InvalidArgument(f"not a config type: {config_type!r}")
+    check_type(values, dict, "config values")
     kwargs = {f.name: values[f.name] for f in fields(config_type) if f.name in values}
     kwargs.update((name, flag) for name, flag in flags.items() if flag is not None)
     return config_type(**kwargs)

@@ -1,12 +1,16 @@
-"""Kernel-style error types shared by every subsystem."""
+"""Kernel-style error types shared by every subsystem, and the argument checkers.
+
+Every public operation either returns a value or raises exactly one
+KernelError subclass, and a refusal changes no state. tests/test_contract.py
+sweeps every public callable with ill-typed and out-of-range arguments; a new
+public name needs a row there.
+"""
 
 
 class KernelError(Exception):
     """Base class for all simulated kernel faults.
 
-    Every public operation either returns a value or raises exactly one
-    KernelError subclass. The CLI maps any KernelError to exit code 1 and
-    prints its kind.
+    The CLI maps any KernelError to exit code 1 and prints its kind.
     """
 
     kind = "KernelError"
@@ -30,6 +34,15 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     if type(value) is not int or value < minimum:  # a bool is an int subclass, not a count
         raise InvalidArgument(f"{name} must be an int >= {minimum}, got {value!r}")
     return value
+
+
+def check_type(value, expected, name: str):
+    """value, if an instance of expected (a type or a tuple of them); else InvalidArgument. A bool is not an int."""
+    kinds = expected if type(expected) is tuple else (expected,)
+    if isinstance(value, kinds) and (type(value) is not bool or bool in kinds):
+        return value
+    names = " or ".join(kind.__name__ for kind in kinds)
+    raise InvalidArgument(f"{name} must be {names}, got {value!r}")
 
 
 class TaskFault(InvalidArgument):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, OutOfMemory, check_count
+from .errors import InvalidArgument, OutOfMemory, check_count, check_type
 
 DEFAULT_POOL_BYTES = 8 * 1024 * 1024
 DEFAULT_BLOCK_BYTES = 4096
@@ -40,8 +40,7 @@ class PoolConfig:
                 f"pool_bytes {self.pool_bytes} must be a positive multiple of "
                 f"block_bytes {self.block_bytes}"
             )
-        if not isinstance(self.large_page_classes, (tuple, list, set, frozenset)):
-            raise InvalidArgument(f"large_page_classes must be a collection, got {self.large_page_classes!r}")
+        check_type(self.large_page_classes, (tuple, list, set, frozenset), "large_page_classes")
         classes = tuple(sorted({check_count(c, "large page class") for c in self.large_page_classes}))
         for cls_bytes in classes:
             if cls_bytes % self.block_bytes != 0:
@@ -66,14 +65,14 @@ class BlockPool:
     """Fixed-block arena with a one-byte-per-block allocation map."""
 
     def __init__(self, config: PoolConfig | None = None):
-        self.config = config or PoolConfig()
+        self.config = PoolConfig() if config is None else check_type(config, PoolConfig, "pool config")
         self._pool_id = next(_POOL_IDS)
         self._n_blocks = self.config.pool_bytes // self.config.block_bytes
-        self._bitmap = bytearray(self._n_blocks)  # 1 = allocated
         self._allocated = 0
         try:
+            self._bitmap = bytearray(self._n_blocks)  # 1 = allocated
             self._storage = bytearray(self.config.pool_bytes)
-        except MemoryError:
+        except (MemoryError, OverflowError):  # OverflowError: a size past the address space
             raise OutOfMemory(
                 f"host cannot back a {self.config.pool_bytes}-byte pool"
             ) from None
@@ -199,8 +198,7 @@ class BlockPool:
         return bytes(self._storage[start : start + length])
 
     def write(self, handle: BlockHandle, offset: int, data: bytes) -> None:
-        if not isinstance(data, (bytes, bytearray)):
-            raise InvalidArgument(f"data must be bytes, got {type(data).__name__}")
+        check_type(data, (bytes, bytearray), "data")
         start, length = self._span(handle, offset, len(data))
         self._storage[start : start + length] = data
         self._written.add(handle.id)
@@ -210,11 +208,10 @@ class SharedBufferView:
     """Window onto a SharedBuffer; all views alias the same storage."""
 
     def __init__(self, buffer: "SharedBuffer"):
-        self._buffer = buffer
+        self._buffer = check_type(buffer, SharedBuffer, "shared buffer")
 
     def write(self, offset: int, data: bytes) -> None:
-        if not isinstance(data, (bytes, bytearray)):
-            raise InvalidArgument(f"data must be bytes, got {type(data).__name__}")
+        check_type(data, (bytes, bytearray), "data")
         self._buffer._check_range(offset, len(data))
         self._buffer._storage[offset : offset + len(data)] = data
 
@@ -236,8 +233,10 @@ class SharedBuffer:
     """
 
     def __init__(self, size: int = 4096):
-        check_count(size, "buffer size")
-        self._storage = bytearray(size)
+        try:
+            self._storage = bytearray(check_count(size, "buffer size"))
+        except (MemoryError, OverflowError):
+            raise OutOfMemory(f"host cannot back a {size}-byte shared buffer") from None
         self.size = size
         self.copy_counter = 0
 

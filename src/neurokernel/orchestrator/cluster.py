@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 
-from ..errors import InvalidArgument, NodeUnreachable, check_count
-from .envelope import CURRENT_VERSION, MessageEnvelope, QoS, decode, encode
+from ..errors import InvalidArgument, NodeUnreachable, check_count, check_type
+from .envelope import CURRENT_VERSION, MAX_ADDRESS, MessageEnvelope, QoS, decode, encode
 from .fusion import Modality, modality_label, modality_process
 
 COORDINATOR_ID = 0
@@ -60,10 +60,9 @@ class Node:
     """
 
     def __init__(self, node_id: int, modalities):
-        if type(node_id) is not int:  # a bool is an int subclass, not an id
-            raise InvalidArgument(f"node id must be an int, got {node_id!r}")
-        if node_id == COORDINATOR_ID:
-            raise InvalidArgument(f"node id {COORDINATOR_ID} is reserved for the coordinator")
+        # The coordinator is 0, and a node id is an envelope's dest.
+        if not COORDINATOR_ID < check_type(node_id, int, "node id") <= MAX_ADDRESS:
+            raise InvalidArgument(f"node id must be in 1..{MAX_ADDRESS}, got {node_id}")
         try:
             self.modalities = frozenset(modalities)
             if not all(isinstance(m, Modality) for m in self.modalities):
@@ -168,6 +167,8 @@ class Node:
         rebuilt node's snapshot() does not reproduce, or that record an input
         after ``now``, raise InvalidArgument.
         """
+        check_type(as_id, int, "node id")  # True equals 1: it would keep the id unmoved
+        check_count(now, "now", 0)
         try:
             state = json.loads(snapshot)
             node = cls(node_id, frozenset(map(Modality, state["modalities"])))
@@ -239,10 +240,10 @@ class Cluster:
         return node
 
     def node(self, node_id: int) -> Node:
-        try:
-            return self.nodes[node_id]
-        except (KeyError, TypeError):  # TypeError: an unhashable id
-            raise InvalidArgument(f"unknown node {node_id}") from None
+        node = self.nodes.get(check_type(node_id, int, "node id"))  # True or 1.0 would find node 1
+        if node is None:
+            raise InvalidArgument(f"unknown node {node_id}")
+        return node
 
     def silence(self, node_id: int) -> None:
         """Stop a node's heartbeats (models a crash or partition)."""
@@ -405,8 +406,7 @@ class Cluster:
         restored node does not serve refuses the restore, and so does an input
         recorded at a tick later than the cluster's clock.
         """
-        if not isinstance(chk, Checkpoint):
-            raise InvalidArgument(f"not a checkpoint: {chk!r}")
+        check_type(chk, Checkpoint, "checkpoint")
         node_id = chk.node_id if target_id is None else target_id
         node = Node.from_snapshot(chk.snapshot, chk.node_id, node_id, self.tick)
         old = self.nodes.get(node_id)

@@ -29,6 +29,7 @@ _CRC = struct.Struct("<I")
 _U16 = 0xFFFF
 _U32 = 0xFFFF_FFFF
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
+MAX_ADDRESS = _U32  # the largest source or dest a frame carries
 
 
 class QoS(IntEnum):
@@ -54,22 +55,25 @@ def _check_range(name: str, value: int, limit: int) -> None:
 def encode(env: MessageEnvelope) -> bytes:
     if not isinstance(env, MessageEnvelope):
         raise InvalidArgument(f"not a message envelope: {env!r}")
-    if not 1 <= env.version <= CURRENT_VERSION:
-        raise InvalidArgument(
-            f"cannot encode version {env.version}; current version is {CURRENT_VERSION}"
+    try:  # a field of the wrong type fails a comparison, len() or pack()
+        if not 1 <= env.version <= CURRENT_VERSION:
+            raise InvalidArgument(
+                f"cannot encode version {env.version}; current version is {CURRENT_VERSION}"
+            )
+        try:
+            qos = QoS(env.qos)
+        except ValueError:
+            raise InvalidArgument(f"unknown qos {env.qos!r}") from None
+        _check_range("msg_id", env.msg_id, _U64)
+        _check_range("source", env.source, _U32)
+        _check_range("dest", env.dest, _U32)
+        _check_range("payload_len", len(env.payload), _U32)
+        header = _HEADER.pack(
+            MAGIC, env.version, qos, env.msg_id, env.source, env.dest, len(env.payload)
         )
-    try:
-        qos = QoS(env.qos)
-    except ValueError:
-        raise InvalidArgument(f"unknown qos {env.qos!r}") from None
-    _check_range("msg_id", env.msg_id, _U64)
-    _check_range("source", env.source, _U32)
-    _check_range("dest", env.dest, _U32)
-    _check_range("payload_len", len(env.payload), _U32)
-    header = _HEADER.pack(
-        MAGIC, env.version, qos, env.msg_id, env.source, env.dest, len(env.payload)
-    )
-    return header + env.payload + _CRC.pack(zlib.crc32(env.payload))
+        return header + env.payload + _CRC.pack(zlib.crc32(env.payload))
+    except (TypeError, struct.error) as exc:
+        raise InvalidArgument(f"envelope field of the wrong type: {exc}") from None
 
 
 def decode(data: bytes) -> MessageEnvelope:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from ..errors import InvalidArgument
+from ..errors import InvalidArgument, check_type
 from ..rabab.engine import embed
 
 
@@ -78,8 +78,13 @@ def fuse(outputs: Mapping[Modality, tuple[str, Sequence[float]]]) -> FusedRepres
     The template is keyed by which modalities are present; combinations
     without a dedicated template fall back to a semicolon listing.
     """
-    if not outputs:
+    if not check_type(outputs, Mapping, "fusion outputs"):
         raise InvalidArgument("fusion needs at least one modality output")
+    for m, output in outputs.items():
+        check_type(m, Modality, "fused modality")
+        if not (type(output) is tuple and len(output) == 2 and type(output[0]) is str
+                and isinstance(output[1], (tuple, list))):
+            raise InvalidArgument(f"{m.value} output must be a (label, vector) pair, got {output!r}")
     present = frozenset(outputs)
     labels = {m: outputs[m][0] for m in outputs}
     if present == {Modality.VISION, Modality.SENSOR, Modality.AUDIO}:
@@ -100,9 +105,9 @@ def fuse(outputs: Mapping[Modality, tuple[str, Sequence[float]]]) -> FusedRepres
 
 def decide(fused: FusedRepresentation) -> str:
     """Map a fused summary through the fixed rule table; first match wins."""
-    if not isinstance(fused, FusedRepresentation):
-        raise InvalidArgument(f"not a fused representation: {fused!r}")
+    check_type(fused, FusedRepresentation, "fused representation")
+    summary = check_type(fused.summary, str, "fused summary")
     for keywords, action in _DECISION_RULES:
-        if all(k in fused.summary for k in keywords):
+        if all(k in summary for k in keywords):
             return action
     return DEFAULT_DECISION

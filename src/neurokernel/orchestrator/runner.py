@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 from random import Random
 
 from ..config import directives
-from ..errors import InvalidArgument, NodeUnreachable, check_count
+from ..errors import InvalidArgument, NodeUnreachable, check_count, check_type
 from .cluster import Cluster, Liveness
 from .fusion import Modality, decide, fuse
 
 CHECKPOINT_PERIOD = 5
+MAX_TICKS = 2**63 - 1  # the cluster clock is a signed 64-bit count, as in a kernel
 
 DEMO_SCENARIO = """\
 # Demo: three nodes, three modalities, no failures.
@@ -72,8 +73,10 @@ def run_scenario(
     Returns the event log as (tick, event, detail) rows plus the final
     fused summary and decision (None if nothing was processed).
     """
-    check_count(ticks, "ticks")
-    rng = Random(seed)
+    check_type(scenario, Scenario, "scenario")
+    if check_count(ticks, "ticks") > MAX_TICKS:
+        raise InvalidArgument(f"ticks must be at most {MAX_TICKS}, got {ticks}")
+    rng = Random(check_type(seed, int, "seed"))
     cluster = Cluster(timeout_ticks=timeout_ticks)
     events: list[tuple[int, str, str]] = []
     for node_id, modalities in scenario.nodes:

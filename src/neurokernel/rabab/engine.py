@@ -13,13 +13,15 @@ import hashlib
 import itertools
 import math
 import struct
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from ..errors import InvalidArgument, ResourceConsumed
+from ..errors import InvalidArgument, ResourceConsumed, check_type
 
 EMBEDDING_DIM = 32
 GRAPH_LEARNING_RATE = 0.1
+
+_ENGINE_IDS = itertools.count(1)
 
 
 @dataclass
@@ -46,7 +48,7 @@ class KnowledgeGraph:
         return len(self._edges)
 
     def weight(self, subject: str, obj: str) -> float:
-        return self._edges.get((subject, obj), 0.0)
+        return self._edges.get(_edge(subject, obj), 0.0)
 
     def evolve(self, subject: str, obj: str, target: float) -> float:
         """Move the edge weight one smoothing step toward the target.
@@ -54,15 +56,20 @@ class KnowledgeGraph:
         Absent edges start at zero. The formula keeps weights inside
         [0, 1] on its own; the clamp just enforces the invariant.
         """
+        edge = _edge(subject, obj)
         if subject == obj:
             raise InvalidArgument(f"self-loop on {subject!r} is not a fact")
-        if not 0.0 <= target <= 1.0:
+        if not 0.0 <= check_type(target, (int, float), "target") <= 1.0:
             raise InvalidArgument(f"target {target} outside [0, 1]")
-        w = self._edges.get((subject, obj), 0.0)
+        w = self._edges.get(edge, 0.0)
         w = w + GRAPH_LEARNING_RATE * (target - w)
         w = min(1.0, max(0.0, w))
-        self._edges[(subject, obj)] = w
+        self._edges[edge] = w
         return w
+
+
+def _edge(subject: str, obj: str) -> tuple[str, str]:
+    return check_type(subject, str, "edge subject"), check_type(obj, str, "edge object")
 
 
 _SLOT_SUFFIXES = tuple(slot.to_bytes(4, "little") for slot in range(EMBEDDING_DIM))
@@ -70,19 +77,12 @@ _U64_MAX = float(2**64 - 1)
 _FIRST_U64 = struct.Struct("<Q").unpack_from  # int.from_bytes(digest[:8], "little")
 
 
-def embed(data: bytes | str) -> tuple[float, ...]:
+def embed(data: bytes) -> tuple[float, ...]:
     """Deterministic unit-norm embedding: slot i hashes (input, i) into [-1, 1].
 
     Slot i is sha256(data + i as 4 little-endian bytes), continued from one hash of data.
     """
-    if isinstance(data, str):
-        try:
-            data = data.encode("utf-8")
-        except UnicodeEncodeError:
-            raise InvalidArgument(f"cannot embed {data!r}: not encodable as UTF-8") from None
-    elif not isinstance(data, (bytes, bytearray)):
-        raise InvalidArgument(f"embed takes bytes or str, got {data!r}")
-    if not data:
+    if not check_type(data, (bytes, bytearray), "embed input"):
         raise InvalidArgument("cannot embed empty input")
     prefix = hashlib.sha256(data)
     raw = []
@@ -106,6 +106,13 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     under- or overflow, and the norm product is a single sqrt, which makes
     cos(v, v) exactly 1.0.
     """
+    try:
+        a, b = tuple(a), tuple(b)
+        finite = all(map(math.isfinite, a + b))
+    except (TypeError, OverflowError):  # not iterable, an entry not a number, an int past float64
+        raise InvalidArgument("cosine similarity takes sequences of real numbers") from None
+    if not finite:
+        raise InvalidArgument("cosine similarity of a vector with NaN or Inf is undefined")
     if len(a) != len(b):
         raise InvalidArgument(f"dimension mismatch: {len(a)} vs {len(b)}")
     ma = max((abs(x) for x in a), default=0.0)
@@ -127,11 +134,11 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
 
 @dataclass
 class LinearResource:
-    """Token that must be consumed exactly once."""
+    """Token that must be consumed exactly once, by the engine that allocated it."""
 
     id: int
     payload: object
-    consumed: bool = False
+    engine_id: int
 
 
 class RababEngine:
@@ -139,40 +146,29 @@ class RababEngine:
 
     def __init__(self):
         self.graph = KnowledgeGraph()
+        self._engine_id = next(_ENGINE_IDS)
         self._predicates: dict[str, Predicate] = {}
-        self._resources: dict[int, LinearResource] = {}
-        self._next_resource = itertools.count(1)
-        self._consumed_count = 0
+        self._resources: dict[int, LinearResource] = {}  # live tokens only, by id
+        self._allocated = 0  # tokens allocated so far; ids run 1 to this
 
     # -- predicates ---------------------------------------------------------
 
     def register_predicate(self, name: str, rule: Callable[[object], bool]) -> Predicate:
         """Store a rule under a unique name with the uniform prior (1, 1)."""
-        if name in self._predicates:
+        check_type(rule, Callable, "predicate rule")
+        if check_type(name, str, "predicate name") in self._predicates:
             raise InvalidArgument(f"predicate {name!r} already registered")
         pred = Predicate(name=name, rule=rule)
         self._predicates[name] = pred
         return pred
 
-    def predicate(self, name: str) -> Predicate:
-        try:
-            return self._predicates[name]
-        except KeyError:
-            raise InvalidArgument(f"no predicate named {name!r}") from None
-
-    def evaluate(self, pred: Predicate | str, value) -> bool:
-        """Pure rule application; never touches confidence."""
-        if isinstance(pred, str):
-            pred = self.predicate(pred)
-        return bool(pred.rule(value))
-
-    def evolve_predicate(self, pred: Predicate | str, value, truth: bool) -> Predicate:
-        """Beta-Bernoulli update: agreement bumps alpha, disagreement beta."""
-        if isinstance(pred, str):
-            pred = self.predicate(pred)
-        elif self._predicates.get(pred.name) is not pred:
+    def evolve_predicate(self, pred: Predicate, value, truth: bool) -> Predicate:
+        """Beta-Bernoulli update: agreement bumps alpha, disagreement beta; a rule that raises, neither."""
+        check_type(truth, bool, "truth")
+        check_type(pred, Predicate, "predicate")
+        if self._predicates.get(check_type(pred.name, str, "predicate name")) is not pred:
             raise InvalidArgument(f"predicate {pred.name!r} is not registered here")
-        if self.evaluate(pred, value) == bool(truth):
+        if bool(pred.rule(value)) == truth:
             pred.alpha += 1.0
         else:
             pred.beta += 1.0
@@ -181,21 +177,23 @@ class RababEngine:
     # -- linear resources -------------------------------------------------------
 
     def allocate_linear(self, payload) -> LinearResource:
-        res = LinearResource(id=next(self._next_resource), payload=payload)
+        self._allocated += 1
+        res = LinearResource(self._allocated, payload, self._engine_id)
         self._resources[res.id] = res
         return res
 
     def consume_linear(self, res: LinearResource):
-        """Hand out the payload exactly once; any further use is an error."""
-        tracked = self._resources.get(res.id)
-        if tracked is not res:
-            raise InvalidArgument(f"resource {res.id} does not belong to this engine")
-        if res.consumed:
+        """Hand out the payload exactly once, and forget the token; any further use is an error."""
+        if check_type(res, LinearResource, "resource").engine_id != self._engine_id:
+            raise InvalidArgument(f"resource {res.id!r} does not belong to this engine")
+        tracked = self._resources.get(check_type(res.id, int, "resource id"))
+        if tracked is None and 1 <= res.id <= self._allocated:
             raise ResourceConsumed(f"resource {res.id} was already consumed")
-        res.consumed = True
-        self._consumed_count += 1
+        if tracked is not res:
+            raise InvalidArgument(f"resource {res.id} is not a token this engine allocated")
+        del self._resources[res.id]
         return res.payload
 
     def leaked_resources(self) -> int:
         """Allocated-but-never-consumed count: the engine's one leak report."""
-        return len(self._resources) - self._consumed_count
+        return len(self._resources)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from ..errors import InvalidArgument, OutOfMemory, check_count
+from ..errors import InvalidArgument, OutOfMemory, check_count, check_type
 
 DEFAULT_WIDTH = 128
 DEFAULT_HEIGHT = 128
@@ -31,8 +31,8 @@ BLACK: Color = (0, 0, 0)
 
 
 def _check_color(color) -> Color:
-    color = tuple(color)
-    if len(color) != 3 or any(not isinstance(c, int) or not 0 <= c <= 255 for c in color):
+    check_type(color, tuple, "color")
+    if len(color) != 3 or any(type(c) is not int or not 0 <= c <= 255 for c in color):
         raise InvalidArgument(f"color must be an RGB triple of 0..255, got {color!r}")
     return color
 
@@ -107,8 +107,8 @@ def interpret_intent(intent: DrawPixel, fb: Framebuffer) -> Framebuffer:
     v1 understands DrawPixel only: exactly one pixel changes, everything
     else stays untouched.
     """
-    if not isinstance(intent, DrawPixel):
-        raise InvalidArgument(f"unsupported intent {intent!r}")
+    check_type(intent, DrawPixel, "intent")
+    check_type(fb, Framebuffer, "framebuffer")
     fb._check_bounds(intent.x, intent.y)
     fb._set(intent.x, intent.y, _check_color(intent.color))
     return fb
@@ -120,7 +120,7 @@ def parse_intent(text: str) -> DrawPixel:
     x and y are an optional ``-`` and ASCII digits, the color ``#`` and six
     ASCII hex digits; spaces around each field are ignored.
     """
-    kind, _, rest = text.partition(":")
+    kind, _, rest = check_type(text, str, "intent text").partition(":")
     if kind.strip() != "pixel":
         raise InvalidArgument(f"unsupported intent kind {kind.strip()!r}")
     parts = [p.strip() for p in rest.split(",")]
@@ -135,6 +135,7 @@ def parse_intent(text: str) -> DrawPixel:
 
 def apply_path(path: Iterable[PathOp], fb: Framebuffer) -> Framebuffer:
     """Draw a transform path's canonical form; a path it refuses draws nothing."""
+    check_type(fb, Framebuffer, "framebuffer")
     for op in canonicalize_path(path, fb.width, fb.height):
         fb._set(op.x, op.y, op.color)
     return fb
@@ -151,6 +152,7 @@ def canonicalize_path(
     int (a bool is not), or when folding the translations pushes a draw out
     of bounds, since running that path would fault the same way.
     """
+    check_type(path, Iterable, "path")
     check_count(width, "path width")
     check_count(height, "path height")
     tx = ty = 0
@@ -159,15 +161,11 @@ def canonicalize_path(
         if isinstance(op, Identity):
             continue
         if isinstance(op, Translate):
-            if type(op.dx) is not int or type(op.dy) is not int:
-                raise InvalidArgument(f"translation deltas must be ints, got ({op.dx!r}, {op.dy!r})")
-            tx += op.dx
-            ty += op.dy
+            tx += check_type(op.dx, int, "translation dx")
+            ty += check_type(op.dy, int, "translation dy")
             continue
         if isinstance(op, DrawPixel):
-            if type(op.x) is not int or type(op.y) is not int:
-                raise InvalidArgument(f"draw coordinates must be ints, got ({op.x!r}, {op.y!r})")
-            x, y = op.x + tx, op.y + ty
+            x, y = check_type(op.x, int, "draw x") + tx, check_type(op.y, int, "draw y") + ty
             if not (0 <= x < width and 0 <= y < height):
                 raise InvalidArgument(f"folded draw at ({x}, {y}) is outside {width}x{height}")
             final[(y, x)] = _check_color(op.color)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .errors import InvalidArgument, TaskFault, check_count
+from .errors import InvalidArgument, TaskFault, check_count, check_type
 from .tensor import Tensor, matmul_naive, validate_matmul_shapes
 
 DEFAULT_PRIORITY = 10
@@ -54,13 +54,10 @@ class SchedulerConfig:
 
 
 class PerfCounter:
-    """Simulated CPU-cycle counter; it never decreases."""
+    """Simulated CPU-cycle counter; it never decreases: only a timeslice's end adds to it."""
 
     def __init__(self):
         self.cpu_cycles = 0
-
-    def add(self, cycles: int) -> None:
-        self.cpu_cycles += cycles
 
 
 class ExecContext:
@@ -113,6 +110,7 @@ def matmul_work(a: Tensor, b: Tensor, on_result=None) -> WorkFn:
     on_result, or raises Overflow.
     """
     validate_matmul_shapes(a, b)
+    check_type(on_result, (Callable, type(None)), "on_result")
     (m, kk), n = a.shape, b.shape[1]
 
     def work(ctx: ExecContext) -> Iterator[int]:
@@ -130,7 +128,8 @@ class MlScheduler:
     """Priority queue with FIFO ties, batch execution, and FP-context isolation."""
 
     def __init__(self, config: SchedulerConfig | None = None):
-        self.config = config or SchedulerConfig()
+        self.config = (SchedulerConfig() if config is None
+                       else check_type(config, SchedulerConfig, "scheduler config"))
         self.perf = PerfCounter()
         self.fp_registers: list[float] = [0.0] * FP_SLOTS
         self._queue: list[tuple[int, int, MlTask]] = []  # heap of (priority, seq, task)
@@ -238,4 +237,4 @@ class MlScheduler:
             return True
         finally:  # the slice's cycles count once, at its end, however it ends
             task.consumed_cycles += used
-            self.perf.add(used)
+            self.perf.cpu_cycles += used

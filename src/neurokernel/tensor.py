@@ -47,11 +47,14 @@ from math import isfinite, prod
 from random import Random
 from typing import Iterable, Sequence
 
-from .errors import InvalidArgument, KernelError, Overflow, ShapeMismatch, check_count
+from .errors import (
+    InvalidArgument, KernelError, OutOfMemory, Overflow, ShapeMismatch, check_count, check_type,
+)
 
 MAX_WORKERS = 8
 DEFAULT_BLOCK_SIZE = 64
 _WIDTH = 64  # entries of k per generated kernel; bounds each expression and the cache
+_MAX_ENTRIES = sys.maxsize // 8  # the most items a list can hold: one 8-byte pointer each
 
 
 @dataclass(frozen=True)
@@ -80,10 +83,7 @@ class Tensor:
 
     def __init__(self, shape: Sequence[int], data: Iterable[float]):
         shape = _checked_shape(shape)
-        try:
-            values = list(data)
-        except TypeError:
-            raise InvalidArgument(f"tensor entries must be iterable, got {data!r}") from None
+        values = list(check_type(data, Iterable, "tensor entries"))
         expected = prod(shape)
         if len(values) != expected:
             raise InvalidArgument(
@@ -114,30 +114,16 @@ class Tensor:
 
     @classmethod
     def vector(cls, values: Iterable[float]) -> "Tensor":
-        values = list(values)
+        values = list(check_type(values, Iterable, "vector entries"))
         return cls((len(values),), values)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "Tensor":
-        if not rows:
-            raise InvalidArgument("from_rows needs at least one row")
-        width = len(rows[0])
-        flat: list[float] = []
-        for row in rows:
-            if len(row) != width:
-                raise InvalidArgument("ragged rows are not a tensor")
-            flat.extend(row)
-        return cls((len(rows), width), flat)
-
-    @classmethod
-    def zeros(cls, shape: Sequence[int]) -> "Tensor":
-        shape = _checked_shape(shape)
-        return cls(shape, [0.0] * prod(shape))
-
-    @classmethod
     def identity(cls, n: int) -> "Tensor":
-        check_count(n, "identity size")
-        data = [0.0] * (n * n)
+        _checked_shape((n, n))
+        try:
+            data = [0.0] * (n * n)
+        except MemoryError:
+            raise OutOfMemory(f"host cannot hold a {n}x{n} identity") from None
         for i in range(n):
             data[i * n + i] = 1.0
         return cls((n, n), data)
@@ -145,13 +131,19 @@ class Tensor:
     @classmethod
     def random(cls, shape: Sequence[int], rng: Random) -> "Tensor":
         shape = _checked_shape(shape)
-        return cls(shape, [rng.uniform(-1.0, 1.0) for _ in range(prod(shape))])
+        check_type(rng, Random, "rng")
+        try:
+            return cls(shape, [rng.uniform(-1.0, 1.0) for _ in range(prod(shape))])
+        except MemoryError:  # a count a list can hold, but this host cannot
+            raise OutOfMemory(f"host cannot hold a tensor of shape {shape}") from None
 
     @classmethod
     def frombytes(cls, shape: Sequence[int], raw: bytes | memoryview) -> "Tensor":
-        """Decode a tobytes() buffer; any bytes-like object, checked once."""
+        """Decode a tobytes() buffer held in bytes, a bytearray or a memoryview, checked once."""
         shape = _checked_shape(shape)
         n = prod(shape)
+        if not isinstance(raw, (bytes, bytearray, memoryview)):
+            raise InvalidArgument(f"tensor bytes must be bytes, a bytearray or a memoryview, got {raw!r}")
         if len(raw) != 8 * n:
             raise InvalidArgument(
                 f"shape {shape} needs {8 * n} bytes, got {len(raw)}"
@@ -176,11 +168,6 @@ class Tensor:
         _, n = self._shape
         return [self._data[i * n : (i + 1) * n] for i in range(self._shape[0])]
 
-    def item(self, i: int, j: int | None = None) -> float:
-        if j is None:
-            return self._data[i]
-        return self._data[i * self._shape[1] + j]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -202,6 +189,8 @@ def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
         raise InvalidArgument(f"tensor rank must be 1 or 2, got shape {shape}")
     for d in shape:
         check_count(d, "tensor dimension")
+    if prod(shape) > _MAX_ENTRIES:
+        raise OutOfMemory(f"host cannot hold a tensor of shape {shape}")
     return shape
 
 
@@ -312,7 +301,7 @@ def matmul_naive(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul_blocked(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> Tensor:
     """The kernel over block_size x block_size output tiles; k is never split."""
-    config = config or MatmulConfig()
+    config = MatmulConfig() if config is None else check_type(config, MatmulConfig, "matmul config")
     validate_matmul_shapes(a, b)
     bs = config.block_size
     rows, cols = a.rows(), _columns(b)
@@ -413,7 +402,7 @@ def matmul_parallel(a: Tensor, b: Tensor, config: MatmulConfig | None = None) ->
     Callers get every band, in order, or one KernelError; never a partial
     result.
     """
-    config = config or MatmulConfig()
+    config = MatmulConfig() if config is None else check_type(config, MatmulConfig, "matmul config")
     validate_matmul_shapes(a, b)
     rows, cols = a.rows(), _columns(b)
     bands = [rows[lo:hi] for lo, hi in _partition_rows(len(rows), config.worker_count) if lo < hi]

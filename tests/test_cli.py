@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from neurokernel.errors import InvalidArgument
 from neurokernel.mempool import PoolConfig
 from neurokernel.orchestrator import parse_scenario
 from neurokernel.scheduler import SchedulerConfig
+from neurokernel.tensor import MatmulConfig
 
 
 def run(capsys, *argv):
@@ -284,6 +287,13 @@ class TestConfigParsing:
         cfg = config_from(SchedulerConfig, values, quantum=7, deprioritize_threshold=None)
         assert cfg == SchedulerConfig(batch_size=2, quantum=7)
 
+    def test_each_accepted_key_is_a_field_of_exactly_one_config_type(self):
+        owners = Counter(f.name for t in (PoolConfig, MatmulConfig, SchedulerConfig) for f in fields(t))
+        assert set(owners.values()) == {1}  # config_from hands each key to one type
+        values = parse_config("".join(f"{name} = 4096\n" for name in owners))
+        assert set(values) == set(owners)  # every field is a key; any other key is refused
+        assert values["large_page_classes"] == (4096,)  # a tuple default takes a list
+
     def test_directives_number_lines_and_drop_comments_and_blanks(self):
         text = "# head\n  alloc 1  # trailing\n\n   \n\tfree 1\nlpage#x\n#"
         assert list(directives(text)) == [(2, "alloc 1"), (5, "free 1"), (6, "lpage")]
@@ -292,7 +302,7 @@ class TestConfigParsing:
                              ids=["parse_config", "parse_scenario", "directives"])
     @pytest.mark.parametrize("text", [None, 5, b"quantum = 5\n"], ids=["None", "int", "bytes"])
     def test_non_str_text_is_one_invalid_argument(self, parse, text):
-        with pytest.raises(InvalidArgument, match="must be a str"):
+        with pytest.raises(InvalidArgument, match="must be str"):
             parse(text)
 
     def test_malformed_line_rejected(self):

@@ -1,0 +1,546 @@
+"""The error contract, swept over every public callable of the package.
+
+errors.py states it: every public operation returns a value or raises
+exactly one KernelError, and a refusal changes no state. Each row of CALLS
+is one valid call, built on a fresh World. The sweep swaps each argument,
+one at a time, for each value of bad_values(), and each field of a record
+argument (RECORDS) through dataclasses.replace. A swap must be refused with
+InvalidArgument, or with OutOfMemory where OUT_OF_MEMORY names a size no
+host can hold; it may return a value only where PLAIN or RETURNS says so.
+After a refusal the world's fingerprint is unchanged and the valid call
+still succeeds on it. REFUSED holds the bad values a swap does not reach.
+
+A public name is a function or class defined in a module of the package
+whose name does not start with "_", and each public method of such a class.
+test_every_public_callable_has_a_row fails on one without a row; EXEMPT
+names the only exceptions, each with its reason.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+from enum import Enum
+from functools import partial
+from random import Random
+
+import pytest
+
+import neurokernel
+from neurokernel.accel import AccelDevice, AccelOp, AccelRegion, AccelTask
+from neurokernel.compute import Opcode, simple_compute
+from neurokernel.config import config_from, directives, parse_config, read_text, resolve_config
+from neurokernel.errors import InvalidArgument, KernelError, OutOfMemory, check_count, check_type
+from neurokernel.mempool import BlockHandle, BlockPool, PoolConfig, SharedBuffer, SharedBufferView
+from neurokernel.orchestrator import (
+    DEMO_SCENARIO,
+    Checkpoint,
+    Cluster,
+    FusedRepresentation,
+    MessageEnvelope,
+    Modality,
+    Node,
+    QoS,
+    Scenario,
+    decide,
+    decode,
+    encode,
+    fuse,
+    modality_process,
+    parse_scenario,
+    run_scenario,
+)
+from neurokernel.orchestrator.fusion import modality_label
+from neurokernel.rabab import (
+    RED,
+    DrawPixel,
+    Framebuffer,
+    Identity,
+    KnowledgeGraph,
+    LinearResource,
+    Predicate,
+    RababEngine,
+    Translate,
+    apply_path,
+    canonicalize_path,
+    cosine_similarity,
+    embed,
+    interpret_intent,
+    parse_intent,
+    paths_equivalent,
+)
+from neurokernel.scheduler import (
+    ExecContext,
+    MlScheduler,
+    MlTask,
+    PerfCounter,
+    SchedulerConfig,
+    cycles_work,
+    matmul_work,
+)
+from neurokernel.tensor import (
+    MatmulConfig,
+    Tensor,
+    elementwise_sum,
+    matmul_blocked,
+    matmul_naive,
+    matmul_parallel,
+    validate_matmul_shapes,
+)
+
+
+NAN, HUGE = float("nan"), 10**400
+
+
+def bad_values() -> list:
+    """Fresh each time, since a call may mutate the list or the dict.
+
+    1.0 equals a valid count or id, so only a type check refuses it; NaN
+    fails every comparison.
+    """
+    return [None, "x", True, 1.0, NAN, HUGE, b"x", [1], {}]
+
+
+# Record arguments whose fields are swapped one at a time as well.
+RECORDS = (MessageEnvelope, FusedRepresentation, LinearResource, Predicate, BlockHandle,
+           AccelTask, Checkpoint, AccelRegion, DrawPixel)
+
+V = Modality.VISION
+
+
+class World:
+    """Fresh objects for one call: each row's receiver and arguments come from here."""
+
+    def __init__(self):
+        self.pool = BlockPool(PoolConfig(8 * 4096, 4096, (4 * 4096,)))
+        self.handle = self.pool.alloc(1)
+        self.sched = MlScheduler()
+        self.sched.enqueue(MlTask("queued", cycles_work(1)))
+        self.task = MlTask("fresh", cycles_work(1))
+        self.buffer = SharedBuffer(16)
+        self.view = self.buffer.view()
+        self.dev = AccelDevice()
+        self.region = self.dev.allocate(8)
+        self.dev.write_tensor(self.region, Tensor.vector([2.0]))
+        self.dev_task = AccelTask(AccelOp.ELEMWISE_SUM, self.region, (1,), self.region, (1,), self.region)
+        self.t = Tensor.identity(2)
+        self.cluster = Cluster()
+        self.cluster.add_node(1, {V})
+        self.cluster.add_node(2, {Modality.AUDIO})
+        self.cluster.heartbeat_tick()
+        self.cluster.submit_input(V, "person")
+        self.cluster.process_step()
+        self.chk = self.cluster.checkpoint_node(1)
+        self.node = self.cluster.nodes[1]
+        self.envelope = MessageEnvelope(1, 0, 1, b"{}")
+        self.frame = encode(self.envelope)
+        self.fused = fuse({V: modality_process(V, b"person")})
+        self.scenario = parse_scenario(DEMO_SCENARIO)
+        self.engine = RababEngine()
+        self.pred = self.engine.register_predicate("four", lambda value: value == 4)  # takes any value
+        self.token = self.engine.allocate_linear("payload")
+        self.graph = KnowledgeGraph()
+        self.graph.evolve("a", "b", 0.5)
+        self.fb = Framebuffer(8, 8)
+        self.path = [Translate(1, 0), DrawPixel(1, 1, RED)]
+
+    def fingerprint(self) -> tuple:
+        cluster = self.cluster
+        return (
+            self.pool.bitmap(), self.pool.live_handles, self.pool.read(self.handle), len(self.sched),
+            self.buffer.snapshot(), self.dev.read_tensor(self.region, (1,)).tobytes(),
+            self.dev._used, len(self.dev._queue),
+            cluster.tick, [(n.snapshot(), n.pending, n.liveness, n.silenced) for n in cluster.nodes.values()],
+            self.engine.leaked_resources(), (self.pred.alpha, self.pred.beta),
+            len(self.graph), self.graph.weight("a", "b"),
+            self.fb.pixels(),
+        )
+
+
+def call(fn, *args, **kwargs):
+    return fn, args, kwargs
+
+
+# One valid call per public callable, named as test_every_public_callable_has_a_row names it.
+CALLS = {
+    # A checker's other arguments are literals at every call site in the package.
+    "errors.check_count": lambda w: call(partial(check_count, name="n", minimum=1), 3),
+    "errors.check_type": lambda w: call(partial(check_type, expected=int, name="n"), 3),
+    "compute.simple_compute": lambda w: call(simple_compute, 7, 2, Opcode.DIVIDE),
+    "config.read_text": lambda w: call(read_text, __file__),
+    "config.directives": lambda w: call(lambda text: list(directives(text)), "a # b\n"),  # a generator
+    "config.parse_config": lambda w: call(parse_config, "quantum = 5\n"),
+    "config.resolve_config": lambda w: call(resolve_config, None),
+    "config.config_from": lambda w: call(config_from, SchedulerConfig, {"quantum": 5}, batch_size=2),
+    "tensor.MatmulConfig": lambda w: call(MatmulConfig, 2, 2),
+    "tensor.Tensor": lambda w: call(Tensor, (2,), [1.0, 2.0]),
+    "tensor.Tensor.vector": lambda w: call(Tensor.vector, [1.0]),
+    "tensor.Tensor.identity": lambda w: call(Tensor.identity, 2),
+    "tensor.Tensor.random": lambda w: call(Tensor.random, (2,), Random(1)),
+    "tensor.Tensor.frombytes": lambda w: call(Tensor.frombytes, (1,), bytes(8)),
+    "tensor.Tensor.tobytes": lambda w: call(w.t.tobytes),
+    "tensor.Tensor.tolist": lambda w: call(w.t.tolist),
+    "tensor.Tensor.rows": lambda w: call(w.t.rows),
+    "tensor.validate_matmul_shapes": lambda w: call(validate_matmul_shapes, w.t, w.t),
+    "tensor.elementwise_sum": lambda w: call(elementwise_sum, w.t, w.t),
+    "tensor.matmul_naive": lambda w: call(matmul_naive, w.t, w.t),
+    "tensor.matmul_blocked": lambda w: call(matmul_blocked, w.t, w.t, MatmulConfig(1)),
+    "tensor.matmul_parallel": lambda w: call(matmul_parallel, w.t, w.t, MatmulConfig(1, 2)),
+    "mempool.PoolConfig": lambda w: call(PoolConfig, 8 * 4096, 4096, (4 * 4096,)),
+    "mempool.BlockHandle": lambda w: call(BlockHandle, 1, 0, 1, 1),
+    "mempool.BlockPool": lambda w: call(BlockPool, PoolConfig(8 * 4096)),
+    "mempool.BlockPool.bitmap": lambda w: call(w.pool.bitmap),
+    "mempool.BlockPool.bitmap_hex": lambda w: call(w.pool.bitmap_hex),
+    "mempool.BlockPool.alloc": lambda w: call(w.pool.alloc, 1),
+    "mempool.BlockPool.alloc_large_page": lambda w: call(w.pool.alloc_large_page, 4 * 4096),
+    "mempool.BlockPool.free": lambda w: call(w.pool.free, w.handle),
+    "mempool.BlockPool.read": lambda w: call(w.pool.read, w.handle, 0, 4),
+    "mempool.BlockPool.write": lambda w: call(w.pool.write, w.handle, 0, b"ab"),
+    "mempool.SharedBuffer": lambda w: call(SharedBuffer, 16),
+    "mempool.SharedBuffer.view": lambda w: call(w.buffer.view),
+    "mempool.SharedBuffer.snapshot": lambda w: call(w.buffer.snapshot),
+    "mempool.SharedBufferView": lambda w: call(SharedBufferView, w.buffer),
+    "mempool.SharedBufferView.read": lambda w: call(w.view.read, 0, 4),
+    "mempool.SharedBufferView.write": lambda w: call(w.view.write, 0, b"ab"),
+    "accel.AccelRegion": lambda w: call(AccelRegion, 1, 0, 8, 1),
+    "accel.AccelTask": lambda w: call(AccelTask, AccelOp.MATMUL, w.region, (1, 1), w.region, (1, 1), w.region),
+    "accel.AccelDevice": lambda w: call(AccelDevice),
+    "accel.AccelDevice.allocate": lambda w: call(w.dev.allocate, 8),
+    "accel.AccelDevice.submit": lambda w: call(w.dev.submit, w.dev_task),
+    "accel.AccelDevice.execute_next": lambda w: call(w.dev.execute_next),
+    "accel.AccelDevice.write_tensor": lambda w: call(w.dev.write_tensor, w.region, Tensor.vector([3.0])),
+    "accel.AccelDevice.read_tensor": lambda w: call(w.dev.read_tensor, w.region, (1,)),
+    "scheduler.SchedulerConfig": lambda w: call(SchedulerConfig, 1000, 2, 100),
+    "scheduler.PerfCounter": lambda w: call(PerfCounter),
+    "scheduler.ExecContext": lambda w: call(ExecContext, [0.0] * 16, w.task),
+    "scheduler.MlTask": lambda w: call(MlTask, "t", cycles_work(1), 3),
+    "scheduler.cycles_work": lambda w: call(cycles_work, 5, chunk=2),
+    "scheduler.matmul_work": lambda w: call(matmul_work, w.t, w.t, on_result=[].append),
+    "scheduler.MlScheduler": lambda w: call(MlScheduler, SchedulerConfig()),
+    "scheduler.MlScheduler.enqueue": lambda w: call(w.sched.enqueue, w.task),
+    "scheduler.MlScheduler.dequeue": lambda w: call(w.sched.dequeue),
+    "scheduler.MlScheduler.batch_execute": lambda w: call(w.sched.batch_execute, 1),
+    "orchestrator.envelope.MessageEnvelope": lambda w: call(MessageEnvelope, 1, 0, 1, b"{}", QoS.BULK, 1),
+    "orchestrator.envelope.encode": lambda w: call(encode, w.envelope),
+    "orchestrator.envelope.decode": lambda w: call(decode, w.frame),
+    "orchestrator.fusion.FusedRepresentation": lambda w: call(FusedRepresentation, (), "A person is present"),
+    "orchestrator.fusion.modality_label": lambda w: call(modality_label, V, b"person"),
+    "orchestrator.fusion.modality_process": lambda w: call(modality_process, V, b"person"),
+    "orchestrator.fusion.fuse": lambda w: call(fuse, {V: ("person", (1.0,))}),
+    "orchestrator.fusion.decide": lambda w: call(decide, w.fused),
+    "orchestrator.cluster.Checkpoint": lambda w: call(Checkpoint, 1, 1, b"{}"),
+    "orchestrator.cluster.Node": lambda w: call(Node, 3, {V}),
+    "orchestrator.cluster.Node.push_metrics": lambda w: call(w.node.push_metrics, 0.1, 0.2, 0.3),
+    "orchestrator.cluster.Node.predicted_load": lambda w: call(w.node.predicted_load),
+    "orchestrator.cluster.Node.pop_next": lambda w: call(w.node.pop_next),
+    "orchestrator.cluster.Node.drain_inbox": lambda w: call(w.node.drain_inbox),
+    "orchestrator.cluster.Node.snapshot": lambda w: call(w.node.snapshot),
+    "orchestrator.cluster.Node.from_snapshot": lambda w: call(Node.from_snapshot, w.chk.snapshot, 1, 1, 1),
+    "orchestrator.cluster.Cluster": lambda w: call(Cluster, 3),
+    "orchestrator.cluster.Cluster.add_node": lambda w: call(w.cluster.add_node, 3, {V}),
+    "orchestrator.cluster.Cluster.node": lambda w: call(w.cluster.node, 1),
+    "orchestrator.cluster.Cluster.silence": lambda w: call(w.cluster.silence, 1),
+    "orchestrator.cluster.Cluster.unsilence": lambda w: call(w.cluster.unsilence, 1),
+    "orchestrator.cluster.Cluster.heartbeat_tick": lambda w: call(w.cluster.heartbeat_tick),
+    "orchestrator.cluster.Cluster.detect_failures": lambda w: call(w.cluster.detect_failures),
+    "orchestrator.cluster.Cluster.last_failover_events": lambda w: call(w.cluster.last_failover_events),
+    "orchestrator.cluster.Cluster.submit_input": lambda w: call(w.cluster.submit_input, V, "person", QoS.BULK),
+    "orchestrator.cluster.Cluster.process_step": lambda w: call(w.cluster.process_step),
+    "orchestrator.cluster.Cluster.balance_load": lambda w: call(w.cluster.balance_load, V),
+    "orchestrator.cluster.Cluster.checkpoint_node": lambda w: call(w.cluster.checkpoint_node, 1),
+    "orchestrator.cluster.Cluster.restore_node": lambda w: call(w.cluster.restore_node, w.chk, 1),
+    "orchestrator.cluster.Cluster.collect_outputs": lambda w: call(w.cluster.collect_outputs),
+    "orchestrator.runner.Scenario": lambda w: call(Scenario),
+    "orchestrator.runner.parse_scenario": lambda w: call(parse_scenario, DEMO_SCENARIO),
+    "orchestrator.runner.run_scenario": lambda w: call(run_scenario, w.scenario, 3, seed=0, timeout_ticks=3),
+    "rabab.engine.Predicate": lambda w: call(Predicate, "p", bool),
+    "rabab.engine.KnowledgeGraph": lambda w: call(KnowledgeGraph),
+    "rabab.engine.KnowledgeGraph.weight": lambda w: call(w.graph.weight, "a", "b"),
+    "rabab.engine.KnowledgeGraph.evolve": lambda w: call(w.graph.evolve, "a", "c", 0.5),
+    "rabab.engine.embed": lambda w: call(embed, b"x"),
+    "rabab.engine.cosine_similarity": lambda w: call(cosine_similarity, [1.0, 0.0], [1.0, 1.0]),
+    "rabab.engine.LinearResource": lambda w: call(LinearResource, 1, "x", 1),
+    "rabab.engine.RababEngine": lambda w: call(RababEngine),
+    "rabab.engine.RababEngine.register_predicate": lambda w: call(w.engine.register_predicate, "odd", bool),
+    "rabab.engine.RababEngine.evolve_predicate": lambda w: call(w.engine.evolve_predicate, w.pred, 4, True),
+    "rabab.engine.RababEngine.allocate_linear": lambda w: call(w.engine.allocate_linear, "x"),
+    "rabab.engine.RababEngine.consume_linear": lambda w: call(w.engine.consume_linear, w.token),
+    "rabab.engine.RababEngine.leaked_resources": lambda w: call(w.engine.leaked_resources),
+    "rabab.paths.Identity": lambda w: call(Identity),
+    "rabab.paths.Translate": lambda w: call(Translate, 1, 0),
+    "rabab.paths.DrawPixel": lambda w: call(DrawPixel, 1, 1, RED),
+    "rabab.paths.Framebuffer": lambda w: call(Framebuffer, 8, 8),
+    "rabab.paths.Framebuffer.get": lambda w: call(w.fb.get, 1, 1),
+    "rabab.paths.Framebuffer.pixels": lambda w: call(w.fb.pixels),
+    "rabab.paths.Framebuffer.to_ppm": lambda w: call(w.fb.to_ppm),
+    "rabab.paths.interpret_intent": lambda w: call(interpret_intent, DrawPixel(1, 1, RED), w.fb),
+    "rabab.paths.parse_intent": lambda w: call(parse_intent, "pixel:1,2,#FF0000"),
+    "rabab.paths.apply_path": lambda w: call(apply_path, w.path, w.fb),
+    "rabab.paths.canonicalize_path": lambda w: call(canonicalize_path, w.path, 8, 8),
+    "rabab.paths.paths_equivalent": lambda w: call(paths_equivalent, w.path, [DrawPixel(2, 1, RED)], 8, 8),
+}
+
+# Public names with no row, each with its reason.
+EXEMPT = {
+    "cli": "the command line: test_cli runs each subcommand and checks its exit code and stderr",
+    "selftest": "the acceptance checks: they call the rows above, and test_golden pins their output",
+    "errors.KernelError": "an exception class: raising it is the contract",
+    "errors.InvalidArgument": "an exception class",
+    "errors.TaskFault": "an exception class",
+    "errors.OutOfMemory": "an exception class",
+    "errors.Overflow": "an exception class",
+    "errors.ShapeMismatch": "an exception class",
+    "errors.ResourceConsumed": "an exception class",
+    "errors.DeviceBusy": "an exception class",
+    "errors.NodeUnreachable": "an exception class",
+    "errors.ChecksumMismatch": "an exception class",
+    "compute.Opcode": "an Enum: a lookup of its values, not an operation",
+    "accel.AccelOp": "an Enum",
+    "scheduler.TaskState": "an Enum",
+    "orchestrator.envelope.QoS": "an Enum",
+    "orchestrator.fusion.Modality": "an Enum",
+    "orchestrator.cluster.Liveness": "an Enum",
+}
+
+
+def _public_names():
+    """(name, object) of each public function, class and method, name as in CALLS."""
+    for info in pkgutil.walk_packages(neurokernel.__path__, "neurokernel."):
+        module = importlib.import_module(info.name)
+        prefix = info.name.removeprefix("neurokernel.")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue  # private, or imported from elsewhere
+            if inspect.isfunction(obj):
+                yield f"{prefix}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{prefix}.{name}", obj
+                for attr, member in vars(obj).items():
+                    method = inspect.isfunction(member) or isinstance(member, (classmethod, staticmethod))
+                    if method and not attr.startswith("_"):
+                        yield f"{prefix}.{name}.{attr}", member
+
+
+def _exemption(name: str) -> str | None:
+    for exempt, reason in EXEMPT.items():
+        if name == exempt or name.startswith(exempt + "."):
+            return reason
+    return None
+
+
+def test_every_public_callable_has_a_row():
+    public = dict(_public_names())
+    missing = sorted(name for name in public if name not in CALLS and _exemption(name) is None)
+    assert missing == [], f"public callables without a contract row: {missing}"
+    stale = sorted(set(CALLS) - set(public))
+    assert stale == [], f"rows for names that are not public callables: {stale}"
+
+
+def test_only_exception_classes_and_enums_are_exempt_by_name():
+    public = dict(_public_names())
+    for name, reason in EXEMPT.items():
+        if name in ("cli", "selftest"):
+            continue
+        assert issubclass(public[name], (KernelError, Enum)), (name, reason)
+
+
+# Plain records: building one checks nothing; the operations that take one check its fields.
+PLAIN = {
+    "accel.AccelRegion", "accel.AccelTask", "mempool.BlockHandle", "scheduler.ExecContext",
+    "scheduler.MlTask", "orchestrator.envelope.MessageEnvelope", "orchestrator.fusion.FusedRepresentation",
+    "orchestrator.cluster.Checkpoint", "rabab.engine.Predicate", "rabab.engine.LinearResource",
+    "rabab.paths.Translate", "rabab.paths.DrawPixel",
+}
+
+EVERY = "every bad value"
+
+# The swaps a row survives, keyed by argument (a position, a keyword, or a
+# (position, field) pair), each with the bad values that return a value.
+# Every other swap must be refused with InvalidArgument, or with OutOfMemory
+# where OUT_OF_MEMORY says so.
+RETURNS = {
+    "errors.check_count": {0: (HUGE,)},  # counts have no upper bound; each caller sets its own
+    "errors.check_type": {0: (HUGE,)},
+    "config.directives": {0: ("x",)},  # any str is text
+    "config.resolve_config": {0: (None,)},  # no flag: the environment, or no file
+    "config.config_from": {1: ({},), "batch_size": (None, HUGE)},  # None: the flag is unset
+    "tensor.MatmulConfig": {0: (HUGE,)},
+    "tensor.Tensor.vector": {0: (b"x", [1])},  # bytes are a sequence of ints
+    "tensor.Tensor.random": {0: (b"x", [1])},  # a shape is any sequence of ints
+    "tensor.Tensor.frombytes": {0: ([1],)},
+    "tensor.matmul_blocked": {2: (None,)},  # None: the default config
+    "tensor.matmul_parallel": {2: (None,)},
+    "mempool.PoolConfig": {0: (HUGE,)},  # BlockPool refuses it with OutOfMemory
+    "mempool.BlockPool": {0: (None,)},
+    # The pool reads a handle's blocks from its own ledger, by id.
+    "mempool.BlockPool.free": {(0, "first_block"): EVERY, (0, "n_blocks"): EVERY},
+    "mempool.BlockPool.read": {(0, "first_block"): EVERY, (0, "n_blocks"): EVERY, 2: (None,)},
+    "mempool.BlockPool.write": {(0, "first_block"): EVERY, (0, "n_blocks"): EVERY, 2: (b"x",)},
+    "mempool.SharedBufferView.write": {1: (b"x",)},
+    "accel.AccelDevice.read_tensor": {1: ([1],)},
+    "accel.AccelDevice.submit": {(0, "a_shape"): ([1],), (0, "b_shape"): ([1],)},
+    "scheduler.SchedulerConfig": {0: (HUGE,), 1: (HUGE,), 2: (HUGE,)},
+    "scheduler.cycles_work": {0: (HUGE,), "chunk": (HUGE,)},  # lazy: it costs what it runs
+    "scheduler.matmul_work": {"on_result": (None,)},
+    "scheduler.MlScheduler": {0: (None,)},
+    "scheduler.MlScheduler.batch_execute": {0: (HUGE,)},  # at most the queue runs
+    # encode keeps its checks inline, in cluster's timed loop: a bool packs as
+    # the int it equals, and QoS(1.0) is QoS.BULK. submit_input likewise.
+    "orchestrator.envelope.encode": {
+        (0, "msg_id"): (True,), (0, "source"): (True,), (0, "dest"): (True,), (0, "payload"): (b"x",),
+        (0, "qos"): (True, 1.0), (0, "version"): (True,),
+    },
+    "orchestrator.cluster.Cluster.submit_input": {1: ("x",), 2: (True, 1.0)},
+    "orchestrator.fusion.modality_label": {1: (b"x",)},
+    "orchestrator.fusion.modality_process": {1: (b"x",)},
+    "orchestrator.fusion.decide": {(0, "outputs"): EVERY, (0, "summary"): ("x",)},  # it reads the summary
+    "orchestrator.cluster.Node": {1: ({},)},  # an empty collection: no modalities
+    "orchestrator.cluster.Node.push_metrics": {0: (1.0,), 1: (1.0,), 2: (1.0,)},
+    "orchestrator.cluster.Node.from_snapshot": {3: (HUGE,)},  # any tick at or after the input
+    "orchestrator.cluster.Cluster": {0: (HUGE,)},
+    "orchestrator.cluster.Cluster.add_node": {1: ({},)},
+    # A restore reads the checkpoint's node id and snapshot; seq only orders replicas.
+    "orchestrator.cluster.Cluster.restore_node": {(0, "seq"): EVERY, 1: (None,)},
+    "orchestrator.runner.run_scenario": {"seed": (HUGE,), "timeout_ticks": (HUGE,)},
+    "rabab.engine.KnowledgeGraph.weight": {0: ("x",), 1: ("x",)},
+    "rabab.engine.KnowledgeGraph.evolve": {0: ("x",), 1: ("x",), 2: (1.0,)},
+    "rabab.engine.embed": {0: (b"x",)},
+    "rabab.engine.RababEngine.register_predicate": {0: ("x",)},
+    "rabab.engine.RababEngine.evolve_predicate": {1: EVERY, 2: (True,)},  # the value goes to the rule
+    "rabab.engine.RababEngine.allocate_linear": {0: EVERY},  # a payload is anything
+    # An empty collection is the empty path; a size draws nothing.
+    "rabab.paths.apply_path": {0: ({},)},
+    "rabab.paths.canonicalize_path": {0: ({},), 1: (HUGE,), 2: (HUGE,)},
+    "rabab.paths.paths_equivalent": {0: ({},), 1: ({},), 2: (HUGE,), 3: (HUGE,)},
+}
+
+# Sizes no host can hold: the 10**400 swap of these arguments is one OutOfMemory.
+OUT_OF_MEMORY = {
+    "tensor.Tensor.identity": {0},
+    "mempool.BlockPool.alloc": {0},
+    "mempool.SharedBuffer": {0},
+    "accel.AccelDevice.allocate": {0},
+    "rabab.paths.Framebuffer": {0, 1},
+}
+
+
+def _swaps(args: tuple, kwargs: dict):
+    """(key, i): the argument, or the (argument, field) of a record in it, swapped for bad_values()[i]."""
+    for slot in [*range(len(args)), *kwargs]:
+        original = args[slot] if isinstance(slot, int) else kwargs[slot]
+        fields = [f.name for f in dataclasses.fields(original)] if type(original) in RECORDS else []
+        for key in [slot, *((slot, field) for field in fields)]:
+            for i in range(len(bad_values())):
+                yield key, i
+
+
+def _swapped(args: tuple, kwargs: dict, key, value):
+    """args and kwargs with the swap made; a record is replaced, never changed in place."""
+    slot, field = key if isinstance(key, tuple) else (key, None)
+    original = args[slot] if isinstance(slot, int) else kwargs[slot]
+    if field is not None:
+        value = dataclasses.replace(original, **{field: value})
+    if isinstance(slot, int):
+        return args[:slot] + (value,) + args[slot + 1:], kwargs
+    return args, {**kwargs, slot: value}
+
+
+def _expected(name: str, key, value):
+    """The KernelError a swap must raise, or None where it returns a value."""
+    allowed = EVERY if name in PLAIN else RETURNS.get(name, {}).get(key, ())
+    if allowed is EVERY or any(type(v) is type(value) and (v == value or v != v != value) for v in allowed):
+        return None
+    if value is HUGE and key in OUT_OF_MEMORY.get(name, ()):
+        return OutOfMemory
+    return InvalidArgument
+
+
+def _escapes(name: str) -> list[str]:
+    """What the valid call and each swap of it did outside the contract."""
+    fn, args, kwargs = CALLS[name](World())
+    fn(*args, **kwargs)  # the valid call, on a fresh world
+    escapes = []
+    for key, i in list(_swaps(args, kwargs)):
+        value = bad_values()[i]
+        expected = _expected(name, key, value)
+        where = f"argument {key!r} = {value!r}"
+        world = World()
+        fn, args, kwargs = CALLS[name](world)
+        swapped_args, swapped_kwargs = _swapped(args, kwargs, key, value)
+        before = world.fingerprint()
+        try:
+            fn(*swapped_args, **swapped_kwargs)
+        except KernelError as exc:
+            if type(exc) is not expected:
+                wanted = "a value" if expected is None else expected.__name__
+                escapes.append(f"{where}: {type(exc).__name__}: {exc}, not {wanted}")
+            elif world.fingerprint() != before:
+                escapes.append(f"{where}: refused, but the state changed")
+            else:
+                fn(*args, **kwargs)  # the valid call still succeeds
+        except Exception as exc:
+            escapes.append(f"{where}: {type(exc).__name__}: {exc}")
+        else:
+            if expected is not None:
+                escapes.append(f"{where}: returned a value, not {expected.__name__}")
+    return escapes
+
+
+def test_every_allowance_names_a_swap_of_its_row():
+    for table in (PLAIN, RETURNS, OUT_OF_MEMORY):
+        assert set(table) <= set(CALLS), sorted(set(table) - set(CALLS))
+    for name, allowed in [*RETURNS.items(), *OUT_OF_MEMORY.items()]:
+        fn, args, kwargs = CALLS[name](World())
+        keys = {key for key, _i in _swaps(args, kwargs)}
+        assert set(allowed) <= keys, (name, sorted(map(repr, set(allowed) - keys)))
+
+
+@pytest.fixture(autouse=True)
+def _no_config_in_the_environment(monkeypatch):
+    monkeypatch.delenv("NEUROKERNEL_CONFIG", raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_every_bad_argument_is_refused_with_one_kernel_error_and_no_state_change(name):
+    assert _escapes(name) == []
+
+
+# Bad values a swap does not reach: inside a tuple or a list, on an object that
+# is not a record, just past a bound, or a float equal to the one int accepted.
+# Each is one InvalidArgument and changes nothing.
+REFUSED = {
+    "node-id-past-u32": lambda w: w.cluster.add_node(2**32, {V}),
+    "node-id-negative": lambda w: w.cluster.restore_node(w.chk, -1),
+    "large-page-class-float": lambda w: PoolConfig(large_page_classes=(65536.0,)),
+    "large-page-float": lambda w: w.pool.alloc_large_page(4 * 4096.0),  # equal to a registered class
+    "priority-bool": lambda w: w.sched.enqueue(MlTask("b", cycles_work(1), priority=True)),
+    "dim-float": lambda w: Tensor((2.9,), [1.0, 2.0]),
+    "dim-bool": lambda w: Tensor((True,), [1.0]),
+    "dim-str": lambda w: Tensor(("2",), [1.0, 2.0]),
+    "entry-str": lambda w: Tensor((2,), ["a", "b"]),
+    "entry-numeric-str": lambda w: Tensor((2,), ["1.5", "2"]),
+    "entry-huge-int": lambda w: Tensor((1,), [10**400]),
+    "read-str-shape": lambda w: w.dev.read_tensor(w.region, ("1",)),
+    "submit-str-shape": lambda w: w.dev.submit(
+        AccelTask(AccelOp.ELEMWISE_SUM, w.region, ("a", 1), w.region, ("a", 1), w.region)),
+    "submit-float-shape": lambda w: w.dev.submit(
+        AccelTask(AccelOp.ELEMWISE_SUM, w.region, (0.5, 2), w.region, (0.5, 2), w.region)),
+    "submit-bool-shape-a": lambda w: w.dev.submit(
+        AccelTask(AccelOp.MATMUL, w.region, (True, 1), w.region, (1, 1), w.region)),
+    "submit-bool-shape-b": lambda w: w.dev.submit(
+        AccelTask(AccelOp.MATMUL, w.region, (1, 1), w.region, (1, True), w.region)),
+    "draw-bool-channel": lambda w: interpret_intent(DrawPixel(1, 1, (True, 0, 0)), w.fb),
+    "path-draw-bool": lambda w: apply_path([DrawPixel(True, 0, RED)], w.fb),
+    "path-color-none": lambda w: canonicalize_path([DrawPixel(1, 1, None)], 8, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_a_bad_value_no_swap_reaches_is_one_invalid_argument(name):
+    world = World()
+    before = world.fingerprint()
+    with pytest.raises(InvalidArgument):
+        REFUSED[name](world)
+    assert world.fingerprint() == before

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import struct
+import weakref
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -29,11 +31,12 @@ BLUE = (0, 0, 255)
 
 
 class TestPredicates:
-    def test_register_and_evaluate(self):
+    def test_the_rule_judges_each_value(self):
         engine = RababEngine()
-        engine.register_predicate("even-number-detector", lambda n: n % 2 == 0)
-        assert engine.evaluate("even-number-detector", 4) is True
-        assert engine.evaluate("even-number-detector", 7) is False
+        pred = engine.register_predicate("even-number-detector", lambda n: n % 2 == 0)
+        engine.evolve_predicate(pred, 4, True)  # the rule says True: agreement
+        engine.evolve_predicate(pred, 7, True)  # the rule says False: disagreement
+        assert (pred.alpha, pred.beta) == (2.0, 2.0)
 
     def test_duplicate_name_rejected(self):
         engine = RababEngine()
@@ -71,15 +74,20 @@ class TestPredicates:
         engine.evolve_predicate(pred, 0, False)
         assert pred.confidence < mid
 
-    def test_evaluation_is_pure(self):
+    def test_what_a_rule_raises_reaches_the_caller_and_moves_nothing(self):
         engine = RababEngine()
         pred = engine.register_predicate("p", lambda n: n % 2 == 0)
-        engine.evaluate(pred, 4)
+        with pytest.raises(TypeError):
+            engine.evolve_predicate(pred, "x", True)  # str % int: the rule is caller code
         assert (pred.alpha, pred.beta) == (1.0, 1.0)
 
-    def test_unknown_predicate_rejected(self):
+    def test_a_predicate_registered_elsewhere_is_refused(self):
+        other = RababEngine().register_predicate("p", lambda n: True)
+        engine = RababEngine()
+        engine.register_predicate("p", lambda n: True)
         with pytest.raises(InvalidArgument):
-            RababEngine().predicate("ghost")
+            engine.evolve_predicate(other, 1, True)
+        assert (other.alpha, other.beta) == (1.0, 1.0)
 
 
 class TestKnowledgeGraph:
@@ -133,16 +141,16 @@ class TestEmbedding:
         assert cosine_similarity(embed(b"a"), embed(b"b")) < 1.0
 
     def test_empty_input_rejected(self):
-        for empty in (b"", ""):
-            with pytest.raises(InvalidArgument):
-                embed(empty)
+        with pytest.raises(InvalidArgument):
+            embed(b"")
 
-    # str (ASCII and not), bytes, long and short; the digest is the sha256 of
-    # their embeddings packed as little-endian doubles, recorded from the
-    # per-slot sha256(data + slot) form under Python 3.11.
-    PINNED_INPUTS = (
+    # UTF-8 text (ASCII and not) and other bytes, long and short; the digest is
+    # the sha256 of their embeddings packed as little-endian doubles, recorded
+    # from the per-slot sha256(data + slot) form under Python 3.11.
+    PINNED_INPUTS = tuple(text.encode("utf-8") for text in (
         "a", "person", "t1", "t4800", "hello world", " padded tag ", "0", "x" * 1000,
         "é", "naïve café", "日本語のタグ", "🙂", "Ωμέγα\n",
+    )) + (
         b"\x00", b"\xff\xfe\xfd", b"obstacle", b"\x00" * 64, bytes(range(256)),
         "t17".encode("utf-8") * 3, "ß".encode("utf-16-le"),
     )
@@ -151,9 +159,6 @@ class TestEmbedding:
     def test_outputs_pinned_bit_for_bit(self):
         packed = b"".join(struct.pack("<32d", *embed(item)) for item in self.PINNED_INPUTS)
         assert hashlib.sha256(packed).hexdigest() == self.PINNED_DIGEST
-
-    def test_string_input_is_utf8(self):
-        assert embed("tag") == embed(b"tag")
 
     def test_dimension(self):
         assert len(embed(b"x")) == 32
@@ -213,6 +218,27 @@ class TestLinearResources:
         consumed = engine.allocate_linear("used")
         engine.consume_linear(consumed)
         assert engine.leaked_resources() == 1
+
+    def test_a_consumed_payload_is_the_callers_alone(self):
+        class Payload:
+            pass
+
+        engine = RababEngine()
+        res = engine.allocate_linear(Payload())
+        payload = weakref.ref(res.payload)
+        engine.consume_linear(res)
+        del res  # the caller drops the token and with it the payload
+        assert payload() is None
+        assert engine.leaked_resources() == 0
+
+    def test_a_forged_token_is_not_a_consumed_one(self):
+        engine = RababEngine()
+        res = engine.allocate_linear("x")
+        with pytest.raises(InvalidArgument):
+            engine.consume_linear(replace(res, id=res.id + 1))  # never allocated
+        with pytest.raises(InvalidArgument):
+            engine.consume_linear(replace(res))  # the live id, but not the token allocated
+        assert engine.consume_linear(res) == "x"
 
     def test_foreign_resource_rejected(self):
         mine = RababEngine().allocate_linear("x")
@@ -292,22 +318,11 @@ class TestIntents:
             parse_intent(bad)
 
     @pytest.mark.parametrize("call, error", [
-        (lambda: Framebuffer("4", 4), InvalidArgument),
-        (lambda: Framebuffer(4, 4.5), InvalidArgument),
-        (lambda: Framebuffer(True, 4), InvalidArgument),
         (lambda: Framebuffer(0, 4), InvalidArgument),
         (lambda: Framebuffer(10**30, 4), OutOfMemory),  # refused before any allocation
         (lambda: Framebuffer(2**31, 2**31), OutOfMemory),
-        (lambda: Framebuffer(4, 4).get("x", 0), InvalidArgument),
-        (lambda: Framebuffer(4, 4).get(1.0, 0), InvalidArgument),
-        (lambda: interpret_intent(DrawPixel(True, 0, RED), Framebuffer(4, 4)), InvalidArgument),
-        (lambda: canonicalize_path([DrawPixel(0, 0, RED)], "8", 8), InvalidArgument),
-        (lambda: canonicalize_path([DrawPixel(0, 0, RED)], 8, 8.0), InvalidArgument),
-        (lambda: canonicalize_path([DrawPixel(0, 0, RED)], True, 8), InvalidArgument),
-    ], ids=["width-str", "height-float", "width-bool", "width-zero", "overflow", "too-large",
-            "get-str", "get-float", "draw-bool", "path-width-str", "path-height-float",
-            "path-width-bool"])
-    def test_bad_framebuffer_arguments_are_one_kernel_error(self, call, error):
+    ], ids=["width-zero", "overflow", "too-large"])
+    def test_bad_framebuffer_sizes_are_one_kernel_error_of_their_kind(self, call, error):
         with pytest.raises(error):
             call()
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from neurokernel.errors import InvalidArgument, KernelError, Overflow, ShapeMismatch, TaskFault
-from neurokernel.mempool import BlockHandle, BlockPool, PoolConfig
 from neurokernel.scheduler import (
     ALLOC_CYCLES,
     MlScheduler,
@@ -261,8 +260,8 @@ class TestWorkBuilders:
         assert sched.batch_execute(2) == ["ok"]
 
     def test_matmul_work_costs_and_result(self):
-        a = Tensor.from_rows([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor.from_rows([[5.0, 6.0], [7.0, 8.0]])
+        a = Tensor((2, 2), [1.0, 2.0, 3.0, 4.0])
+        b = Tensor((2, 2), [5.0, 6.0, 7.0, 8.0])
         results = []
         sched = MlScheduler()
         task = MlTask("mm", matmul_work(a, b, on_result=results.append))
@@ -273,14 +272,14 @@ class TestWorkBuilders:
 
     def test_matmul_work_rejects_nonconforming_shapes(self):
         # 2x2 by 3x2 must not run and silently drop the third row of b.
-        a = Tensor.from_rows([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor.from_rows([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
+        a = Tensor((2, 2), [1.0, 2.0, 3.0, 4.0])
+        b = Tensor((3, 2), [1.0, 0.0, 0.0, 1.0, 5.0, 5.0])
         with pytest.raises(ShapeMismatch):
             matmul_work(a, b)
 
     def test_matmul_work_overflow_faults_with_overflow_at_the_last_step(self):
-        a = Tensor.from_rows([[1e200, 1e200]])
-        b = Tensor.from_rows([[1e200], [1e200]])
+        a = Tensor((1, 2), [1e200, 1e200])
+        b = Tensor((2, 1), [1e200, 1e200])
         results = []
         sched = MlScheduler(SchedulerConfig(quantum=1))
         task = MlTask("mm", matmul_work(a, b, on_result=results.append))
@@ -365,45 +364,6 @@ class TestWorkFault:
             sched.batch_execute(1)
         with pytest.raises(InvalidArgument):
             sched.enqueue(bad)
-
-
-@pytest.mark.parametrize("call", [
-    lambda pool, handle, sched: pool.alloc("3"),
-    lambda pool, handle, sched: pool.alloc(None),
-    lambda pool, handle, sched: pool.alloc(2.5),
-    lambda pool, handle, sched: pool.alloc(True),
-    lambda pool, handle, sched: pool.alloc_large_page(16384.0),
-    lambda pool, handle, sched: pool.free(None),
-    lambda pool, handle, sched: pool.free(BlockHandle([1], 0, 1, handle.pool_id)),
-    lambda pool, handle, sched: pool.read(handle, "a"),
-    lambda pool, handle, sched: pool.read(handle, 0, 2.5),
-    lambda pool, handle, sched: pool.write(handle, 0, "str"),
-    lambda pool, handle, sched: PoolConfig(pool_bytes="x"),
-    lambda pool, handle, sched: PoolConfig(block_bytes=None),
-    lambda pool, handle, sched: PoolConfig(large_page_classes=None),
-    lambda pool, handle, sched: PoolConfig(large_page_classes=(65536.0,)),
-    lambda pool, handle, sched: SchedulerConfig(quantum="2"),
-    lambda pool, handle, sched: SchedulerConfig(quantum=2.5),
-    lambda pool, handle, sched: sched.batch_execute("4"),
-    lambda pool, handle, sched: sched.batch_execute(None),
-    lambda pool, handle, sched: cycles_work("5"),
-    lambda pool, handle, sched: cycles_work(5.5),
-    lambda pool, handle, sched: cycles_work(5, chunk=True),
-    lambda pool, handle, sched: sched.enqueue(None),
-    lambda pool, handle, sched: sched.enqueue(make_task("b", priority=True)),
-], ids=["alloc-str", "alloc-none", "alloc-float", "alloc-bool", "large-page-float",
-        "free-none", "free-unhashable-id", "read-str-offset", "read-float-length", "write-str",
-        "pool-bytes-str", "block-bytes-none", "classes-none", "class-float",
-        "quantum-str", "quantum-float", "batch-str", "batch-none",
-        "cycles-str", "cycles-float", "chunk-bool", "enqueue-none",
-        "priority-bool"])
-def test_the_jobs_layers_refuse_bad_arguments_with_invalid_argument(call):
-    pool = BlockPool(PoolConfig(pool_bytes=8 * 4096, large_page_classes=(4 * 4096,)))
-    handle, sched = pool.alloc(1), MlScheduler()
-    sched.enqueue(make_task("queued"))
-    with pytest.raises(InvalidArgument):
-        call(pool, handle, sched)
-    assert (pool.allocated_blocks, pool.live_handles, len(sched)) == (1, 1, 1)
 
 
 class SchedulerModel(RuleBasedStateMachine):
