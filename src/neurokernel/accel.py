@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
-from .errors import InvalidArgument, OutOfMemory, check_count
+from .errors import InvalidArgument, OutOfMemory, check_count, check_type, shown
 from .tensor import Tensor, _checked_shape, elementwise_sum, matmul_naive
 
 DEVICE_BUFFER_BYTES = 1024 * 1024
@@ -68,10 +68,9 @@ class AccelDevice:
 
     def allocate(self, size: int) -> AccelRegion:
         """The next region of the device buffer: it starts at the bump offset."""
-        check_count(size, "region size")
-        if DEVICE_BUFFER_BYTES - self._used < size:
+        if DEVICE_BUFFER_BYTES - self._used < check_count(size, "region size"):
             raise OutOfMemory(
-                f"no {size}-byte region free in the {DEVICE_BUFFER_BYTES}-byte buffer"
+                f"no {shown(size)}-byte region free in the {DEVICE_BUFFER_BYTES}-byte buffer"
             )
         region = AccelRegion(next(self._next_region), self._used, size, self._device_id)
         self._used += size
@@ -79,11 +78,11 @@ class AccelDevice:
         return region
 
     def _check_region(self, region: AccelRegion, needed: int, role: str) -> None:
-        if not isinstance(region, AccelRegion):
-            raise InvalidArgument(f"{role} region must be an AccelRegion, got {region!r}")
+        if not isinstance(region, AccelRegion):  # per staged tensor: the checker only on failure
+            check_type(region, AccelRegion, f"{role} region")
         if (region.device_id != self._device_id or type(region.id) is not int
                 or self._regions.get(region.id) != region):
-            raise InvalidArgument(f"{role} region {region.id} is not live on this device")
+            raise InvalidArgument(f"{role} region {shown(region.id)} is not live on this device")
         if needed > region.size:
             raise InvalidArgument(
                 f"{role} region holds {region.size} bytes but the task needs {needed}"
@@ -92,24 +91,24 @@ class AccelDevice:
     def submit(self, task: AccelTask) -> int:
         """Validate and enqueue a task; returns its id. Execution is FIFO."""
         if not isinstance(task, AccelTask):
-            raise InvalidArgument(f"not an AccelTask: {task!r}")
+            check_type(task, AccelTask, "device task")
         a_shape, b_shape = _checked_shape(task.a_shape), _checked_shape(task.b_shape)
         self._check_region(task.a, _shape_bytes(a_shape), "input a")
         self._check_region(task.b, _shape_bytes(b_shape), "input b")
         if task.op is AccelOp.ELEMWISE_SUM:
             if a_shape != b_shape:
                 raise InvalidArgument(
-                    f"elementwise sum needs identical shapes, got {a_shape} and {b_shape}"
+                    f"elementwise sum needs identical shapes, got {shown(a_shape)} and {shown(b_shape)}"
                 )
             out_shape = a_shape
         elif task.op is AccelOp.MATMUL:
             if len(a_shape) != 2 or len(b_shape) != 2 or a_shape[1] != b_shape[0]:
                 raise InvalidArgument(
-                    f"matmul shapes do not conform: {a_shape} by {b_shape}"
+                    f"matmul shapes do not conform: {shown(a_shape)} by {shown(b_shape)}"
                 )
             out_shape = (a_shape[0], b_shape[1])
         else:
-            raise InvalidArgument(f"unknown device op {task.op!r}")
+            raise InvalidArgument(f"unknown device op {shown(task.op)}")
         self._check_region(task.out, _shape_bytes(out_shape), "output")
         task_id = next(self._next_task)
         self._queue.append((task_id, task))
@@ -145,7 +144,7 @@ class AccelDevice:
 
     def write_tensor(self, region: AccelRegion, tensor: Tensor) -> None:
         if not isinstance(tensor, Tensor):
-            raise InvalidArgument(f"not a Tensor: {tensor!r}")
+            check_type(tensor, Tensor, "tensor")
         raw = tensor.tobytes()
         self._check_region(region, len(raw), "target")
         self._buffer[region.offset : region.offset + len(raw)] = raw

@@ -22,7 +22,7 @@ from random import Random
 from .accel import AccelDevice, AccelOp, AccelTask
 from .compute import Opcode, simple_compute
 from .config import config_from, directives, read_text, resolve_config
-from .errors import InvalidArgument, KernelError
+from .errors import InvalidArgument, KernelError, shown
 from .mempool import BlockPool, PoolConfig
 from .orchestrator.runner import DEMO_SCENARIO, parse_scenario, run_scenario
 from .rabab.engine import RababEngine
@@ -85,15 +85,15 @@ def _cmd_pool_demo(args) -> int:
             elif parts[0] == "free" and len(parts) == 2:
                 index = int(parts[1])
                 if not 1 <= index <= len(handles) or handles[index - 1] is None:
-                    raise InvalidArgument(f"no live allocation #{index}")
+                    raise InvalidArgument(f"no live allocation #{shown(index)}")
                 pool.free(handles[index - 1])
                 handles[index - 1] = None
             elif parts[0] == "lpage" and len(parts) == 2:
                 handles.append(pool.alloc_large_page(int(parts[1])))
             else:
-                raise InvalidArgument(f"unrecognized op {line!r}")
+                raise InvalidArgument(f"unrecognized op {shown(line)}")
         except ValueError:
-            raise InvalidArgument(f"ops line {lineno}: malformed {line!r}") from None
+            raise InvalidArgument(f"ops line {lineno}: malformed {shown(line)}") from None
         except KernelError as exc:
             raise type(exc)(f"ops line {lineno}: {exc.detail}") from None
     print(pool.bitmap_hex())

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 
-from .errors import InvalidArgument, Overflow, check_type
+from .errors import InvalidArgument, Overflow, check_count, check_type, shown
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -21,11 +21,6 @@ class Opcode(IntEnum):
     DIVIDE = 3
 
 
-def _check_operand(name: str, value: int) -> None:
-    if not INT64_MIN <= check_type(value, int, name) <= INT64_MAX:
-        raise InvalidArgument(f"{name}={value} is outside the signed 64-bit range")
-
-
 def simple_compute(a: int, b: int, op: Opcode | int) -> int:
     """Apply ``op`` to two signed 64-bit integers.
 
@@ -33,12 +28,12 @@ def simple_compute(a: int, b: int, op: Opcode | int) -> int:
     64-bit range raises Overflow. Division truncates toward zero, so
     ``(a / b) * b == a - (a trunc-mod b)`` holds exactly for ``b != 0``.
     """
-    _check_operand("a", a)
-    _check_operand("b", b)
+    check_count(a, "a", INT64_MIN, INT64_MAX)
+    check_count(b, "b", INT64_MIN, INT64_MAX)
     try:
         op = Opcode(check_type(op, int, "opcode"))
     except ValueError:
-        raise InvalidArgument(f"unknown opcode {op!r}") from None
+        raise InvalidArgument(f"unknown opcode {shown(op)}") from None
 
     if op is Opcode.ADD:
         result = a + b
@@ -54,5 +49,5 @@ def simple_compute(a: int, b: int, op: Opcode | int) -> int:
             result = -result
 
     if not INT64_MIN <= result <= INT64_MAX:
-        raise Overflow(f"{op.name}({a}, {b}) does not fit a signed 64-bit integer")
+        raise Overflow(f"{op.name}({shown(a)}, {shown(b)}) does not fit a signed 64-bit integer")
     return result

@@ -18,9 +18,8 @@ from __future__ import annotations
 import os
 from dataclasses import fields
 from pathlib import Path
-from typing import Iterator
 
-from .errors import InvalidArgument, check_type
+from .errors import InvalidArgument, check_type, shown
 
 ENV_VAR = "NEUROKERNEL_CONFIG"
 
@@ -38,16 +37,13 @@ def read_text(path: str | Path) -> str:
     try:
         return Path(check_type(path, (str, os.PathLike), "path")).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise InvalidArgument(f"cannot read {path}: {exc}") from None
+        raise InvalidArgument(f"cannot read {shown(path)}: {exc}") from None
 
 
-def directives(text: str) -> Iterator[tuple[int, str]]:
+def directives(text: str) -> list[tuple[int, str]]:
     """(line number, line) for each line left non-blank once its '#' comment is cut."""
-    check_type(text, str, "config or script text")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    lines = enumerate(check_type(text, str, "config or script text").splitlines(), start=1)
+    return [(lineno, line) for lineno, raw in lines if (line := raw.split("#", 1)[0].strip())]
 
 
 def parse_config(text: str) -> dict:
@@ -60,9 +56,9 @@ def parse_config(text: str) -> dict:
         key = key.strip()
         value = value.strip()
         if key not in known:
-            raise InvalidArgument(f"config line {lineno}: unknown key {key!r}")
+            raise InvalidArgument(f"config line {lineno}: unknown key {shown(key)}")
         if key in values:
-            raise InvalidArgument(f"config line {lineno}: duplicate key {key!r}")
+            raise InvalidArgument(f"config line {lineno}: duplicate key {shown(key)}")
         try:
             if isinstance(known[key].default, tuple):  # a tuple default takes a comma-separated list
                 values[key] = tuple(int(part.strip()) for part in value.split(","))
@@ -70,7 +66,7 @@ def parse_config(text: str) -> dict:
                 values[key] = int(value)
         except ValueError:
             raise InvalidArgument(
-                f"config line {lineno}: {key} needs integer value(s), got {value!r}"
+                f"config line {lineno}: {key} needs integer value(s), got {shown(value)}"
             ) from None
     return values
 
@@ -89,7 +85,7 @@ def config_from(config_type, values: dict, **flags):
     the dataclass default, so the defaults live only there.
     """
     if config_type not in _config_types():
-        raise InvalidArgument(f"not a config type: {config_type!r}")
+        raise InvalidArgument(f"not a config type: {shown(config_type)}")
     check_type(values, dict, "config values")
     kwargs = {f.name: values[f.name] for f in fields(config_type) if f.name in values}
     kwargs.update((name, flag) for name, flag in flags.items() if flag is not None)

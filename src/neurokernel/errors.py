@@ -4,6 +4,13 @@ Every public operation either returns a value or raises exactly one
 KernelError subclass, and a refusal changes no state. tests/test_contract.py
 sweeps every public callable with ill-typed and out-of-range arguments; a new
 public name needs a row there.
+
+A refusal is decided and worded here: ``check_type``, ``check_count`` (an int
+in minimum..maximum, unbounded above when maximum is None), and ``shown``, the
+one formatter of a caller's value in any message. A check run per job or per
+message keeps an inline test and calls a checker only when it fails (the
+timed-loop form); where that test is exact (``type(x) is T``), a subclass the
+checker passes is refused by the branch's own raise.
 """
 
 
@@ -29,10 +36,22 @@ class InvalidArgument(KernelError):
     kind = "InvalidArgument"
 
 
-def check_count(value, name: str, minimum: int = 1) -> int:
-    """value, if it is an int of at least minimum; otherwise InvalidArgument."""
-    if type(value) is not int or value < minimum:  # a bool is an int subclass, not a count
-        raise InvalidArgument(f"{name} must be an int >= {minimum}, got {value!r}")
+def shown(value) -> str:
+    """repr(value) for a refusal message, never raising: an int past repr's digit
+    limit (sys.get_int_max_str_digits) shows as its size, a value holding one as its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too large to show"
+
+
+def check_count(value, name: str, minimum: int = 1, maximum: int | None = None) -> int:
+    """value, if an int in minimum..maximum (no upper bound if None); else InvalidArgument. A bool is not an int."""
+    if type(value) is not int or value < minimum or (maximum is not None and value > maximum):
+        wanted = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise InvalidArgument(f"{name} must be an int {wanted}, got {shown(value)}")
     return value
 
 
@@ -42,7 +61,7 @@ def check_type(value, expected, name: str):
     if isinstance(value, kinds) and (type(value) is not bool or bool in kinds):
         return value
     names = " or ".join(kind.__name__ for kind in kinds)
-    raise InvalidArgument(f"{name} must be {names}, got {value!r}")
+    raise InvalidArgument(f"{name} must be {names}, got {shown(value)}")
 
 
 class TaskFault(InvalidArgument):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import InvalidArgument, OutOfMemory, check_count, check_type
+from .errors import InvalidArgument, OutOfMemory, check_count, check_type, shown
 
 DEFAULT_POOL_BYTES = 8 * 1024 * 1024
 DEFAULT_BLOCK_BYTES = 4096
@@ -37,16 +37,16 @@ class PoolConfig:
         check_count(self.block_bytes, "block_bytes")
         if check_count(self.pool_bytes, "pool_bytes") % self.block_bytes != 0:
             raise InvalidArgument(
-                f"pool_bytes {self.pool_bytes} must be a positive multiple of "
-                f"block_bytes {self.block_bytes}"
+                f"pool_bytes {shown(self.pool_bytes)} must be a positive multiple of "
+                f"block_bytes {shown(self.block_bytes)}"
             )
         check_type(self.large_page_classes, (tuple, list, set, frozenset), "large_page_classes")
         classes = tuple(sorted({check_count(c, "large page class") for c in self.large_page_classes}))
         for cls_bytes in classes:
             if cls_bytes % self.block_bytes != 0:
                 raise InvalidArgument(
-                    f"large page class {cls_bytes} must be a positive multiple of "
-                    f"block_bytes {self.block_bytes}"
+                    f"large page class {shown(cls_bytes)} must be a positive multiple of "
+                    f"block_bytes {shown(self.block_bytes)}"
                 )
         object.__setattr__(self, "large_page_classes", classes)
 
@@ -74,7 +74,7 @@ class BlockPool:
             self._storage = bytearray(self.config.pool_bytes)
         except (MemoryError, OverflowError):  # OverflowError: a size past the address space
             raise OutOfMemory(
-                f"host cannot back a {self.config.pool_bytes}-byte pool"
+                f"host cannot back a {shown(self.config.pool_bytes)}-byte pool"
             ) from None
         self._ledger: dict[int, tuple[int, int]] = {}
         self._written: set[int] = set()  # ids of live handles whose storage write() changed
@@ -131,11 +131,10 @@ class BlockPool:
 
     def alloc(self, n_blocks: int) -> BlockHandle:
         """First-fit allocation of a contiguous run; contents read as zero."""
-        check_count(n_blocks, "n_blocks")
-        first = self._find_run(n_blocks)
+        first = self._find_run(check_count(n_blocks, "n_blocks"))
         if first is None:
             raise OutOfMemory(
-                f"no contiguous run of {n_blocks} free blocks "
+                f"no contiguous run of {shown(n_blocks)} free blocks "
                 f"({self.total_blocks - self._allocated} free in total)"
             )
         return self._take_run(first, n_blocks)
@@ -144,26 +143,28 @@ class BlockPool:
         """Allocate one large page: a class-aligned run of class/block blocks."""
         if check_count(class_bytes, "class_bytes") not in self.config.large_page_classes:
             raise InvalidArgument(
-                f"{class_bytes} is not a registered large-page class "
-                f"{self.config.large_page_classes}"
+                f"{shown(class_bytes)} is not a registered large-page class "
+                f"{shown(self.config.large_page_classes)}"
             )
         n_blocks = class_bytes // self.config.block_bytes
         first = self._find_run(n_blocks, align_blocks=n_blocks)
         if first is None:
             raise OutOfMemory(
-                f"no {class_bytes}-aligned run of {n_blocks} free blocks"
+                f"no {shown(class_bytes)}-aligned run of {n_blocks} free blocks"
             )
         return self._take_run(first, n_blocks)
 
     def _entry(self, handle: BlockHandle) -> tuple[int, int]:
         """(first block, block count) of a handle live in this pool."""
+        # Exact types: the checkers word a refusal, and a subclass they pass is refused here.
         if type(handle) is not BlockHandle or type(handle.id) is not int:
-            raise InvalidArgument(f"not a BlockHandle: {handle!r}")
+            check_count(check_type(handle, BlockHandle, "handle").id, "handle id")
+            raise InvalidArgument(f"handle must be a BlockHandle, not a subclass: {shown(handle)}")
         if handle.pool_id != self._pool_id:
             raise InvalidArgument("handle belongs to a different pool")
         entry = self._ledger.get(handle.id)
         if entry is None:
-            raise InvalidArgument(f"handle {handle.id} is not live in this pool")
+            raise InvalidArgument(f"handle {shown(handle.id)} is not live in this pool")
         return entry
 
     def free(self, handle: BlockHandle) -> None:
@@ -184,13 +185,8 @@ class BlockPool:
         """Storage (start, length) of an access; a length of None runs to the end."""
         first, n_blocks = self._entry(handle)
         span = n_blocks * self.config.block_bytes
-        check_count(offset, "offset", 0)
-        if length is None:
-            length = max(0, span - offset)
-        if check_count(length, "length", 0) + offset > span:
-            raise InvalidArgument(
-                f"access [{offset}, {offset + length}) outside {span}-byte allocation"
-            )
+        check_count(offset, "offset", 0, span)
+        length = span - offset if length is None else check_count(length, "length", 0, span - offset)
         return first * self.config.block_bytes + offset, length
 
     def read(self, handle: BlockHandle, offset: int = 0, length: int | None = None) -> bytes:
@@ -236,15 +232,12 @@ class SharedBuffer:
         try:
             self._storage = bytearray(check_count(size, "buffer size"))
         except (MemoryError, OverflowError):
-            raise OutOfMemory(f"host cannot back a {size}-byte shared buffer") from None
+            raise OutOfMemory(f"host cannot back a {shown(size)}-byte shared buffer") from None
         self.size = size
         self.copy_counter = 0
 
     def _check_range(self, offset: int, length: int) -> None:
-        if check_count(offset, "offset", 0) + check_count(length, "length", 0) > self.size:
-            raise InvalidArgument(
-                f"access [{offset}, {offset + length}) outside {self.size}-byte buffer"
-            )
+        check_count(length, "length", 0, self.size - check_count(offset, "offset", 0, self.size))
 
     def view(self) -> SharedBufferView:
         return SharedBufferView(self)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 
-from ..errors import InvalidArgument, NodeUnreachable, check_count, check_type
+from ..errors import InvalidArgument, NodeUnreachable, check_count, check_type, shown
 from .envelope import CURRENT_VERSION, MAX_ADDRESS, MessageEnvelope, QoS, decode, encode
 from .fusion import Modality, modality_label, modality_process
 
@@ -61,15 +61,13 @@ class Node:
 
     def __init__(self, node_id: int, modalities):
         # The coordinator is 0, and a node id is an envelope's dest.
-        if not COORDINATOR_ID < check_type(node_id, int, "node id") <= MAX_ADDRESS:
-            raise InvalidArgument(f"node id must be in 1..{MAX_ADDRESS}, got {node_id}")
+        self.id = check_count(node_id, "node id", COORDINATOR_ID + 1, MAX_ADDRESS)
         try:
             self.modalities = frozenset(modalities)
             if not all(isinstance(m, Modality) for m in self.modalities):
                 raise TypeError
         except TypeError:
-            raise InvalidArgument(f"modalities must be a set of Modality, got {modalities!r}") from None
-        self.id = node_id
+            raise InvalidArgument(f"modalities must be a set of Modality, got {shown(modalities)}") from None
         # What follows the metrics in every snapshot: id and modalities never change.
         served = ",".join(_json_str(value) for value in sorted(m.value for m in self.modalities))
         self._snapshot_tail = f',"modalities":[{served}],"node_id":{node_id}}}'
@@ -92,7 +90,7 @@ class Node:
         """
         if not (type(cpu) in _SAMPLE_TYPES and type(mem) in _SAMPLE_TYPES and type(io) in _SAMPLE_TYPES
                 and 0.0 <= cpu <= 1.0 and 0.0 <= mem <= 1.0 and 0.0 <= io <= 1.0):
-            raise InvalidArgument(f"metric sample {(cpu, mem, io)!r} is not three numbers in [0, 1]")
+            raise InvalidArgument(f"metric sample ({shown(cpu)}, {shown(mem)}, {shown(io)}) is not three numbers in [0, 1]")
         windows = cpus, mems, ios = self._metrics.values()
         cpus.append(cpu)
         mems.append(mem)
@@ -167,7 +165,8 @@ class Node:
         rebuilt node's snapshot() does not reproduce, or that record an input
         after ``now``, raise InvalidArgument.
         """
-        check_type(as_id, int, "node id")  # True equals 1: it would keep the id unmoved
+        # Checked here too: True equals 1, so it would keep the id unmoved.
+        check_count(as_id, "node id", COORDINATOR_ID + 1, MAX_ADDRESS)
         check_count(now, "now", 0)
         try:
             state = json.loads(snapshot)
@@ -177,9 +176,7 @@ class Node:
                 node.push_metrics(*sample)
             served = {m.value: m for m in node.modalities}  # KeyError: a modality not served
             for value, (tick, tag, _label) in state["latest"].items():
-                if check_count(tick, "tick", 0) > now:
-                    raise ValueError(f"input recorded at tick {tick}, after tick {now}")
-                node._record(served[value], tick, tag)
+                node._record(served[value], check_count(tick, "tick", 0, now), tag)  # no input after now
             if node.snapshot() != snapshot:
                 raise ValueError("not the bytes snapshot() writes")
         except (InvalidArgument, ValueError, KeyError, TypeError, AttributeError, RecursionError):
@@ -198,7 +195,7 @@ def _request(env: MessageEnvelope, server: Node | None = None) -> tuple[Modality
         request = json.loads(env.payload)
         modality, tag = Modality(request["modality"]), request["tag"]
     except (ValueError, KeyError, TypeError):
-        raise InvalidArgument(f"message {env.msg_id} is not an input request") from None
+        raise InvalidArgument(f"message {shown(env.msg_id)} is not an input request") from None
     if server is not None and modality not in server.modalities:
         raise InvalidArgument(f"node {server.id} does not support {modality.value}")
     return modality, tag
@@ -224,7 +221,7 @@ class Cluster:
     def add_node(self, node_id: int, modalities) -> Node:
         node = Node(node_id, modalities)  # first: it refuses an unhashable id the lookup would raise on
         if node_id in self.nodes:
-            raise InvalidArgument(f"node {node_id} already exists")
+            raise InvalidArgument(f"node {shown(node_id)} already exists")
         return self._insert(node)
 
     def _insert(self, node: Node) -> Node:
@@ -240,9 +237,10 @@ class Cluster:
         return node
 
     def node(self, node_id: int) -> Node:
-        node = self.nodes.get(check_type(node_id, int, "node id"))  # True or 1.0 would find node 1
+        # A node id as Node checks it: True or 1.0 would find node 1.
+        node = self.nodes.get(check_count(node_id, "node id", COORDINATOR_ID + 1, MAX_ADDRESS))
         if node is None:
-            raise InvalidArgument(f"unknown node {node_id}")
+            raise InvalidArgument(f"unknown node {shown(node_id)}")
         return node
 
     def silence(self, node_id: int) -> None:
@@ -320,15 +318,14 @@ class Cluster:
         A refused argument routes nothing and uses no message id.
         """
         if not isinstance(tag, str) or not tag:
-            raise InvalidArgument(f"tag must be a nonempty str, got {tag!r}")
+            check_type(tag, str, "tag")
+            raise InvalidArgument("tag must be a nonempty str")
         try:
             tag.encode("utf-8")
         except UnicodeEncodeError:
-            raise InvalidArgument(f"tag {tag!r} is not encodable as UTF-8") from None
-        try:
-            qos = QoS(qos)
-        except ValueError:
-            raise InvalidArgument(f"unknown qos {qos!r}") from None
+            raise InvalidArgument(f"tag {shown(tag)} is not encodable as UTF-8") from None
+        if type(qos) is not QoS:  # its int value is taken too, but not a bool or a float
+            qos = QoS(check_count(qos, "qos", 0, len(QoS) - 1))
         target = self.balance_load(modality)
         payload = f"{_REQUEST_HEADS[modality]}{_json_str(tag)}}}".encode()
         env = MessageEnvelope(
@@ -363,7 +360,7 @@ class Cluster:
         therefore always give identical selections.
         """
         if not isinstance(modality, Modality):
-            raise InvalidArgument(f"unknown modality {modality!r}")
+            check_type(modality, Modality, "modality")
         supporters = self._supporters
         if supporters is None:
             supporters = self._supporters = {

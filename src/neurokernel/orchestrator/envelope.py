@@ -18,7 +18,7 @@ import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 
-from ..errors import ChecksumMismatch, InvalidArgument
+from ..errors import ChecksumMismatch, InvalidArgument, check_count, check_type, shown
 
 MAGIC = b"NKE1"
 CURRENT_VERSION = 1
@@ -47,45 +47,39 @@ class MessageEnvelope:
     version: int = CURRENT_VERSION
 
 
-def _check_range(name: str, value: int, limit: int) -> None:
-    if not 0 <= value <= limit:
-        raise InvalidArgument(f"{name}={value} does not fit the frame field")
-
-
 def encode(env: MessageEnvelope) -> bytes:
-    if not isinstance(env, MessageEnvelope):
-        raise InvalidArgument(f"not a message envelope: {env!r}")
-    try:  # a field of the wrong type fails a comparison, len() or pack()
-        if not 1 <= env.version <= CURRENT_VERSION:
-            raise InvalidArgument(
-                f"cannot encode version {env.version}; current version is {CURRENT_VERSION}"
-            )
-        try:
-            qos = QoS(env.qos)
-        except ValueError:
-            raise InvalidArgument(f"unknown qos {env.qos!r}") from None
-        _check_range("msg_id", env.msg_id, _U64)
-        _check_range("source", env.source, _U32)
-        _check_range("dest", env.dest, _U32)
-        _check_range("payload_len", len(env.payload), _U32)
+    """The frame of env: int fields plain ints that fit, qos a QoS, the payload bytes (timed-loop form)."""
+    if not (isinstance(env, MessageEnvelope) and type(env.qos) is QoS
+            and type(env.version) is int and 0 < env.version <= CURRENT_VERSION
+            and type(env.msg_id) is int and 0 <= env.msg_id <= _U64
+            and type(env.source) is int and 0 <= env.source <= _U32
+            and type(env.dest) is int and 0 <= env.dest <= _U32):
+        check_type(env, MessageEnvelope, "envelope")
+        check_type(env.qos, QoS, "qos")
+        check_count(env.version, "version", 1, CURRENT_VERSION)
+        check_count(env.msg_id, "msg_id", 0, _U64)
+        check_count(env.source, "source", 0, _U32)
+        check_count(env.dest, "dest", 0, _U32)
+    try:
         header = _HEADER.pack(
-            MAGIC, env.version, qos, env.msg_id, env.source, env.dest, len(env.payload)
+            MAGIC, env.version, env.qos, env.msg_id, env.source, env.dest, len(env.payload)
         )
         return header + env.payload + _CRC.pack(zlib.crc32(env.payload))
-    except (TypeError, struct.error) as exc:
-        raise InvalidArgument(f"envelope field of the wrong type: {exc}") from None
+    except (TypeError, struct.error):  # the one field left: the payload's type, or its length
+        check_type(env.payload, (bytes, bytearray), "payload")
+        raise InvalidArgument(f"payload_len {len(env.payload)} does not fit the frame field") from None
 
 
 def decode(data: bytes) -> MessageEnvelope:
     """Parse a frame; structural faults are InvalidArgument, integrity
     faults ChecksumMismatch."""
-    if not isinstance(data, (bytes, bytearray)):
-        raise InvalidArgument(f"a frame is bytes, got {data!r}")
+    if not isinstance(data, (bytes, bytearray)):  # per message: the checker only on failure
+        check_type(data, (bytes, bytearray), "frame")
     if len(data) < _HEADER.size + _CRC.size:
         raise InvalidArgument(f"frame truncated at {len(data)} bytes")
     magic, version, qos_raw, msg_id, source, dest, payload_len = _HEADER.unpack_from(data)
     if magic != MAGIC:
-        raise InvalidArgument(f"bad magic {magic!r}")
+        raise InvalidArgument(f"bad magic {shown(magic)}")
     if not 1 <= version <= CURRENT_VERSION:
         raise InvalidArgument(
             f"version {version} not accepted (current is {CURRENT_VERSION})"

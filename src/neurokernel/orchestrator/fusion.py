@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from ..errors import InvalidArgument, check_type
+from ..errors import InvalidArgument, check_type, shown
 from ..rabab.engine import embed
 
 
@@ -54,10 +54,10 @@ class FusedRepresentation:
 
 def modality_label(kind: Modality, raw: bytes) -> str:
     """The stub's label for nonempty raw bytes: the stripped tag's entry in kind's table, or the tag."""
-    if not isinstance(kind, Modality):
-        raise InvalidArgument(f"unknown modality {kind!r}")
-    if not isinstance(raw, (bytes, bytearray)) or not raw:
-        raise InvalidArgument(f"modality input must be nonempty bytes, got {raw!r}")
+    if not (isinstance(kind, Modality) and isinstance(raw, (bytes, bytearray)) and raw):  # once per input
+        check_type(kind, Modality, "modality")
+        check_type(raw, (bytes, bytearray), "modality input")
+        raise InvalidArgument("modality input must be nonempty")
     tag = raw.decode("utf-8", errors="replace").strip()
     return MODALITY_LABELS[kind].get(tag, tag)
 
@@ -84,7 +84,7 @@ def fuse(outputs: Mapping[Modality, tuple[str, Sequence[float]]]) -> FusedRepres
         check_type(m, Modality, "fused modality")
         if not (type(output) is tuple and len(output) == 2 and type(output[0]) is str
                 and isinstance(output[1], (tuple, list))):
-            raise InvalidArgument(f"{m.value} output must be a (label, vector) pair, got {output!r}")
+            raise InvalidArgument(f"{m.value} output must be a (label, vector) pair, got {shown(output)}")
     present = frozenset(outputs)
     labels = {m: outputs[m][0] for m in outputs}
     if present == {Modality.VISION, Modality.SENSOR, Modality.AUDIO}:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from ..config import directives
-from ..errors import InvalidArgument, NodeUnreachable, check_count, check_type
+from ..errors import InvalidArgument, NodeUnreachable, check_count, check_type, shown
 from .cluster import Cluster, Liveness
 from .fusion import Modality, decide, fuse
 
@@ -56,7 +56,7 @@ def parse_scenario(text: str) -> Scenario:
             elif parts[0] == "kill" and len(parts) == 3:
                 scenario.kills.append((int(parts[1]), int(parts[2])))
             else:
-                raise ValueError(f"unrecognized directive {parts[0]!r}")
+                raise ValueError(f"unrecognized directive {shown(parts[0])}")
         except ValueError as exc:
             raise InvalidArgument(f"scenario line {lineno}: {exc}") from None
     return scenario
@@ -74,8 +74,7 @@ def run_scenario(
     fused summary and decision (None if nothing was processed).
     """
     check_type(scenario, Scenario, "scenario")
-    if check_count(ticks, "ticks") > MAX_TICKS:
-        raise InvalidArgument(f"ticks must be at most {MAX_TICKS}, got {ticks}")
+    check_count(ticks, "ticks", 1, MAX_TICKS)
     rng = Random(check_type(seed, int, "seed"))
     cluster = Cluster(timeout_ticks=timeout_ticks)
     events: list[tuple[int, str, str]] = []

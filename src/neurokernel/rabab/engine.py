@@ -16,7 +16,7 @@ import struct
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from ..errors import InvalidArgument, ResourceConsumed, check_type
+from ..errors import InvalidArgument, ResourceConsumed, check_type, shown
 
 EMBEDDING_DIM = 32
 GRAPH_LEARNING_RATE = 0.1
@@ -58,9 +58,9 @@ class KnowledgeGraph:
         """
         edge = _edge(subject, obj)
         if subject == obj:
-            raise InvalidArgument(f"self-loop on {subject!r} is not a fact")
+            raise InvalidArgument(f"self-loop on {shown(subject)} is not a fact")
         if not 0.0 <= check_type(target, (int, float), "target") <= 1.0:
-            raise InvalidArgument(f"target {target} outside [0, 1]")
+            raise InvalidArgument(f"target {shown(target)} outside [0, 1]")
         w = self._edges.get(edge, 0.0)
         w = w + GRAPH_LEARNING_RATE * (target - w)
         w = min(1.0, max(0.0, w))
@@ -157,7 +157,7 @@ class RababEngine:
         """Store a rule under a unique name with the uniform prior (1, 1)."""
         check_type(rule, Callable, "predicate rule")
         if check_type(name, str, "predicate name") in self._predicates:
-            raise InvalidArgument(f"predicate {name!r} already registered")
+            raise InvalidArgument(f"predicate {shown(name)} already registered")
         pred = Predicate(name=name, rule=rule)
         self._predicates[name] = pred
         return pred
@@ -167,7 +167,7 @@ class RababEngine:
         check_type(truth, bool, "truth")
         check_type(pred, Predicate, "predicate")
         if self._predicates.get(check_type(pred.name, str, "predicate name")) is not pred:
-            raise InvalidArgument(f"predicate {pred.name!r} is not registered here")
+            raise InvalidArgument(f"predicate {shown(pred.name)} is not registered here")
         if bool(pred.rule(value)) == truth:
             pred.alpha += 1.0
         else:
@@ -185,12 +185,12 @@ class RababEngine:
     def consume_linear(self, res: LinearResource):
         """Hand out the payload exactly once, and forget the token; any further use is an error."""
         if check_type(res, LinearResource, "resource").engine_id != self._engine_id:
-            raise InvalidArgument(f"resource {res.id!r} does not belong to this engine")
+            raise InvalidArgument(f"resource {shown(res.id)} does not belong to this engine")
         tracked = self._resources.get(check_type(res.id, int, "resource id"))
         if tracked is None and 1 <= res.id <= self._allocated:
-            raise ResourceConsumed(f"resource {res.id} was already consumed")
+            raise ResourceConsumed(f"resource {shown(res.id)} was already consumed")
         if tracked is not res:
-            raise InvalidArgument(f"resource {res.id} is not a token this engine allocated")
+            raise InvalidArgument(f"resource {shown(res.id)} is not a token this engine allocated")
         del self._resources[res.id]
         return res.payload
 

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from ..errors import InvalidArgument, OutOfMemory, check_count, check_type
+from ..errors import InvalidArgument, OutOfMemory, check_count, check_type, shown
 
 DEFAULT_WIDTH = 128
 DEFAULT_HEIGHT = 128
@@ -33,7 +33,7 @@ BLACK: Color = (0, 0, 0)
 def _check_color(color) -> Color:
     check_type(color, tuple, "color")
     if len(color) != 3 or any(type(c) is not int or not 0 <= c <= 255 for c in color):
-        raise InvalidArgument(f"color must be an RGB triple of 0..255, got {color!r}")
+        raise InvalidArgument(f"color must be an RGB triple of 0..255, got {shown(color)}")
     return color
 
 
@@ -73,7 +73,7 @@ class Framebuffer:
         try:
             self._pixels: list[Color] = [BLACK] * (width * height)
         except (MemoryError, OverflowError):
-            raise OutOfMemory(f"host cannot hold a {width}x{height} framebuffer") from None
+            raise OutOfMemory(f"host cannot hold a {shown(width)}x{shown(height)} framebuffer") from None
 
     def get(self, x: int, y: int) -> Color:
         self._check_bounds(x, y)
@@ -83,7 +83,7 @@ class Framebuffer:
         """Refuse a pixel outside the grid, or coordinates that are not ints."""
         if type(x) is not int or type(y) is not int or not (0 <= x < self.width and 0 <= y < self.height):
             raise InvalidArgument(
-                f"pixel ({x!r}, {y!r}) outside {self.width}x{self.height} framebuffer"
+                f"pixel ({shown(x)}, {shown(y)}) outside {self.width}x{self.height} framebuffer"
             )
 
     def _set(self, x: int, y: int, color: Color) -> None:
@@ -122,15 +122,17 @@ def parse_intent(text: str) -> DrawPixel:
     """
     kind, _, rest = check_type(text, str, "intent text").partition(":")
     if kind.strip() != "pixel":
-        raise InvalidArgument(f"unsupported intent kind {kind.strip()!r}")
+        raise InvalidArgument(f"unsupported intent kind {shown(kind.strip())}")
     parts = [p.strip() for p in rest.split(",")]
     if len(parts) != 3:
-        raise InvalidArgument(f"intent needs x,y,#RRGGBB, got {rest!r}")
+        raise InvalidArgument(f"intent needs x,y,#RRGGBB, got {shown(rest)}")
     x, y, hex_color = parts
     if not (_COORD.fullmatch(x) and _COORD.fullmatch(y) and _HEX_COLOR.fullmatch(hex_color)):
-        raise InvalidArgument(f"malformed intent {text!r}")
-    color = (int(hex_color[1:3], 16), int(hex_color[3:5], 16), int(hex_color[5:7], 16))
-    return DrawPixel(int(x), int(y), color)
+        raise InvalidArgument(f"malformed intent {shown(text)}")
+    try:
+        return DrawPixel(int(x), int(y), (int(hex_color[1:3], 16), int(hex_color[3:5], 16), int(hex_color[5:7], 16)))
+    except ValueError:  # a coordinate past int()'s digit limit, sys.get_int_max_str_digits()
+        raise InvalidArgument("intent coordinate has more digits than int() converts") from None
 
 
 def apply_path(path: Iterable[PathOp], fb: Framebuffer) -> Framebuffer:
@@ -167,10 +169,10 @@ def canonicalize_path(
         if isinstance(op, DrawPixel):
             x, y = check_type(op.x, int, "draw x") + tx, check_type(op.y, int, "draw y") + ty
             if not (0 <= x < width and 0 <= y < height):
-                raise InvalidArgument(f"folded draw at ({x}, {y}) is outside {width}x{height}")
+                raise InvalidArgument(f"folded draw at ({shown(x)}, {shown(y)}) is outside {shown(width)}x{shown(height)}")
             final[(y, x)] = _check_color(op.color)
             continue
-        raise InvalidArgument(f"unknown path op {op!r}")
+        raise InvalidArgument(f"unknown path op {shown(op)}")
     return tuple(DrawPixel(x, y, final[y, x]) for y, x in sorted(final))
 
 

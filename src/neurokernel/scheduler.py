@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .errors import InvalidArgument, TaskFault, check_count, check_type
+from .errors import InvalidArgument, TaskFault, check_count, check_type, shown
 from .tensor import Tensor, matmul_naive, validate_matmul_shapes
 
 DEFAULT_PRIORITY = 10
@@ -144,13 +144,14 @@ class MlScheduler:
     def enqueue(self, task: MlTask) -> None:
         """Queue a fresh task; its priority is read now, not when it is dequeued."""
         if not isinstance(task, MlTask):
-            raise InvalidArgument(f"only an MlTask can be enqueued, got {task!r}")
+            check_type(task, MlTask, "enqueued task")
         if task.state is not TaskState.QUEUED:
             raise InvalidArgument(
-                f"only fresh tasks can be enqueued, task {task.id!r} is {task.state.value}"
+                f"only fresh tasks can be enqueued, task {shown(task.id)} is {task.state.value}"
             )
-        if type(task.priority) is not int:  # a bool is an int subclass, not a priority
-            raise InvalidArgument(f"task {task.id!r} priority must be an int, got {task.priority!r}")
+        if type(task.priority) is not int:  # exact: check_type passes an int subclass other than bool
+            check_type(task.priority, int, "task priority")
+            raise InvalidArgument(f"task priority must be an int, not a subclass: {shown(task.priority)}")
         self._push((task.priority, next(self._seqs), task))
 
     def _push(self, entry: tuple[int, int, MlTask]) -> None:
@@ -159,9 +160,9 @@ class MlScheduler:
         try:
             queued = task.id in self._queued
         except TypeError:
-            raise InvalidArgument(f"task id {task.id!r} is not hashable") from None
+            raise InvalidArgument(f"task id {shown(task.id)} is not hashable") from None
         if queued:
-            raise InvalidArgument(f"task id {task.id!r} is already queued")
+            raise InvalidArgument(f"task id {shown(task.id)} is already queued")
         heapq.heappush(self._queue, entry)
         self._queued.add(task.id)
 
@@ -199,7 +200,7 @@ class MlScheduler:
                 task._gen = None
                 for entry in batch[i + 1:]:
                     self._push(entry)
-                raise TaskFault(f"task {task.id!r} faulted: {exc!r}", task.id, completed) from exc
+                raise TaskFault(f"task {shown(task.id)} faulted: {shown(exc)}", task.id, completed) from exc
             if not task._penalized and task.consumed_cycles > self.config.deprioritize_threshold:
                 task.priority += DEPRIORITIZE_PENALTY  # once per task, on crossing the threshold
                 task._penalized = True
@@ -218,7 +219,7 @@ class MlScheduler:
         if task.state is TaskState.QUEUED:
             task._gen = iter(task.work(ExecContext(self.fp_registers, task)))
         elif task.state is not TaskState.PREEMPTED:
-            raise InvalidArgument(f"task {task.id!r} is not runnable ({task.state.value})")
+            raise InvalidArgument(f"task {shown(task.id)} is not runnable ({task.state.value})")
         self.fp_registers[:] = task.fp_context
         task.state = TaskState.RUNNING
 

@@ -48,7 +48,7 @@ from random import Random
 from typing import Iterable, Sequence
 
 from .errors import (
-    InvalidArgument, KernelError, OutOfMemory, Overflow, ShapeMismatch, check_count, check_type,
+    InvalidArgument, KernelError, OutOfMemory, Overflow, ShapeMismatch, check_count, check_type, shown,
 )
 
 MAX_WORKERS = 8
@@ -66,10 +66,7 @@ class MatmulConfig:
 
     def __post_init__(self):
         check_count(self.block_size, "block_size")
-        if check_count(self.worker_count, "worker_count") > MAX_WORKERS:
-            raise InvalidArgument(
-                f"worker_count must be in 1..{MAX_WORKERS}, got {self.worker_count}"
-            )
+        check_count(self.worker_count, "worker_count", 1, MAX_WORKERS)
 
 
 class Tensor:
@@ -87,7 +84,7 @@ class Tensor:
         expected = prod(shape)
         if len(values) != expected:
             raise InvalidArgument(
-                f"shape {shape} needs {expected} entries, got {len(values)}"
+                f"shape {shown(shape)} needs {expected} entries, got {len(values)}"
             )
         _require_finite(values)  # before float(), which would parse a str entry
         object.__setattr__(self, "_shape", shape)
@@ -123,7 +120,7 @@ class Tensor:
         try:
             data = [0.0] * (n * n)
         except MemoryError:
-            raise OutOfMemory(f"host cannot hold a {n}x{n} identity") from None
+            raise OutOfMemory(f"host cannot hold a {shown(n)}x{shown(n)} identity") from None
         for i in range(n):
             data[i * n + i] = 1.0
         return cls((n, n), data)
@@ -135,18 +132,18 @@ class Tensor:
         try:
             return cls(shape, [rng.uniform(-1.0, 1.0) for _ in range(prod(shape))])
         except MemoryError:  # a count a list can hold, but this host cannot
-            raise OutOfMemory(f"host cannot hold a tensor of shape {shape}") from None
+            raise OutOfMemory(f"host cannot hold a tensor of shape {shown(shape)}") from None
 
     @classmethod
     def frombytes(cls, shape: Sequence[int], raw: bytes | memoryview) -> "Tensor":
         """Decode a tobytes() buffer held in bytes, a bytearray or a memoryview, checked once."""
         shape = _checked_shape(shape)
         n = prod(shape)
-        if not isinstance(raw, (bytes, bytearray, memoryview)):
-            raise InvalidArgument(f"tensor bytes must be bytes, a bytearray or a memoryview, got {raw!r}")
+        if not isinstance(raw, (bytes, bytearray, memoryview)):  # per device read: the checker only on failure
+            check_type(raw, (bytes, bytearray, memoryview), "tensor bytes")
         if len(raw) != 8 * n:
             raise InvalidArgument(
-                f"shape {shape} needs {8 * n} bytes, got {len(raw)}"
+                f"shape {shown(shape)} needs {8 * n} bytes, got {len(raw)}"
             )
         if sys.byteorder == "little":  # cast("d") is native order; tobytes() is "<d"
             values = memoryview(raw).cast("d").tolist()
@@ -184,13 +181,13 @@ def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
     try:
         shape = tuple(shape)
     except TypeError:
-        raise InvalidArgument(f"tensor shape must be a sequence of ints, got {shape!r}") from None
+        raise InvalidArgument(f"tensor shape must be a sequence of ints, got {shown(shape)}") from None
     if len(shape) not in (1, 2):
-        raise InvalidArgument(f"tensor rank must be 1 or 2, got shape {shape}")
+        raise InvalidArgument(f"tensor rank must be 1 or 2, got shape {shown(shape)}")
     for d in shape:
         check_count(d, "tensor dimension")
     if prod(shape) > _MAX_ENTRIES:
-        raise OutOfMemory(f"host cannot hold a tensor of shape {shape}")
+        raise OutOfMemory(f"host cannot hold a tensor of shape {'x'.join(map(shown, shape))}")
     return shape
 
 
@@ -204,14 +201,11 @@ def _require_finite(values: list) -> None:
         raise InvalidArgument("tensor entries must be finite (no NaN/Inf)")
 
 
-def _check_operands(a: Tensor, b: Tensor, op_name: str) -> None:
-    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
-        raise InvalidArgument(f"{op_name} operands must be Tensors, got {type(a).__name__} and {type(b).__name__}")
-
-
 def validate_matmul_shapes(a: Tensor, b: Tensor) -> None:
     """Check both operands are Tensors of rank 2 whose inner dimensions conform."""
-    _check_operands(a, b, "matmul")
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):  # per product: the checker only on failure
+        check_type(a, Tensor, "matmul operand a")
+        check_type(b, Tensor, "matmul operand b")
     if len(a.shape) != 2 or len(b.shape) != 2:
         raise ShapeMismatch(f"matmul needs rank-2 tensors, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -227,7 +221,9 @@ def _finite_or_overflow(values: list[float], op_name: str) -> None:
 
 
 def elementwise_sum(a: Tensor, b: Tensor) -> Tensor:
-    _check_operands(a, b, "elementwise sum")
+    if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
+        check_type(a, Tensor, "elementwise sum operand a")
+        check_type(b, Tensor, "elementwise sum operand b")
     if a.shape != b.shape:
         raise ShapeMismatch(
             f"elementwise sum needs identical shapes, got {a.shape} and {b.shape}"

@@ -212,7 +212,7 @@ class TestInputFiles:
             bad.write_bytes(content)
         code, out, err = run(capsys, *(a.format(good=good, bad=bad) for a in argv))
         assert (code, out) == (1, "")
-        assert err.startswith(f"InvalidArgument: cannot read {bad}: ")
+        assert err.startswith(f"InvalidArgument: cannot read {str(bad)!r}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
@@ -269,6 +269,11 @@ class TestRababDraw:
         assert code == 1
         assert "InvalidArgument" in err
 
+    def test_a_coordinate_past_the_digit_limit_is_one_error_line(self, capsys):
+        code, out, err = run(capsys, "rabab-draw", "--intent", f"pixel:{'1' * 5000},0,#FF0000")
+        assert (code, out) == (1, "")
+        assert err.startswith("InvalidArgument: ") and err.count("\n") == 1
+
 
 class TestConfigParsing:
     def test_parse_values_and_lists(self):
@@ -296,9 +301,9 @@ class TestConfigParsing:
 
     def test_directives_number_lines_and_drop_comments_and_blanks(self):
         text = "# head\n  alloc 1  # trailing\n\n   \n\tfree 1\nlpage#x\n#"
-        assert list(directives(text)) == [(2, "alloc 1"), (5, "free 1"), (6, "lpage")]
+        assert directives(text) == [(2, "alloc 1"), (5, "free 1"), (6, "lpage")]
 
-    @pytest.mark.parametrize("parse", [parse_config, parse_scenario, lambda text: list(directives(text))],
+    @pytest.mark.parametrize("parse", [parse_config, parse_scenario, directives],
                              ids=["parse_config", "parse_scenario", "directives"])
     @pytest.mark.parametrize("text", [None, 5, b"quantum = 5\n"], ids=["None", "int", "bytes"])
     def test_non_str_text_is_one_invalid_argument(self, parse, text):

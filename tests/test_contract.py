@@ -9,6 +9,8 @@ InvalidArgument, or with OutOfMemory where OUT_OF_MEMORY names a size no
 host can hold; it may return a value only where PLAIN or RETURNS says so.
 After a refusal the world's fingerprint is unchanged and the valid call
 still succeeds on it. REFUSED holds the bad values a swap does not reach.
+TIMED names the per-job and per-message sites, whose valid call enters no
+checker in errors.py.
 
 A public name is a function or class defined in a module of the package
 whose name does not start with "_", and each public method of such a class.
@@ -22,6 +24,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import sys
 from enum import Enum
 from functools import partial
 from random import Random
@@ -29,10 +32,11 @@ from random import Random
 import pytest
 
 import neurokernel
+import neurokernel.errors
 from neurokernel.accel import AccelDevice, AccelOp, AccelRegion, AccelTask
 from neurokernel.compute import Opcode, simple_compute
 from neurokernel.config import config_from, directives, parse_config, read_text, resolve_config
-from neurokernel.errors import InvalidArgument, KernelError, OutOfMemory, check_count, check_type
+from neurokernel.errors import InvalidArgument, KernelError, OutOfMemory, check_count, check_type, shown
 from neurokernel.mempool import BlockHandle, BlockPool, PoolConfig, SharedBuffer, SharedBufferView
 from neurokernel.orchestrator import (
     DEMO_SCENARIO,
@@ -91,14 +95,16 @@ from neurokernel.tensor import (
 )
 
 
-NAN, HUGE = float("nan"), 10**400
+NAN, HUGE = float("nan"), 10**5000
 
 
 def bad_values() -> list:
     """Fresh each time, since a call may mutate the list or the dict.
 
     1.0 equals a valid count or id, so only a type check refuses it; NaN
-    fails every comparison.
+    fails every comparison. HUGE is past every bound, past float64, and past
+    the digits repr() converts, so a message that shows it without
+    errors.shown raises ValueError.
     """
     return [None, "x", True, 1.0, NAN, HUGE, b"x", [1], {}]
 
@@ -168,9 +174,10 @@ CALLS = {
     # A checker's other arguments are literals at every call site in the package.
     "errors.check_count": lambda w: call(partial(check_count, name="n", minimum=1), 3),
     "errors.check_type": lambda w: call(partial(check_type, expected=int, name="n"), 3),
+    "errors.shown": lambda w: call(shown, 3),
     "compute.simple_compute": lambda w: call(simple_compute, 7, 2, Opcode.DIVIDE),
     "config.read_text": lambda w: call(read_text, __file__),
-    "config.directives": lambda w: call(lambda text: list(directives(text)), "a # b\n"),  # a generator
+    "config.directives": lambda w: call(directives, "a # b\n"),
     "config.parse_config": lambda w: call(parse_config, "quantum = 5\n"),
     "config.resolve_config": lambda w: call(resolve_config, None),
     "config.config_from": lambda w: call(config_from, SchedulerConfig, {"quantum": 5}, batch_size=2),
@@ -363,6 +370,7 @@ EVERY = "every bad value"
 RETURNS = {
     "errors.check_count": {0: (HUGE,)},  # counts have no upper bound; each caller sets its own
     "errors.check_type": {0: (HUGE,)},
+    "errors.shown": {0: EVERY},  # it formats any value
     "config.directives": {0: ("x",)},  # any str is text
     "config.resolve_config": {0: (None,)},  # no flag: the environment, or no file
     "config.config_from": {1: ({},), "batch_size": (None, HUGE)},  # None: the flag is unset
@@ -386,13 +394,8 @@ RETURNS = {
     "scheduler.matmul_work": {"on_result": (None,)},
     "scheduler.MlScheduler": {0: (None,)},
     "scheduler.MlScheduler.batch_execute": {0: (HUGE,)},  # at most the queue runs
-    # encode keeps its checks inline, in cluster's timed loop: a bool packs as
-    # the int it equals, and QoS(1.0) is QoS.BULK. submit_input likewise.
-    "orchestrator.envelope.encode": {
-        (0, "msg_id"): (True,), (0, "source"): (True,), (0, "dest"): (True,), (0, "payload"): (b"x",),
-        (0, "qos"): (True, 1.0), (0, "version"): (True,),
-    },
-    "orchestrator.cluster.Cluster.submit_input": {1: ("x",), 2: (True, 1.0)},
+    "orchestrator.envelope.encode": {(0, "payload"): (b"x",)},
+    "orchestrator.cluster.Cluster.submit_input": {1: ("x",)},
     "orchestrator.fusion.modality_label": {1: (b"x",)},
     "orchestrator.fusion.modality_process": {1: (b"x",)},
     "orchestrator.fusion.decide": {(0, "outputs"): EVERY, (0, "summary"): ("x",)},  # it reads the summary
@@ -416,7 +419,7 @@ RETURNS = {
     "rabab.paths.paths_equivalent": {0: ({},), 1: ({},), 2: (HUGE,), 3: (HUGE,)},
 }
 
-# Sizes no host can hold: the 10**400 swap of these arguments is one OutOfMemory.
+# Sizes no host can hold: the HUGE swap of these arguments is one OutOfMemory.
 OUT_OF_MEMORY = {
     "tensor.Tensor.identity": {0},
     "mempool.BlockPool.alloc": {0},
@@ -465,7 +468,7 @@ def _escapes(name: str) -> list[str]:
     for key, i in list(_swaps(args, kwargs)):
         value = bad_values()[i]
         expected = _expected(name, key, value)
-        where = f"argument {key!r} = {value!r}"
+        where = f"argument {key!r} = {shown(value)}"
         world = World()
         fn, args, kwargs = CALLS[name](world)
         swapped_args, swapped_kwargs = _swapped(args, kwargs, key, value)
@@ -521,7 +524,7 @@ REFUSED = {
     "dim-str": lambda w: Tensor(("2",), [1.0, 2.0]),
     "entry-str": lambda w: Tensor((2,), ["a", "b"]),
     "entry-numeric-str": lambda w: Tensor((2,), ["1.5", "2"]),
-    "entry-huge-int": lambda w: Tensor((1,), [10**400]),
+    "entry-huge-int": lambda w: Tensor((1,), [HUGE]),
     "read-str-shape": lambda w: w.dev.read_tensor(w.region, ("1",)),
     "submit-str-shape": lambda w: w.dev.submit(
         AccelTask(AccelOp.ELEMWISE_SUM, w.region, ("a", 1), w.region, ("a", 1), w.region)),
@@ -534,6 +537,7 @@ REFUSED = {
     "draw-bool-channel": lambda w: interpret_intent(DrawPixel(1, 1, (True, 0, 0)), w.fb),
     "path-draw-bool": lambda w: apply_path([DrawPixel(True, 0, RED)], w.fb),
     "path-color-none": lambda w: canonicalize_path([DrawPixel(1, 1, None)], 8, 8),
+    "path-outside-huge-size": lambda w: canonicalize_path([DrawPixel(-1, 0, RED)], HUGE, HUGE),
 }
 
 
@@ -544,3 +548,39 @@ def test_a_bad_value_no_swap_reaches_is_one_invalid_argument(name):
     with pytest.raises(InvalidArgument):
         REFUSED[name](world)
     assert world.fingerprint() == before
+
+
+# Sites run once per job, staged tensor or cluster message: each tests its
+# arguments inline and calls into errors.py only when that test fails.
+TIMED = {
+    "enqueue": lambda w: call(w.sched.enqueue, w.task),
+    "free": lambda w: call(w.pool.free, w.handle),
+    "push_metrics": lambda w: call(w.node.push_metrics, 0.1, 0.2, 0.3),
+    "submit_input": lambda w: call(w.cluster.submit_input, V, "person", QoS.BULK),
+    "balance_load": lambda w: call(w.cluster.balance_load, V),
+    "process_step": lambda w: call(w.cluster.process_step),
+    "modality_label": lambda w: call(modality_label, V, b"person"),
+    "encode": lambda w: call(encode, w.envelope),
+    "decode": lambda w: call(decode, w.frame),
+    "write_tensor": lambda w: call(w.dev.write_tensor, w.region, Tensor.vector([3.0])),
+    "execute_next": lambda w: call(w.dev.execute_next),
+    "matmul_naive": lambda w: call(matmul_naive, w.t, w.t),
+    "elementwise_sum": lambda w: call(elementwise_sum, w.t, w.t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIMED))
+def test_a_valid_call_at_a_timed_site_enters_no_checker(name):
+    fn, args, kwargs = TIMED[name](World())
+    entered = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename == neurokernel.errors.__file__:
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    assert entered == []

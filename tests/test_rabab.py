@@ -312,6 +312,7 @@ class TestIntents:
         "pixel:-,2,#000000",
         "pixel:,2,#000000",
         "pixel:0x1,2,#000000",
+        "pixel:" + "1" * 5000 + ",2,#000000",  # past int()'s digit limit: it raised ValueError
     ])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(InvalidArgument):
