@@ -15,11 +15,9 @@ from enum import Enum
 from math import prod
 
 from .errors import InvalidArgument, OutOfMemory, check_count, check_type, shown
-from .tensor import Tensor, _checked_shape, elementwise_sum, matmul_naive
+from .tensor import Tensor, _checked_shape, _matmul_shape, _sum_shape, elementwise_sum, matmul_naive
 
 DEVICE_BUFFER_BYTES = 1024 * 1024
-
-_DEVICE_IDS = itertools.count(1)
 
 
 class AccelOp(Enum):
@@ -27,12 +25,13 @@ class AccelOp(Enum):
     MATMUL = "matmul"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccelRegion:
+    """Ticket for a region of one device's buffer; equal only to itself, so the device accepts no copy."""
+
     id: int
     offset: int
     size: int
-    device_id: int
 
 
 @dataclass(frozen=True)
@@ -55,12 +54,11 @@ class AccelDevice:
     """One simulated accelerator with its own buffer, ledger, and FIFO queue."""
 
     def __init__(self):
-        self._device_id = next(_DEVICE_IDS)
         try:
             self._buffer = bytearray(DEVICE_BUFFER_BYTES)
         except MemoryError:
             raise OutOfMemory("host cannot back the device buffer") from None
-        self._regions: dict[int, AccelRegion] = {}
+        self._regions: set[AccelRegion] = set()  # membership only: it iterates in address order
         self._used = 0  # regions are never freed, so each starts where the last ended
         self._queue: deque[tuple[int, AccelTask]] = deque()
         self._next_region = itertools.count(1)
@@ -72,17 +70,17 @@ class AccelDevice:
             raise OutOfMemory(
                 f"no {shown(size)}-byte region free in the {DEVICE_BUFFER_BYTES}-byte buffer"
             )
-        region = AccelRegion(next(self._next_region), self._used, size, self._device_id)
+        region = AccelRegion(next(self._next_region), self._used, size)
         self._used += size
-        self._regions[region.id] = region
+        self._regions.add(region)
         return region
 
     def _check_region(self, region: AccelRegion, needed: int, role: str) -> None:
-        if not isinstance(region, AccelRegion):  # per staged tensor: the checker only on failure
+        # Per staged tensor, so the checker runs only on failure; the exact type
+        # keeps a subclass's __eq__ out of the set lookup.
+        if not (type(region) is AccelRegion and region in self._regions):
             check_type(region, AccelRegion, f"{role} region")
-        if (region.device_id != self._device_id or type(region.id) is not int
-                or self._regions.get(region.id) != region):
-            raise InvalidArgument(f"{role} region {shown(region.id)} is not live on this device")
+            raise InvalidArgument(f"{role} region {shown(region)} was not allocated on this device")
         if needed > region.size:
             raise InvalidArgument(
                 f"{role} region holds {region.size} bytes but the task needs {needed}"
@@ -96,17 +94,9 @@ class AccelDevice:
         self._check_region(task.a, _shape_bytes(a_shape), "input a")
         self._check_region(task.b, _shape_bytes(b_shape), "input b")
         if task.op is AccelOp.ELEMWISE_SUM:
-            if a_shape != b_shape:
-                raise InvalidArgument(
-                    f"elementwise sum needs identical shapes, got {shown(a_shape)} and {shown(b_shape)}"
-                )
-            out_shape = a_shape
+            out_shape = _sum_shape(a_shape, b_shape)
         elif task.op is AccelOp.MATMUL:
-            if len(a_shape) != 2 or len(b_shape) != 2 or a_shape[1] != b_shape[0]:
-                raise InvalidArgument(
-                    f"matmul shapes do not conform: {shown(a_shape)} by {shown(b_shape)}"
-                )
-            out_shape = (a_shape[0], b_shape[1])
+            out_shape = _matmul_shape(a_shape, b_shape)
         else:
             raise InvalidArgument(f"unknown device op {shown(task.op)}")
         self._check_region(task.out, _shape_bytes(out_shape), "output")

@@ -19,7 +19,7 @@ import time
 from functools import reduce
 from random import Random
 
-from .accel import AccelDevice, AccelOp, AccelTask
+from .accel import AccelDevice
 from .compute import Opcode, simple_compute
 from .config import config_from, directives, read_text, resolve_config
 from .errors import InvalidArgument, KernelError, shown
@@ -28,7 +28,7 @@ from .orchestrator.runner import DEMO_SCENARIO, parse_scenario, run_scenario
 from .rabab.engine import RababEngine
 from .rabab.paths import Framebuffer, interpret_intent, parse_intent
 from .scheduler import MlScheduler, MlTask, SchedulerConfig, cycles_work
-from .selftest import run_all
+from .selftest import _on_device, run_all
 from .tensor import (
     MatmulConfig,
     Tensor,
@@ -101,21 +101,9 @@ def _cmd_pool_demo(args) -> int:
 
 
 def _cmd_accel_demo(args) -> int:
-    rng = Random(args.seed)
-    n = args.n
-    a = Tensor.identity(n)
-    b = Tensor.random((n, n), rng)
-    dev = AccelDevice()
-    ra = dev.allocate(8 * n * n)
-    rb = dev.allocate(8 * n * n)
-    rout = dev.allocate(8 * n * n)
-    dev.write_tensor(ra, a)
-    dev.write_tensor(rb, b)
-    dev.submit(AccelTask(AccelOp.MATMUL, ra, (n, n), rb, (n, n), rout))
-    dev.execute_next()
-    device_out = dev.read_tensor(rout, (n, n))
-    host_out = matmul_naive(a, b)
-    match = device_out.tobytes() == host_out.tobytes()
+    a = Tensor.identity(args.n)
+    b = Tensor.random((args.n, args.n), Random(args.seed))
+    match = _on_device(AccelDevice(), a, b) == matmul_naive(a, b).tobytes()
     print(f"device==host: {'true' if match else 'false'}")
     return 0
 

@@ -11,6 +11,17 @@ one formatter of a caller's value in any message. A check run per job or per
 message keeps an inline test and calls a checker only when it fails (the
 timed-loop form); where that test is exact (``type(x) is T``), a subclass the
 checker passes is refused by the branch's own raise.
+
+A handle, region, linear token or predicate is a ticket: whoever handed it
+out accepts that object and nothing else, by identity. A copy with the same
+fields, a freed handle and another owner's ticket are each one InvalidArgument;
+a consumed token is ResourceConsumed.
+
+A host fault is not a refusal and is never wrapped. A KeyboardInterrupt or
+SystemExit raised by a task's work passes through batch_execute unchanged,
+after the task is left FAULTED and the rest of its batch is queued again. A
+MemoryError in BlockPool.free comes before any state changes, so the handle
+stays live; other operations are not yet ordered that way.
 """
 
 

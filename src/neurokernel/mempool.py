@@ -24,8 +24,6 @@ DEFAULT_BLOCK_BYTES = 4096
 # Desk-scale stand-ins for the 2 MiB / 1 GiB huge-page classes.
 DEFAULT_LARGE_PAGE_CLASSES = (64 * 1024, 1024 * 1024)
 
-_POOL_IDS = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -51,14 +49,16 @@ class PoolConfig:
         object.__setattr__(self, "large_page_classes", classes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockHandle:
-    """Ticket for a live allocation; valid between its alloc and free."""
+    """Ticket for a live allocation, valid between its alloc and free.
+
+    Equal only to itself: the pool accepts the object it handed out, never a copy.
+    """
 
     id: int
     first_block: int
     n_blocks: int
-    pool_id: int
 
 
 class BlockPool:
@@ -66,7 +66,6 @@ class BlockPool:
 
     def __init__(self, config: PoolConfig | None = None):
         self.config = PoolConfig() if config is None else check_type(config, PoolConfig, "pool config")
-        self._pool_id = next(_POOL_IDS)
         self._n_blocks = self.config.pool_bytes // self.config.block_bytes
         self._allocated = 0
         try:
@@ -76,8 +75,9 @@ class BlockPool:
             raise OutOfMemory(
                 f"host cannot back a {shown(self.config.pool_bytes)}-byte pool"
             ) from None
-        self._ledger: dict[int, tuple[int, int]] = {}
-        self._written: set[int] = set()  # ids of live handles whose storage write() changed
+        # Membership and len only: a set of identity-hashed handles iterates in address order.
+        self._live: set[BlockHandle] = set()
+        self._written: set[BlockHandle] = set()  # live handles whose storage write() changed
         self._next_handle = itertools.count(1)
 
     # -- stats ------------------------------------------------------------
@@ -97,7 +97,7 @@ class BlockPool:
     @property
     def live_handles(self) -> int:
         """Handles allocated and not yet freed; the jobs benchmark's leak check reads it."""
-        return len(self._ledger)
+        return len(self._live)
 
     def bitmap(self) -> tuple[bool, ...]:
         """Snapshot of the allocation map; True means allocated."""
@@ -125,8 +125,8 @@ class BlockPool:
     def _take_run(self, first: int, n_blocks: int) -> BlockHandle:
         self._bitmap[first : first + n_blocks] = b"\x01" * n_blocks
         self._allocated += n_blocks
-        handle = BlockHandle(next(self._next_handle), first, n_blocks, self._pool_id)
-        self._ledger[handle.id] = (first, n_blocks)
+        handle = BlockHandle(next(self._next_handle), first, n_blocks)
+        self._live.add(handle)
         return handle
 
     def alloc(self, n_blocks: int) -> BlockHandle:
@@ -155,29 +155,28 @@ class BlockPool:
         return self._take_run(first, n_blocks)
 
     def _entry(self, handle: BlockHandle) -> tuple[int, int]:
-        """(first block, block count) of a handle live in this pool."""
-        # Exact types: the checkers word a refusal, and a subclass they pass is refused here.
-        if type(handle) is not BlockHandle or type(handle.id) is not int:
-            check_count(check_type(handle, BlockHandle, "handle").id, "handle id")
-            raise InvalidArgument(f"handle must be a BlockHandle, not a subclass: {shown(handle)}")
-        if handle.pool_id != self._pool_id:
-            raise InvalidArgument("handle belongs to a different pool")
-        entry = self._ledger.get(handle.id)
-        if entry is None:
-            raise InvalidArgument(f"handle {shown(handle.id)} is not live in this pool")
-        return entry
+        """(first block, block count) of a handle this pool allocated and has not freed."""
+        # Per job, so the checker runs only on failure; the exact type keeps a subclass's __eq__ out.
+        if not (type(handle) is BlockHandle and handle in self._live):
+            check_type(handle, BlockHandle, "handle")
+            raise InvalidArgument(f"handle {shown(handle)} is not live in this pool")
+        return handle.first_block, handle.n_blocks
 
     def free(self, handle: BlockHandle) -> None:
-        """Release a live handle; blocks it wrote are zeroed, so free storage stays zero."""
+        """Release a live handle; blocks it wrote are zeroed, so free storage stays zero.
+
+        The zero buffer, the largest allocation, is built before any state
+        changes, so a MemoryError there leaves the handle live.
+        """
         first, n_blocks = self._entry(handle)
+        bb = self.config.block_bytes
+        zeros = bytes(n_blocks * bb) if handle in self._written else None
         self._bitmap[first : first + n_blocks] = bytes(n_blocks)
         self._allocated -= n_blocks
-        if handle.id in self._written:
-            self._written.remove(handle.id)
-            bb = self.config.block_bytes
-            start = first * bb
-            self._storage[start : start + n_blocks * bb] = bytes(n_blocks * bb)
-        del self._ledger[handle.id]
+        if zeros is not None:
+            self._written.remove(handle)
+            self._storage[first * bb : (first + n_blocks) * bb] = zeros
+        self._live.remove(handle)
 
     # -- data access ------------------------------------------------------
 
@@ -197,7 +196,7 @@ class BlockPool:
         check_type(data, (bytes, bytearray), "data")
         start, length = self._span(handle, offset, len(data))
         self._storage[start : start + length] = data
-        self._written.add(handle.id)
+        self._written.add(handle)
 
 
 class SharedBufferView:

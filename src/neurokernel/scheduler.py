@@ -186,7 +186,10 @@ class MlScheduler:
         If a task's work raises or yields a cost below one cycle, that task
         is left FAULTED, the tasks of the batch not yet run go back under
         their original (priority, seq) keys, and TaskFault is raised from
-        the original exception, carrying the ids completed before it.
+        the original exception, carrying the ids completed before it. A
+        host fault that is not an Exception (KeyboardInterrupt, SystemExit)
+        faults the task and re-queues the rest the same way, then passes
+        through unchanged instead of as a TaskFault.
         """
         check_count(n, "batch size")
         batch = [heapq.heappop(self._queue) for _ in range(min(n, len(self._queue)))]
@@ -195,11 +198,13 @@ class MlScheduler:
         for i, (_, _, task) in enumerate(batch):
             try:
                 done = self._run_slice(task)
-            except Exception as exc:  # work is caller code: any failure faults the task
+            except BaseException as exc:  # work is caller code: any failure faults the task
                 task.state = TaskState.FAULTED
                 task._gen = None
                 for entry in batch[i + 1:]:
                     self._push(entry)
+                if not isinstance(exc, Exception):
+                    raise
                 raise TaskFault(f"task {shown(task.id)} faulted: {shown(exc)}", task.id, completed) from exc
             if not task._penalized and task.consumed_cycles > self.config.deprioritize_threshold:
                 task.priority += DEPRIORITIZE_PENALTY  # once per task, on crossing the threshold

@@ -206,13 +206,26 @@ def validate_matmul_shapes(a: Tensor, b: Tensor) -> None:
     if not (isinstance(a, Tensor) and isinstance(b, Tensor)):  # per product: the checker only on failure
         check_type(a, Tensor, "matmul operand a")
         check_type(b, Tensor, "matmul operand b")
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise ShapeMismatch(f"matmul needs rank-2 tensors, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    _matmul_shape(a.shape, b.shape)
+
+
+def _matmul_shape(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int, int]:
+    """The product's shape, if a_shape by b_shape conform; the host and the device refuse alike."""
+    if len(a_shape) != 2 or len(b_shape) != 2:
+        raise ShapeMismatch(f"matmul needs rank-2 tensors, got {a_shape} and {b_shape}")
+    if a_shape[1] != b_shape[0]:
         raise ShapeMismatch(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}: "
-            f"column count {a.shape[1]} != row count {b.shape[0]}"
+            f"cannot multiply {a_shape[0]}x{a_shape[1]} by {b_shape[0]}x{b_shape[1]}: "
+            f"column count {a_shape[1]} != row count {b_shape[0]}"
         )
+    return a_shape[0], b_shape[1]
+
+
+def _sum_shape(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum's shape, if a_shape and b_shape are identical."""
+    if a_shape != b_shape:
+        raise ShapeMismatch(f"elementwise sum needs identical shapes, got {a_shape} and {b_shape}")
+    return a_shape
 
 
 def _finite_or_overflow(values: list[float], op_name: str) -> None:
@@ -224,13 +237,10 @@ def elementwise_sum(a: Tensor, b: Tensor) -> Tensor:
     if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
         check_type(a, Tensor, "elementwise sum operand a")
         check_type(b, Tensor, "elementwise sum operand b")
-    if a.shape != b.shape:
-        raise ShapeMismatch(
-            f"elementwise sum needs identical shapes, got {a.shape} and {b.shape}"
-        )
+    shape = _sum_shape(a.shape, b.shape)
     out = [x + y for x, y in zip(a._data, b._data)]
     _finite_or_overflow(out, "elementwise sum")
-    return Tensor._from_finite(a.shape, out)
+    return Tensor._from_finite(shape, out)
 
 
 def _columns(b: Tensor) -> list[list[float]]:

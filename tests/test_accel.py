@@ -1,11 +1,12 @@
 import struct
+from dataclasses import replace
 from itertools import accumulate
 from random import Random
 
 import pytest
 
 from neurokernel.accel import AccelDevice, AccelOp, AccelTask
-from neurokernel.errors import InvalidArgument, OutOfMemory
+from neurokernel.errors import InvalidArgument, OutOfMemory, ShapeMismatch
 from neurokernel.tensor import Tensor, elementwise_sum, matmul_naive
 
 
@@ -137,13 +138,43 @@ class TestValidation:
         with pytest.raises(InvalidArgument):
             dev.submit(AccelTask(AccelOp.ELEMWISE_SUM, foreign, (1,), rx, (1,), rout))
 
+    @pytest.mark.parametrize("stray", ["copy", "foreign"])
+    def test_only_a_region_this_device_allocated_is_accepted(self, stray):
+        x = Tensor.vector([1.0])
+        dev, (rx,) = loaded_device(x)
+        other = replace(rx) if stray == "copy" else loaded_device(x)[1][0]  # the same fields either way
+        with pytest.raises(InvalidArgument):
+            dev.write_tensor(other, Tensor.vector([2.0]))
+        with pytest.raises(InvalidArgument):
+            dev.read_tensor(other, (1,))
+        for task in (AccelTask(AccelOp.ELEMWISE_SUM, other, (1,), rx, (1,), rx),
+                     AccelTask(AccelOp.ELEMWISE_SUM, rx, (1,), rx, (1,), other)):
+            with pytest.raises(InvalidArgument):
+                dev.submit(task)
+        assert dev.execute_next() is None
+        assert dev.read_tensor(rx, (1,)).tolist() == [1.0]
+
     def test_shape_mismatch_rejected_at_submit(self):
         a = Tensor((2, 3), [0.0] * 6)
         b = Tensor((2, 3), [0.0] * 6)
+        with pytest.raises(ShapeMismatch):
+            matmul_naive(a, b)
         dev, (ra, rb) = loaded_device(a, b)
         rout = dev.allocate(8 * 6)
-        with pytest.raises(InvalidArgument):
+        with pytest.raises(ShapeMismatch):  # the host's refusal, not a device-only one
             dev.submit(AccelTask(AccelOp.MATMUL, ra, (2, 3), rb, (2, 3), rout))
+        assert dev.execute_next() is None
+
+    def test_sum_shape_mismatch_rejected_at_submit(self):
+        a = Tensor((2, 3), [0.0] * 6)
+        b = Tensor((3, 2), [0.0] * 6)
+        with pytest.raises(ShapeMismatch):
+            elementwise_sum(a, b)
+        dev, (ra, rb) = loaded_device(a, b)
+        rout = dev.allocate(8 * 6)
+        with pytest.raises(ShapeMismatch):
+            dev.submit(AccelTask(AccelOp.ELEMWISE_SUM, ra, (2, 3), rb, (3, 2), rout))
+        assert dev.execute_next() is None
 
     def test_undersized_region_rejected(self):
         dev = AccelDevice()

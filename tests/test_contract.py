@@ -8,8 +8,10 @@ argument (RECORDS) through dataclasses.replace. A swap must be refused with
 InvalidArgument, or with OutOfMemory where OUT_OF_MEMORY names a size no
 host can hold; it may return a value only where PLAIN or RETURNS says so.
 After a refusal the world's fingerprint is unchanged and the valid call
-still succeeds on it. REFUSED holds the bad values a swap does not reach.
-TIMED names the per-job and per-message sites, whose valid call enters no
+still succeeds on it. An unchanged dataclasses.replace copy of one of the
+TICKETS (a handle, region, token or predicate) is refused the same way: what
+handed a ticket out accepts only that object. REFUSED holds the bad values a
+swap does not reach. TIMED names the per-job and per-message sites, whose valid call enters no
 checker in errors.py.
 
 A public name is a function or class defined in a module of the package
@@ -196,7 +198,7 @@ CALLS = {
     "tensor.matmul_blocked": lambda w: call(matmul_blocked, w.t, w.t, MatmulConfig(1)),
     "tensor.matmul_parallel": lambda w: call(matmul_parallel, w.t, w.t, MatmulConfig(1, 2)),
     "mempool.PoolConfig": lambda w: call(PoolConfig, 8 * 4096, 4096, (4 * 4096,)),
-    "mempool.BlockHandle": lambda w: call(BlockHandle, 1, 0, 1, 1),
+    "mempool.BlockHandle": lambda w: call(BlockHandle, 1, 0, 1),
     "mempool.BlockPool": lambda w: call(BlockPool, PoolConfig(8 * 4096)),
     "mempool.BlockPool.bitmap": lambda w: call(w.pool.bitmap),
     "mempool.BlockPool.bitmap_hex": lambda w: call(w.pool.bitmap_hex),
@@ -211,7 +213,7 @@ CALLS = {
     "mempool.SharedBufferView": lambda w: call(SharedBufferView, w.buffer),
     "mempool.SharedBufferView.read": lambda w: call(w.view.read, 0, 4),
     "mempool.SharedBufferView.write": lambda w: call(w.view.write, 0, b"ab"),
-    "accel.AccelRegion": lambda w: call(AccelRegion, 1, 0, 8, 1),
+    "accel.AccelRegion": lambda w: call(AccelRegion, 1, 0, 8),
     "accel.AccelTask": lambda w: call(AccelTask, AccelOp.MATMUL, w.region, (1, 1), w.region, (1, 1), w.region),
     "accel.AccelDevice": lambda w: call(AccelDevice),
     "accel.AccelDevice.allocate": lambda w: call(w.dev.allocate, 8),
@@ -382,10 +384,8 @@ RETURNS = {
     "tensor.matmul_parallel": {2: (None,)},
     "mempool.PoolConfig": {0: (HUGE,)},  # BlockPool refuses it with OutOfMemory
     "mempool.BlockPool": {0: (None,)},
-    # The pool reads a handle's blocks from its own ledger, by id.
-    "mempool.BlockPool.free": {(0, "first_block"): EVERY, (0, "n_blocks"): EVERY},
-    "mempool.BlockPool.read": {(0, "first_block"): EVERY, (0, "n_blocks"): EVERY, 2: (None,)},
-    "mempool.BlockPool.write": {(0, "first_block"): EVERY, (0, "n_blocks"): EVERY, 2: (b"x",)},
+    "mempool.BlockPool.read": {2: (None,)},
+    "mempool.BlockPool.write": {2: (b"x",)},
     "mempool.SharedBufferView.write": {1: (b"x",)},
     "accel.AccelDevice.read_tensor": {1: ([1],)},
     "accel.AccelDevice.submit": {(0, "a_shape"): ([1],), (0, "b_shape"): ([1],)},
@@ -508,6 +508,50 @@ def _no_config_in_the_environment(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_every_bad_argument_is_refused_with_one_kernel_error_and_no_state_change(name):
     assert _escapes(name) == []
+
+
+# Records handed out as tickets: the giver accepts the object it handed out, never a copy.
+TICKETS = (BlockHandle, AccelRegion, LinearResource, Predicate)
+
+
+def _tickets(args: tuple, kwargs: dict):
+    """(key, record) of each ticket in the arguments, or in a field of a record argument."""
+    for slot in [*range(len(args)), *kwargs]:
+        original = args[slot] if isinstance(slot, int) else kwargs[slot]
+        if type(original) in TICKETS:
+            yield slot, original
+        elif type(original) in RECORDS:
+            for field in dataclasses.fields(original):
+                if type(getattr(original, field.name)) in TICKETS:
+                    yield (slot, field.name), getattr(original, field.name)
+
+
+def test_an_unchanged_copy_of_a_ticket_is_refused():
+    covered, escapes = set(), []
+    for name in sorted(set(CALLS) - PLAIN):
+        for key, record in list(_tickets(*CALLS[name](World())[1:])):
+            covered.add(type(record))
+            world = World()
+            fn, args, kwargs = CALLS[name](world)
+            copy = dataclasses.replace(dict(_tickets(args, kwargs))[key])
+            swapped_args, swapped_kwargs = _swapped(args, kwargs, key, copy)
+            where = f"{name} argument {key!r}"
+            before = world.fingerprint()
+            try:
+                fn(*swapped_args, **swapped_kwargs)
+            except KernelError as exc:
+                if type(exc) is not InvalidArgument:
+                    escapes.append(f"{where}: {type(exc).__name__}: {exc}, not InvalidArgument")
+                elif world.fingerprint() != before:
+                    escapes.append(f"{where}: refused, but the state changed")
+                else:
+                    fn(*args, **kwargs)  # the ticket handed out still works
+            except Exception as exc:
+                escapes.append(f"{where}: {type(exc).__name__}: {exc}")
+            else:
+                escapes.append(f"{where}: the copy was accepted")
+    assert covered == set(TICKETS)
+    assert escapes == []
 
 
 # Bad values a swap does not reach: inside a tuple or a list, on an object that

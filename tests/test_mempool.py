@@ -1,10 +1,12 @@
 import time
+from dataclasses import replace
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, consumes, invariant, multiple, rule
 
+from neurokernel import mempool
 from neurokernel.errors import InvalidArgument, OutOfMemory
 from neurokernel.mempool import BlockPool, PoolConfig, SharedBuffer
 from neurokernel.selftest import _scan_first_fit
@@ -93,6 +95,50 @@ class TestFree:
         handle = other.alloc(1)
         with pytest.raises(InvalidArgument):
             small_pool().free(handle)
+
+    @pytest.mark.parametrize("stray", ["copy", "copy with bad fields", "moved copy", "freed", "foreign"])
+    def test_only_a_live_handle_this_pool_allocated_is_accepted(self, stray):
+        pool = small_pool()
+        handle = pool.alloc(1)
+        pool.write(handle, 0, b"ab")
+        if stray == "freed":
+            other = pool.alloc(1)
+            pool.free(other)
+        elif stray == "foreign":
+            other = small_pool().alloc(1)  # the same fields, from another pool
+        else:
+            fields = {"copy": {}, "copy with bad fields": {"first_block": None, "n_blocks": "x"},
+                      "moved copy": {"first_block": 2}}[stray]
+            other = replace(handle, **fields)
+        before = (pool.bitmap(), pool.allocated_blocks, pool.live_handles)
+        for use in (pool.free, pool.read, lambda h: pool.write(h, 0, b"cd")):
+            with pytest.raises(InvalidArgument):
+                use(other)
+        assert (pool.bitmap(), pool.allocated_blocks, pool.live_handles) == before
+        assert pool.read(handle, 0, 2) == b"ab"
+        pool.free(handle)
+        assert pool.live_handles == 0
+
+    def test_free_allocates_before_it_commits(self, monkeypatch):
+        pool = small_pool()
+        handle = pool.alloc(2)
+        pool.write(handle, 0, b"\xff")
+
+        def scarce(size=0):
+            if size == 2 * 4096:  # the zero buffer for the handle's storage
+                raise MemoryError
+            return bytes(size)
+
+        monkeypatch.setattr(mempool, "bytes", scarce, raising=False)
+        with pytest.raises(MemoryError):
+            pool.free(handle)
+        monkeypatch.undo()
+        assert pool.live_handles == 1
+        assert pool.allocated_blocks == sum(pool.bitmap()) == 2
+        assert pool.read(handle, 0, 1) == b"\xff"
+        pool.free(handle)
+        assert pool.bitmap() == (False,) * 4
+        assert pool.read(pool.alloc(2)) == bytes(2 * 4096)
 
     def test_freed_blocks_are_zeroed_before_reuse(self):
         pool = small_pool()

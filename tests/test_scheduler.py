@@ -365,6 +365,22 @@ class TestWorkFault:
         with pytest.raises(InvalidArgument):
             sched.enqueue(bad)
 
+    def test_a_host_fault_passes_through_and_keeps_the_unrun_tasks(self):
+        def interrupted(ctx):
+            yield 1
+            raise KeyboardInterrupt
+
+        sched = MlScheduler()
+        a = MlTask("a", interrupted)
+        sched.enqueue(a)
+        sched.enqueue(make_task("b"))
+        sched.enqueue(make_task("c"))
+        with pytest.raises(KeyboardInterrupt):
+            sched.batch_execute(3)
+        assert a.state is TaskState.FAULTED
+        assert len(sched) == 2
+        assert sched.batch_execute(3) == ["b", "c"]
+
 
 class SchedulerModel(RuleBasedStateMachine):
     """MlScheduler against a list of queue entries in arrival order.
