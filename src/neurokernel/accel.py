@@ -29,7 +29,6 @@ class AccelOp(Enum):
 class AccelRegion:
     """Ticket for a region of one device's buffer; equal only to itself, so the device accepts no copy."""
 
-    id: int
     offset: int
     size: int
 
@@ -61,7 +60,6 @@ class AccelDevice:
         self._regions: set[AccelRegion] = set()  # membership only: it iterates in address order
         self._used = 0  # regions are never freed, so each starts where the last ended
         self._queue: deque[tuple[int, AccelTask]] = deque()
-        self._next_region = itertools.count(1)
         self._next_task = itertools.count(1)
 
     def allocate(self, size: int) -> AccelRegion:
@@ -70,9 +68,9 @@ class AccelDevice:
             raise OutOfMemory(
                 f"no {shown(size)}-byte region free in the {DEVICE_BUFFER_BYTES}-byte buffer"
             )
-        region = AccelRegion(next(self._next_region), self._used, size)
-        self._used += size
+        region = AccelRegion(self._used, size)
         self._regions.add(region)
+        self._used += size  # last: a MemoryError in the add leaves the offset where it was
         return region
 
     def _check_region(self, region: AccelRegion, needed: int, role: str) -> None:

@@ -14,14 +14,16 @@ checker passes is refused by the branch's own raise.
 
 A handle, region, linear token or predicate is a ticket: whoever handed it
 out accepts that object and nothing else, by identity. A copy with the same
-fields, a freed handle and another owner's ticket are each one InvalidArgument;
-a consumed token is ResourceConsumed.
+fields (of a consumed token too), a freed handle and another owner's ticket
+are each one InvalidArgument; the consumed token itself is ResourceConsumed.
 
 A host fault is not a refusal and is never wrapped. A KeyboardInterrupt or
-SystemExit raised by a task's work passes through batch_execute unchanged,
-after the task is left FAULTED and the rest of its batch is queued again. A
-MemoryError in BlockPool.free comes before any state changes, so the handle
-stays live; other operations are not yet ordered that way.
+SystemExit from a task's work passes through batch_execute unchanged, after
+the task is left FAULTED and the rest of its batch is queued again. The pool
+and the device commit last: BlockPool.free builds its zero buffer, and an
+allocation makes its handle or region live, before any map, counter or bump
+offset changes, so a MemoryError leaves them as they were. batch_execute's
+re-push and penalty, outside a task's slice, are not yet ordered that way.
 """
 
 

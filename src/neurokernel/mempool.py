@@ -14,7 +14,6 @@ interchange.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidArgument, OutOfMemory, check_count, check_type, shown
@@ -56,7 +55,6 @@ class BlockHandle:
     Equal only to itself: the pool accepts the object it handed out, never a copy.
     """
 
-    id: int
     first_block: int
     n_blocks: int
 
@@ -78,7 +76,6 @@ class BlockPool:
         # Membership and len only: a set of identity-hashed handles iterates in address order.
         self._live: set[BlockHandle] = set()
         self._written: set[BlockHandle] = set()  # live handles whose storage write() changed
-        self._next_handle = itertools.count(1)
 
     # -- stats ------------------------------------------------------------
 
@@ -123,10 +120,10 @@ class BlockPool:
         return i if i >= 0 else None
 
     def _take_run(self, first: int, n_blocks: int) -> BlockHandle:
-        self._bitmap[first : first + n_blocks] = b"\x01" * n_blocks
+        handle, taken = BlockHandle(first, n_blocks), b"\x01" * n_blocks
+        self._live.add(handle)  # before the map and counter: a MemoryError leaves the pool as it was
+        self._bitmap[first : first + n_blocks] = taken
         self._allocated += n_blocks
-        handle = BlockHandle(next(self._next_handle), first, n_blocks)
-        self._live.add(handle)
         return handle
 
     def alloc(self, n_blocks: int) -> BlockHandle:

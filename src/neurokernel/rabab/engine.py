@@ -10,9 +10,9 @@ whole engine stays deterministic without a trained encoder.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import struct
+import weakref
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -20,8 +20,6 @@ from ..errors import InvalidArgument, ResourceConsumed, check_type, shown
 
 EMBEDDING_DIM = 32
 GRAPH_LEARNING_RATE = 0.1
-
-_ENGINE_IDS = itertools.count(1)
 
 
 @dataclass
@@ -132,13 +130,11 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     return min(1.0, max(-1.0, value))
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearResource:
-    """Token that must be consumed exactly once, by the engine that allocated it."""
+    """Token that must be consumed exactly once, by the engine that allocated it; equal only to itself."""
 
-    id: int
     payload: object
-    engine_id: int
 
 
 class RababEngine:
@@ -146,10 +142,10 @@ class RababEngine:
 
     def __init__(self):
         self.graph = KnowledgeGraph()
-        self._engine_id = next(_ENGINE_IDS)
         self._predicates: dict[str, Predicate] = {}
-        self._resources: dict[int, LinearResource] = {}  # live tokens only, by id
-        self._allocated = 0  # tokens allocated so far; ids run 1 to this
+        self._live: set[LinearResource] = set()  # allocated, not yet consumed
+        # Weak: a consumed token is refused as consumed while its holder keeps it, and its payload is not kept.
+        self._spent: weakref.WeakSet[LinearResource] = weakref.WeakSet()
 
     # -- predicates ---------------------------------------------------------
 
@@ -177,23 +173,23 @@ class RababEngine:
     # -- linear resources -------------------------------------------------------
 
     def allocate_linear(self, payload) -> LinearResource:
-        self._allocated += 1
-        res = LinearResource(self._allocated, payload, self._engine_id)
-        self._resources[res.id] = res
+        res = LinearResource(payload)
+        self._live.add(res)
         return res
 
     def consume_linear(self, res: LinearResource):
         """Hand out the payload exactly once, and forget the token; any further use is an error."""
-        if check_type(res, LinearResource, "resource").engine_id != self._engine_id:
-            raise InvalidArgument(f"resource {shown(res.id)} does not belong to this engine")
-        tracked = self._resources.get(check_type(res.id, int, "resource id"))
-        if tracked is None and 1 <= res.id <= self._allocated:
-            raise ResourceConsumed(f"resource {shown(res.id)} was already consumed")
-        if tracked is not res:
-            raise InvalidArgument(f"resource {shown(res.id)} is not a token this engine allocated")
-        del self._resources[res.id]
+        # The exact type keeps a subclass's __hash__ out of both set lookups.
+        if not (type(res) is LinearResource and res in self._live):
+            check_type(res, LinearResource, "resource")
+            kind = f"{type(res.payload).__name__} resource"  # a payload's repr may be anything
+            if type(res) is LinearResource and res in self._spent:
+                raise ResourceConsumed(f"{kind} was already consumed")
+            raise InvalidArgument(f"{kind} is not a token this engine allocated")
+        self._spent.add(res)
+        self._live.remove(res)
         return res.payload
 
     def leaked_resources(self) -> int:
         """Allocated-but-never-consumed count: the engine's one leak report."""
-        return len(self._resources)
+        return len(self._live)

@@ -177,7 +177,7 @@ def _allocator_run(seed: int, op_count: int, check: bool) -> list:
                     pool.read(handle) == bytes(n * 4096),
                     "fresh allocation must read as zeros",
                 )
-                pool.write(handle, 0, bytes([handle.id % 255 + 1]) * 16)
+                pool.write(handle, 0, bytes([handle.first_block % 255 + 1]) * 16)
         elif roll < 0.85:
             idx = rng.randrange(len(live))
             handle = live.pop(idx)
@@ -489,7 +489,7 @@ def check_rabab(seed: int = 0) -> str:
         consumed = set()
         for _ in range(rng.randint(1, 12)):
             res = rng.choice(resources)
-            if res.id in consumed:
+            if res in consumed:
                 try:
                     engine3.consume_linear(res)
                 except ResourceConsumed:
@@ -497,7 +497,7 @@ def check_rabab(seed: int = 0) -> str:
                     continue
                 raise AssertionError("double consume must raise ResourceConsumed")
             _require(engine3.consume_linear(res) == res.payload, "payload lost")
-            consumed.add(res.id)
+            consumed.add(res)
         _require(
             engine3.leaked_resources() == len(resources) - len(consumed),
             "leak count must equal allocations minus consumptions",

@@ -58,6 +58,18 @@ class TestAllocate:
         assert offsets == list(accumulate(sizes, initial=0))[:-1]
         allocate_remainder(dev, sum(sizes))
 
+    def test_an_allocation_commits_only_once_its_region_is_live(self):
+        class Full(set):
+            def add(self, item):
+                raise MemoryError
+
+        dev = AccelDevice()
+        dev._regions = Full()
+        with pytest.raises(MemoryError):
+            dev.allocate(64)
+        dev._regions = set()
+        allocate_remainder(dev, 0)
+
     def test_regions_are_disjoint_under_random_sizes(self):
         dev = AccelDevice()
         rng = Random(2)

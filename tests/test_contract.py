@@ -104,11 +104,12 @@ def bad_values() -> list:
     """Fresh each time, since a call may mutate the list or the dict.
 
     1.0 equals a valid count or id, so only a type check refuses it; NaN
-    fails every comparison. HUGE is past every bound, past float64, and past
+    fails every comparison. 0 and -1 sit just below a count's or an id's
+    lower bound. HUGE is past every bound, past float64, and past
     the digits repr() converts, so a message that shows it without
     errors.shown raises ValueError.
     """
-    return [None, "x", True, 1.0, NAN, HUGE, b"x", [1], {}]
+    return [None, "x", True, 1.0, NAN, HUGE, 0, -1, b"x", [1], {}]
 
 
 # Record arguments whose fields are swapped one at a time as well.
@@ -198,7 +199,7 @@ CALLS = {
     "tensor.matmul_blocked": lambda w: call(matmul_blocked, w.t, w.t, MatmulConfig(1)),
     "tensor.matmul_parallel": lambda w: call(matmul_parallel, w.t, w.t, MatmulConfig(1, 2)),
     "mempool.PoolConfig": lambda w: call(PoolConfig, 8 * 4096, 4096, (4 * 4096,)),
-    "mempool.BlockHandle": lambda w: call(BlockHandle, 1, 0, 1),
+    "mempool.BlockHandle": lambda w: call(BlockHandle, 0, 1),
     "mempool.BlockPool": lambda w: call(BlockPool, PoolConfig(8 * 4096)),
     "mempool.BlockPool.bitmap": lambda w: call(w.pool.bitmap),
     "mempool.BlockPool.bitmap_hex": lambda w: call(w.pool.bitmap_hex),
@@ -213,7 +214,7 @@ CALLS = {
     "mempool.SharedBufferView": lambda w: call(SharedBufferView, w.buffer),
     "mempool.SharedBufferView.read": lambda w: call(w.view.read, 0, 4),
     "mempool.SharedBufferView.write": lambda w: call(w.view.write, 0, b"ab"),
-    "accel.AccelRegion": lambda w: call(AccelRegion, 1, 0, 8),
+    "accel.AccelRegion": lambda w: call(AccelRegion, 0, 8),
     "accel.AccelTask": lambda w: call(AccelTask, AccelOp.MATMUL, w.region, (1, 1), w.region, (1, 1), w.region),
     "accel.AccelDevice": lambda w: call(AccelDevice),
     "accel.AccelDevice.allocate": lambda w: call(w.dev.allocate, 8),
@@ -270,7 +271,7 @@ CALLS = {
     "rabab.engine.KnowledgeGraph.evolve": lambda w: call(w.graph.evolve, "a", "c", 0.5),
     "rabab.engine.embed": lambda w: call(embed, b"x"),
     "rabab.engine.cosine_similarity": lambda w: call(cosine_similarity, [1.0, 0.0], [1.0, 1.0]),
-    "rabab.engine.LinearResource": lambda w: call(LinearResource, 1, "x", 1),
+    "rabab.engine.LinearResource": lambda w: call(LinearResource, "x"),
     "rabab.engine.RababEngine": lambda w: call(RababEngine),
     "rabab.engine.RababEngine.register_predicate": lambda w: call(w.engine.register_predicate, "odd", bool),
     "rabab.engine.RababEngine.evolve_predicate": lambda w: call(w.engine.evolve_predicate, w.pred, 4, True),
@@ -371,8 +372,9 @@ EVERY = "every bad value"
 # where OUT_OF_MEMORY says so.
 RETURNS = {
     "errors.check_count": {0: (HUGE,)},  # counts have no upper bound; each caller sets its own
-    "errors.check_type": {0: (HUGE,)},
+    "errors.check_type": {0: (HUGE, 0, -1)},  # any int is an int
     "errors.shown": {0: EVERY},  # it formats any value
+    "compute.simple_compute": {0: (0, -1), 1: (-1,), 2: (0,)},  # int64 operands; opcode 0 is ADD
     "config.directives": {0: ("x",)},  # any str is text
     "config.resolve_config": {0: (None,)},  # no flag: the environment, or no file
     "config.config_from": {1: ({},), "batch_size": (None, HUGE)},  # None: the flag is unset
@@ -384,9 +386,11 @@ RETURNS = {
     "tensor.matmul_parallel": {2: (None,)},
     "mempool.PoolConfig": {0: (HUGE,)},  # BlockPool refuses it with OutOfMemory
     "mempool.BlockPool": {0: (None,)},
-    "mempool.BlockPool.read": {2: (None,)},
-    "mempool.BlockPool.write": {2: (b"x",)},
-    "mempool.SharedBufferView.write": {1: (b"x",)},
+    # Offset 0 is the start of the span, and a length of 0 reads nothing.
+    "mempool.BlockPool.read": {1: (0,), 2: (None, 0)},
+    "mempool.BlockPool.write": {1: (0,), 2: (b"x",)},
+    "mempool.SharedBufferView.read": {0: (0,), 1: (0,)},
+    "mempool.SharedBufferView.write": {0: (0,), 1: (b"x",)},
     "accel.AccelDevice.read_tensor": {1: ([1],)},
     "accel.AccelDevice.submit": {(0, "a_shape"): ([1],), (0, "b_shape"): ([1],)},
     "scheduler.SchedulerConfig": {0: (HUGE,), 1: (HUGE,), 2: (HUGE,)},
@@ -394,25 +398,29 @@ RETURNS = {
     "scheduler.matmul_work": {"on_result": (None,)},
     "scheduler.MlScheduler": {0: (None,)},
     "scheduler.MlScheduler.batch_execute": {0: (HUGE,)},  # at most the queue runs
-    "orchestrator.envelope.encode": {(0, "payload"): (b"x",)},
-    "orchestrator.cluster.Cluster.submit_input": {1: ("x",)},
+    # 0 is a u64 message id and the coordinator's address.
+    "orchestrator.envelope.encode": {(0, "payload"): (b"x",), (0, "msg_id"): (0,), (0, "source"): (0,),
+                                     (0, "dest"): (0,)},
+    "orchestrator.cluster.Cluster.submit_input": {1: ("x",), 2: (0,)},  # qos 0 is REALTIME
     "orchestrator.fusion.modality_label": {1: (b"x",)},
     "orchestrator.fusion.modality_process": {1: (b"x",)},
     "orchestrator.fusion.decide": {(0, "outputs"): EVERY, (0, "summary"): ("x",)},  # it reads the summary
     "orchestrator.cluster.Node": {1: ({},)},  # an empty collection: no modalities
-    "orchestrator.cluster.Node.push_metrics": {0: (1.0,), 1: (1.0,), 2: (1.0,)},
+    "orchestrator.cluster.Node.push_metrics": {0: (1.0, 0), 1: (1.0, 0), 2: (1.0, 0)},  # samples in [0, 1]
     "orchestrator.cluster.Node.from_snapshot": {3: (HUGE,)},  # any tick at or after the input
     "orchestrator.cluster.Cluster": {0: (HUGE,)},
     "orchestrator.cluster.Cluster.add_node": {1: ({},)},
     # A restore reads the checkpoint's node id and snapshot; seq only orders replicas.
     "orchestrator.cluster.Cluster.restore_node": {(0, "seq"): EVERY, 1: (None,)},
-    "orchestrator.runner.run_scenario": {"seed": (HUGE,), "timeout_ticks": (HUGE,)},
+    "orchestrator.runner.run_scenario": {"seed": (HUGE, 0, -1), "timeout_ticks": (HUGE,)},  # any int seeds
     "rabab.engine.KnowledgeGraph.weight": {0: ("x",), 1: ("x",)},
-    "rabab.engine.KnowledgeGraph.evolve": {0: ("x",), 1: ("x",), 2: (1.0,)},
+    "rabab.engine.KnowledgeGraph.evolve": {0: ("x",), 1: ("x",), 2: (1.0, 0)},  # a target in [0, 1]
     "rabab.engine.embed": {0: (b"x",)},
     "rabab.engine.RababEngine.register_predicate": {0: ("x",)},
     "rabab.engine.RababEngine.evolve_predicate": {1: EVERY, 2: (True,)},  # the value goes to the rule
     "rabab.engine.RababEngine.allocate_linear": {0: EVERY},  # a payload is anything
+    "rabab.paths.Framebuffer.get": {0: (0,), 1: (0,)},  # pixel 0 is in the frame
+    "rabab.paths.interpret_intent": {(0, "x"): (0,), (0, "y"): (0,)},
     # An empty collection is the empty path; a size draws nothing.
     "rabab.paths.apply_path": {0: ({},)},
     "rabab.paths.canonicalize_path": {0: ({},), 1: (HUGE,), 2: (HUGE,)},

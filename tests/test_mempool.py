@@ -140,6 +140,22 @@ class TestFree:
         assert pool.bitmap() == (False,) * 4
         assert pool.read(pool.alloc(2)) == bytes(2 * 4096)
 
+    @pytest.mark.parametrize("alloc", [lambda pool: pool.alloc(2), lambda pool: pool.alloc_large_page(2 * 4096)],
+                             ids=["alloc", "alloc_large_page"])
+    def test_an_allocation_commits_only_once_its_handle_is_live(self, alloc):
+        class Full(set):
+            def add(self, item):
+                raise MemoryError
+
+        pool = small_pool(classes=(2 * 4096,))
+        pool._live = Full()
+        with pytest.raises(MemoryError):
+            alloc(pool)
+        assert (pool.allocated_blocks, pool.live_handles) == (0, 0)
+        assert pool.bitmap() == (False,) * 4
+        pool._live = set()
+        assert alloc(pool).first_block == 0
+
     def test_freed_blocks_are_zeroed_before_reuse(self):
         pool = small_pool()
         handle = pool.alloc(1)

@@ -235,15 +235,43 @@ class TestLinearResources:
         engine = RababEngine()
         res = engine.allocate_linear("x")
         with pytest.raises(InvalidArgument):
-            engine.consume_linear(replace(res, id=res.id + 1))  # never allocated
-        with pytest.raises(InvalidArgument):
-            engine.consume_linear(replace(res))  # the live id, but not the token allocated
+            engine.consume_linear(replace(res))  # equal fields, but not the token allocated
         assert engine.consume_linear(res) == "x"
 
-    def test_foreign_resource_rejected(self):
-        mine = RababEngine().allocate_linear("x")
+    def test_a_copy_of_a_consumed_token_is_not_the_consumed_token(self):
+        engine = RababEngine()
+        res = engine.allocate_linear("x")
+        engine.consume_linear(res)
         with pytest.raises(InvalidArgument):
-            RababEngine().consume_linear(mine)
+            engine.consume_linear(replace(res))
+        with pytest.raises(ResourceConsumed):
+            engine.consume_linear(res)
+        assert engine.leaked_resources() == 0
+
+    def test_a_refusal_never_shows_the_payload(self):
+        class Opaque:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        engine = RababEngine()
+        res = engine.allocate_linear(Opaque())
+        with pytest.raises(InvalidArgument, match="^InvalidArgument: Opaque resource is not"):
+            engine.consume_linear(replace(res))
+        engine.consume_linear(res)
+        with pytest.raises(ResourceConsumed, match="^ResourceConsumed: Opaque resource was"):
+            engine.consume_linear(res)
+
+    def test_foreign_resource_rejected(self):
+        other = RababEngine()
+        live, consumed = other.allocate_linear("x"), other.allocate_linear("z")
+        other.consume_linear(consumed)
+        engine = RababEngine()
+        mine = engine.allocate_linear("y")
+        for foreign in (live, consumed):  # another engine's token, live or consumed there
+            with pytest.raises(InvalidArgument):
+                engine.consume_linear(foreign)
+        assert engine.leaked_resources() == 1
+        assert engine.consume_linear(mine) == "y"
 
     def test_randomized_programs_never_double_consume(self):
         rng = Random(17)
@@ -253,12 +281,12 @@ class TestLinearResources:
             used = set()
             for _ in range(rng.randint(1, 10)):
                 res = rng.choice(resources)
-                if res.id in used:
+                if res in used:
                     with pytest.raises(ResourceConsumed):
                         engine.consume_linear(res)
                 else:
                     assert engine.consume_linear(res) == res.payload
-                    used.add(res.id)
+                    used.add(res)
             assert engine.leaked_resources() == len(resources) - len(used)
 
 
