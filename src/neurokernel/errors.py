@@ -18,12 +18,14 @@ fields (of a consumed token too), a freed handle and another owner's ticket
 are each one InvalidArgument; the consumed token itself is ResourceConsumed.
 
 A host fault is not a refusal and is never wrapped. A KeyboardInterrupt or
-SystemExit from a task's work passes through batch_execute unchanged, after
-the task is left FAULTED and the rest of its batch is queued again. The pool
+SystemExit in a task's slice, penalty or re-push passes through
+batch_execute unchanged, after the task is left FAULTED and the rest of its
+batch is queued again; an Exception there is that task's TaskFault. The pool
 and the device commit last: BlockPool.free builds its zero buffer, and an
 allocation makes its handle or region live, before any map, counter or bump
-offset changes, so a MemoryError leaves them as they were. batch_execute's
-re-push and penalty, outside a task's slice, are not yet ordered that way.
+offset changes, so a MemoryError leaves them as they were.
+tests/test_faults.py injects a fault at each line of the scheduler's calls
+and lists the lines where one still leaves a task in no queue.
 """
 
 
@@ -51,13 +53,14 @@ class InvalidArgument(KernelError):
 
 def shown(value) -> str:
     """repr(value) for a refusal message, never raising: an int past repr's digit
-    limit (sys.get_int_max_str_digits) shows as its size, a value holding one as its type."""
+    limit (sys.get_int_max_str_digits) shows as its size, any other value whose
+    repr raises (one holding such an int, or caller code) as its type."""
     try:
         return repr(value)
-    except ValueError:
+    except Exception:
         if isinstance(value, int):
             return f"an int of {value.bit_length()} bits"
-        return f"a {type(value).__name__} too large to show"
+        return f"a {type(value).__name__} that cannot be shown"
 
 
 def check_count(value, name: str, minimum: int = 1, maximum: int | None = None) -> int:
@@ -78,7 +81,8 @@ def check_type(value, expected, name: str):
 
 
 class TaskFault(InvalidArgument):
-    """A task's work raised, or yielded a step cost below one cycle.
+    """A task's slice, penalty or re-push failed: its work raised or yielded a
+    step cost below one cycle, or its id was queued again while it ran.
 
     The task is left FAULTED and is not re-queued. completed lists, in
     completion order, the ids that finished earlier in the same batch, so

@@ -8,8 +8,8 @@ to their own size; a misaligned match restarts the search at the next
 aligned offset. Sharing one arena keeps conservation checkable across both
 allocators. Every free block's storage is zero: write() is the only path
 that changes storage, so free() zeroes only the blocks of a handle that was
-written. Also home to the zero-copy SharedBuffer used for device
-interchange.
+written. Also home to SharedBuffer, whose reads and writes make no
+staging copy.
 """
 
 from __future__ import annotations
@@ -196,32 +196,12 @@ class BlockPool:
         self._written.add(handle)
 
 
-class SharedBufferView:
-    """Window onto a SharedBuffer; all views alias the same storage."""
-
-    def __init__(self, buffer: "SharedBuffer"):
-        self._buffer = check_type(buffer, SharedBuffer, "shared buffer")
-
-    def write(self, offset: int, data: bytes) -> None:
-        check_type(data, (bytes, bytearray), "data")
-        self._buffer._check_range(offset, len(data))
-        self._buffer._storage[offset : offset + len(data)] = data
-
-    def read(self, offset: int, length: int) -> bytes:
-        self._buffer._check_range(offset, length)
-        return bytes(self._buffer._storage[offset : offset + length])
-
-    @property
-    def size(self) -> int:
-        return self._buffer.size
-
-
 class SharedBuffer:
-    """Fixed-size byte buffer shared by aliasing views.
+    """Fixed-size byte buffer whose readers and writers share one storage.
 
     copy_counter counts staging copies made by the buffer itself (only
-    snapshot() stages); aliased view reads and writes leave it at zero,
-    which is what makes "zero-copy" an assertable property.
+    snapshot() stages); read() and write() leave it at zero, which is what
+    makes "zero-copy" an assertable property.
     """
 
     def __init__(self, size: int = 4096):
@@ -235,8 +215,14 @@ class SharedBuffer:
     def _check_range(self, offset: int, length: int) -> None:
         check_count(length, "length", 0, self.size - check_count(offset, "offset", 0, self.size))
 
-    def view(self) -> SharedBufferView:
-        return SharedBufferView(self)
+    def write(self, offset: int, data: bytes) -> None:
+        check_type(data, (bytes, bytearray), "data")
+        self._check_range(offset, len(data))
+        self._storage[offset : offset + len(data)] = data
+
+    def read(self, offset: int, length: int) -> bytes:
+        self._check_range(offset, length)
+        return bytes(self._storage[offset : offset + length])
 
     def snapshot(self) -> bytes:
         """Copy the whole buffer out; the one operation that stages bytes."""

@@ -16,7 +16,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 
 from ..errors import InvalidArgument, NodeUnreachable, check_count, check_type, shown
-from .envelope import CURRENT_VERSION, MAX_ADDRESS, MessageEnvelope, QoS, decode, encode
+from .envelope import MAX_ADDRESS, MessageEnvelope, QoS, decode, encode
 from .fusion import Modality, modality_label, modality_process
 
 COORDINATOR_ID = 0
@@ -330,7 +330,7 @@ class Cluster:
         payload = f"{_REQUEST_HEADS[modality]}{_json_str(tag)}}}".encode()
         env = MessageEnvelope(
             msg_id=next(self._next_msg_id), source=COORDINATOR_ID, dest=target,
-            payload=payload, qos=qos, version=CURRENT_VERSION,
+            payload=payload, qos=qos,
         )
         self._deliver(env)
         return target, env.msg_id

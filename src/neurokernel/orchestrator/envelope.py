@@ -7,8 +7,9 @@ Frame layout, all little-endian:
 
 The transport behind it is an in-process channel, but the frame is
 transport-independent: a socket transport could carry the same bytes.
-Compression and encryption are not part of v1; the version field reserves
-room for them.
+encode writes CURRENT_VERSION, and decode refuses a frame with any other
+version byte. Compression and encryption are not part of v1; the version
+field reserves room for them.
 """
 
 from __future__ import annotations
@@ -44,25 +45,22 @@ class MessageEnvelope:
     dest: int
     payload: bytes
     qos: QoS = QoS.BULK
-    version: int = CURRENT_VERSION
 
 
 def encode(env: MessageEnvelope) -> bytes:
     """The frame of env: int fields plain ints that fit, qos a QoS, the payload bytes (timed-loop form)."""
     if not (isinstance(env, MessageEnvelope) and type(env.qos) is QoS
-            and type(env.version) is int and 0 < env.version <= CURRENT_VERSION
             and type(env.msg_id) is int and 0 <= env.msg_id <= _U64
             and type(env.source) is int and 0 <= env.source <= _U32
             and type(env.dest) is int and 0 <= env.dest <= _U32):
         check_type(env, MessageEnvelope, "envelope")
         check_type(env.qos, QoS, "qos")
-        check_count(env.version, "version", 1, CURRENT_VERSION)
         check_count(env.msg_id, "msg_id", 0, _U64)
         check_count(env.source, "source", 0, _U32)
         check_count(env.dest, "dest", 0, _U32)
     try:
         header = _HEADER.pack(
-            MAGIC, env.version, env.qos, env.msg_id, env.source, env.dest, len(env.payload)
+            MAGIC, CURRENT_VERSION, env.qos, env.msg_id, env.source, env.dest, len(env.payload)
         )
         return header + env.payload + _CRC.pack(zlib.crc32(env.payload))
     except (TypeError, struct.error):  # the one field left: the payload's type, or its length
@@ -80,7 +78,7 @@ def decode(data: bytes) -> MessageEnvelope:
     magic, version, qos_raw, msg_id, source, dest, payload_len = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise InvalidArgument(f"bad magic {shown(magic)}")
-    if not 1 <= version <= CURRENT_VERSION:
+    if version != CURRENT_VERSION:
         raise InvalidArgument(
             f"version {version} not accepted (current is {CURRENT_VERSION})"
         )
@@ -96,6 +94,4 @@ def decode(data: bytes) -> MessageEnvelope:
     (crc,) = _CRC.unpack_from(data, _HEADER.size + payload_len)
     if crc != zlib.crc32(payload):
         raise ChecksumMismatch(f"payload CRC mismatch on msg {msg_id}")
-    return MessageEnvelope(
-        msg_id=msg_id, source=source, dest=dest, payload=payload, qos=qos, version=version
-    )
+    return MessageEnvelope(msg_id=msg_id, source=source, dest=dest, payload=payload, qos=qos)

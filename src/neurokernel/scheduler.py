@@ -1,18 +1,21 @@
 """Priority scheduler for simulated ML tasks.
 
 Lower priority value runs earlier; equal priorities run in arrival order.
-The queue is a binary heap keyed on (priority, arrival sequence), and a
-task's priority is read when it enters the queue: changing it while the
-task is queued does not move the task.
-Task work is a generator that yields the simulated cycle cost of each step
-(the cost model: one cycle per scalar multiply-add, ten per allocation).
+The queue is a binary heap of (priority, arrival sequence, task) entries,
+and that entry is the one record of a queued task: its priority is read
+once, when the task is enqueued, so changing task.priority while the task
+is queued neither moves it nor is read back.
+Task work is called with the live FP register list and returns an iterator
+of the simulated cycle cost of each step (the cost model: one cycle per
+scalar multiply-add, ten per allocation).
 A task is preempted at the first step boundary on or past the quantum, its
 floating-point context snapshotted and restored bit-exactly on resume. A
 timeslice is one loop over the generator; the cycles it used are added to
 the task's consumed_cycles and the perf counter when the slice ends, also
 when a step faults, so a fault still counts every step yielded before it.
-Tasks whose consumed cycles cross the deprioritization threshold are
-penalized once, before a preempted task re-enters the queue.
+The slice that takes a task's consumed cycles past the deprioritization
+threshold adds the penalty to its entry's priority and writes the result
+to task.priority, before a preempted task re-enters the queue.
 """
 
 from __future__ import annotations
@@ -60,17 +63,7 @@ class PerfCounter:
         self.cpu_cycles = 0
 
 
-class ExecContext:
-    """What a work generator sees while running: the live FP register file."""
-
-    __slots__ = ("fp", "task")
-
-    def __init__(self, fp: list[float], task: "MlTask"):
-        self.fp = fp
-        self.task = task
-
-
-WorkFn = Callable[[ExecContext], Iterator[int]]
+WorkFn = Callable[[list[float]], Iterator[int]]  # called with the live FP register list
 
 
 class MlTask:
@@ -84,7 +77,6 @@ class MlTask:
         self.consumed_cycles = 0
         self.fp_context: list[float] = [0.0] * FP_SLOTS
         self._gen: Iterator[int] | None = None
-        self._penalized = False
 
     def __repr__(self) -> str:
         return f"MlTask({self.id!r}, prio={self.priority}, {self.state.value})"
@@ -95,7 +87,7 @@ def cycles_work(total_cycles: int, chunk: int = 1) -> WorkFn:
     full, rest = divmod(check_count(total_cycles, "total_cycles"), check_count(chunk, "chunk"))
     tail = (rest,) if rest else ()
 
-    def work(ctx: ExecContext) -> Iterator[int]:
+    def work(fp: list[float]) -> Iterator[int]:
         return itertools.chain(itertools.repeat(chunk, full), tail)
 
     return work
@@ -113,7 +105,7 @@ def matmul_work(a: Tensor, b: Tensor, on_result=None) -> WorkFn:
     check_type(on_result, (Callable, type(None)), "on_result")
     (m, kk), n = a.shape, b.shape[1]
 
-    def work(ctx: ExecContext) -> Iterator[int]:
+    def work(fp: list[float]) -> Iterator[int]:
         yield ALLOC_CYCLES
         for _ in range(m * n):
             yield kk * MULADD_CYCLES
@@ -163,8 +155,12 @@ class MlScheduler:
             raise InvalidArgument(f"task id {shown(task.id)} is not hashable") from None
         if queued:
             raise InvalidArgument(f"task id {shown(task.id)} is already queued")
-        heapq.heappush(self._queue, entry)
-        self._queued.add(task.id)
+        try:
+            self._queued.add(task.id)
+            heapq.heappush(self._queue, entry)
+        except BaseException:  # a host fault between the two: neither holds the task
+            self._queued.discard(task.id)
+            raise
 
     def dequeue(self) -> MlTask | None:
         """Pop the lowest-priority-value task, FIFO among ties; None if empty."""
@@ -183,22 +179,31 @@ class MlScheduler:
         that hit the quantum are preempted, deprioritized if they crossed
         the threshold, and re-queued. An empty queue yields an empty list.
 
-        If a task's work raises or yields a cost below one cycle, that task
-        is left FAULTED, the tasks of the batch not yet run go back under
-        their original (priority, seq) keys, and TaskFault is raised from
-        the original exception, carrying the ids completed before it. A
-        host fault that is not an Exception (KeyboardInterrupt, SystemExit)
-        faults the task and re-queues the rest the same way, then passes
-        through unchanged instead of as a TaskFault.
+        If a task's slice, penalty or re-push fails (its work raises or
+        yields a cost below one cycle, or its id was queued while it ran),
+        that task is left FAULTED, the tasks of the batch not yet run go
+        back under their original (priority, seq) keys, and TaskFault is
+        raised from the original exception, carrying the ids completed
+        before it. A host fault that is not an Exception (KeyboardInterrupt,
+        SystemExit) faults the task and re-queues the rest the same way,
+        then passes through unchanged instead of as a TaskFault.
         """
         check_count(n, "batch size")
+        completed, threshold = [], self.config.deprioritize_threshold
         batch = [heapq.heappop(self._queue) for _ in range(min(n, len(self._queue)))]
         self._queued.difference_update(task.id for _, _, task in batch)
-        completed = []
-        for i, (_, _, task) in enumerate(batch):
-            try:
+        for i, (priority, _, task) in enumerate(batch):
+            try:  # the slice, the penalty and the re-push: a failure in any faults the task
+                before = task.consumed_cycles
                 done = self._run_slice(task)
-            except BaseException as exc:  # work is caller code: any failure faults the task
+                if before <= threshold < task.consumed_cycles:  # the slice that crosses it, once
+                    priority += DEPRIORITIZE_PENALTY
+                    task.priority = priority
+                if done:
+                    completed.append(task.id)
+                else:
+                    self._push((priority, next(self._seqs), task))
+            except BaseException as exc:
                 task.state = TaskState.FAULTED
                 task._gen = None
                 for entry in batch[i + 1:]:
@@ -206,13 +211,6 @@ class MlScheduler:
                 if not isinstance(exc, Exception):
                     raise
                 raise TaskFault(f"task {shown(task.id)} faulted: {shown(exc)}", task.id, completed) from exc
-            if not task._penalized and task.consumed_cycles > self.config.deprioritize_threshold:
-                task.priority += DEPRIORITIZE_PENALTY  # once per task, on crossing the threshold
-                task._penalized = True
-            if done:
-                completed.append(task.id)
-            else:
-                self._push((task.priority, next(self._seqs), task))
         return completed
 
     def _run_slice(self, task: MlTask) -> bool:
@@ -222,7 +220,7 @@ class MlScheduler:
         all zeros, so it starts from a clean register file.
         """
         if task.state is TaskState.QUEUED:
-            task._gen = iter(task.work(ExecContext(self.fp_registers, task)))
+            task._gen = iter(task.work(self.fp_registers))
         elif task.state is not TaskState.PREEMPTED:
             raise InvalidArgument(f"task {shown(task.id)} is not runnable ({task.state.value})")
         self.fp_registers[:] = task.fp_context

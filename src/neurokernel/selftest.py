@@ -228,12 +228,11 @@ def check_allocator(seed: int = 0) -> str:
 def check_zero_copy(seed: int = 0) -> str:
     rng = Random(seed)
     buffer = SharedBuffer(4096)
-    writer, reader = buffer.view(), buffer.view()
     for i in range(1000):
         payload = bytes(rng.randrange(256) for _ in range(rng.randint(1, 64)))
         offset = rng.randrange(0, 4096 - len(payload))
-        writer.write(offset, payload)
-        _require(reader.read(offset, len(payload)) == payload, f"round trip {i} corrupted")
+        buffer.write(offset, payload)
+        _require(buffer.read(offset, len(payload)) == payload, f"round trip {i} corrupted")
         _require(buffer.copy_counter == 0, f"copy_counter moved on round trip {i}")
     return "1000 write/read round trips with copy_counter pinned at 0"
 
@@ -339,11 +338,11 @@ def check_scheduler(seed: int = 0) -> str:
     observations: list[tuple[list[float], list[float]]] = []
 
     def fp_work(values: list[float], steps: int):
-        def work(ctx):
-            ctx.fp[: len(values)] = values
+        def work(fp):
+            fp[: len(values)] = values
             for _ in range(steps):
                 yield 1
-            observations.append((values, list(ctx.fp[: len(values)])))
+            observations.append((values, list(fp[: len(values)])))
 
         return work
 

@@ -39,7 +39,7 @@ from neurokernel.accel import AccelDevice, AccelOp, AccelRegion, AccelTask
 from neurokernel.compute import Opcode, simple_compute
 from neurokernel.config import config_from, directives, parse_config, read_text, resolve_config
 from neurokernel.errors import InvalidArgument, KernelError, OutOfMemory, check_count, check_type, shown
-from neurokernel.mempool import BlockHandle, BlockPool, PoolConfig, SharedBuffer, SharedBufferView
+from neurokernel.mempool import BlockHandle, BlockPool, PoolConfig, SharedBuffer
 from neurokernel.orchestrator import (
     DEMO_SCENARIO,
     Checkpoint,
@@ -78,7 +78,6 @@ from neurokernel.rabab import (
     paths_equivalent,
 )
 from neurokernel.scheduler import (
-    ExecContext,
     MlScheduler,
     MlTask,
     PerfCounter,
@@ -100,6 +99,13 @@ from neurokernel.tensor import (
 NAN, HUGE = float("nan"), 10**5000
 
 
+class Unshowable:
+    """A value whose repr raises, as caller code may."""
+
+    def __repr__(self):
+        raise RuntimeError("this value cannot be shown")
+
+
 def bad_values() -> list:
     """Fresh each time, since a call may mutate the list or the dict.
 
@@ -107,9 +113,10 @@ def bad_values() -> list:
     fails every comparison. 0 and -1 sit just below a count's or an id's
     lower bound. HUGE is past every bound, past float64, and past
     the digits repr() converts, so a message that shows it without
-    errors.shown raises ValueError.
+    errors.shown raises ValueError; one that shows an Unshowable raises
+    RuntimeError.
     """
-    return [None, "x", True, 1.0, NAN, HUGE, 0, -1, b"x", [1], {}]
+    return [None, "x", True, 1.0, NAN, HUGE, 0, -1, b"x", [1], {}, Unshowable()]
 
 
 # Record arguments whose fields are swapped one at a time as well.
@@ -129,7 +136,6 @@ class World:
         self.sched.enqueue(MlTask("queued", cycles_work(1)))
         self.task = MlTask("fresh", cycles_work(1))
         self.buffer = SharedBuffer(16)
-        self.view = self.buffer.view()
         self.dev = AccelDevice()
         self.region = self.dev.allocate(8)
         self.dev.write_tensor(self.region, Tensor.vector([2.0]))
@@ -209,11 +215,9 @@ CALLS = {
     "mempool.BlockPool.read": lambda w: call(w.pool.read, w.handle, 0, 4),
     "mempool.BlockPool.write": lambda w: call(w.pool.write, w.handle, 0, b"ab"),
     "mempool.SharedBuffer": lambda w: call(SharedBuffer, 16),
-    "mempool.SharedBuffer.view": lambda w: call(w.buffer.view),
+    "mempool.SharedBuffer.read": lambda w: call(w.buffer.read, 0, 4),
+    "mempool.SharedBuffer.write": lambda w: call(w.buffer.write, 0, b"ab"),
     "mempool.SharedBuffer.snapshot": lambda w: call(w.buffer.snapshot),
-    "mempool.SharedBufferView": lambda w: call(SharedBufferView, w.buffer),
-    "mempool.SharedBufferView.read": lambda w: call(w.view.read, 0, 4),
-    "mempool.SharedBufferView.write": lambda w: call(w.view.write, 0, b"ab"),
     "accel.AccelRegion": lambda w: call(AccelRegion, 0, 8),
     "accel.AccelTask": lambda w: call(AccelTask, AccelOp.MATMUL, w.region, (1, 1), w.region, (1, 1), w.region),
     "accel.AccelDevice": lambda w: call(AccelDevice),
@@ -224,7 +228,6 @@ CALLS = {
     "accel.AccelDevice.read_tensor": lambda w: call(w.dev.read_tensor, w.region, (1,)),
     "scheduler.SchedulerConfig": lambda w: call(SchedulerConfig, 1000, 2, 100),
     "scheduler.PerfCounter": lambda w: call(PerfCounter),
-    "scheduler.ExecContext": lambda w: call(ExecContext, [0.0] * 16, w.task),
     "scheduler.MlTask": lambda w: call(MlTask, "t", cycles_work(1), 3),
     "scheduler.cycles_work": lambda w: call(cycles_work, 5, chunk=2),
     "scheduler.matmul_work": lambda w: call(matmul_work, w.t, w.t, on_result=[].append),
@@ -232,7 +235,7 @@ CALLS = {
     "scheduler.MlScheduler.enqueue": lambda w: call(w.sched.enqueue, w.task),
     "scheduler.MlScheduler.dequeue": lambda w: call(w.sched.dequeue),
     "scheduler.MlScheduler.batch_execute": lambda w: call(w.sched.batch_execute, 1),
-    "orchestrator.envelope.MessageEnvelope": lambda w: call(MessageEnvelope, 1, 0, 1, b"{}", QoS.BULK, 1),
+    "orchestrator.envelope.MessageEnvelope": lambda w: call(MessageEnvelope, 1, 0, 1, b"{}", QoS.BULK),
     "orchestrator.envelope.encode": lambda w: call(encode, w.envelope),
     "orchestrator.envelope.decode": lambda w: call(decode, w.frame),
     "orchestrator.fusion.FusedRepresentation": lambda w: call(FusedRepresentation, (), "A person is present"),
@@ -358,8 +361,8 @@ def test_only_exception_classes_and_enums_are_exempt_by_name():
 
 # Plain records: building one checks nothing; the operations that take one check its fields.
 PLAIN = {
-    "accel.AccelRegion", "accel.AccelTask", "mempool.BlockHandle", "scheduler.ExecContext",
-    "scheduler.MlTask", "orchestrator.envelope.MessageEnvelope", "orchestrator.fusion.FusedRepresentation",
+    "accel.AccelRegion", "accel.AccelTask", "mempool.BlockHandle", "scheduler.MlTask",
+    "orchestrator.envelope.MessageEnvelope", "orchestrator.fusion.FusedRepresentation",
     "orchestrator.cluster.Checkpoint", "rabab.engine.Predicate", "rabab.engine.LinearResource",
     "rabab.paths.Translate", "rabab.paths.DrawPixel",
 }
@@ -389,8 +392,8 @@ RETURNS = {
     # Offset 0 is the start of the span, and a length of 0 reads nothing.
     "mempool.BlockPool.read": {1: (0,), 2: (None, 0)},
     "mempool.BlockPool.write": {1: (0,), 2: (b"x",)},
-    "mempool.SharedBufferView.read": {0: (0,), 1: (0,)},
-    "mempool.SharedBufferView.write": {0: (0,), 1: (b"x",)},
+    "mempool.SharedBuffer.read": {0: (0,), 1: (0,)},
+    "mempool.SharedBuffer.write": {0: (0,), 1: (b"x",)},
     "accel.AccelDevice.read_tensor": {1: ([1],)},
     "accel.AccelDevice.submit": {(0, "a_shape"): ([1],), (0, "b_shape"): ([1],)},
     "scheduler.SchedulerConfig": {0: (HUGE,), 1: (HUGE,), 2: (HUGE,)},

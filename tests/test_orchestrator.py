@@ -100,11 +100,6 @@ class TestEnvelopeCodec:
         with pytest.raises(InvalidArgument):
             decode(frame + b"!")
 
-    def test_encoding_future_version_rejected(self):
-        env = MessageEnvelope(msg_id=1, source=1, dest=2, payload=b"", version=2)
-        with pytest.raises(InvalidArgument):
-            encode(env)
-
 
 def _decode_or_refuse(data: bytes) -> None:
     """decode returns an envelope or raises one of its two kinds; nothing else escapes."""

@@ -156,6 +156,23 @@ class TestAdjustScheduling:
         sched.batch_execute(1)
         assert task.priority == 10
 
+    @pytest.mark.parametrize("threshold, written, final", [
+        (5, "x", [20, 20, 20]),  # the penalty adds to the queued key and overwrites "x"
+        (1_000_000, None, [None, 10, 10]),  # nothing writes the priority back
+    ])
+    def test_the_queued_key_is_the_priority_the_scheduler_reads(self, threshold, written, final):
+        sched = MlScheduler(SchedulerConfig(deprioritize_threshold=threshold, quantum=10))
+        tasks = [make_task(i, cycles=20) for i in range(3)]
+        for task in tasks:
+            sched.enqueue(task)
+        tasks[0].priority = written
+        completed = []
+        while len(sched):
+            completed.extend(sched.batch_execute(3))
+        assert completed == [0, 1, 2]
+        assert all(task.state is TaskState.DONE for task in tasks)
+        assert [task.priority for task in tasks] == final
+
     def test_penalty_applied_at_most_once(self):
         sched = MlScheduler(SchedulerConfig(deprioritize_threshold=10, quantum=100))
         task = make_task("hog", cycles=500)
@@ -170,11 +187,11 @@ class TestFpContext:
         observed = {}
 
         def writer(values, name):
-            def work(ctx):
-                ctx.fp[:3] = values
+            def work(fp):
+                fp[:3] = values
                 yield 1
                 yield 1
-                observed[name] = list(ctx.fp[:3])
+                observed[name] = list(fp[:3])
 
             return work
 
@@ -194,11 +211,11 @@ class TestFpContext:
             log = []
 
             def fp_work(values, steps):
-                def work(ctx):
-                    ctx.fp[:] = values
+                def work(fp):
+                    fp[:] = values
                     for _ in range(steps):
                         yield 1
-                    log.append((values, list(ctx.fp)))
+                    log.append((values, list(fp)))
 
                 return work
 
@@ -238,7 +255,7 @@ class TestWorkBuilders:
         assert run(quantum) == run(1)
 
     def test_zero_cost_steps_rejected(self):
-        def bad_work(ctx):
+        def bad_work(fp):
             yield 0
 
         sched = MlScheduler()
@@ -247,7 +264,7 @@ class TestWorkBuilders:
             sched.batch_execute(1)
 
     def test_zero_cost_step_faults_only_that_task(self):
-        def bad_work(ctx):
+        def bad_work(fp):
             yield 0
 
         sched = MlScheduler()
@@ -304,7 +321,7 @@ class TestWorkBuilders:
 
 class TestWorkFault:
     @staticmethod
-    def failing(ctx):
+    def failing(fp):
         yield 1
         raise RuntimeError("work failed")
 
@@ -341,7 +358,7 @@ class TestWorkFault:
 
     @pytest.mark.parametrize("fault", ["raise", "zero-cost step"])
     def test_a_fault_mid_slice_counts_every_step_before_it(self, fault):
-        def work(ctx):
+        def work(fp):
             yield 3
             yield 4
             if fault == "raise":
@@ -356,6 +373,23 @@ class TestWorkFault:
         assert task.consumed_cycles == 7
         assert sched.perf.cpu_cycles == 7
 
+    def test_a_failed_re_push_faults_the_task_and_keeps_the_rest(self):
+        sched = MlScheduler(SchedulerConfig(quantum=2))
+
+        def takes_its_own_id(fp):
+            sched.enqueue(make_task("a"))  # while "a" runs, its id is free to take
+            yield 1
+            yield 1
+
+        a = MlTask("a", takes_its_own_id)
+        sched.enqueue(a)
+        sched.enqueue(make_task("b"))
+        with pytest.raises(TaskFault) as info:
+            sched.batch_execute(2)
+        assert isinstance(info.value.__cause__, InvalidArgument)
+        assert (info.value.task_id, a.state) == ("a", TaskState.FAULTED)
+        assert sched.batch_execute(2) == ["b", "a"]
+
     def test_faulted_task_cannot_be_enqueued_again(self):
         sched = MlScheduler()
         bad = MlTask("bad", self.failing)
@@ -366,7 +400,7 @@ class TestWorkFault:
             sched.enqueue(bad)
 
     def test_a_host_fault_passes_through_and_keeps_the_unrun_tasks(self):
-        def interrupted(ctx):
+        def interrupted(fp):
             yield 1
             raise KeyboardInterrupt
 
@@ -413,7 +447,7 @@ class SchedulerModel(RuleBasedStateMachine):
 
     @staticmethod
     def faulty_work(cycles):
-        def work(ctx):
+        def work(fp):
             for _ in range(cycles):
                 yield 1
             raise RuntimeError("work failed")
