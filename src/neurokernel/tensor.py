@@ -1,18 +1,19 @@
 """Dense rank-1/rank-2 float64 tensors and the one matrix kernel over them.
 
-Every matrix product (naive, blocked, parallel, the device's and the
-scheduler's) runs through ``_mac``. B is transposed once into column lists,
-and k is walked in slices of at most ``_WIDTH`` = 64 entries. Each slice runs
-a straight-line kernel generated for its width w, compiled on first use and
+A tensor packs its entries in an ``array('d')``, 8 bytes each, so
+``tobytes`` and ``frombytes`` copy bytes. Every matrix product (naive,
+blocked, parallel, the device's and the scheduler's) unboxes A's rows and
+B's columns into lists once (``tolist()``) and runs through ``_mac``, which
+walks k in slices of at most ``_WIDTH`` = 64 entries. Each slice runs a
+straight-line kernel generated for its width w, compiled on first use and
 cached (``_kernel``): it unpacks the w row entries into locals and, for each
-column, computes ``acc + r0 * c0 + r1 * c1 + ...``, where ``acc`` starts at
-0.0 and carries the partial sum from slice to slice. Python evaluates ``+``
-left to right and CPython never fuses a multiply with an add, so every
-element is ``((0.0 + a0*b0) + a1*b1) + ...`` in ascending k: the roundings of
-the loop ``acc += x * y`` it replaced, bit for bit on every Python. Tiles and
-row bands split only rows and columns, so they reproduce the naive product
-too; ``sum`` and ``math.fsum`` compensate and would not. The source is built
-from the integer w alone, and nothing is compiled at import.
+column, computes ``acc + r0 * c0 + r1 * c1 + ...``, carrying ``acc`` from 0.0
+across slices. Python evaluates ``+`` left to right and CPython never fuses
+a multiply with an add, so every element is ``((0.0 + a0*b0) + a1*b1) + ...``
+in ascending k: the roundings of the loop ``acc += x * y`` it replaced, bit
+for bit on every Python. Tiles and row bands split only rows and columns, so
+they reproduce the naive product too; ``sum`` and ``math.fsum`` compensate
+and would not. The kernel's source is built from the integer w alone.
 
 The width is bounded. One expression over the whole of k raises
 RecursionError in the compiler at k = 3,000 (Python 3.11), and a kernel per
@@ -38,9 +39,9 @@ from stdin cannot be, and breaks the pool (one KernelError).
 
 from __future__ import annotations
 
-import struct
 import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, prod
@@ -54,7 +55,8 @@ from .errors import (
 MAX_WORKERS = 8
 DEFAULT_BLOCK_SIZE = 64
 _WIDTH = 64  # entries of k per generated kernel; bounds each expression and the cache
-_MAX_ENTRIES = sys.maxsize // 8  # the most items a list can hold: one 8-byte pointer each
+_MAX_ENTRIES = sys.maxsize // 8  # the most entries an array('d') can hold: 8 bytes each
+_BYTEORDER = sys.byteorder  # of the array's native float64; tobytes() is little-endian
 
 
 @dataclass(frozen=True)
@@ -80,19 +82,23 @@ class Tensor:
 
     def __init__(self, shape: Sequence[int], data: Iterable[float]):
         shape = _checked_shape(shape)
-        values = list(check_type(data, Iterable, "tensor entries"))
+        check_type(data, Iterable, "tensor entries")
+        try:  # array() would read a bytes initializer as raw float64s, not as ints
+            values = array("d", iter(data) if isinstance(data, (bytes, bytearray)) else data)
+        except (TypeError, ValueError, OverflowError):  # a str, None, an int past float64
+            raise InvalidArgument("tensor entries must be real numbers") from None
         expected = prod(shape)
         if len(values) != expected:
             raise InvalidArgument(
                 f"shape {shown(shape)} needs {expected} entries, got {len(values)}"
             )
-        _require_finite(values)  # before float(), which would parse a str entry
+        _require_finite(values)
         object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_data", list(map(float, values)))
+        object.__setattr__(self, "_data", values)
 
     @classmethod
-    def _from_finite(cls, shape: tuple[int, ...], values: list[float]) -> "Tensor":
-        """Adopt values already checked: prod(shape) finite floats, owned by no one else."""
+    def _from_finite(cls, shape: tuple[int, ...], values: array) -> "Tensor":
+        """Adopt values already checked: prod(shape) finite float64s, owned by no one else."""
         tensor = object.__new__(cls)
         object.__setattr__(tensor, "_shape", shape)
         object.__setattr__(tensor, "_data", values)
@@ -116,23 +122,23 @@ class Tensor:
 
     @classmethod
     def identity(cls, n: int) -> "Tensor":
-        _checked_shape((n, n))
-        try:
-            data = [0.0] * (n * n)
-        except MemoryError:
-            raise OutOfMemory(f"host cannot hold a {shown(n)}x{shown(n)} identity") from None
-        for i in range(n):
-            data[i * n + i] = 1.0
-        return cls((n, n), data)
+        shape = _checked_shape((n, n))
+        data = _reserve(shape)
+        data[:: n + 1] = array("d", [1.0]) * n
+        return cls._from_finite(shape, data)
 
     @classmethod
     def random(cls, shape: Sequence[int], rng: Random) -> "Tensor":
         shape = _checked_shape(shape)
         check_type(rng, Random, "rng")
-        try:
-            return cls(shape, [rng.uniform(-1.0, 1.0) for _ in range(prod(shape))])
-        except MemoryError:  # a count a list can hold, but this host cannot
-            raise OutOfMemory(f"host cannot hold a tensor of shape {shown(shape)}") from None
+        data, uniform = _reserve(shape), rng.uniform
+        try:  # a Random subclass may draw anything
+            for i in range(len(data)):
+                data[i] = uniform(-1.0, 1.0)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidArgument("tensor entries must be real numbers") from None
+        _require_finite(data)
+        return cls._from_finite(shape, data)
 
     @classmethod
     def frombytes(cls, shape: Sequence[int], raw: bytes | memoryview) -> "Tensor":
@@ -145,25 +151,28 @@ class Tensor:
             raise InvalidArgument(
                 f"shape {shown(shape)} needs {8 * n} bytes, got {len(raw)}"
             )
-        if sys.byteorder == "little":  # cast("d") is native order; tobytes() is "<d"
-            values = memoryview(raw).cast("d").tolist()
-        else:
-            values = list(struct.unpack(f"<{n}d", raw))
+        values = array("d")
+        values.frombytes(raw)
+        values = values[:]  # exact: frombytes leaves up to 1/16 of the array spare
+        if _BYTEORDER != "little":
+            values.byteswap()
         _require_finite(values)
         return cls._from_finite(shape, values)
 
     def tobytes(self) -> bytes:
         """Little-endian float64 buffer; equality of buffers is bit equality."""
-        return struct.pack(f"<{len(self._data)}d", *self._data)
+        if _BYTEORDER == "little":
+            return self._data.tobytes()
+        swapped = array("d", self._data)
+        swapped.byteswap()
+        return swapped.tobytes()
 
     def tolist(self) -> list[float]:
-        return list(self._data)
+        return self._data.tolist()
 
     def rows(self) -> list[list[float]]:
-        if len(self._shape) == 1:
-            return [list(self._data)]
-        _, n = self._shape
-        return [self._data[i * n : (i + 1) * n] for i in range(self._shape[0])]
+        data, n = self._data.tolist(), self._shape[-1]
+        return [data[i : i + n] for i in range(0, len(data), n)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -174,7 +183,7 @@ class Tensor:
 
     def __repr__(self) -> str:
         shape = "x".join(str(d) for d in self._shape)
-        return f"Tensor({shape}, {self._data!r})" if self.size <= 8 else f"Tensor({shape})"
+        return f"Tensor({shape}, {self._data.tolist()!r})" if self.size <= 8 else f"Tensor({shape})"
 
 
 def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
@@ -191,14 +200,18 @@ def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
-def _require_finite(values: list) -> None:
-    """Refuse an entry that is not a finite real number: NaN, Inf, a str, None, an int past float64."""
+def _reserve(shape: tuple[int, ...]) -> array:
+    """Zeroed storage for a tensor of this shape, in one allocation, or OutOfMemory."""
     try:
-        finite = all(map(isfinite, values))
-    except (TypeError, OverflowError):
-        raise InvalidArgument("tensor entries must be real numbers") from None
-    if not finite:
-        raise InvalidArgument("tensor entries must be finite (no NaN/Inf)")
+        return array("d", [0.0]) * prod(shape)
+    except MemoryError:  # a count an array can hold, but this host cannot
+        raise OutOfMemory(f"host cannot hold a tensor of shape {'x'.join(map(shown, shape))}") from None
+
+
+def _require_finite(values: array, error=InvalidArgument, detail="tensor entries must be finite (no NaN/Inf)"):
+    """Refuse NaN and infinity: either makes a float sum non-finite; only an overflowed sum walks each entry."""
+    if not (isfinite(sum(values, 0.0)) or all(map(isfinite, values))):
+        raise error(detail)
 
 
 def validate_matmul_shapes(a: Tensor, b: Tensor) -> None:
@@ -228,25 +241,20 @@ def _sum_shape(a_shape: tuple[int, ...], b_shape: tuple[int, ...]) -> tuple[int,
     return a_shape
 
 
-def _finite_or_overflow(values: list[float], op_name: str) -> None:
-    if not all(map(isfinite, values)):
-        raise Overflow(f"{op_name} overflowed the float64 range")
-
-
 def elementwise_sum(a: Tensor, b: Tensor) -> Tensor:
     if not (isinstance(a, Tensor) and isinstance(b, Tensor)):
         check_type(a, Tensor, "elementwise sum operand a")
         check_type(b, Tensor, "elementwise sum operand b")
     shape = _sum_shape(a.shape, b.shape)
-    out = [x + y for x, y in zip(a._data, b._data)]
-    _finite_or_overflow(out, "elementwise sum")
+    out = array("d", [x + y for x, y in zip(a._data, b._data)])
+    _require_finite(out, Overflow, "elementwise sum overflowed the float64 range")
     return Tensor._from_finite(shape, out)
 
 
 def _columns(b: Tensor) -> list[list[float]]:
-    """B transposed once: column j is every n-th entry from j."""
-    n = b.shape[1]
-    return [b._data[j::n] for j in range(n)]
+    """B unboxed and transposed once: column j is every n-th entry from j."""
+    data, n = b._data.tolist(), b.shape[1]
+    return [data[j::n] for j in range(n)]
 
 
 @lru_cache(maxsize=_WIDTH)
@@ -294,8 +302,12 @@ def _mac(rows: list[list[float]], cols: list[list[float]]) -> list[list[float]]:
 
 def _product(rows: list[list[float]]) -> Tensor:
     """The kernel's output rows as a tensor; Overflow if any entry is not finite."""
-    out = [x for row in rows for x in row]
-    _finite_or_overflow(out, "matmul")
+    out = array("d")
+    for row in rows:
+        out.fromlist(row)
+    out = out[:]  # exact: fromlist leaves up to 1/16 of the array spare
+    if not isfinite(sum(map(sum, rows), 0.0)):  # the same sum as _require_finite's, by rows
+        _require_finite(out, Overflow, "matmul overflowed the float64 range")
     return Tensor._from_finite((len(rows), len(rows[0])), out)
 
 
@@ -320,15 +332,10 @@ def matmul_blocked(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> 
 
 
 def _partition_rows(m: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges, one per worker; some may be empty."""
+    """Contiguous row ranges, one per worker, the first m % workers one row taller; some may be empty."""
     base, rem = divmod(m, workers)
-    bounds = []
-    lo = 0
-    for w in range(workers):
-        hi = lo + base + (1 if w < rem else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
+    edges = [w * base + min(w, rem) for w in range(workers + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 # Row bands go to worker processes from this many multiply-adds (m*k*n) on.

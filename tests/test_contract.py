@@ -27,6 +27,7 @@ import importlib
 import inspect
 import pkgutil
 import sys
+from decimal import Decimal
 from enum import Enum
 from functools import partial
 from random import Random
@@ -580,6 +581,10 @@ REFUSED = {
     "entry-str": lambda w: Tensor((2,), ["a", "b"]),
     "entry-numeric-str": lambda w: Tensor((2,), ["1.5", "2"]),
     "entry-huge-int": lambda w: Tensor((1,), [HUGE]),
+    "entry-bytes": lambda w: Tensor((1,), [b"x"]),
+    "entry-none": lambda w: Tensor((1,), [None]),
+    "entry-complex": lambda w: Tensor((1,), [1j]),
+    "entry-signalling-nan": lambda w: Tensor((1,), [Decimal("sNaN")]),
     "read-str-shape": lambda w: w.dev.read_tensor(w.region, ("1",)),
     "submit-str-shape": lambda w: w.dev.submit(
         AccelTask(AccelOp.ELEMWISE_SUM, w.region, ("a", 1), w.region, ("a", 1), w.region)),

@@ -6,7 +6,11 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from array import array
 from concurrent.futures.process import BrokenProcessPool
+from decimal import Decimal
+from fractions import Fraction
 from math import copysign, prod
 from pathlib import Path
 from random import Random
@@ -33,11 +37,14 @@ from neurokernel.tensor import (
 
 
 class TestConstruction:
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(InvalidArgument):
-            Tensor((2,), [1.0, float("nan")])
-        with pytest.raises(InvalidArgument):
-            Tensor((2,), [float("inf"), 0.0])
+    # Also infinities that cancel to NaN, and finite entries that overflow beside a NaN or an infinity.
+    @pytest.mark.parametrize("entries", [
+        [1.0, float("nan")], [float("inf"), 0.0], [float("inf"), float("-inf")],
+        [1.7e308, 1.7e308, float("nan")], [-1.7e308, -1.7e308, float("inf")], [float("-inf"), 1e308],
+    ])
+    def test_rejects_nan_and_inf(self, entries):
+        with pytest.raises(InvalidArgument, match="finite"):
+            Tensor((len(entries),), entries)
 
     def test_rejects_shape_data_mismatch(self):
         with pytest.raises(InvalidArgument):
@@ -70,6 +77,36 @@ class TestConstruction:
         raw = struct.pack("<3d", 1.0, bad, 2.0)
         with pytest.raises(InvalidArgument):
             Tensor.frombytes((3,), raw)
+
+    def test_a_flipped_byte_order_writes_and_reads_the_other_order(self, monkeypatch):
+        # No CI host is big-endian. With the module's byte order flipped,
+        # tobytes() byte-swaps on a little-endian host (and stops swapping on
+        # a big-endian one), so it writes big-endian float64s either way.
+        t = Tensor.random((3, 4), Random(2))
+        assert t.tobytes() == struct.pack(f"<{t.size}d", *t.tolist())
+        monkeypatch.setattr(tensor, "_BYTEORDER", "big" if sys.byteorder == "little" else "little")
+        raw = t.tobytes()
+        assert raw == struct.pack(f">{t.size}d", *t.tolist())
+        assert Tensor.frombytes((3, 4), raw) == t
+
+    @pytest.mark.parametrize("entry, value", [
+        (Decimal("1.5"), 1.5), (Fraction(1, 4), 0.25), (True, 1.0), (-3, -3.0),
+        (type("Real", (), {"__float__": lambda self: 2.5})(), 2.5),
+        (type("Index", (), {"__index__": lambda self: 7})(), 7.0),
+    ], ids=["Decimal", "Fraction", "bool", "int", "__float__", "__index__"])
+    def test_an_entry_is_anything_isfinite_takes(self, entry, value):
+        assert Tensor((1,), [entry]).tolist() == [value]
+
+    @pytest.mark.parametrize("data", [b"\x01\x02", bytearray(b"\x01\x02"), memoryview(b"\x01\x02")],
+                             ids=["bytes", "bytearray", "memoryview"])
+    def test_a_bytes_initializer_is_a_sequence_of_ints(self, data):
+        assert Tensor((2,), data).tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("entries", [
+        [1.7e308, 1.7e308], [-1.7e308, -1e308, 5.0], [1e308, 1e308, -1e308],
+    ])
+    def test_finite_entries_whose_sum_overflows_are_taken(self, entries):
+        assert Tensor((len(entries),), entries).tolist() == entries
 
 
 class TestShapeValidation:
@@ -116,6 +153,10 @@ class TestElementwiseSum:
         big = Tensor.vector([1e308])
         with pytest.raises(Overflow):
             elementwise_sum(big, big)
+
+    def test_finite_entries_whose_sum_overflows_are_no_overflow(self):
+        a = Tensor.vector([1.5e308, 1.5e308])
+        assert elementwise_sum(a, Tensor.vector([0.0, 0.0])) == a
 
 
 class TestMatmulNaive:
@@ -220,12 +261,16 @@ def _run_python(args, timeout, **kwargs):
 
 
 def test_a_tensor_too_large_for_the_host_is_one_out_of_memory():
-    # In a child capped at 100 MiB of address space. Past a list's capacity,
-    # random() used to append entries until MemoryError, which uncapped takes
-    # the host's memory; it is now refused before any allocation. The last two
-    # fit a list but not this host, and fail as one OutOfMemory.
+    # In a child capped at 100 MiB of address space. Past an array's
+    # capacity, a shape is refused before any allocation. The last two fit an
+    # array but not this host: their storage is reserved in one allocation,
+    # before random() draws an entry, so each fails as one OutOfMemory while
+    # the child's high-water mark stays far below the cap. It used to draw
+    # entries into a list until the cap raised MemoryError, which uncapped
+    # takes the host's memory. VmHWM, not ru_maxrss: the latter carries the
+    # high-water mark of the process that forked the child.
     code = textwrap.dedent("""
-        import resource
+        import resource, sys
         from random import Random
         from neurokernel.errors import OutOfMemory
         from neurokernel.tensor import Tensor
@@ -238,9 +283,37 @@ def test_a_tensor_too_large_for_the_host_is_one_out_of_memory():
             except OutOfMemory:
                 continue
             raise SystemExit("no OutOfMemory")
+        if sys.platform.startswith("linux"):
+            with open("/proc/self/status") as status:
+                print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
     """)
     done = _run_python(["-c", code], timeout=60)
     assert done.returncode == 0, done.stderr
+    if sys.platform.startswith("linux"):
+        assert int(done.stdout) < 50 << 10, f"VmHWM {done.stdout.strip()} kB"
+
+
+@pytest.mark.parametrize("make", ["array", "matmul_naive", "frombytes"])
+def test_a_tensor_stores_8_bytes_an_entry(make):
+    # Packed float64: 131,072 bytes for 128 x 128 entries, plus a constant:
+    # the tensor, its shape, the array header, and the kernel's temporaries
+    # that CPython keeps on its free lists (at most 80 lists and 100 floats).
+    # A list of floats took 32 bytes an entry.
+    n = 128
+    a = Tensor.random((n, n), Random(15))
+    entries, raw = array("d", a.tolist()), a.tobytes()
+    build = {"array": lambda: Tensor((n, n), entries), "matmul_naive": lambda: matmul_naive(a, a),
+             "frombytes": lambda: Tensor.frombytes((n, n), raw)}[make]
+    build()  # compiles the kernel and fills any cache before the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept.shape == (n, n)
+    assert grown <= 8 * n * n + (16 << 10), grown
 
 
 def _manager_wait(real_wait, missed):
@@ -472,6 +545,13 @@ class TestKernelSeam:
         got = PRODUCT_PATHS[path](a, b)
         assert got.tobytes() == _reference_matmul(a, b)
         assert all(copysign(1.0, x) == 1.0 for x in got.tolist())
+
+    @pytest.mark.parametrize("path", sorted(PRODUCT_PATHS))
+    def test_finite_entries_whose_sum_overflows_are_no_overflow(self, path):
+        # Each row sums to 1.5e308 and the product to inf, which only sends
+        # the finiteness check to its exact walk.
+        a, b = Tensor((2, 1), [1.5e308, 1.5e308]), Tensor((1, 1), [1.0])
+        assert PRODUCT_PATHS[path](a, b).tolist() == [1.5e308, 1.5e308]
 
     @pytest.mark.parametrize("path", sorted(PRODUCT_PATHS))
     def test_overflow_in_the_last_slice_is_reported(self, path):
