@@ -3,7 +3,9 @@
 Tasks reference regions of device memory and run one at a time, in
 submission order, using the same naive tensor kernels as the host. That
 reuse is deliberate: equality with host results is the device's test
-oracle, since there is no real hardware behind it.
+oracle, since there is no real hardware behind it. Staging is zero-copy:
+tensors move between their storage and a view of the buffer with one
+memcpy each way, and only a read allocates, the tensor it returns.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from enum import Enum
 from math import prod
 
 from .errors import InvalidArgument, OutOfMemory, check_count, check_type, shown
-from .tensor import Tensor, _checked_shape, _matmul_shape, _sum_shape, elementwise_sum, matmul_naive
+from .tensor import (
+    Tensor, _checked_shape, _load, _matmul_shape, _store, _sum_shape, elementwise_sum, matmul_naive,
+)
 
 DEVICE_BUFFER_BYTES = 1024 * 1024
 
@@ -45,21 +49,18 @@ class AccelTask:
     out: AccelRegion
 
 
-def _shape_bytes(shape: tuple[int, ...]) -> int:
-    return 8 * prod(shape)
-
-
 class AccelDevice:
     """One simulated accelerator with its own buffer, ledger, and FIFO queue."""
 
     def __init__(self):
         try:
-            self._buffer = bytearray(DEVICE_BUFFER_BYTES)
+            self._buffer = memoryview(bytearray(DEVICE_BUFFER_BYTES))  # staging copies in and out of views
         except MemoryError:
             raise OutOfMemory("host cannot back the device buffer") from None
         self._regions: set[AccelRegion] = set()  # membership only: it iterates in address order
         self._used = 0  # regions are never freed, so each starts where the last ended
-        self._queue: deque[tuple[int, AccelTask]] = deque()
+        # (id, task, a's shape, b's shape): the shapes submit checked, whatever the task's sequences become
+        self._queue: deque[tuple[int, AccelTask, tuple[int, ...], tuple[int, ...]]] = deque()
         self._next_task = itertools.count(1)
 
     def allocate(self, size: int) -> AccelRegion:
@@ -89,17 +90,17 @@ class AccelDevice:
         if not isinstance(task, AccelTask):
             check_type(task, AccelTask, "device task")
         a_shape, b_shape = _checked_shape(task.a_shape), _checked_shape(task.b_shape)
-        self._check_region(task.a, _shape_bytes(a_shape), "input a")
-        self._check_region(task.b, _shape_bytes(b_shape), "input b")
+        self._check_region(task.a, 8 * prod(a_shape), "input a")
+        self._check_region(task.b, 8 * prod(b_shape), "input b")
         if task.op is AccelOp.ELEMWISE_SUM:
             out_shape = _sum_shape(a_shape, b_shape)
         elif task.op is AccelOp.MATMUL:
             out_shape = _matmul_shape(a_shape, b_shape)
         else:
             raise InvalidArgument(f"unknown device op {shown(task.op)}")
-        self._check_region(task.out, _shape_bytes(out_shape), "output")
+        self._check_region(task.out, 8 * prod(out_shape), "output")
         task_id = next(self._next_task)
-        self._queue.append((task_id, task))
+        self._queue.append((task_id, task, a_shape, b_shape))
         return task_id
 
     def execute_next(self) -> int | None:
@@ -112,32 +113,25 @@ class AccelDevice:
         """
         if not self._queue:
             return None
-        task_id, task = self._queue.popleft()
-        a = self._read(task.a, tuple(task.a_shape))
-        b = self._read(task.b, tuple(task.b_shape))
+        task_id, task, a_shape, b_shape = self._queue.popleft()
+        a = _load(a_shape, self._buffer, task.a.offset)
+        b = _load(b_shape, self._buffer, task.b.offset)
         if task.op is AccelOp.ELEMWISE_SUM:
             result = elementwise_sum(a, b)
         else:
             result = matmul_naive(a, b)
-        raw = result.tobytes()
-        self._buffer[task.out.offset : task.out.offset + len(raw)] = raw
+        _store(result, self._buffer, task.out.offset)
         return task_id
-
-    def _read(self, region: AccelRegion, shape: tuple[int, ...]) -> Tensor:
-        end = region.offset + _shape_bytes(shape)
-        with memoryview(self._buffer)[region.offset : end] as raw:
-            return Tensor.frombytes(shape, raw)
 
     # Host staging helpers; execution itself never leaves the device buffer.
 
     def write_tensor(self, region: AccelRegion, tensor: Tensor) -> None:
         if not isinstance(tensor, Tensor):
             check_type(tensor, Tensor, "tensor")
-        raw = tensor.tobytes()
-        self._check_region(region, len(raw), "target")
-        self._buffer[region.offset : region.offset + len(raw)] = raw
+        self._check_region(region, 8 * tensor.size, "target")
+        _store(tensor, self._buffer, region.offset)
 
     def read_tensor(self, region: AccelRegion, shape: tuple[int, ...]) -> Tensor:
         shape = _checked_shape(shape)
-        self._check_region(region, _shape_bytes(shape), "source")
-        return self._read(region, shape)
+        self._check_region(region, 8 * prod(shape), "source")
+        return _load(shape, self._buffer, region.offset)

@@ -8,8 +8,7 @@ to their own size; a misaligned match restarts the search at the next
 aligned offset. Sharing one arena keeps conservation checkable across both
 allocators. Every free block's storage is zero: write() is the only path
 that changes storage, so free() zeroes only the blocks of a handle that was
-written. Also home to SharedBuffer, whose reads and writes make no
-staging copy.
+written.
 """
 
 from __future__ import annotations
@@ -192,39 +191,6 @@ class BlockPool:
     def write(self, handle: BlockHandle, offset: int, data: bytes) -> None:
         check_type(data, (bytes, bytearray), "data")
         start, length = self._span(handle, offset, len(data))
+        self._written.add(handle)  # first: a fault after it costs free() only a redundant zeroing
         self._storage[start : start + length] = data
-        self._written.add(handle)
 
-
-class SharedBuffer:
-    """Fixed-size byte buffer whose readers and writers share one storage.
-
-    copy_counter counts staging copies made by the buffer itself (only
-    snapshot() stages); read() and write() leave it at zero, which is what
-    makes "zero-copy" an assertable property.
-    """
-
-    def __init__(self, size: int = 4096):
-        try:
-            self._storage = bytearray(check_count(size, "buffer size"))
-        except (MemoryError, OverflowError):
-            raise OutOfMemory(f"host cannot back a {shown(size)}-byte shared buffer") from None
-        self.size = size
-        self.copy_counter = 0
-
-    def _check_range(self, offset: int, length: int) -> None:
-        check_count(length, "length", 0, self.size - check_count(offset, "offset", 0, self.size))
-
-    def write(self, offset: int, data: bytes) -> None:
-        check_type(data, (bytes, bytearray), "data")
-        self._check_range(offset, len(data))
-        self._storage[offset : offset + len(data)] = data
-
-    def read(self, offset: int, length: int) -> bytes:
-        self._check_range(offset, length)
-        return bytes(self._storage[offset : offset + length])
-
-    def snapshot(self) -> bytes:
-        """Copy the whole buffer out; the one operation that stages bytes."""
-        self.copy_counter += 1
-        return bytes(self._storage)

@@ -1,19 +1,20 @@
 """Dense rank-1/rank-2 float64 tensors and the one matrix kernel over them.
 
 A tensor packs its entries in an ``array('d')``, 8 bytes each, so
-``tobytes`` and ``frombytes`` copy bytes. Every matrix product (naive,
-blocked, parallel, the device's and the scheduler's) unboxes A's rows and
-B's columns into lists once (``tolist()``) and runs through ``_mac``, which
-walks k in slices of at most ``_WIDTH`` = 64 entries. Each slice runs a
-straight-line kernel generated for its width w, compiled on first use and
-cached (``_kernel``): it unpacks the w row entries into locals and, for each
-column, computes ``acc + r0 * c0 + r1 * c1 + ...``, carrying ``acc`` from 0.0
-across slices. Python evaluates ``+`` left to right and CPython never fuses
-a multiply with an add, so every element is ``((0.0 + a0*b0) + a1*b1) + ...``
-in ascending k: the roundings of the loop ``acc += x * y`` it replaced, bit
-for bit on every Python. Tiles and row bands split only rows and columns, so
-they reproduce the naive product too; ``sum`` and ``math.fsum`` compensate
-and would not. The kernel's source is built from the integer w alone.
+``tobytes``, ``frombytes`` and device staging (``_store``, ``_load``) copy
+bytes. Every matrix product (naive, blocked, parallel, the device's and the
+scheduler's) unboxes A's rows and B's columns into lists once (``tolist()``)
+and runs through ``_mac``, which walks k in slices of at most ``_WIDTH`` =
+64 entries. Each slice runs a straight-line kernel generated for its width
+w, compiled on first use and cached (``_kernel``): it unpacks the w row
+entries into locals and appends ``acc + r0 * c0 + r1 * c1 + ...`` for each
+column to one row-major list, acc being the literal 0.0 on the first slice.
+Python evaluates ``+`` left to right and CPython never fuses a multiply with
+an add, so every element is ``((0.0 + a0*b0) + a1*b1) + ...`` in ascending
+k: the roundings of the loop ``acc += x * y`` it replaced, bit for bit on
+every Python. Tiles and row bands split only rows and columns, so they
+reproduce the naive product too; ``sum`` and ``math.fsum`` compensate and
+would not. The kernel's source is built from integers alone.
 
 The width is bounded. One expression over the whole of k raises
 RecursionError in the compiler at k = 3,000 (Python 3.11), and a kernel per
@@ -142,30 +143,20 @@ class Tensor:
 
     @classmethod
     def frombytes(cls, shape: Sequence[int], raw: bytes | memoryview) -> "Tensor":
-        """Decode a tobytes() buffer held in bytes, a bytearray or a memoryview, checked once."""
+        """Decode a tobytes() buffer held in any contiguous buffer (bytes, a memoryview, ...), checked once."""
         shape = _checked_shape(shape)
-        n = prod(shape)
-        if not isinstance(raw, (bytes, bytearray, memoryview)):  # per device read: the checker only on failure
-            check_type(raw, (bytes, bytearray, memoryview), "tensor bytes")
-        if len(raw) != 8 * n:
-            raise InvalidArgument(
-                f"shape {shown(shape)} needs {8 * n} bytes, got {len(raw)}"
-            )
-        values = array("d")
-        values.frombytes(raw)
-        values = values[:]  # exact: frombytes leaves up to 1/16 of the array spare
-        if _BYTEORDER != "little":
-            values.byteswap()
-        _require_finite(values)
-        return cls._from_finite(shape, values)
+        try:  # not a buffer, or a released, strided or non-native-format view: not readable as bytes
+            view = memoryview(raw).cast("B")
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"tensor bytes must be one contiguous buffer, got {type(raw).__name__}") from None
+        with view:
+            if view.nbytes != 8 * prod(shape):
+                raise InvalidArgument(f"shape {shown(shape)} needs {8 * prod(shape)} bytes, got {len(view)}")
+            return _load(shape, view, 0)
 
     def tobytes(self) -> bytes:
         """Little-endian float64 buffer; equality of buffers is bit equality."""
-        if _BYTEORDER == "little":
-            return self._data.tobytes()
-        swapped = array("d", self._data)
-        swapped.byteswap()
-        return swapped.tobytes()
+        return _little_endian(self._data).tobytes()
 
     def tolist(self) -> list[float]:
         return self._data.tolist()
@@ -214,6 +205,30 @@ def _require_finite(values: array, error=InvalidArgument, detail="tensor entries
         raise error(detail)
 
 
+def _little_endian(values: array) -> array:
+    """values as little-endian float64s: the array itself, or on a big-endian host a swapped copy."""
+    if _BYTEORDER == "little":
+        return values
+    swapped = array("d", values)
+    swapped.byteswap()
+    return swapped
+
+
+def _store(tensor: Tensor, view: memoryview, offset: int) -> None:
+    """Copy a tensor's entries into a byte view at offset as tobytes() lays them out: one memcpy."""
+    view[offset : offset + 8 * tensor.size] = memoryview(_little_endian(tensor._data)).cast("B")
+
+
+def _load(shape: tuple[int, ...], view: memoryview, offset: int) -> Tensor:
+    """The package's one decoder: the float64s at offset in a byte view, one memcpy into exact storage."""
+    values = _reserve(shape)
+    memoryview(values).cast("B")[:] = view[offset : offset + 8 * len(values)]
+    if _BYTEORDER != "little":
+        values.byteswap()
+    _require_finite(values)
+    return Tensor._from_finite(shape, values)
+
+
 def validate_matmul_shapes(a: Tensor, b: Tensor) -> None:
     """Check both operands are Tensors of rank 2 whose inner dimensions conform."""
     if not (isinstance(a, Tensor) and isinstance(b, Tensor)):  # per product: the checker only on failure
@@ -257,64 +272,67 @@ def _columns(b: Tensor) -> list[list[float]]:
     return [data[j::n] for j in range(n)]
 
 
-@lru_cache(maxsize=_WIDTH)
-def _kernel(w: int):
+@lru_cache(maxsize=2 * _WIDTH)
+def _kernel(w: int, carried: bool):
     """The compiled straight-line kernel for one slice of w entries of k.
 
-    ``kernel(row, cols, accs)`` unpacks the w row entries into locals and
-    returns ``acc + r0 * c0 + r1 * c1 + ...`` for each column and its running
-    sum. The source is built from the integer w alone.
+    ``kernel(row, cols, accs, append)`` unpacks the w row entries into locals
+    and appends ``acc + r0 * c0 + ...`` for each column, acc being its sum
+    over the slices before, drawn from the iterator accs if ``carried``, else
+    the literal 0.0: the same expression and roundings, with no accumulators.
     """
     r = ", ".join(f"r{p}" for p in range(w))
     c = ", ".join(f"c{p}" for p in range(w))
     terms = " + ".join(f"r{p} * c{p}" for p in range(w))
+    loop, acc = ((f"({c},), acc in zip(cols, accs)", "acc") if carried else (f"{c}, in cols", "0.0"))
     source = (
-        "def kernel(row, cols, accs):\n"
+        "def kernel(row, cols, accs, append):\n"
         f"    {r}, = row\n"
-        "    out = []\n"
-        "    append = out.append\n"
-        f"    for acc, ({c},) in zip(accs, cols):\n"
-        f"        append(acc + {terms})\n"
-        "    return out\n"
+        f"    for {loop}:\n"
+        f"        append({acc} + {terms})\n"
     )
     namespace: dict = {}
-    exec(compile(source, f"<matmul kernel, width {w}>", "exec"), namespace)
+    exec(compile(source, f"<matmul kernel, width {w}{', carried' if carried else ''}>", "exec"), namespace)
     return namespace["kernel"]
 
 
-def _mac(rows: list[list[float]], cols: list[list[float]]) -> list[list[float]]:
-    """Every row times every column: the package's one multiply-accumulate kernel.
+def _mac(rows: list[list[float]], cols: list[list[float]]) -> list[float]:
+    """Every row times every column, row-major in one list: the package's one multiply-accumulate kernel.
 
     k is walked in slices of at most _WIDTH entries, in ascending order; each
     output's partial sum starts at 0.0 and is carried from slice to slice.
     """
-    k = len(cols[0])
-    out = [[0.0] * len(cols)] * len(rows)  # one shared row: kernels never write to accs
+    k, out = len(cols[0]), []
     if k <= _WIDTH:  # one slice: the rows and columns as they are, no copies
-        kernel = _kernel(k)
-        return [kernel(row, cols, accs) for row, accs in zip(rows, out)]
+        kernel, append = _kernel(k, False), out.append
+        for row in rows:
+            kernel(row, cols, None, append)
+        return out
     for lo in range(0, k, _WIDTH):
         hi = lo + _WIDTH
-        kernel, segment = _kernel(min(_WIDTH, k - lo)), [col[lo:hi] for col in cols]
-        out = [kernel(row[lo:hi], segment, accs) for row, accs in zip(rows, out)]
+        kernel, segment = _kernel(min(_WIDTH, k - lo), lo > 0), [col[lo:hi] for col in cols]
+        # zip(cols, accs) stops on cols first, so each row takes exactly its own sums from one iterator.
+        accs, out = iter(out), []
+        append = out.append
+        for row in rows:
+            kernel(row[lo:hi], segment, accs, append)
     return out
 
 
-def _product(rows: list[list[float]]) -> Tensor:
-    """The kernel's output rows as a tensor; Overflow if any entry is not finite."""
-    out = array("d")
-    for row in rows:
-        out.fromlist(row)
-    out = out[:]  # exact: fromlist leaves up to 1/16 of the array spare
-    if not isfinite(sum(map(sum, rows), 0.0)):  # the same sum as _require_finite's, by rows
+def _product(parts: list[list[float]], shape: tuple[int, int]) -> Tensor:
+    """The kernel's row-major output, in consecutive parts, as a tensor; Overflow if any entry is not finite."""
+    out = array("d", parts[0])  # exact
+    for part in parts[1:]:
+        out.fromlist(part)
+    if not isfinite(sum(map(sum, parts), 0.0)):  # _require_finite's test, by parts
         _require_finite(out, Overflow, "matmul overflowed the float64 range")
-    return Tensor._from_finite((len(rows), len(rows[0])), out)
+    return Tensor._from_finite(shape, out if len(parts) == 1 else out[:])  # fromlist leaves spare room
 
 
 def matmul_naive(a: Tensor, b: Tensor) -> Tensor:
     """Every row of a against every column of b in one kernel call."""
     validate_matmul_shapes(a, b)
-    return _product(_mac(a.rows(), _columns(b)))
+    return _product([_mac(a.rows(), _columns(b))], (a.shape[0], b.shape[1]))
 
 
 def matmul_blocked(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> Tensor:
@@ -326,9 +344,10 @@ def matmul_blocked(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> 
     out: list[list[float]] = [[] for _ in rows]
     for ii in range(0, len(rows), bs):
         for jj in range(0, len(cols), bs):
-            for i, segment in enumerate(_mac(rows[ii : ii + bs], cols[jj : jj + bs]), ii):
-                out[i] += segment
-    return _product(out)
+            tile, w = _mac(rows[ii : ii + bs], cols[jj : jj + bs]), min(bs, len(cols) - jj)
+            for i, lo in enumerate(range(0, len(tile), w), ii):
+                out[i] += tile[lo : lo + w]
+    return _product(out, (len(rows), len(cols)))
 
 
 def _partition_rows(m: int, workers: int) -> list[tuple[int, int]]:
@@ -375,9 +394,7 @@ def _close_at_exit() -> None:
     threading._register_atexit(_close_pool)
 
 
-def _on_pool(
-    workers: int, bands: list[list[list[float]]], cols: list[list[float]]
-) -> list[list[list[float]]]:
+def _on_pool(workers: int, bands: list[list[list[float]]], cols: list[list[float]]) -> list[list[float]]:
     """``_mac`` of each band against cols in the persistent worker pool, in band order.
 
     The pool starts on first use, with ``workers`` processes, and is replaced
@@ -417,9 +434,8 @@ def matmul_parallel(a: Tensor, b: Tensor, config: MatmulConfig | None = None) ->
     """
     config = MatmulConfig() if config is None else check_type(config, MatmulConfig, "matmul config")
     validate_matmul_shapes(a, b)
-    rows, cols = a.rows(), _columns(b)
+    rows, cols, shape = a.rows(), _columns(b), (a.shape[0], b.shape[1])
     bands = [rows[lo:hi] for lo, hi in _partition_rows(len(rows), config.worker_count) if lo < hi]
     if len(bands) == 1 or len(rows) * len(cols[0]) * len(cols) < _POOL_MIN_MACS:
-        return _product(_mac(rows, cols))
-    products = _on_pool(config.worker_count, bands, cols)
-    return _product([row for band in products for row in band])
+        return _product([_mac(rows, cols)], shape)
+    return _product(_on_pool(config.worker_count, bands, cols), shape)

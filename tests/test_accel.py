@@ -1,10 +1,13 @@
 import struct
+import sys
+import tracemalloc
 from dataclasses import replace
 from itertools import accumulate
 from random import Random
 
 import pytest
 
+from neurokernel import tensor
 from neurokernel.accel import AccelDevice, AccelOp, AccelTask
 from neurokernel.errors import InvalidArgument, OutOfMemory, ShapeMismatch
 from neurokernel.tensor import Tensor, elementwise_sum, matmul_naive
@@ -131,6 +134,37 @@ class TestSubmitExecute:
         dev.write_tensor(region, t)
         assert dev.read_tensor(region, (3, 5)).tobytes() == t.tobytes()
 
+    def test_a_task_runs_on_the_shapes_submit_checked(self):
+        a, b = Tensor.random((2, 2), Random(24)), Tensor.random((2, 2), Random(25))
+        dev, (ra, rb, rout) = loaded_device(a, b, Tensor.identity(2))
+        a_shape = [2, 2]
+        dev.submit(AccelTask(AccelOp.MATMUL, ra, a_shape, rb, (2, 2), rout))
+        a_shape[:] = [2, 1]  # the task's sequence changes after the checks
+        assert dev.execute_next() == 1
+        assert dev.read_tensor(rout, (2, 2)).tobytes() == matmul_naive(a, b).tobytes()
+
+    @pytest.mark.parametrize("flipped", [False, True], ids=["native", "flipped"])
+    def test_staging_lays_out_little_endian_float64s_in_either_byte_order(self, monkeypatch, flipped):
+        # No CI host is big-endian. Flipping the tensor module's byte order
+        # makes staging swap on a little-endian host (and stop swapping on a
+        # big-endian one), so the device then holds big-endian float64s.
+        # Staging reads the order at call time, as tobytes() does.
+        if flipped:
+            monkeypatch.setattr(tensor, "_BYTEORDER", "big" if sys.byteorder == "little" else "little")
+        order = ">" if flipped else "<"
+        a, b = Tensor.random((3, 4), Random(26)), Tensor.random((4, 2), Random(27))
+        dev = AccelDevice()
+        ra, rb, rout = dev.allocate(8 * 12), dev.allocate(8 * 8), dev.allocate(8 * 6)
+        dev.write_tensor(ra, a)
+        dev.write_tensor(rb, b)
+        assert dev._buffer[ra.offset : ra.offset + 8 * 12] == struct.pack(f"{order}12d", *a.tolist())
+        dev.submit(AccelTask(AccelOp.MATMUL, ra, (3, 4), rb, (4, 2), rout))
+        dev.execute_next()
+        product = matmul_naive(a, b)
+        assert dev._buffer[rout.offset : rout.offset + 8 * 6] == struct.pack(f"{order}6d", *product.tolist())
+        assert dev.read_tensor(ra, (3, 4)) == a
+        assert dev.read_tensor(rout, (3, 2)).tobytes() == product.tobytes()
+
     def test_device_sum_equals_host(self):
         rng = Random(22)
         a, b = Tensor.random((4, 4), rng), Tensor.random((4, 4), rng)
@@ -220,3 +254,31 @@ class TestValidation:
         tiny = dev.allocate(8)
         with pytest.raises(InvalidArgument):
             dev.submit(AccelTask(AccelOp.MATMUL, ra, (2, 2), rb, (2, 2), tiny))
+
+
+@pytest.mark.parametrize("call", ["write_tensor", "read_tensor"])
+def test_staging_allocates_no_payload_copy(call):
+    # Zero-copy: a staging call's only payload-sized allocation is its
+    # destination. write_tensor copies the tensor's storage straight into the
+    # device buffer; read_tensor copies the region straight into the storage
+    # of the tensor it returns, 8 bytes an entry. The constant covers views,
+    # the tensor object and its shape.
+    n = 128
+    t = Tensor.random((n, n), Random(28))
+    dev = AccelDevice()
+    region = dev.allocate(8 * n * n)
+    dev.write_tensor(region, t)
+    stage = {"write_tensor": lambda: dev.write_tensor(region, t),
+             "read_tensor": lambda: dev.read_tensor(region, (n, n))}[call]
+    stage()  # fills any cache before the count
+    tracemalloc.start()
+    try:
+        kept = stage()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if call == "write_tensor":
+        assert peak < 4 << 10, peak
+    else:
+        assert kept == t
+        assert peak <= 8 * n * n + (4 << 10), peak

@@ -27,6 +27,7 @@ import importlib
 import inspect
 import pkgutil
 import sys
+from array import array
 from decimal import Decimal
 from enum import Enum
 from functools import partial
@@ -40,7 +41,7 @@ from neurokernel.accel import AccelDevice, AccelOp, AccelRegion, AccelTask
 from neurokernel.compute import Opcode, simple_compute
 from neurokernel.config import config_from, directives, parse_config, read_text, resolve_config
 from neurokernel.errors import InvalidArgument, KernelError, OutOfMemory, check_count, check_type, shown
-from neurokernel.mempool import BlockHandle, BlockPool, PoolConfig, SharedBuffer
+from neurokernel.mempool import BlockHandle, BlockPool, PoolConfig
 from neurokernel.orchestrator import (
     DEMO_SCENARIO,
     Checkpoint,
@@ -136,7 +137,6 @@ class World:
         self.sched = MlScheduler()
         self.sched.enqueue(MlTask("queued", cycles_work(1)))
         self.task = MlTask("fresh", cycles_work(1))
-        self.buffer = SharedBuffer(16)
         self.dev = AccelDevice()
         self.region = self.dev.allocate(8)
         self.dev.write_tensor(self.region, Tensor.vector([2.0]))
@@ -166,7 +166,7 @@ class World:
         cluster = self.cluster
         return (
             self.pool.bitmap(), self.pool.live_handles, self.pool.read(self.handle), len(self.sched),
-            self.buffer.snapshot(), self.dev.read_tensor(self.region, (1,)).tobytes(),
+            self.dev.read_tensor(self.region, (1,)).tobytes(),
             self.dev._used, len(self.dev._queue),
             cluster.tick, [(n.snapshot(), n.pending, n.liveness, n.silenced) for n in cluster.nodes.values()],
             self.engine.leaked_resources(), (self.pred.alpha, self.pred.beta),
@@ -215,10 +215,6 @@ CALLS = {
     "mempool.BlockPool.free": lambda w: call(w.pool.free, w.handle),
     "mempool.BlockPool.read": lambda w: call(w.pool.read, w.handle, 0, 4),
     "mempool.BlockPool.write": lambda w: call(w.pool.write, w.handle, 0, b"ab"),
-    "mempool.SharedBuffer": lambda w: call(SharedBuffer, 16),
-    "mempool.SharedBuffer.read": lambda w: call(w.buffer.read, 0, 4),
-    "mempool.SharedBuffer.write": lambda w: call(w.buffer.write, 0, b"ab"),
-    "mempool.SharedBuffer.snapshot": lambda w: call(w.buffer.snapshot),
     "accel.AccelRegion": lambda w: call(AccelRegion, 0, 8),
     "accel.AccelTask": lambda w: call(AccelTask, AccelOp.MATMUL, w.region, (1, 1), w.region, (1, 1), w.region),
     "accel.AccelDevice": lambda w: call(AccelDevice),
@@ -393,8 +389,6 @@ RETURNS = {
     # Offset 0 is the start of the span, and a length of 0 reads nothing.
     "mempool.BlockPool.read": {1: (0,), 2: (None, 0)},
     "mempool.BlockPool.write": {1: (0,), 2: (b"x",)},
-    "mempool.SharedBuffer.read": {0: (0,), 1: (0,)},
-    "mempool.SharedBuffer.write": {0: (0,), 1: (b"x",)},
     "accel.AccelDevice.read_tensor": {1: ([1],)},
     "accel.AccelDevice.submit": {(0, "a_shape"): ([1],), (0, "b_shape"): ([1],)},
     "scheduler.SchedulerConfig": {0: (HUGE,), 1: (HUGE,), 2: (HUGE,)},
@@ -435,7 +429,6 @@ RETURNS = {
 OUT_OF_MEMORY = {
     "tensor.Tensor.identity": {0},
     "mempool.BlockPool.alloc": {0},
-    "mempool.SharedBuffer": {0},
     "accel.AccelDevice.allocate": {0},
     "rabab.paths.Framebuffer": {0, 1},
 }
@@ -585,6 +578,8 @@ REFUSED = {
     "entry-none": lambda w: Tensor((1,), [None]),
     "entry-complex": lambda w: Tensor((1,), [1j]),
     "entry-signalling-nan": lambda w: Tensor((1,), [Decimal("sNaN")]),
+    "bytes-of-two-byte-items": lambda w: Tensor.frombytes((1,), memoryview(array("H", [0] * 8))),
+    "bytes-strided": lambda w: Tensor.frombytes((1,), memoryview(bytes(16))[::2]),
     "read-str-shape": lambda w: w.dev.read_tensor(w.region, ("1",)),
     "submit-str-shape": lambda w: w.dev.submit(
         AccelTask(AccelOp.ELEMWISE_SUM, w.region, ("a", 1), w.region, ("a", 1), w.region)),

@@ -1,4 +1,4 @@
-"""Failure atomicity: a host fault at any line leaves the scheduler consistent.
+"""Failure atomicity: a host fault at any line leaves the scheduler and the pool consistent.
 
 The injector raises InjectedFault, a MemoryError, at the Nth "line" event in
 a frame whose code lies in the package (sys.settrace), for every N the call
@@ -23,6 +23,7 @@ import sys
 import pytest
 
 import neurokernel
+from neurokernel.mempool import BlockPool, PoolConfig
 from neurokernel.scheduler import MlScheduler, MlTask, SchedulerConfig, TaskState, cycles_work
 
 PACKAGE = os.path.dirname(neurokernel.__file__) + os.sep
@@ -174,3 +175,22 @@ def test_every_allowance_names_a_line():
     with open(SCHEDULER, encoding="utf-8") as source:
         lines = {line.strip() for line in source}
     assert sorted(set(ALLOWED) - lines) == []
+
+
+# -- the pool ------------------------------------------------------------------
+
+
+def test_a_fault_in_write_leaves_no_block_dirty_after_free():
+    # Free storage reads as zero: free() zeroes the blocks of a handle that
+    # write() marked, so the mark must be made before the storage changes.
+    n = 1
+    while True:
+        pool = BlockPool(PoolConfig(2 * 4096, 4096, ()))
+        handle = pool.alloc(1)
+        where = fault_at(lambda: pool.write(handle, 0, b"ab"), n)
+        pool.free(handle)
+        assert pool.read(pool.alloc(1), 0, 4) == bytes(4), f"fault at {where}"
+        if where is None:
+            break
+        n += 1
+    assert n > 3

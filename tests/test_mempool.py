@@ -8,7 +8,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, consumes, invaria
 
 from neurokernel import mempool
 from neurokernel.errors import InvalidArgument, OutOfMemory
-from neurokernel.mempool import BlockPool, PoolConfig, SharedBuffer
+from neurokernel.mempool import BlockPool, PoolConfig
 from neurokernel.selftest import _scan_first_fit
 
 KIB = 1024
@@ -361,36 +361,3 @@ class TestBitmapHex:
                 pool.free(handle)
         assert pool.bitmap() == tuple(allocated)
         assert pool.bitmap_hex() == _packed_hex(allocated)
-
-
-class TestSharedBuffer:
-    def test_a_write_is_read_back(self):
-        buffer = SharedBuffer(4096)
-        buffer.write(0, b"abc")
-        assert buffer.read(0, 3) == b"abc"
-
-    def test_out_of_range_read_rejected(self):
-        with pytest.raises(InvalidArgument):
-            SharedBuffer(4096).read(4096, 1)
-
-    def test_out_of_range_write_rejected(self):
-        with pytest.raises(InvalidArgument):
-            SharedBuffer(16).write(10, b"0123456789")
-
-    def test_hundred_round_trips_no_copies(self):
-        buffer = SharedBuffer(4096)
-        for i in range(100):
-            payload = bytes([i % 256]) * 32
-            buffer.write(i * 8 % 1024, payload)
-            assert buffer.read(i * 8 % 1024, 32) == payload
-        assert buffer.copy_counter == 0
-
-    def test_snapshot_is_the_counted_copy(self):
-        buffer = SharedBuffer(64)
-        buffer.write(0, b"xyz")
-        assert buffer.snapshot()[:3] == b"xyz"
-        assert buffer.copy_counter == 1
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(InvalidArgument):
-            SharedBuffer(0)

@@ -78,6 +78,16 @@ class TestConstruction:
         with pytest.raises(InvalidArgument):
             Tensor.frombytes((3,), raw)
 
+    @pytest.mark.parametrize("wrap", [
+        bytearray,
+        lambda raw: memoryview(array("H", raw)),  # 24 items of 2 bytes
+        lambda raw: memoryview(raw).cast("H", (4, 6)),  # two-dimensional
+        lambda raw: array("d", raw),  # any buffer, not only bytes and views
+    ], ids=["bytearray", "two-byte-items", "two-dimensional", "array"])
+    def test_frombytes_reads_any_contiguous_buffer_as_its_bytes(self, wrap):
+        t = Tensor.random((2, 3), Random(3))
+        assert Tensor.frombytes((2, 3), wrap(t.tobytes())) == t
+
     def test_a_flipped_byte_order_writes_and_reads_the_other_order(self, monkeypatch):
         # No CI host is big-endian. With the module's byte order flipped,
         # tobytes() byte-swaps on a little-endian host (and stops swapping on
