@@ -1,11 +1,13 @@
-"""Simulated accelerator: a fixed 1 MiB device buffer and a serialized task queue.
+"""Simulated accelerator: 1 MiB of device memory and a serialized task queue.
 
-Tasks reference regions of device memory and run one at a time, in
-submission order, using the same naive tensor kernels as the host. That
-reuse is deliberate: equality with host results is the device's test
+Device memory is a BlockPool of 8-byte blocks, one float64 each: a region is
+a pool handle, with the pool's first fit, reuse, zero-on-free and ticket
+rule. Tasks run one at a time, in submission order, on the same naive
+tensor kernels as the host; equality with host results is the device's test
 oracle, since there is no real hardware behind it. Staging is zero-copy:
-tensors move between their storage and a view of the buffer with one
-memcpy each way, and only a read allocates, the tensor it returns.
+one memcpy each way between a tensor's storage and a view of the pool's
+storage, and only a read allocates, the tensor it returns. Staging bypasses
+BlockPool.write, so it marks its region written first, as write does.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from math import prod
 
-from .errors import InvalidArgument, OutOfMemory, check_count, check_type, shown
+from .errors import InvalidArgument, check_count, check_type, shown
+from .mempool import BlockHandle, BlockPool, PoolConfig
 from .tensor import (
     Tensor, _checked_shape, _load, _matmul_shape, _store, _sum_shape, elementwise_sum, matmul_naive,
 )
@@ -29,76 +32,63 @@ class AccelOp(Enum):
     MATMUL = "matmul"
 
 
-@dataclass(frozen=True, eq=False)
-class AccelRegion:
-    """Ticket for a region of one device's buffer; equal only to itself, so the device accepts no copy."""
-
-    offset: int
-    size: int
-
-
 @dataclass(frozen=True)
 class AccelTask:
     """Binary tensor op over device regions; shapes are element counts."""
 
     op: AccelOp
-    a: AccelRegion
+    a: BlockHandle
     a_shape: tuple[int, ...]
-    b: AccelRegion
+    b: BlockHandle
     b_shape: tuple[int, ...]
-    out: AccelRegion
+    out: BlockHandle
 
 
 class AccelDevice:
-    """One simulated accelerator with its own buffer, ledger, and FIFO queue."""
+    """One simulated accelerator with its own memory pool and FIFO queue."""
 
     def __init__(self):
-        try:
-            self._buffer = memoryview(bytearray(DEVICE_BUFFER_BYTES))  # staging copies in and out of views
-        except MemoryError:
-            raise OutOfMemory("host cannot back the device buffer") from None
-        self._regions: set[AccelRegion] = set()  # membership only: it iterates in address order
-        self._used = 0  # regions are never freed, so each starts where the last ended
+        self._pool = BlockPool(PoolConfig(DEVICE_BUFFER_BYTES, 8, ()))
+        self._buffer = memoryview(self._pool._storage)  # staging copies in and out of views
         # (id, task, a's shape, b's shape): the shapes submit checked, whatever the task's sequences become
         self._queue: deque[tuple[int, AccelTask, tuple[int, ...], tuple[int, ...]]] = deque()
         self._next_task = itertools.count(1)
 
-    def allocate(self, size: int) -> AccelRegion:
-        """The next region of the device buffer: it starts at the bump offset."""
-        if DEVICE_BUFFER_BYTES - self._used < check_count(size, "region size"):
-            raise OutOfMemory(
-                f"no {shown(size)}-byte region free in the {DEVICE_BUFFER_BYTES}-byte buffer"
-            )
-        region = AccelRegion(self._used, size)
-        self._regions.add(region)
-        self._used += size  # last: a MemoryError in the add leaves the offset where it was
-        return region
+    def allocate(self, size: int) -> BlockHandle:
+        """A region of at least size bytes: the pool's first fit of ⌈size / 8⌉ blocks, read as zero."""
+        return self._pool.alloc(-(-check_count(size, "region size") // 8))
 
-    def _check_region(self, region: AccelRegion, needed: int, role: str) -> None:
+    def free(self, region: BlockHandle) -> None:
+        """Release a region; its storage reads as zero again. A queued task that names it is refused."""
+        self._pool.free(region)
+
+    def _offset(self, region: BlockHandle, needed: int, role: str) -> int:
+        """The byte offset of a live region of at least needed bytes."""
         # Per staged tensor, so the checker runs only on failure; the exact type
         # keeps a subclass's __eq__ out of the set lookup.
-        if not (type(region) is AccelRegion and region in self._regions):
-            check_type(region, AccelRegion, f"{role} region")
-            raise InvalidArgument(f"{role} region {shown(region)} was not allocated on this device")
-        if needed > region.size:
+        if not (type(region) is BlockHandle and region in self._pool._live):
+            check_type(region, BlockHandle, f"{role} region")
+            raise InvalidArgument(f"{role} region {shown(region)} is not live on this device")
+        if needed > 8 * region.n_blocks:
             raise InvalidArgument(
-                f"{role} region holds {region.size} bytes but the task needs {needed}"
+                f"{role} region holds {8 * region.n_blocks} bytes but the task needs {needed}"
             )
+        return 8 * region.first_block
 
     def submit(self, task: AccelTask) -> int:
         """Validate and enqueue a task; returns its id. Execution is FIFO."""
         if not isinstance(task, AccelTask):
             check_type(task, AccelTask, "device task")
         a_shape, b_shape = _checked_shape(task.a_shape), _checked_shape(task.b_shape)
-        self._check_region(task.a, 8 * prod(a_shape), "input a")
-        self._check_region(task.b, 8 * prod(b_shape), "input b")
+        self._offset(task.a, 8 * prod(a_shape), "input a")
+        self._offset(task.b, 8 * prod(b_shape), "input b")
         if task.op is AccelOp.ELEMWISE_SUM:
             out_shape = _sum_shape(a_shape, b_shape)
         elif task.op is AccelOp.MATMUL:
             out_shape = _matmul_shape(a_shape, b_shape)
         else:
             raise InvalidArgument(f"unknown device op {shown(task.op)}")
-        self._check_region(task.out, 8 * prod(out_shape), "output")
+        self._offset(task.out, 8 * prod(out_shape), "output")
         task_id = next(self._next_task)
         self._queue.append((task_id, task, a_shape, b_shape))
         return task_id
@@ -109,29 +99,34 @@ class AccelDevice:
         Returns None when the queue is empty. A device has one calling
         thread, so a task runs to its end before the next call can start.
         A task that raises has already left the queue: the next call runs
-        the task after it.
+        the task after it. A task one of whose regions was freed after
+        submit raises InvalidArgument and touches no storage.
         """
         if not self._queue:
             return None
         task_id, task, a_shape, b_shape = self._queue.popleft()
-        a = _load(a_shape, self._buffer, task.a.offset)
-        b = _load(b_shape, self._buffer, task.b.offset)
+        live = self._pool._live
+        if not (task.a in live and task.b in live and task.out in live):
+            raise InvalidArgument(f"device task {task_id} names a region freed since its submit")
+        a = _load(a_shape, self._buffer, 8 * task.a.first_block)
+        b = _load(b_shape, self._buffer, 8 * task.b.first_block)
         if task.op is AccelOp.ELEMWISE_SUM:
             result = elementwise_sum(a, b)
         else:
             result = matmul_naive(a, b)
-        _store(result, self._buffer, task.out.offset)
+        self._pool._written.add(task.out)  # before the store: a fault after it costs free a redundant zeroing
+        _store(result, self._buffer, 8 * task.out.first_block)
         return task_id
 
     # Host staging helpers; execution itself never leaves the device buffer.
 
-    def write_tensor(self, region: AccelRegion, tensor: Tensor) -> None:
+    def write_tensor(self, region: BlockHandle, tensor: Tensor) -> None:
         if not isinstance(tensor, Tensor):
             check_type(tensor, Tensor, "tensor")
-        self._check_region(region, 8 * tensor.size, "target")
-        _store(tensor, self._buffer, region.offset)
+        offset = self._offset(region, 8 * tensor.size, "target")
+        self._pool._written.add(region)  # before the store, as BlockPool.write marks it
+        _store(tensor, self._buffer, offset)
 
-    def read_tensor(self, region: AccelRegion, shape: tuple[int, ...]) -> Tensor:
+    def read_tensor(self, region: BlockHandle, shape: tuple[int, ...]) -> Tensor:
         shape = _checked_shape(shape)
-        self._check_region(region, 8 * prod(shape), "source")
-        return _load(shape, self._buffer, region.offset)
+        return _load(shape, self._buffer, self._offset(region, 8 * prod(shape), "source"))

@@ -20,10 +20,10 @@ are each one InvalidArgument; the consumed token itself is ResourceConsumed.
 A host fault is not a refusal and is never wrapped. A KeyboardInterrupt or
 SystemExit in a task's slice, penalty or re-push passes through
 batch_execute unchanged, after the task is left FAULTED and the rest of its
-batch is queued again; an Exception there is that task's TaskFault. The pool
-and the device commit last: BlockPool.free builds its zero buffer, and an
-allocation makes its handle or region live, before any map, counter or bump
-offset changes, so a MemoryError leaves them as they were.
+batch is queued again; an Exception there is that task's TaskFault. The pool,
+which also backs the device, commits last: BlockPool.free builds its zero
+buffer, and an allocation makes its handle live, before the map or the
+counter changes, so a MemoryError leaves it as it was.
 tests/test_faults.py injects a fault at each line of the scheduler's calls
 and lists the lines where one still leaves a task in no queue.
 """

@@ -78,34 +78,33 @@ class Node:
         self.heartbeat_seq = 0
         self.latest: dict[Modality, tuple[int, str, str]] = {}
         self.checkpoint_store: dict[int, Checkpoint] = {}
-        self._metrics = {name: deque(maxlen=METRIC_WINDOW) for name in ("cpu", "mem", "io")}
+        self._metrics: deque[tuple[float, float, float]] = deque(maxlen=METRIC_WINDOW)  # (cpu, mem, io)
         self._load = 0.0
         self._inbox_rt: deque[MessageEnvelope] = deque()
         self._inbox_bulk: deque[MessageEnvelope] = deque()
 
     def push_metrics(self, cpu: float, mem: float, io: float) -> None:
-        """Add one sample to each window, or to none, and store the load they give.
+        """Add one (cpu, mem, io) sample to the window, and store the load it gives.
 
-        A sample is an int or float (not a bool) in [0, 1].
+        A sample is an int or float (not a bool) in [0, 1]. The window takes
+        the three in one append, so a fault cannot leave its columns of unequal length.
         """
         if not (type(cpu) in _SAMPLE_TYPES and type(mem) in _SAMPLE_TYPES and type(io) in _SAMPLE_TYPES
                 and 0.0 <= cpu <= 1.0 and 0.0 <= mem <= 1.0 and 0.0 <= io <= 1.0):
             raise InvalidArgument(f"metric sample ({shown(cpu)}, {shown(mem)}, {shown(io)}) is not three numbers in [0, 1]")
-        windows = cpus, mems, ios = self._metrics.values()
-        cpus.append(cpu)
-        mems.append(mem)
-        ios.append(io)
-        if len(cpus) == METRIC_WINDOW:  # the loop below, unrolled, with LOAD_WEIGHTS
-            (c0, c1, c2), (m0, m1, m2), (i0, i1, i2) = windows
+        window = self._metrics
+        window.append((cpu, mem, io))
+        if len(window) == METRIC_WINDOW:  # the loop below, unrolled, with LOAD_WEIGHTS
+            (c0, m0, i0), (c1, m1, i1), (c2, m2, i2) = window
             self._load = (0.0 + 0.5 * ((0.0 + c0 + c1 + c2) / 3) + 0.3 * ((0.0 + m0 + m1 + m2) / 3)
                           + 0.2 * ((0.0 + i0 + i1 + i2) / 3))
             return
         load = 0.0
-        for weight, window in zip(LOAD_WEIGHTS, windows):
+        for weight, column in zip(LOAD_WEIGHTS, zip(*window)):
             total = 0.0  # left to right: from Python 3.12, sum() compensates rounding
-            for x in window:
+            for x in column:
                 total += x
-            load += weight * (total / len(window))
+            load += weight * (total / len(column))
         self._load = load
 
     def predicted_load(self) -> float:
@@ -147,7 +146,7 @@ class Node:
         they are a function of the modality and tag. Written directly, as
         that encoder would: strings escaped to ASCII, ints by str, samples by repr.
         """
-        cpus, mems, ios = self._metrics.values()
+        cpus, mems, ios = zip(*self._metrics) if self._metrics else ((), (), ())
         return "".join((
             '{"heartbeat_seq":', str(self.heartbeat_seq), ',"latest":{',
             ",".join([f"{key}{entry[0]},{_json_str(entry[1])},{_json_str(entry[2])}]"
@@ -172,7 +171,8 @@ class Node:
             state = json.loads(snapshot)
             node = cls(node_id, frozenset(map(Modality, state["modalities"])))
             node.heartbeat_seq = check_count(state["heartbeat_seq"], "heartbeat_seq", 0)
-            for sample in zip(*(state["metrics"][name] for name in node._metrics)):
+            metrics = state["metrics"]
+            for sample in zip(metrics["cpu"], metrics["mem"], metrics["io"]):
                 node.push_metrics(*sample)
             served = {m.value: m for m in node.modalities}  # KeyError: a modality not served
             for value, (tick, tag, _label) in state["latest"].items():

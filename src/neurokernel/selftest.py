@@ -230,11 +230,10 @@ def check_allocator(seed: int = 0) -> str:
 def check_zero_copy(seed: int = 0) -> str:
     """A staging call's only payload-sized allocation is its destination, as tracemalloc counts it:
     write_tensor allocates under 4 KiB, read_tensor its result's storage and under 4 KiB more.
-    Payloads are 8-128 KiB, at an odd offset."""
+    Payloads are 8-128 KiB."""
     rng = Random(seed)
     entries = array("d", Tensor.random((128, 128), rng).tolist())
     dev = AccelDevice()
-    dev.allocate(3)
     region = dev.allocate(8 * len(entries))
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
@@ -260,15 +259,18 @@ def check_zero_copy(seed: int = 0) -> str:
 
 
 def _on_device(dev: AccelDevice, a: Tensor, b: Tensor) -> bytes:
-    """a times b staged into dev, run there and read back."""
+    """a times b staged into dev, run there and read back; the regions are freed after."""
     (m, k), n = a.shape, b.shape[1]
-    ra, rb, rout = dev.allocate(8 * m * k), dev.allocate(8 * k * n), dev.allocate(8 * m * n)
+    regions = ra, rb, rout = dev.allocate(8 * m * k), dev.allocate(8 * k * n), dev.allocate(8 * m * n)
     dev.write_tensor(ra, a)
     dev.write_tensor(rb, b)
     dev.execute_next()  # empty queue is a no-op
     dev.submit(AccelTask(AccelOp.MATMUL, ra, (m, k), rb, (k, n), rout))
     dev.execute_next()
-    return dev.read_tensor(rout, (m, n)).tobytes()
+    product = dev.read_tensor(rout, (m, n)).tobytes()
+    for region in regions:
+        dev.free(region)
+    return product
 
 
 def check_accel(seed: int = 0) -> str:
@@ -282,19 +284,16 @@ def check_accel(seed: int = 0) -> str:
         m, k, n = (rng.randint(1, 8) for _ in range(3))
         a, b = Tensor.random((m, k), rng), Tensor.random((k, n), rng)
         host = matmul_naive(a, b).tobytes()
-        got = _on_device(AccelDevice(), a, b)
+        got = _on_device(dev, a, b)
         _require(got == host, f"random matmul {m}x{k}x{n} diverged from host")
-    fifo_dev = AccelDevice()
-    x = fifo_dev.allocate(8)
-    y = fifo_dev.allocate(8)
-    out = fifo_dev.allocate(8)
-    fifo_dev.write_tensor(x, Tensor.vector([1.0]))
-    fifo_dev.write_tensor(y, Tensor.vector([2.0]))
+    x, y, out = dev.allocate(8), dev.allocate(8), dev.allocate(8)
+    dev.write_tensor(x, Tensor.vector([1.0]))
+    dev.write_tensor(y, Tensor.vector([2.0]))
     submitted = [
-        fifo_dev.submit(AccelTask(AccelOp.ELEMWISE_SUM, x, (1,), y, (1,), out))
+        dev.submit(AccelTask(AccelOp.ELEMWISE_SUM, x, (1,), y, (1,), out))
         for _ in range(100)
     ]
-    executed = [fifo_dev.execute_next() for _ in range(100)]
+    executed = [dev.execute_next() for _ in range(100)]
     _require(executed == submitted, "completion order broke FIFO")
     return "identity and random matmuls equal host bit-exactly; 100-deep FIFO preserved"
 

@@ -23,11 +23,16 @@ def loaded_device(*tensors):
     return dev, regions
 
 
+def offset(region):
+    """A region's first byte in the device buffer."""
+    return 8 * region.first_block
+
+
 def allocate_remainder(dev, used):
     """Check that exactly the bytes past used are free: one more is OOM, the rest fit there."""
     with pytest.raises(OutOfMemory):
         dev.allocate(1048576 - used + 1)
-    assert dev.allocate(1048576 - used).offset == used
+    assert offset(dev.allocate(1048576 - used)) == used
 
 
 class TestInit:
@@ -41,7 +46,7 @@ class TestInit:
 class TestAllocate:
     def test_whole_buffer(self):
         region = AccelDevice().allocate(1048576)
-        assert (region.offset, region.size) == (0, 1048576)
+        assert (offset(region), 8 * region.n_blocks) == (0, 1048576)
 
     def test_exhausted_device_reports_oom(self):
         dev = AccelDevice()
@@ -53,31 +58,20 @@ class TestAllocate:
         with pytest.raises(InvalidArgument):
             AccelDevice().allocate(0)
 
-    def test_offsets_are_the_running_sum_of_sizes(self):
+    def test_offsets_are_the_running_sum_of_sizes_rounded_up_to_blocks(self):
         dev = AccelDevice()
         rng = Random(3)
         sizes = [rng.randint(1, 4096) for _ in range(64)]
-        offsets = [dev.allocate(size).offset for size in sizes]
-        assert offsets == list(accumulate(sizes, initial=0))[:-1]
-        allocate_remainder(dev, sum(sizes))
-
-    def test_an_allocation_commits_only_once_its_region_is_live(self):
-        class Full(set):
-            def add(self, item):
-                raise MemoryError
-
-        dev = AccelDevice()
-        dev._regions = Full()
-        with pytest.raises(MemoryError):
-            dev.allocate(64)
-        dev._regions = set()
-        allocate_remainder(dev, 0)
+        offsets = [offset(dev.allocate(size)) for size in sizes]
+        spans = [-(-size // 8) * 8 for size in sizes]  # whole 8-byte blocks
+        assert offsets == list(accumulate(spans, initial=0))[:-1]
+        allocate_remainder(dev, sum(spans))
 
     def test_regions_are_disjoint_under_random_sizes(self):
         dev = AccelDevice()
         rng = Random(2)
         regions = [dev.allocate(rng.randint(1, 4096)) for _ in range(64)]
-        spans = sorted((r.offset, r.size) for r in regions)
+        spans = sorted((offset(r), 8 * r.n_blocks) for r in regions)
         for (o1, s1), (o2, _) in zip(spans, spans[1:]):
             assert o1 + s1 <= o2
 
@@ -125,12 +119,13 @@ class TestSubmitExecute:
             dev.execute_next()
             assert dev.read_tensor(rout, (m, n)).tobytes() == matmul_naive(a, b).tobytes()
 
-    def test_unaligned_region_round_trips(self):
+    def test_a_region_reused_after_free_reads_zero_then_round_trips(self):
         t = Tensor.random((3, 5), Random(23))
-        dev = AccelDevice()
-        dev.allocate(3)
+        dev, (old,) = loaded_device(t)
+        dev.free(old)
         region = dev.allocate(8 * t.size)
-        assert region.offset % 8 != 0
+        assert offset(region) == offset(old)
+        assert dev.read_tensor(region, (3, 5)).tobytes() == bytes(8 * t.size)
         dev.write_tensor(region, t)
         assert dev.read_tensor(region, (3, 5)).tobytes() == t.tobytes()
 
@@ -157,11 +152,11 @@ class TestSubmitExecute:
         ra, rb, rout = dev.allocate(8 * 12), dev.allocate(8 * 8), dev.allocate(8 * 6)
         dev.write_tensor(ra, a)
         dev.write_tensor(rb, b)
-        assert dev._buffer[ra.offset : ra.offset + 8 * 12] == struct.pack(f"{order}12d", *a.tolist())
+        assert dev._buffer[offset(ra) : offset(ra) + 8 * 12] == struct.pack(f"{order}12d", *a.tolist())
         dev.submit(AccelTask(AccelOp.MATMUL, ra, (3, 4), rb, (4, 2), rout))
         dev.execute_next()
         product = matmul_naive(a, b)
-        assert dev._buffer[rout.offset : rout.offset + 8 * 6] == struct.pack(f"{order}6d", *product.tolist())
+        assert dev._buffer[offset(rout) : offset(rout) + 8 * 6] == struct.pack(f"{order}6d", *product.tolist())
         assert dev.read_tensor(ra, (3, 4)) == a
         assert dev.read_tensor(rout, (3, 2)).tobytes() == product.tobytes()
 
@@ -231,7 +226,7 @@ class TestValidation:
     def test_poisoned_buffer_rejected_on_read(self):
         a = Tensor((2, 2), [0.0] * 4)
         dev, (ra,) = loaded_device(a)
-        dev._buffer[ra.offset + 8 : ra.offset + 16] = struct.pack("<d", float("nan"))
+        dev._buffer[offset(ra) + 8 : offset(ra) + 16] = struct.pack("<d", float("nan"))
         with pytest.raises(InvalidArgument):
             dev.read_tensor(ra, (2, 2))
 
@@ -241,12 +236,37 @@ class TestValidation:
         a = Tensor.identity(2)
         dev, regions = loaded_device(a, a)
         target = regions[poisoned]
-        dev._buffer[target.offset : target.offset + 8] = struct.pack("<d", float("nan"))
+        dev._buffer[offset(target) : offset(target) + 8] = struct.pack("<d", float("nan"))
         rout = dev.allocate(8 * 4)
         dev.submit(AccelTask(op, regions[0], (2, 2), regions[1], (2, 2), rout))
         with pytest.raises(InvalidArgument):
             dev.execute_next()
         assert dev.execute_next() is None
+
+    @pytest.mark.parametrize("freed", ["a", "b", "out"])
+    def test_a_task_whose_region_was_freed_is_refused_and_writes_nothing(self, freed):
+        # The freed blocks go to a new region before the task runs: the task
+        # must not read or write them, and it leaves the queue.
+        a, b = Tensor.random((2, 2), Random(29)), Tensor.random((2, 2), Random(30))
+        dev, (ra, rb) = loaded_device(a, b)
+        rout = dev.allocate(8 * 4)
+        dev.submit(AccelTask(AccelOp.MATMUL, ra, (2, 2), rb, (2, 2), rout))
+        gone = {"a": ra, "b": rb, "out": rout}[freed]
+        dev.free(gone)
+        reused = dev.allocate(8 * 4)
+        assert offset(reused) == offset(gone)
+        dev.write_tensor(reused, Tensor.identity(2))
+        pool = dev._pool
+
+        def state():
+            return bytes(pool._bitmap), pool.allocated_blocks, pool.live_handles, len(pool._written), \
+                bytes(pool._storage)
+
+        before = state()
+        with pytest.raises(InvalidArgument):
+            dev.execute_next()
+        assert dev.execute_next() is None
+        assert state() == before
 
     def test_undersized_output_rejected(self):
         a = Tensor((2, 2), [0.0] * 4)

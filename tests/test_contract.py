@@ -9,7 +9,7 @@ InvalidArgument, or with OutOfMemory where OUT_OF_MEMORY names a size no
 host can hold; it may return a value only where PLAIN or RETURNS says so.
 After a refusal the world's fingerprint is unchanged and the valid call
 still succeeds on it. An unchanged dataclasses.replace copy of one of the
-TICKETS (a handle, region, token or predicate) is refused the same way: what
+TICKETS (a pool or device handle, token or predicate) is refused the same way: what
 handed a ticket out accepts only that object. REFUSED holds the bad values a
 swap does not reach. TIMED names the per-job and per-message sites, whose valid call enters no
 checker in errors.py.
@@ -37,7 +37,7 @@ import pytest
 
 import neurokernel
 import neurokernel.errors
-from neurokernel.accel import AccelDevice, AccelOp, AccelRegion, AccelTask
+from neurokernel.accel import AccelDevice, AccelOp, AccelTask
 from neurokernel.compute import Opcode, simple_compute
 from neurokernel.config import config_from, directives, parse_config, read_text, resolve_config
 from neurokernel.errors import InvalidArgument, KernelError, OutOfMemory, check_count, check_type, shown
@@ -123,7 +123,7 @@ def bad_values() -> list:
 
 # Record arguments whose fields are swapped one at a time as well.
 RECORDS = (MessageEnvelope, FusedRepresentation, LinearResource, Predicate, BlockHandle,
-           AccelTask, Checkpoint, AccelRegion, DrawPixel)
+           AccelTask, Checkpoint, DrawPixel)
 
 V = Modality.VISION
 
@@ -167,7 +167,8 @@ class World:
         return (
             self.pool.bitmap(), self.pool.live_handles, self.pool.read(self.handle), len(self.sched),
             self.dev.read_tensor(self.region, (1,)).tobytes(),
-            self.dev._used, len(self.dev._queue),
+            bytes(self.dev._pool._bitmap), self.dev._pool.allocated_blocks, self.dev._pool.live_handles,
+            len(self.dev._pool._written), len(self.dev._queue),
             cluster.tick, [(n.snapshot(), n.pending, n.liveness, n.silenced) for n in cluster.nodes.values()],
             self.engine.leaked_resources(), (self.pred.alpha, self.pred.beta),
             len(self.graph), self.graph.weight("a", "b"),
@@ -215,10 +216,10 @@ CALLS = {
     "mempool.BlockPool.free": lambda w: call(w.pool.free, w.handle),
     "mempool.BlockPool.read": lambda w: call(w.pool.read, w.handle, 0, 4),
     "mempool.BlockPool.write": lambda w: call(w.pool.write, w.handle, 0, b"ab"),
-    "accel.AccelRegion": lambda w: call(AccelRegion, 0, 8),
     "accel.AccelTask": lambda w: call(AccelTask, AccelOp.MATMUL, w.region, (1, 1), w.region, (1, 1), w.region),
     "accel.AccelDevice": lambda w: call(AccelDevice),
     "accel.AccelDevice.allocate": lambda w: call(w.dev.allocate, 8),
+    "accel.AccelDevice.free": lambda w: call(w.dev.free, w.region),
     "accel.AccelDevice.submit": lambda w: call(w.dev.submit, w.dev_task),
     "accel.AccelDevice.execute_next": lambda w: call(w.dev.execute_next),
     "accel.AccelDevice.write_tensor": lambda w: call(w.dev.write_tensor, w.region, Tensor.vector([3.0])),
@@ -358,7 +359,7 @@ def test_only_exception_classes_and_enums_are_exempt_by_name():
 
 # Plain records: building one checks nothing; the operations that take one check its fields.
 PLAIN = {
-    "accel.AccelRegion", "accel.AccelTask", "mempool.BlockHandle", "scheduler.MlTask",
+    "accel.AccelTask", "mempool.BlockHandle", "scheduler.MlTask",
     "orchestrator.envelope.MessageEnvelope", "orchestrator.fusion.FusedRepresentation",
     "orchestrator.cluster.Checkpoint", "rabab.engine.Predicate", "rabab.engine.LinearResource",
     "rabab.paths.Translate", "rabab.paths.DrawPixel",
@@ -516,7 +517,7 @@ def test_every_bad_argument_is_refused_with_one_kernel_error_and_no_state_change
 
 
 # Records handed out as tickets: the giver accepts the object it handed out, never a copy.
-TICKETS = (BlockHandle, AccelRegion, LinearResource, Predicate)
+TICKETS = (BlockHandle, LinearResource, Predicate)
 
 
 def _tickets(args: tuple, kwargs: dict):

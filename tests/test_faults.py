@@ -23,8 +23,12 @@ import sys
 import pytest
 
 import neurokernel
+from neurokernel.accel import AccelDevice, AccelOp, AccelTask
 from neurokernel.mempool import BlockPool, PoolConfig
+from neurokernel.orchestrator import Modality, Node
+from neurokernel.orchestrator.cluster import METRIC_WINDOW
 from neurokernel.scheduler import MlScheduler, MlTask, SchedulerConfig, TaskState, cycles_work
+from neurokernel.tensor import Tensor
 
 PACKAGE = os.path.dirname(neurokernel.__file__) + os.sep
 SCHEDULER = os.path.join(PACKAGE, "scheduler.py")
@@ -177,19 +181,72 @@ def test_every_allowance_names_a_line():
     assert sorted(set(ALLOWED) - lines) == []
 
 
-# -- the pool ------------------------------------------------------------------
+# -- the pool and the device's pool ---------------------------------------------
 
 
-def test_a_fault_in_write_leaves_no_block_dirty_after_free():
+def _pool_write():
+    pool = BlockPool(PoolConfig(2 * 4096, 4096, ()))
+    handle = pool.alloc(1)
+    return lambda: pool.write(handle, 0, b"ab"), lambda: pool.free(handle), lambda: pool.read(pool.alloc(1), 0, 4)
+
+
+def _device_write():
+    dev = AccelDevice()
+    region = dev.allocate(16)
+    return (lambda: dev.write_tensor(region, Tensor.vector([1.5, 2.5])), lambda: dev.free(region),
+            lambda: dev.read_tensor(dev.allocate(16), (2,)).tobytes())
+
+
+def _device_output():
+    dev = AccelDevice()
+    x, out = dev.allocate(16), dev.allocate(16)
+    dev.write_tensor(x, Tensor.vector([1.5, 2.5]))
+    dev.submit(AccelTask(AccelOp.ELEMWISE_SUM, x, (2,), x, (2,), out))
+    return dev.execute_next, lambda: dev.free(out), lambda: dev.read_tensor(dev.allocate(16), (2,)).tobytes()
+
+
+# Each builds a fresh (write, free, read a reallocation of the freed storage).
+WRITERS = {"BlockPool.write": _pool_write, "AccelDevice.write_tensor": _device_write,
+           "AccelDevice.execute_next": _device_output}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_fault_in_write_leaves_no_block_dirty_after_free(writer):
     # Free storage reads as zero: free() zeroes the blocks of a handle that
-    # write() marked, so the mark must be made before the storage changes.
+    # a write marked, so the mark must be made before the storage changes.
     n = 1
     while True:
-        pool = BlockPool(PoolConfig(2 * 4096, 4096, ()))
-        handle = pool.alloc(1)
-        where = fault_at(lambda: pool.write(handle, 0, b"ab"), n)
-        pool.free(handle)
-        assert pool.read(pool.alloc(1), 0, 4) == bytes(4), f"fault at {where}"
+        write, free, reread = WRITERS[writer]()
+        where = fault_at(write, n)
+        free()
+        assert not any(reread()), f"fault at {where}"
+        if where is None:
+            break
+        n += 1
+    assert n > 3
+
+
+# -- the cluster ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("before", range(METRIC_WINDOW))
+def test_a_fault_in_push_metrics_leaves_later_samples_accepted(before):
+    # One window of (cpu, mem, io) samples takes each in one append, so a
+    # fault cannot leave the three columns of unequal length.
+    samples = [(0.125, 0.25, 0.5), (0.75, 0.375, 0.0625), (1.0, 0.0, 0.5)]
+    healed = Node(1, {Modality.VISION})
+    for sample in samples:
+        healed.push_metrics(*sample)
+    n = 1
+    while True:
+        node = Node(1, {Modality.VISION})
+        for _ in range(before):
+            node.push_metrics(0.5, 0.5, 0.5)
+        where = fault_at(lambda: node.push_metrics(0.25, 0.5, 0.75), n)
+        for sample in samples:
+            node.push_metrics(*sample)
+        assert (node.snapshot(), node.predicted_load()) == (healed.snapshot(), healed.predicted_load()), \
+            f"fault at {where}"
         if where is None:
             break
         n += 1

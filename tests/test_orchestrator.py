@@ -700,7 +700,7 @@ def _state(node) -> dict:
     return {
         "heartbeat_seq": node.heartbeat_seq,
         "latest": {m.value: list(entry) for m, entry in node.latest.items()},
-        "metrics": {name: list(window) for name, window in node._metrics.items()},
+        "metrics": {name: [sample[k] for sample in node._metrics] for k, name in enumerate(("cpu", "mem", "io"))},
         "modalities": sorted(m.value for m in node.modalities),
         "node_id": node.id,
     }
