@@ -22,7 +22,7 @@ from random import Random
 from .accel import AccelDevice
 from .compute import Opcode, simple_compute
 from .config import config_from, directives, read_text, resolve_config
-from .errors import InvalidArgument, KernelError, shown
+from .errors import InvalidArgument, KernelError, check_count, shown
 from .mempool import BlockPool, PoolConfig
 from .orchestrator.runner import DEMO_SCENARIO, parse_scenario, run_scenario
 from .rabab.engine import RababEngine
@@ -51,6 +51,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_matmul_bench(args) -> int:
+    check_count(args.trials, "trials")
     config = config_from(MatmulConfig, resolve_config(args.config),
                          block_size=args.block, worker_count=args.workers)
     rng = Random(args.seed)
@@ -151,6 +152,7 @@ def _cmd_orchestrate(args) -> int:
 
 
 def _cmd_rabab_demo(args) -> int:
+    check_count(args.iterations, "iterations")
     rng = Random(args.seed)
     engine = RababEngine()
     detector = engine.register_predicate("even-number-detector", lambda n: n % 2 == 0)

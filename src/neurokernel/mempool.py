@@ -6,9 +6,10 @@ blocks is the first match of n zero bytes, found in C by bytearray.find.
 Large pages come out of the same arena but must start on an offset aligned
 to their own size; a misaligned match restarts the search at the next
 aligned offset. Sharing one arena keeps conservation checkable across both
-allocators. Every free block's storage is zero: write() is the only path
-that changes storage, so free() zeroes only the blocks of a handle that was
-written.
+allocators. Every free block's storage is zero. write() and the device's
+staging (AccelDevice.write_tensor, execute_next) change storage, each
+marking its handle written before it copies, so free() zeroes only the
+blocks of a handle that was written.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class BlockPool:
             ) from None
         # Membership and len only: a set of identity-hashed handles iterates in address order.
         self._live: set[BlockHandle] = set()
-        self._written: set[BlockHandle] = set()  # live handles whose storage write() changed
+        self._written: set[BlockHandle] = set()  # live handles whose storage write() or the device changed
 
     # -- stats ------------------------------------------------------------
 

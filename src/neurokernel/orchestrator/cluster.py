@@ -21,7 +21,8 @@ from .fusion import Modality, modality_label, modality_process
 
 COORDINATOR_ID = 0
 METRIC_WINDOW = 3
-LOAD_WEIGHTS = (0.5, 0.3, 0.2)  # cpu, mem, io
+# A short window's load pads it in front with these; 0.0 + 0.0 is 0.0, so no column sum moves a bit.
+_NO_SAMPLES = ((0.0, 0.0, 0.0),) * (METRIC_WINDOW - 1)
 _SAMPLE_TYPES = (float, int)  # exact types: a bool is an int subclass, not a load
 
 
@@ -94,18 +95,10 @@ class Node:
             raise InvalidArgument(f"metric sample ({shown(cpu)}, {shown(mem)}, {shown(io)}) is not three numbers in [0, 1]")
         window = self._metrics
         window.append((cpu, mem, io))
-        if len(window) == METRIC_WINDOW:  # the loop below, unrolled, with LOAD_WEIGHTS
-            (c0, m0, i0), (c1, m1, i1), (c2, m2, i2) = window
-            self._load = (0.0 + 0.5 * ((0.0 + c0 + c1 + c2) / 3) + 0.3 * ((0.0 + m0 + m1 + m2) / 3)
-                          + 0.2 * ((0.0 + i0 + i1 + i2) / 3))
-            return
-        load = 0.0
-        for weight, column in zip(LOAD_WEIGHTS, zip(*window)):
-            total = 0.0  # left to right: from Python 3.12, sum() compensates rounding
-            for x in column:
-                total += x
-            load += weight * (total / len(column))
-        self._load = load
+        n = len(window)
+        (c0, m0, i0), (c1, m1, i1), (c2, m2, i2) = window if n == METRIC_WINDOW else (*_NO_SAMPLES[n - 1 :], *window)
+        self._load = (0.0 + 0.5 * ((0.0 + c0 + c1 + c2) / n) + 0.3 * ((0.0 + m0 + m1 + m2) / n)
+                      + 0.2 * ((0.0 + i0 + i1 + i2) / n))
 
     def predicted_load(self) -> float:
         """0.5*cpu + 0.3*mem + 0.2*io over 3-sample moving averages; 0 with no sample."""

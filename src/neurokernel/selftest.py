@@ -130,7 +130,7 @@ def check_matmul(seed: int = 0) -> str:
     m, k, n = _POOL_SHAPE
     a, b = Tensor.random((m, k), rng), Tensor.random((k, n), rng)
     oracle = _reference_matmul(a, b)
-    for workers in (8, 2):  # largest first: the pool that starts serves both
+    for workers in (8, 2):  # the 2-band product runs on workers the 8-band one started
         got = matmul_parallel(a, b, MatmulConfig(worker_count=workers)).tobytes()
         _require(got == oracle, f"parallel(w={workers}) diverged on {m}x{k}x{n}")
     return f"{pairs} random pairs bit-identical across 5 block sizes and 8 worker counts"

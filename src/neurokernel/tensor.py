@@ -12,9 +12,9 @@ column to one row-major list, acc being the literal 0.0 on the first slice.
 Python evaluates ``+`` left to right and CPython never fuses a multiply with
 an add, so every element is ``((0.0 + a0*b0) + a1*b1) + ...`` in ascending
 k: the roundings of the loop ``acc += x * y`` it replaced, bit for bit on
-every Python. Tiles and row bands split only rows and columns, so they
-reproduce the naive product too; ``sum`` and ``math.fsum`` compensate and
-would not. The kernel's source is built from integers alone.
+every Python. Row bands split only rows, so they reproduce the naive
+product too; ``sum`` and ``math.fsum`` compensate and would not. The
+kernel's source is built from integers alone.
 
 The width is bounded. One expression over the whole of k raises
 RecursionError in the compiler at k = 3,000 (Python 3.11), and a kernel per
@@ -25,17 +25,19 @@ square in 0.0071 / 0.27 / 12-14 / 95-112 ms -> 0.0048 / 0.12-0.16 / 6.4 /
 55-57 ms. The one loss measured is the degenerate 1 x 65,536 by 65,536 x 1
 dot product, 2.6-3.8 -> 4.2-5.8 ms, where per-slice overhead dominates.
 
-Tiles are a driver, not a speed-up: at n = 128 naive took 48 ms and 32-wide
-tiles 48-49 ms. Row bands are a speed-up, because ``matmul_parallel`` runs
-them in worker processes, where the GIL does not serialize them. The pool is
-a ``ProcessPoolExecutor`` on the ``forkserver`` start method, started on the
-first product of at least _POOL_MIN_MACS multiply-adds and kept for the life
-of the process; ``multiprocessing`` is imported only then. Each band and B's
-columns travel pickled as lists of floats, which round-trip exactly, and the
-workers run the same ``_mac``, so the bands are bit-identical to naive. The
-main module must be importable and its entry point guarded by
-``if __name__ == "__main__":``, since each worker re-imports it; a main read
-from stdin cannot be, and breaks the pool (one KernelError).
+In one process, row bands are a driver, not a speed-up: naive and 32-row
+bands took 5.24 and 5.30 ms at n = 64, 42.5 and 42.3 ms at n = 128 (median
+of 25, 2 cores, Python 3.11.7). ``matmul_parallel`` runs them in worker
+processes, where the GIL does not serialize them: one ``ProcessPoolExecutor``
+of up to MAX_WORKERS processes on the ``forkserver`` start method, started on
+the first product of at least _POOL_MIN_MACS multiply-adds and kept for the
+life of the process; ``multiprocessing`` is imported only then. Each band
+and B's columns travel pickled as lists of floats, which round-trip
+exactly, and the workers run the same ``_mac``, so the bands are
+bit-identical to naive. The main module must be importable and its entry
+point guarded by ``if __name__ == "__main__":``, since each worker
+re-imports it; a main read from stdin cannot be, and breaks the pool (one
+KernelError).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ _BYTEORDER = sys.byteorder  # of the array's native float64; tobytes() is little
 
 @dataclass(frozen=True)
 class MatmulConfig:
-    """Output tile edge for matmul_blocked and worker process count for matmul_parallel."""
+    """Rows a band for matmul_blocked, and bands (one per worker process) for matmul_parallel."""
 
     block_size: int = DEFAULT_BLOCK_SIZE
     worker_count: int = 4
@@ -335,26 +337,17 @@ def matmul_naive(a: Tensor, b: Tensor) -> Tensor:
     return _product([_mac(a.rows(), _columns(b))], (a.shape[0], b.shape[1]))
 
 
+def _bands(rows: list, height: int) -> list:
+    """rows in consecutive bands of height rows, in order; the last band is shorter if height does not divide them."""
+    return [rows[lo : lo + height] for lo in range(0, len(rows), height)]
+
+
 def matmul_blocked(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> Tensor:
-    """The kernel over block_size x block_size output tiles; k is never split."""
+    """The kernel over bands of block_size rows of a; k is never split."""
     config = MatmulConfig() if config is None else check_type(config, MatmulConfig, "matmul config")
     validate_matmul_shapes(a, b)
-    bs = config.block_size
-    rows, cols = a.rows(), _columns(b)
-    out: list[list[float]] = [[] for _ in rows]
-    for ii in range(0, len(rows), bs):
-        for jj in range(0, len(cols), bs):
-            tile, w = _mac(rows[ii : ii + bs], cols[jj : jj + bs]), min(bs, len(cols) - jj)
-            for i, lo in enumerate(range(0, len(tile), w), ii):
-                out[i] += tile[lo : lo + w]
-    return _product(out, (len(rows), len(cols)))
-
-
-def _partition_rows(m: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous row ranges, one per worker, the first m % workers one row taller; some may be empty."""
-    base, rem = divmod(m, workers)
-    edges = [w * base + min(w, rem) for w in range(workers + 1)]
-    return list(zip(edges, edges[1:]))
+    cols = _columns(b)
+    return _product([_mac(band, cols) for band in _bands(a.rows(), config.block_size)], (a.shape[0], b.shape[1]))
 
 
 # Row bands go to worker processes from this many multiply-adds (m*k*n) on.
@@ -362,7 +355,7 @@ def _partition_rows(m: int, workers: int) -> list[tuple[int, int]]:
 # 0.63-1.13x at n = 48, 0.76-1.07x at n = 64, 1.06-1.35x at n = 72 and
 # 1.32-1.48x at n = 88; below the cutoff the round trip costs what it saves.
 _POOL_MIN_MACS = 64 ** 3
-_pool = None  # (ProcessPoolExecutor, its worker count), started on first use
+_pool = None  # the ProcessPoolExecutor, started on first use
 
 
 def _close_pool() -> None:
@@ -374,11 +367,11 @@ def _close_pool() -> None:
     """
     global _pool
     if _pool is not None:
-        processes = tuple(_pool[0]._processes.values())
+        processes = tuple(_pool._processes.values())
         if any(p.exitcode is not None for p in processes):
             for p in processes:
                 p.terminate()
-        _pool[0].shutdown()
+        _pool.shutdown()
         _pool = None
 
 
@@ -394,39 +387,39 @@ def _close_at_exit() -> None:
     threading._register_atexit(_close_pool)
 
 
-def _on_pool(workers: int, bands: list[list[list[float]]], cols: list[list[float]]) -> list[list[float]]:
+def _on_pool(bands: list[list[list[float]]], cols: list[list[float]]) -> list[list[float]]:
     """``_mac`` of each band against cols in the persistent worker pool, in band order.
 
-    The pool starts on first use, with ``workers`` processes, and is replaced
-    by a larger one when a call asks for more; it lives until the interpreter
-    exits. A worker that dies breaks the pool: the call raises one
-    KernelError and the next call starts a fresh pool. A worker found dead
-    before the map breaks it too: the executor's manager thread takes a
-    death it sees together with the submit's wake-up for the wake-up alone.
+    The pool starts on first use and lives until the interpreter exits. It
+    starts one of its MAX_WORKERS processes only when a band finds none idle
+    (on demand unless the start method is fork), so it holds at most one
+    more than the most bands a call has sent: one more if a worker's last
+    result reaches the caller before the worker counts as idle. A worker
+    that dies breaks the pool: the call raises one KernelError and the next
+    call starts a fresh pool. A worker found dead before the map breaks it
+    too: the executor's manager thread takes a death it sees together with
+    the submit's wake-up for the wake-up alone.
     """
     global _pool
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    if _pool is not None and _pool[1] < workers:
-        _close_pool()
     if _pool is None:
         # forkserver forks each worker from a single-threaded server, never
         # from this process and its threads; the worker re-imports __main__.
-        context = multiprocessing.get_context("forkserver")
-        _pool = (ProcessPoolExecutor(workers, mp_context=context), workers)
+        _pool = ProcessPoolExecutor(MAX_WORKERS, mp_context=multiprocessing.get_context("forkserver"))
         _close_at_exit()
     try:
-        if any(p.exitcode is not None for p in _pool[0]._processes.values()):
+        if any(p.exitcode is not None for p in _pool._processes.values()):
             raise BrokenProcessPool("a worker process exited before the call")
-        return list(_pool[0].map(_mac, bands, [cols] * len(bands)))
+        return list(_pool.map(_mac, bands, [cols] * len(bands)))
     except BrokenProcessPool as exc:
         _close_pool()
         raise KernelError(f"a matmul worker process died: {exc}") from exc
 
 
 def matmul_parallel(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> Tensor:
-    """The kernel over contiguous row bands, one per worker process.
+    """The kernel over bands of ceil(m / worker_count) rows of a, one per worker process.
 
     Below _POOL_MIN_MACS, or with one band, the product runs in this process.
     Callers get every band, in order, or one KernelError; never a partial
@@ -435,7 +428,6 @@ def matmul_parallel(a: Tensor, b: Tensor, config: MatmulConfig | None = None) ->
     config = MatmulConfig() if config is None else check_type(config, MatmulConfig, "matmul config")
     validate_matmul_shapes(a, b)
     rows, cols, shape = a.rows(), _columns(b), (a.shape[0], b.shape[1])
-    bands = [rows[lo:hi] for lo, hi in _partition_rows(len(rows), config.worker_count) if lo < hi]
-    if len(bands) == 1 or len(rows) * len(cols[0]) * len(cols) < _POOL_MIN_MACS:
-        return _product([_mac(rows, cols)], shape)
-    return _product(_on_pool(config.worker_count, bands, cols), shape)
+    bands = _bands(rows, -(-len(rows) // config.worker_count))
+    in_process = len(bands) == 1 or len(rows) * len(cols[0]) * len(cols) < _POOL_MIN_MACS
+    return _product([_mac(rows, cols)] if in_process else _on_pool(bands, cols), shape)

@@ -73,6 +73,12 @@ class TestMatmulBench:
         assert (code, out) == (1, "")
         assert "InvalidArgument" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_a_trial_count_below_one_fails_before_any_output(self, capsys, trials):
+        code, out, err = run(capsys, "matmul-bench", "--n", "4", "--trials", trials)
+        assert (code, out) == (1, "")
+        assert err == f"InvalidArgument: trials must be an int >= 1, got {trials}\n"
+
 
 class TestPoolDemo:
     def test_replay_and_hex_bitmap(self, capsys, tmp_path):
@@ -249,6 +255,12 @@ class TestRababDemo:
         assert final == 51.0 / 52.0
         _, out2, _ = run(capsys, "rabab-demo", "--iterations", "50", "--seed", "0")
         assert out1 == out2
+
+    @pytest.mark.parametrize("iterations", ["0", "-2"])
+    def test_an_iteration_count_below_one_fails_before_any_output(self, capsys, iterations):
+        code, out, err = run(capsys, "rabab-demo", "--iterations", iterations)
+        assert (code, out) == (1, "")
+        assert err == f"InvalidArgument: iterations must be an int >= 1, got {iterations}\n"
 
 
 class TestRababDraw:

@@ -32,7 +32,7 @@ from neurokernel.tensor import (
     matmul_naive,
     matmul_parallel,
     validate_matmul_shapes,
-    _partition_rows,
+    _bands,
 )
 
 
@@ -355,13 +355,13 @@ def _manager_wait(real_wait, missed):
 
 @pytest.fixture
 def pool_calls(monkeypatch):
-    """(worker count, band heights) of each product sent to the worker pool."""
+    """(band count, band heights) of each product sent to the worker pool."""
     calls = []
     on_pool = tensor._on_pool
 
-    def spy(workers, bands, cols):
-        calls.append((workers, [len(band) for band in bands]))
-        return on_pool(workers, bands, cols)
+    def spy(bands, cols):
+        calls.append((len(bands), [len(band) for band in bands]))
+        return on_pool(bands, cols)
 
     monkeypatch.setattr(tensor, "_on_pool", spy)
     return calls
@@ -370,14 +370,15 @@ def pool_calls(monkeypatch):
 class TestProcessPool:
     """matmul_parallel from _POOL_MIN_MACS multiply-adds on: bands in worker processes."""
 
+    # ceil(70 / workers) rows a band, the last band shorter.
     @pytest.mark.parametrize("workers, heights", [
-        (2, [35, 35]), (3, [24, 23, 23]), (8, [9, 9, 9, 9, 9, 9, 8, 8]),
+        (2, [35, 35]), (3, [24, 24, 22]), (8, [9, 9, 9, 9, 9, 9, 9, 7]),
     ])
     def test_uneven_bands_across_the_seam_bit_equal_naive(self, pool_calls, workers, heights):
         rng = Random(workers)
         a, b = Tensor.random((70, 130), rng), Tensor.random((130, 70), rng)
         got = matmul_parallel(a, b, MatmulConfig(worker_count=workers))
-        assert pool_calls == [(workers, heights)]
+        assert pool_calls == [(len(heights), heights)]
         assert got.tobytes() == matmul_naive(a, b).tobytes()
 
     def test_the_cutoff(self, pool_calls):
@@ -404,7 +405,7 @@ class TestProcessPool:
         config = MatmulConfig(worker_count=2)
         expected = matmul_naive(a, b).tobytes()
         assert matmul_parallel(a, b, config).tobytes() == expected
-        pool = tensor._pool[0]
+        pool = tensor._pool
         victim = next(iter(pool._processes.values()))
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(10)
@@ -414,7 +415,7 @@ class TestProcessPool:
         assert type(caught.value) is KernelError
         assert isinstance(caught.value.__cause__, BrokenProcessPool)
         assert matmul_parallel(a, b, config).tobytes() == expected
-        assert tensor._pool[0] is not pool
+        assert tensor._pool is not pool
 
     def test_a_death_seen_only_with_the_wake_up_is_still_one_kernel_error(self, monkeypatch):
         missed = []
@@ -429,13 +430,15 @@ class TestProcessPool:
         # Of two idle workers, one blocks reading the call queue while holding
         # its lock and the other waits for the lock. The reader is killed
         # (found by its wait channel where /proc shows it, else the first
-        # worker is), the manager misses the death, and then the pool is
-        # replaced by a larger one, or the interpreter exits.
+        # worker is), the manager misses the death, and then a call asks for
+        # more workers than the pool ran, or the interpreter exits. The call
+        # finds the dead worker first: one KernelError, then a fresh pool.
         script = tmp_path / "dead_worker.py"
         script.write_text(inspect.getsource(_manager_wait) + textwrap.dedent("""
             import multiprocessing.connection, os, signal, sys, time
             from random import Random
             from neurokernel import tensor
+            from neurokernel.errors import KernelError
             from neurokernel.tensor import MatmulConfig, Tensor, matmul_naive, matmul_parallel
 
             def reader(processes):
@@ -456,16 +459,20 @@ class TestProcessPool:
                 multiprocessing.connection.wait = _manager_wait(multiprocessing.connection.wait, missed)
                 a = Tensor.random((64, 64), Random(0))
                 matmul_parallel(a, a, MatmulConfig(worker_count=2))
-                victim = reader(list(tensor._pool[0]._processes.values()))
+                victim = reader(list(tensor._pool._processes.values()))
                 os.kill(victim.pid, signal.SIGKILL)
                 victim.join(10)
                 if sys.argv[1] == "grow":
+                    try:
+                        matmul_parallel(a, a, MatmulConfig(worker_count=3))
+                    except KernelError as exc:
+                        print(type(exc).__name__)
                     got = matmul_parallel(a, a, MatmulConfig(worker_count=3))
                     print(got.tobytes() == matmul_naive(a, a).tobytes(), missed)
         """))
         proc = _run_python([str(script), then], timeout=30)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == ("True []\n" if then == "grow" else "")
+        assert proc.stdout == ("KernelError\nTrue []\n" if then == "grow" else "")
 
     def test_a_main_read_from_stdin_breaks_the_pool_as_one_kernel_error(self):
         # Workers re-import __main__, and "<stdin>" cannot be re-read.
@@ -483,6 +490,20 @@ class TestProcessPool:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "KernelError BrokenProcessPool\n"
 
+    def test_workers_start_on_demand_and_never_past_the_most_asked_for(self):
+        rng = Random(15)
+        a, b = Tensor.random((64, 64), rng), Tensor.random((64, 64), rng)
+        expected = matmul_naive(a, b).tobytes()
+        tensor._close_pool()
+        held = []
+        for workers in (2, 8, 2):
+            assert matmul_parallel(a, b, MatmulConfig(worker_count=workers)).tobytes() == expected
+            held.append(len(tensor._pool._processes))
+        # A band starts a worker only if none is idle: the first product starts
+        # its 2; the 8 bands start more, fewer than 8 if early bands finish
+        # before the last are sent; the last product finds idle workers.
+        assert held[0] == 2 and 2 < held[1] <= 8 and held[2] == held[1]
+
     def test_the_pool_does_not_hold_up_interpreter_exit(self):
         proc = _run_python(["-m", "neurokernel.cli", "matmul-bench", "--n", "96",
                             "--workers", "2", "--trials", "1"], timeout=30)
@@ -491,14 +512,12 @@ class TestProcessPool:
             "variant", "naive", "blocked", "parallel"]
 
 
-def test_row_partition_covers_every_row_exactly_once():
-    for m in range(1, 20):
-        for workers in range(1, 9):
-            bounds = _partition_rows(m, workers)
-            covered = []
-            for lo, hi in bounds:
-                covered.extend(range(lo, hi))
-            assert covered == list(range(m))
+@given(st.integers(1, 40), st.integers(1, 45))
+def test_bands_cover_every_row_once_in_order_in_full_height_bands(m, height):
+    bands = _bands(list(range(m)), height)
+    assert sum(bands, []) == list(range(m))
+    assert all(len(band) == height for band in bands[:-1])
+    assert 1 <= len(bands[-1]) <= height
 
 
 def _device_product(a, b):
@@ -517,8 +536,8 @@ def _work_product(a, b):
     return results[0]
 
 
-# Every route to the kernel; blocked and parallel with settings that split the
-# output into several tiles and bands.
+# Every route to the kernel; blocked and parallel with settings that split a
+# into several row bands.
 PRODUCT_PATHS = {
     "naive": matmul_naive,
     "blocked": lambda a, b: matmul_blocked(a, b, MatmulConfig(block_size=2)),
