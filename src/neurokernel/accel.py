@@ -114,7 +114,7 @@ class AccelDevice:
             result = elementwise_sum(a, b)
         else:
             result = matmul_naive(a, b)
-        self._pool._written.add(task.out)  # before the store: a fault after it costs free a redundant zeroing
+        self._pool._live[task.out] = True  # before the store: a fault after it costs free a redundant zeroing
         _store(result, self._buffer, 8 * task.out.first_block)
         return task_id
 
@@ -124,7 +124,7 @@ class AccelDevice:
         if not isinstance(tensor, Tensor):
             check_type(tensor, Tensor, "tensor")
         offset = self._offset(region, 8 * tensor.size, "target")
-        self._pool._written.add(region)  # before the store, as BlockPool.write marks it
+        self._pool._live[region] = True  # before the store, as BlockPool.write marks it
         _store(tensor, self._buffer, offset)
 
     def read_tensor(self, region: BlockHandle, shape: tuple[int, ...]) -> Tensor:

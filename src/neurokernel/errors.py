@@ -23,32 +23,30 @@ batch_execute unchanged, after the task is left FAULTED and the rest of its
 batch is queued again; an Exception there is that task's TaskFault. The pool,
 which also backs the device, commits last: BlockPool.free builds its zero
 buffer, and an allocation makes its handle live, before the map or the
-counter changes, so a MemoryError leaves it as it was.
-tests/test_faults.py injects a fault at each line of the scheduler's calls
-and lists the lines where one still leaves a task in no queue.
+counter changes, so a MemoryError leaves it as it was. tests/test_faults.py
+injects a fault at each line of the scheduler's calls, listing the lines
+where one still leaves a task in no queue; of BlockPool.write and the
+device's write_tensor and execute_next (a freed block reads as zero); and of
+Node.push_metrics (its load is the one its window gives).
 """
 
 
 class KernelError(Exception):
     """Base class for all simulated kernel faults.
 
-    The CLI maps any KernelError to exit code 1 and prints its kind.
+    The CLI maps any KernelError to exit code 1 and prints its class name.
     """
-
-    kind = "KernelError"
 
     def __init__(self, detail: str = ""):
         super().__init__(detail)
         self.detail = detail
 
     def __str__(self) -> str:
-        return f"{self.kind}: {self.detail}" if self.detail else self.kind
+        return f"{type(self).__name__}: {self.detail}" if self.detail else type(self).__name__
 
 
 class InvalidArgument(KernelError):
     """Rejected input; the userspace-visible EINVAL."""
-
-    kind = "InvalidArgument"
 
 
 def shown(value) -> str:
@@ -90,8 +88,6 @@ class TaskFault(InvalidArgument):
     because the faulty work is caller input to the scheduler.
     """
 
-    kind = "TaskFault"
-
     def __init__(self, detail: str, task_id, completed: list):
         super().__init__(detail)
         self.task_id = task_id
@@ -101,25 +97,17 @@ class TaskFault(InvalidArgument):
 class OutOfMemory(KernelError):
     """No allocation can satisfy the request; the userspace-visible ENOMEM."""
 
-    kind = "OutOfMemory"
-
 
 class Overflow(KernelError):
     """An exact result does not fit the declared numeric type."""
-
-    kind = "Overflow"
 
 
 class ShapeMismatch(KernelError):
     """Tensor operands whose dimensions do not conform."""
 
-    kind = "ShapeMismatch"
-
 
 class ResourceConsumed(KernelError):
     """A single-use resource was touched after its one permitted use."""
-
-    kind = "ResourceConsumed"
 
 
 class DeviceBusy(KernelError):
@@ -129,16 +117,10 @@ class DeviceBusy(KernelError):
     thread; it stays exported until the benchmark harness stops importing it.
     """
 
-    kind = "DeviceBusy"
-
 
 class NodeUnreachable(KernelError):
     """No live node can serve the request."""
 
-    kind = "NodeUnreachable"
-
 
 class ChecksumMismatch(KernelError):
     """A message frame failed its integrity check."""
-
-    kind = "ChecksumMismatch"

@@ -6,10 +6,10 @@ blocks is the first match of n zero bytes, found in C by bytearray.find.
 Large pages come out of the same arena but must start on an offset aligned
 to their own size; a misaligned match restarts the search at the next
 aligned offset. Sharing one arena keeps conservation checkable across both
-allocators. Every free block's storage is zero. write() and the device's
-staging (AccelDevice.write_tensor, execute_next) change storage, each
-marking its handle written before it copies, so free() zeroes only the
-blocks of a handle that was written.
+allocators. Every free block's storage is zero. The live map holds each live
+handle's written mark: write() and the device's staging (AccelDevice's
+write_tensor and execute_next) set it before they change storage, and free()
+zeroes only the blocks of a handle whose mark is set.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ class BlockPool:
             raise OutOfMemory(
                 f"host cannot back a {shown(self.config.pool_bytes)}-byte pool"
             ) from None
-        # Membership and len only: a set of identity-hashed handles iterates in address order.
-        self._live: set[BlockHandle] = set()
-        self._written: set[BlockHandle] = set()  # live handles whose storage write() or the device changed
+        # Each live handle, in allocation order, mapped to whether write() or the device changed its storage.
+        self._live: dict[BlockHandle, bool] = {}
 
     # -- stats ------------------------------------------------------------
 
@@ -121,7 +120,7 @@ class BlockPool:
 
     def _take_run(self, first: int, n_blocks: int) -> BlockHandle:
         handle, taken = BlockHandle(first, n_blocks), b"\x01" * n_blocks
-        self._live.add(handle)  # before the map and counter: a MemoryError leaves the pool as it was
+        self._live[handle] = False  # before the map and counter: a MemoryError leaves the pool as it was
         self._bitmap[first : first + n_blocks] = taken
         self._allocated += n_blocks
         return handle
@@ -167,13 +166,12 @@ class BlockPool:
         """
         first, n_blocks = self._entry(handle)
         bb = self.config.block_bytes
-        zeros = bytes(n_blocks * bb) if handle in self._written else None
+        zeros = bytes(n_blocks * bb) if self._live[handle] else None
         self._bitmap[first : first + n_blocks] = bytes(n_blocks)
         self._allocated -= n_blocks
         if zeros is not None:
-            self._written.remove(handle)
             self._storage[first * bb : (first + n_blocks) * bb] = zeros
-        self._live.remove(handle)
+        del self._live[handle]
 
     # -- data access ------------------------------------------------------
 
@@ -187,11 +185,11 @@ class BlockPool:
 
     def read(self, handle: BlockHandle, offset: int = 0, length: int | None = None) -> bytes:
         start, length = self._span(handle, offset, length)
-        return bytes(self._storage[start : start + length])
+        return memoryview(self._storage)[start : start + length].tobytes()  # one copy, not two
 
     def write(self, handle: BlockHandle, offset: int, data: bytes) -> None:
         check_type(data, (bytes, bytearray), "data")
         start, length = self._span(handle, offset, len(data))
-        self._written.add(handle)  # first: a fault after it costs free() only a redundant zeroing
+        self._live[handle] = True  # first: a fault after it costs free() only a redundant zeroing
         self._storage[start : start + length] = data
 

@@ -88,17 +88,27 @@ class Node:
         """Add one (cpu, mem, io) sample to the window, and store the load it gives.
 
         A sample is an int or float (not a bool) in [0, 1]. The window takes
-        the three in one append, so a fault cannot leave its columns of unequal length.
+        the three in one append, and a fault after it still stores the load.
         """
         if not (type(cpu) in _SAMPLE_TYPES and type(mem) in _SAMPLE_TYPES and type(io) in _SAMPLE_TYPES
                 and 0.0 <= cpu <= 1.0 and 0.0 <= mem <= 1.0 and 0.0 <= io <= 1.0):
             raise InvalidArgument(f"metric sample ({shown(cpu)}, {shown(mem)}, {shown(io)}) is not three numbers in [0, 1]")
-        window = self._metrics
-        window.append((cpu, mem, io))
+        window, sample = self._metrics, (cpu, mem, io)
         n = len(window)
-        (c0, m0, i0), (c1, m1, i1), (c2, m2, i2) = window if n == METRIC_WINDOW else (*_NO_SAMPLES[n - 1 :], *window)
-        self._load = (0.0 + 0.5 * ((0.0 + c0 + c1 + c2) / n) + 0.3 * ((0.0 + m0 + m1 + m2) / n)
-                      + 0.2 * ((0.0 + i0 + i1 + i2) / n))
+        if n == METRIC_WINDOW:  # the load of the window the append makes: the last two samples, then this one
+            _, (c0, m0, i0), (c1, m1, i1) = window
+        else:
+            (c0, m0, i0), (c1, m1, i1) = (*_NO_SAMPLES, *window)[n:]
+            n += 1
+        load = (0.0 + 0.5 * ((0.0 + c0 + c1 + cpu) / n) + 0.3 * ((0.0 + m0 + m1 + mem) / n)
+                + 0.2 * ((0.0 + i0 + i1 + io) / n))
+        try:
+            window.append(sample)
+            self._load = load
+        except BaseException:  # a host fault after the append: the load that window gives
+            if window and window[-1] is sample:
+                self._load = load
+            raise
 
     def predicted_load(self) -> float:
         """0.5*cpu + 0.3*mem + 0.2*io over 3-sample moving averages; 0 with no sample."""

@@ -27,7 +27,6 @@ CURRENT_VERSION = 1
 _HEADER = struct.Struct("<4sHBQIII")
 _CRC = struct.Struct("<I")
 
-_U16 = 0xFFFF
 _U32 = 0xFFFF_FFFF
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
 MAX_ADDRESS = _U32  # the largest source or dest a frame carries

@@ -259,7 +259,7 @@ class TestValidation:
         pool = dev._pool
 
         def state():
-            return bytes(pool._bitmap), pool.allocated_blocks, pool.live_handles, len(pool._written), \
+            return bytes(pool._bitmap), pool.allocated_blocks, pool.live_handles, tuple(pool._live.values()), \
                 bytes(pool._storage)
 
         before = state()

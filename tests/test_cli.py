@@ -12,7 +12,7 @@ from neurokernel.cli import main
 from neurokernel.config import ENV_VAR, config_from, directives, parse_config
 from neurokernel.errors import InvalidArgument
 from neurokernel.mempool import PoolConfig
-from neurokernel.orchestrator import parse_scenario
+from neurokernel.orchestrator import parse_scenario, run_scenario
 from neurokernel.scheduler import SchedulerConfig
 from neurokernel.tensor import MatmulConfig
 
@@ -126,6 +126,17 @@ class TestPoolDemo:
         assert code == 0
         assert out == "8f\n"  # bits 10001111
 
+    @pytest.mark.parametrize("ops, error", [
+        ("alloc 1\nfree 1\nfree 1\n", "ops line 3: no live allocation #1"),
+        ("alloc 1\nalloc 1\nfree 0\n", "ops line 3: no live allocation #0"),
+        ("alloc 1\nbogus 1\n", "ops line 2: unrecognized op 'bogus 1'"),
+        ("alloc x\n", "ops line 1: malformed 'alloc x'"),
+    ], ids=["freed-twice", "free-zero", "unknown-op", "non-integer-count"])
+    def test_a_bad_op_is_one_error_line_and_no_output(self, capsys, tmp_path, ops, error):
+        script = tmp_path / "ops.txt"
+        script.write_text(ops)
+        assert run(capsys, "pool-demo", "--ops", str(script)) == (1, "", f"InvalidArgument: {error}\n")
+
 
 class TestAccelDemo:
     def test_device_matches_host(self, capsys):
@@ -166,6 +177,17 @@ class TestSchedSim:
         code, _, err = run(capsys, "sched-sim", "--tasks", str(tasks))
         assert code == 1
         assert "InvalidArgument" in err
+
+    @pytest.mark.parametrize("tasks, config, error", [
+        ("task a prio x cycles 5\n", "", "tasks line 1: malformed numbers"),
+        ("task a prio 1 cycles 5\n", "quantum = five\n",
+         "config line 1: quantum needs integer value(s), got 'five'"),
+    ], ids=["task-numbers", "config-value"])
+    def test_a_non_integer_is_one_error_line_and_no_output(self, capsys, tmp_path, tasks, config, error):
+        (tmp_path / "tasks.txt").write_text(tasks)
+        (tmp_path / "sched.conf").write_text(config)
+        argv = ["sched-sim", "--tasks", str(tmp_path / "tasks.txt"), "--config", str(tmp_path / "sched.conf")]
+        assert run(capsys, *argv) == (1, "", f"InvalidArgument: {error}\n")
 
     def test_config_file_supplies_quantum_and_threshold(self, capsys, tmp_path):
         tasks = tmp_path / "tasks.txt"
@@ -242,6 +264,17 @@ class TestOrchestrate:
         code, out, _ = run(capsys, "orchestrate", "--scenario", str(scenario), "--ticks", "3")
         assert code == 0
         assert "3,fused,A person is present" in out.splitlines()
+
+    def test_a_scenario_without_inputs_fuses_nothing(self, capsys, tmp_path):
+        text = "node 1 vision\nnode 2 audio\n"
+        scenario = tmp_path / "s.txt"
+        scenario.write_text(text)
+        code, out, err = run(capsys, "orchestrate", "--scenario", str(scenario), "--ticks", "3")
+        assert (code, err) == (0, "")
+        assert out == "tick,event,detail\n0,node,id=1 modalities=vision\n0,node,id=2 modalities=audio\n"
+        events, summary, action = run_scenario(parse_scenario(text), 3, seed=0)
+        assert (summary, action) == (None, None)
+        assert {kind for _tick, kind, _detail in events} == {"node"}
 
 
 class TestRababDemo:

@@ -168,7 +168,7 @@ class World:
             self.pool.bitmap(), self.pool.live_handles, self.pool.read(self.handle), len(self.sched),
             self.dev.read_tensor(self.region, (1,)).tobytes(),
             bytes(self.dev._pool._bitmap), self.dev._pool.allocated_blocks, self.dev._pool.live_handles,
-            len(self.dev._pool._written), len(self.dev._queue),
+            tuple(self.dev._pool._live.values()), len(self.dev._queue),
             cluster.tick, [(n.snapshot(), n.pending, n.liveness, n.silenced) for n in cluster.nodes.values()],
             self.engine.leaked_resources(), (self.pred.alpha, self.pred.beta),
             len(self.graph), self.graph.weight("a", "b"),
@@ -355,6 +355,24 @@ def test_only_exception_classes_and_enums_are_exempt_by_name():
         if name in ("cli", "selftest"):
             continue
         assert issubclass(public[name], (KernelError, Enum)), (name, reason)
+
+
+KERNEL_ERRORS = sorted((obj for obj in vars(neurokernel.errors).values()
+                        if inspect.isclass(obj) and issubclass(obj, KernelError)), key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", KERNEL_ERRORS, ids=lambda cls: cls.__name__)
+def test_a_kernel_error_prints_its_class_name_and_detail(cls):
+    task = ("t", []) if cls is neurokernel.errors.TaskFault else ()  # its task id and completed list
+    assert str(cls("no run of 3 free blocks", *task)) == f"{cls.__name__}: no run of 3 free blocks"
+    assert str(cls("", *task)) == cls.__name__
+
+
+def test_a_callers_subclass_of_a_kernel_error_prints_its_own_name():
+    class PoolExhausted(OutOfMemory):
+        pass
+
+    assert str(PoolExhausted("pool 1")) == "PoolExhausted: pool 1"
 
 
 # Plain records: building one checks nothing; the operations that take one check its fields.
@@ -560,9 +578,17 @@ def test_an_unchanged_copy_of_a_ticket_is_refused():
     assert escapes == []
 
 
+class StrDraws(Random):
+    """A Random subclass whose uniform draws a str, as caller code may."""
+
+    def uniform(self, a, b):
+        return "x"
+
+
 # Bad values a swap does not reach: inside a tuple or a list, on an object that
-# is not a record, just past a bound, or a float equal to the one int accepted.
-# Each is one InvalidArgument and changes nothing.
+# is not a record, just past a bound, a float equal to the one int accepted, or
+# a value a caller's Random subclass draws. Each is one InvalidArgument and
+# changes nothing.
 REFUSED = {
     "node-id-past-u32": lambda w: w.cluster.add_node(2**32, {V}),
     "node-id-negative": lambda w: w.cluster.restore_node(w.chk, -1),
@@ -594,6 +620,9 @@ REFUSED = {
     "path-draw-bool": lambda w: apply_path([DrawPixel(True, 0, RED)], w.fb),
     "path-color-none": lambda w: canonicalize_path([DrawPixel(1, 1, None)], 8, 8),
     "path-outside-huge-size": lambda w: canonicalize_path([DrawPixel(-1, 0, RED)], HUGE, HUGE),
+    "cosine-entry-nan": lambda w: cosine_similarity([1.0, NAN], [1.0, 1.0]),
+    "fuse-output-not-a-pair": lambda w: fuse({V: ("person",)}),
+    "random-draws-a-str": lambda w: Tensor.random((2,), StrDraws(1)),
 }
 
 

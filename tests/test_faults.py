@@ -229,20 +229,29 @@ def test_a_fault_in_write_leaves_no_block_dirty_after_free(writer):
 # -- the cluster ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("before", range(METRIC_WINDOW))
+@pytest.mark.parametrize("before", range(METRIC_WINDOW + 1))
 def test_a_fault_in_push_metrics_leaves_later_samples_accepted(before):
     # One window of (cpu, mem, io) samples takes each in one append, so a
-    # fault cannot leave the three columns of unequal length.
+    # fault cannot leave the three columns of unequal length. The window and
+    # the stored load change together: right after the fault, the node's load
+    # is the one a node restored from its snapshot computes from the window,
+    # and the window is the one before the call or the one after it.
     samples = [(0.125, 0.25, 0.5), (0.75, 0.375, 0.0625), (1.0, 0.0, 0.5)]
     healed = Node(1, {Modality.VISION})
     for sample in samples:
         healed.push_metrics(*sample)
     n = 1
     while True:
-        node = Node(1, {Modality.VISION})
-        for _ in range(before):
-            node.push_metrics(0.5, 0.5, 0.5)
+        node, unfaulted = Node(1, {Modality.VISION}), Node(1, {Modality.VISION})
+        for i in range(before):
+            node.push_metrics(0.5, 0.5, i / 8)
+            unfaulted.push_metrics(0.5, 0.5, i / 8)
+        untouched = unfaulted.snapshot()
+        unfaulted.push_metrics(0.25, 0.5, 0.75)
         where = fault_at(lambda: node.push_metrics(0.25, 0.5, 0.75), n)
+        restored = Node.from_snapshot(node.snapshot(), 1, 1, 0)
+        assert node.predicted_load() == restored.predicted_load(), f"fault at {where}"
+        assert node.snapshot() in (untouched, unfaulted.snapshot()), f"fault at {where}"
         for sample in samples:
             node.push_metrics(*sample)
         assert (node.snapshot(), node.predicted_load()) == (healed.snapshot(), healed.predicted_load()), \

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 from random import Random
 
@@ -143,8 +144,8 @@ class TestFree:
     @pytest.mark.parametrize("alloc", [lambda pool: pool.alloc(2), lambda pool: pool.alloc_large_page(2 * 4096)],
                              ids=["alloc", "alloc_large_page"])
     def test_an_allocation_commits_only_once_its_handle_is_live(self, alloc):
-        class Full(set):
-            def add(self, item):
+        class Full(dict):
+            def __setitem__(self, key, value):
                 raise MemoryError
 
         pool = small_pool(classes=(2 * 4096,))
@@ -153,7 +154,7 @@ class TestFree:
             alloc(pool)
         assert (pool.allocated_blocks, pool.live_handles) == (0, 0)
         assert pool.bitmap() == (False,) * 4
-        pool._live = set()
+        pool._live = {}
         assert alloc(pool).first_block == 0
 
     def test_freed_blocks_are_zeroed_before_reuse(self):
@@ -164,6 +165,29 @@ class TestFree:
         again = pool.alloc(1)
         assert again.first_block == handle.first_block
         assert pool.read(again) == bytes(4096)
+
+    def test_a_live_handle_carries_its_written_mark(self):
+        pool = small_pool()
+        first, second = pool.alloc(1), pool.alloc(2)
+        assert pool._live == {first: False, second: False}
+        pool.write(second, 4096, b"\x01")
+        assert pool._live == {first: False, second: True}
+        pool.free(second)
+        assert pool._live == {first: False}
+
+    def test_a_read_copies_its_bytes_once(self):
+        pool = small_pool(blocks=32)
+        handle = pool.alloc(32)
+        pool.write(handle, 0, b"\x07" * 4096)
+        pool.read(handle)  # fills any cache before the count
+        tracemalloc.start()
+        try:
+            data = pool.read(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data[:4097] == b"\x07" * 4096 + b"\x00"
+        assert peak < len(data) + (4 << 10), peak
 
 
 class TestLargePages:
