@@ -6,8 +6,8 @@ rule. Tasks run one at a time, in submission order, on the same naive
 tensor kernels as the host; equality with host results is the device's test
 oracle, since there is no real hardware behind it. Staging is zero-copy:
 one memcpy each way between a tensor's storage and a view of the pool's
-storage, and only a read allocates, the tensor it returns. Staging bypasses
-BlockPool.write, so it marks its region written first, as write does.
+storage, and only a read allocates, the tensor it returns. allocate marks a
+region written, so staging bypasses BlockPool.write and free always zeroes.
 """
 
 from __future__ import annotations
@@ -56,7 +56,9 @@ class AccelDevice:
 
     def allocate(self, size: int) -> BlockHandle:
         """A region of at least size bytes: the pool's first fit of ⌈size / 8⌉ blocks, read as zero."""
-        return self._pool.alloc(-(-check_count(size, "region size") // 8))
+        region = self._pool.alloc(-(-check_count(size, "region size") // 8))
+        self._pool._live[region] = True  # written from the start: staging marks nothing, free always zeroes
+        return region
 
     def free(self, region: BlockHandle) -> None:
         """Release a region; its storage reads as zero again. A queued task that names it is refused."""
@@ -114,7 +116,6 @@ class AccelDevice:
             result = elementwise_sum(a, b)
         else:
             result = matmul_naive(a, b)
-        self._pool._live[task.out] = True  # before the store: a fault after it costs free a redundant zeroing
         _store(result, self._buffer, 8 * task.out.first_block)
         return task_id
 
@@ -124,7 +125,6 @@ class AccelDevice:
         if not isinstance(tensor, Tensor):
             check_type(tensor, Tensor, "tensor")
         offset = self._offset(region, 8 * tensor.size, "target")
-        self._pool._live[region] = True  # before the store, as BlockPool.write marks it
         _store(tensor, self._buffer, offset)
 
     def read_tensor(self, region: BlockHandle, shape: tuple[int, ...]) -> Tensor:

@@ -120,9 +120,11 @@ def _cmd_sched_sim(args) -> int:
             raise InvalidArgument(f"tasks line {lineno}: expected 'task <id> prio <p> cycles <c>'")
         try:  # a quantum-sized step ends each slice where 1-cycle steps would
             task = MlTask(parts[1], cycles_work(int(parts[5]), config.quantum), priority=int(parts[3]))
+            sched.enqueue(task)
         except ValueError:
             raise InvalidArgument(f"tasks line {lineno}: malformed numbers") from None
-        sched.enqueue(task)
+        except KernelError as exc:
+            raise type(exc)(f"tasks line {lineno}: {exc.detail}") from None
         tasks[task.id] = task
     completed: list[str] = []
     while len(sched):

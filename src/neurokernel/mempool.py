@@ -7,9 +7,9 @@ Large pages come out of the same arena but must start on an offset aligned
 to their own size; a misaligned match restarts the search at the next
 aligned offset. Sharing one arena keeps conservation checkable across both
 allocators. Every free block's storage is zero. The live map holds each live
-handle's written mark: write() and the device's staging (AccelDevice's
-write_tensor and execute_next) set it before they change storage, and free()
-zeroes only the blocks of a handle whose mark is set.
+handle's written mark: write() is the one writer that sets it before it
+changes storage, the device marks its regions when it allocates them, and
+free() zeroes only the blocks of a handle whose mark is set.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class BlockPool:
             raise OutOfMemory(
                 f"host cannot back a {shown(self.config.pool_bytes)}-byte pool"
             ) from None
-        # Each live handle, in allocation order, mapped to whether write() or the device changed its storage.
+        # Each live handle, in allocation order, mapped to its written mark: whether free() zeroes it.
         self._live: dict[BlockHandle, bool] = {}
 
     # -- stats ------------------------------------------------------------

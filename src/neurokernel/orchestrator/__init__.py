@@ -1,7 +1,7 @@
 """Distributed multi-modal orchestration: envelopes, cluster, fusion, scenarios."""
 
 from .cluster import Checkpoint, Cluster, Liveness, Node
-from .envelope import CURRENT_VERSION, MessageEnvelope, QoS, decode, encode
+from .envelope import MessageEnvelope, QoS, decode, encode
 from .fusion import (
     DEFAULT_DECISION,
     FUSION_ORDER,
@@ -16,7 +16,6 @@ from .runner import DEMO_SCENARIO, Scenario, parse_scenario, run_scenario
 __all__ = [
     "Checkpoint",
     "Cluster",
-    "CURRENT_VERSION",
     "DEFAULT_DECISION",
     "DEMO_SCENARIO",
     "FUSION_ORDER",

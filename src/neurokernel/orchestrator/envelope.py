@@ -2,14 +2,13 @@
 
 Frame layout, all little-endian:
 
-    magic "NKE1" | version u16 | qos u8 | msg_id u64 |
+    magic "NKE1" | qos u8 | msg_id u64 |
     source u32 | dest u32 | payload_len u32 | payload | crc32(payload) u32
 
 The transport behind it is an in-process channel, but the frame is
-transport-independent: a socket transport could carry the same bytes.
-encode writes CURRENT_VERSION, and decode refuses a frame with any other
-version byte. Compression and encryption are not part of v1; the version
-field reserves room for them.
+transport-independent: a socket transport could carry the same bytes. The
+magic is the format's version: decode refuses any other, and a new format
+gets a new magic.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from enum import IntEnum
 from ..errors import ChecksumMismatch, InvalidArgument, check_count, check_type, shown
 
 MAGIC = b"NKE1"
-CURRENT_VERSION = 1
 
-_HEADER = struct.Struct("<4sHBQIII")
+_HEADER = struct.Struct("<4sBQIII")
 _CRC = struct.Struct("<I")
 
 _U32 = 0xFFFF_FFFF
@@ -58,9 +56,7 @@ def encode(env: MessageEnvelope) -> bytes:
         check_count(env.source, "source", 0, _U32)
         check_count(env.dest, "dest", 0, _U32)
     try:
-        header = _HEADER.pack(
-            MAGIC, CURRENT_VERSION, env.qos, env.msg_id, env.source, env.dest, len(env.payload)
-        )
+        header = _HEADER.pack(MAGIC, env.qos, env.msg_id, env.source, env.dest, len(env.payload))
         return header + env.payload + _CRC.pack(zlib.crc32(env.payload))
     except (TypeError, struct.error):  # the one field left: the payload's type, or its length
         check_type(env.payload, (bytes, bytearray), "payload")
@@ -74,13 +70,9 @@ def decode(data: bytes) -> MessageEnvelope:
         check_type(data, (bytes, bytearray), "frame")
     if len(data) < _HEADER.size + _CRC.size:
         raise InvalidArgument(f"frame truncated at {len(data)} bytes")
-    magic, version, qos_raw, msg_id, source, dest, payload_len = _HEADER.unpack_from(data)
+    magic, qos_raw, msg_id, source, dest, payload_len = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise InvalidArgument(f"bad magic {shown(magic)}")
-    if version != CURRENT_VERSION:
-        raise InvalidArgument(
-            f"version {version} not accepted (current is {CURRENT_VERSION})"
-        )
     try:
         qos = QoS(qos_raw)
     except ValueError:

@@ -9,7 +9,8 @@ draws dropped (last write per pixel wins), survivors in raster order.
 Equality of canonical forms then coincides with effect equivalence.
 
 ``canonicalize_path`` is the one implementation of a path's meaning:
-``apply_path`` draws the canonical form, so a path it refuses draws nothing.
+``apply_path`` draws the canonical form, so a path it refuses draws nothing,
+and ``interpret_intent`` draws a one-op path.
 ``selftest._effect_signature`` interprets paths on its own, as the oracle.
 """
 
@@ -107,11 +108,7 @@ def interpret_intent(intent: DrawPixel, fb: Framebuffer) -> Framebuffer:
     v1 understands DrawPixel only: exactly one pixel changes, everything
     else stays untouched.
     """
-    check_type(intent, DrawPixel, "intent")
-    check_type(fb, Framebuffer, "framebuffer")
-    fb._check_bounds(intent.x, intent.y)
-    fb._set(intent.x, intent.y, _check_color(intent.color))
-    return fb
+    return apply_path((check_type(intent, DrawPixel, "intent"),), fb)
 
 
 def parse_intent(text: str) -> DrawPixel:
@@ -169,7 +166,7 @@ def canonicalize_path(
         if isinstance(op, DrawPixel):
             x, y = check_type(op.x, int, "draw x") + tx, check_type(op.y, int, "draw y") + ty
             if not (0 <= x < width and 0 <= y < height):
-                raise InvalidArgument(f"folded draw at ({shown(x)}, {shown(y)}) is outside {shown(width)}x{shown(height)}")
+                raise InvalidArgument(f"pixel ({shown(x)}, {shown(y)}) outside {shown(width)}x{shown(height)} framebuffer")
             final[(y, x)] = _check_color(op.color)
             continue
         raise InvalidArgument(f"unknown path op {shown(op)}")

@@ -75,7 +75,8 @@ class MatmulConfig:
 
 
 class Tensor:
-    """Immutable row-major float64 tensor of rank 1 or 2.
+    """Row-major float64 tensor of rank 1 or 2, immutable through its surface:
+    shape and size have no setter, and no public method changes the entries.
 
     Construction rejects NaN and infinity, so any non-finite value produced
     by an operation is a float64 overflow and is reported as Overflow.
@@ -96,19 +97,14 @@ class Tensor:
                 f"shape {shown(shape)} needs {expected} entries, got {len(values)}"
             )
         _require_finite(values)
-        object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_data", values)
+        self._shape, self._data = shape, values
 
     @classmethod
     def _from_finite(cls, shape: tuple[int, ...], values: array) -> "Tensor":
         """Adopt values already checked: prod(shape) finite float64s, owned by no one else."""
         tensor = object.__new__(cls)
-        object.__setattr__(tensor, "_shape", shape)
-        object.__setattr__(tensor, "_data", values)
+        tensor._shape, tensor._data = shape, values
         return tensor
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
 
     @property
     def shape(self) -> tuple[int, ...]:

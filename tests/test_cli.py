@@ -189,6 +189,15 @@ class TestSchedSim:
         argv = ["sched-sim", "--tasks", str(tmp_path / "tasks.txt"), "--config", str(tmp_path / "sched.conf")]
         assert run(capsys, *argv) == (1, "", f"InvalidArgument: {error}\n")
 
+    @pytest.mark.parametrize("tasks, error", [
+        ("task a prio 1 cycles 5\ntask a prio 2 cycles 5\n", "tasks line 2: task id 'a' is already queued"),
+        ("task a prio 1 cycles 0\n", "tasks line 1: total_cycles must be an int >= 1, got 0"),
+    ], ids=["duplicate-id", "zero-cycles"])
+    def test_a_refused_task_names_its_line(self, capsys, tmp_path, tasks, error):
+        (tmp_path / "tasks.txt").write_text(tasks)
+        argv = ["sched-sim", "--tasks", str(tmp_path / "tasks.txt")]
+        assert run(capsys, *argv) == (1, "", f"InvalidArgument: {error}\n")
+
     def test_config_file_supplies_quantum_and_threshold(self, capsys, tmp_path):
         tasks = tmp_path / "tasks.txt"
         tasks.write_text("task hog prio 10 cycles 50\n")

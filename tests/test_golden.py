@@ -18,6 +18,7 @@ Regenerate one only for an intended change of behaviour, for example::
         | cut -d, -f1-4,6 > tests/golden/matmul_bench.out
 """
 
+import time
 from pathlib import Path
 
 import pytest
@@ -64,10 +65,12 @@ def _drop_nanos(out: str) -> str:
     return "".join(",".join(row[:4] + row[5:]) + "\n" for row in rows)
 
 
-# case: (subcommand and flags, filter applied to stdout); stderr is not compared
+# case: (subcommand and flags, filter applied to stdout, wall-clock budget in
+# seconds or None); stderr is not compared
 TIMED = {
-    "matmul_bench": (["matmul-bench", "--n", "24", "--trials", "1", "--seed", "0"], _drop_nanos),
-    "selftest": (["selftest", "--seed", "0"], str),
+    "matmul_bench": (["matmul-bench", "--n", "24", "--trials", "1", "--seed", "0"], _drop_nanos, None),
+    # Acceptance criterion 8: every packaged check through the CLI in under 2 minutes.
+    "selftest": (["selftest", "--seed", "0"], str, 120.0),
 }
 
 
@@ -93,6 +96,9 @@ def test_cli_output_matches_golden(case, capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", sorted(TIMED))
 def test_timed_cli_stdout_matches_golden(case, capsys, monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
-    argv, keep = TIMED[case]
+    argv, keep, budget = TIMED[case]
+    start = time.perf_counter()
     assert main(argv) == 0
+    elapsed = time.perf_counter() - start
     assert keep(capsys.readouterr().out) == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert budget is None or elapsed < budget, f"{case} took {elapsed:.2f}s, budget {budget}s"

@@ -79,10 +79,11 @@ class TestEnvelopeCodec:
                 with pytest.raises(ChecksumMismatch):
                     decode(bytes(corrupted))
 
-    def test_future_version_rejected(self):
+    @pytest.mark.parametrize("qos_byte", [2, 255])
+    def test_unknown_qos_byte_rejected(self, qos_byte):
         frame = bytearray(encode(MessageEnvelope(msg_id=1, source=1, dest=2, payload=b"x")))
-        frame[4:6] = (2).to_bytes(2, "little")
-        with pytest.raises(InvalidArgument):
+        frame[4] = qos_byte  # the byte after the magic
+        with pytest.raises(InvalidArgument, match=f"^InvalidArgument: unknown qos byte {qos_byte}$"):
             decode(bytes(frame))
 
     def test_bad_magic_rejected(self):
