@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import struct
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -24,6 +25,7 @@ METRIC_WINDOW = 3
 # A short window's load pads it in front with these; 0.0 + 0.0 is 0.0, so no column sum moves a bit.
 _NO_SAMPLES = ((0.0, 0.0, 0.0),) * (METRIC_WINDOW - 1)
 _SAMPLE_TYPES = (float, int)  # exact types: a bool is an int subclass, not a load
+_WINDOWS = tuple(struct.Struct(f"<{3 * n}d") for n in range(METRIC_WINDOW + 1))  # n samples, as snapshots pack them
 
 
 class Liveness(Enum):
@@ -39,8 +41,6 @@ class Checkpoint:
     snapshot: bytes
 
 
-# Each modality's '"<value>":[' key in a snapshot's "latest", in sorted key order.
-_LATEST_KEYS = tuple((m, _json_str(m.value) + ":[") for m in sorted(Modality, key=lambda m: m.value))
 # Each modality's request payload up to the tag: json.dumps(request, sort_keys=True).
 _REQUEST_HEADS = {m: f'{{"modality": {_json_str(m.value)}, "tag": ' for m in Modality}
 
@@ -69,9 +69,10 @@ class Node:
                 raise TypeError
         except TypeError:
             raise InvalidArgument(f"modalities must be a set of Modality, got {shown(modalities)}") from None
-        # What follows the metrics in every snapshot: id and modalities never change.
-        served = ",".join(_json_str(value) for value in sorted(m.value for m in self.modalities))
-        self._snapshot_tail = f',"modalities":[{served}],"node_id":{node_id}}}'
+        # What id and modalities, which never change, fix in every snapshot: "latest" keys and the tail.
+        served = sorted(self.modalities, key=lambda m: m.value)
+        self._latest_keys = tuple((m, _json_str(m.value) + ":[") for m in served)
+        self._snapshot_tail = f',"modalities":[{",".join(_json_str(m.value) for m in served)}],"node_id":{node_id}}}'
         self.liveness = Liveness.ALIVE
         self.silenced = False
         self.last_heartbeat = 0
@@ -144,28 +145,28 @@ class Node:
         """The canonical JSON of the node's state, UTF-8; its size does not grow with uptime.
 
         ``json.dumps(state, sort_keys=True, separators=(",", ":"))`` of the
-        id, modalities, heartbeat number, metric windows and, per modality,
-        the latest ``[tick, tag, label]``. Output vectors are not stored:
-        they are a function of the modality and tag. Written directly, as
-        that encoder would: strings escaped to ASCII, ints by str, samples by repr.
+        id, modalities, heartbeat number, metric window and, per modality,
+        the latest ``[tick, tag, label]``. The window is the lowercase hex of
+        its samples' little-endian float64 ``(cpu, mem, io)`` triples, in window
+        order. Output vectors are not stored: they are a function of the modality
+        and tag. Written directly, as that encoder would: strings escaped to ASCII, ints by str.
         """
-        cpus, mems, ios = zip(*self._metrics) if self._metrics else ((), (), ())
         return "".join((
             '{"heartbeat_seq":', str(self.heartbeat_seq), ',"latest":{',
             ",".join([f"{key}{entry[0]},{_json_str(entry[1])},{_json_str(entry[2])}]"
-                      for m, key in _LATEST_KEYS if (entry := self.latest.get(m)) is not None]),
-            '},"metrics":{"cpu":[', ",".join(map(repr, cpus)), '],"io":[', ",".join(map(repr, ios)),
-            '],"mem":[', ",".join(map(repr, mems)), "]}", self._snapshot_tail,
+                      for m, key in self._latest_keys if (entry := self.latest.get(m)) is not None]),
+            '},"metrics":"', _WINDOWS[len(self._metrics)].pack(*itertools.chain.from_iterable(self._metrics)).hex(),
+            '"', self._snapshot_tail,
         )).encode()
 
     @classmethod
     def from_snapshot(cls, snapshot: bytes, node_id: int, as_id: int, now: int) -> Node:
         """Rebuild node ``node_id``, as ``as_id``, at tick ``now``, from bytes its snapshot() wrote.
 
-        Metrics go through push_metrics and each latest input through
-        _record, which derives its label again. Bytes that the
-        rebuilt node's snapshot() does not reproduce, or that record an input
-        after ``now``, raise InvalidArgument.
+        Each unpacked metric sample goes through push_metrics and each latest
+        input through _record, which derives its label again. Bytes that the rebuilt
+        node's snapshot() does not reproduce (uppercase or spaced hex, a fourth
+        sample), or that record an input after ``now``, raise InvalidArgument.
         """
         # Checked here too: True equals 1, so it would keep the id unmoved.
         check_count(as_id, "node id", COORDINATOR_ID + 1, MAX_ADDRESS)
@@ -174,15 +175,14 @@ class Node:
             state = json.loads(snapshot)
             node = cls(node_id, frozenset(map(Modality, state["modalities"])))
             node.heartbeat_seq = check_count(state["heartbeat_seq"], "heartbeat_seq", 0)
-            metrics = state["metrics"]
-            for sample in zip(metrics["cpu"], metrics["mem"], metrics["io"]):
+            for sample in _WINDOWS[1].iter_unpack(bytes.fromhex(state["metrics"])):  # one sample each
                 node.push_metrics(*sample)
             served = {m.value: m for m in node.modalities}  # KeyError: a modality not served
             for value, (tick, tag, _label) in state["latest"].items():
                 node._record(served[value], check_count(tick, "tick", 0, now), tag)  # no input after now
             if node.snapshot() != snapshot:
                 raise ValueError("not the bytes snapshot() writes")
-        except (InvalidArgument, ValueError, KeyError, TypeError, AttributeError, RecursionError):
+        except (InvalidArgument, ValueError, KeyError, TypeError, AttributeError, RecursionError, struct.error):
             raise InvalidArgument("unknown or corrupt checkpoint") from None
         if as_id != node_id:  # the checked state, moved onto the replacement id
             moved = cls(as_id, node.modalities)

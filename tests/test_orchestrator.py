@@ -216,6 +216,16 @@ def _canonical(state) -> bytes:
     return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _packed(*samples) -> str:
+    """A snapshot's "metrics": the hex of each (cpu, mem, io) sample as three little-endian float64s."""
+    return b"".join(struct.pack("<ddd", *map(float, sample)) for sample in samples).hex()
+
+
+def _window(snapshot: bytes) -> list:
+    """The (cpu, mem, io) samples a snapshot's "metrics" holds, in window order."""
+    return list(struct.iter_unpack("<ddd", bytes.fromhex(json.loads(snapshot)["metrics"])))
+
+
 def _add_unserved_record(state):
     """A consistent record for audio, which node 1 does not serve."""
     state["latest"]["audio"] = [1, "help", modality_process(Modality.AUDIO, b"help")[0]]
@@ -292,10 +302,11 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("corrupt", [
         lambda state: state.pop("heartbeat_seq"),
-        lambda state: state["metrics"].update(gpu=[0.5]),
+        lambda state: state.update(metrics={"cpu": [0.5], "io": [0.5], "mem": [0.5]}),  # the old form
         lambda state: state["latest"].update(smell=[1, "x", "x"]),
         lambda state: state.update(latest=5),
-        lambda state: state["metrics"].update(cpu=[7.0]),  # push_metrics refuses it
+        lambda state: state.update(metrics=_packed((1.5, 0.5, 0.5))),  # push_metrics refuses it
+        lambda state: state.update(metrics=_packed((0.5, math.nan, 0.5))),
         lambda state: state.update(heartbeat_seq="x"),
         lambda state: state.update(heartbeat_seq=True),
         lambda state: state.update(heartbeat_seq=2.5),
@@ -306,15 +317,23 @@ class TestCheckpoints:
         lambda state: state.update(last_outputs={"vision": {"label": "person", "tensor": []}}),
         lambda state: state["latest"]["vision"].__setitem__(0, True),
         lambda state: state["latest"]["vision"].__setitem__(2, "someone"),
-        lambda state: state["metrics"].update(cpu=[0.5] * 4, mem=[0.5] * 4, io=[0.5] * 4),
+        lambda state: state.update(metrics=_packed(*[(0.5, 0.5, 0.5)] * 4)),
+        lambda state: state.update(metrics=_packed((0.5, 0.5, 0.5))[:-2]),  # not whole samples
+        lambda state: state.update(metrics=_packed((0.5, 0.5, 0.5))[:-1]),  # not whole bytes
+        lambda state: state.update(metrics="zz" * 24),
+        # bytes.fromhex reads these two as the same bits; the round trip refuses the spelling.
+        lambda state: state.update(metrics=_packed((0.25, 0.5, 1.0)).upper()),
+        lambda state: state.update(metrics=" ".join(re.findall("..", _packed((0.25, 0.5, 1.0))))),
         _add_unserved_record,
         lambda state: state["latest"]["vision"].__setitem__(0, 10**9),
         lambda state: state["latest"].update(vision=[1, "", ""]),
-    ], ids=["no-heartbeat-seq", "unknown-metric", "unknown-modality", "latest-not-a-dict",
-            "metric-out-of-range", "heartbeat-seq-str", "heartbeat-seq-bool",
+    ], ids=["no-heartbeat-seq", "metric-arrays", "unknown-modality", "latest-not-a-dict",
+            "metric-out-of-range", "metric-nan", "heartbeat-seq-str", "heartbeat-seq-bool",
             "heartbeat-seq-float", "heartbeat-seq-negative", "int-tag", "list-label",
             "stored-tensor", "stored-outputs", "bool-tick", "wrong-label",
-            "four-sample-window", "unserved-modality", "tick-after-the-clock", "empty-tag"])
+            "four-sample-window", "metric-hex-length", "metric-hex-odd-length", "metric-not-hex",
+            "metric-hex-uppercase", "metric-hex-spaced", "unserved-modality", "tick-after-the-clock",
+            "empty-tag"])
     @pytest.mark.parametrize("target_id", [None, 9])
     def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt, target_id):
         cluster = self.build()
@@ -340,7 +359,7 @@ class TestCheckpoints:
         first = cluster.checkpoint_node(1)
         assert first.snapshot == _canonical({
             "heartbeat_seq": 1, "latest": {"vision": [1, "person", "person"]},
-            "metrics": {"cpu": [], "io": [], "mem": []}, "modalities": ["language", "vision"],
+            "metrics": "", "modalities": ["language", "vision"],
             "node_id": 1,
         })
         assert cluster.checkpoint_node(1).snapshot == first.snapshot
@@ -356,7 +375,9 @@ class TestCheckpoints:
         assert second.snapshot == _canonical({
             "heartbeat_seq": 2,
             "latest": {"language": [2, "日本語", "日本語"], "vision": [2, 'say"hi"', 'say"hi"']},
-            "metrics": {"cpu": [0.25], "io": [1.0], "mem": [0.5]}, "modalities": ["language", "vision"],
+            # 0.25, 0.5 and 1.0 as little-endian float64s.
+            "metrics": "000000000000d03f000000000000e03f000000000000f03f",
+            "modalities": ["language", "vision"],
             "node_id": 1,
         })
         restored = cluster.restore_node(first)
@@ -701,7 +722,7 @@ def _state(node) -> dict:
     return {
         "heartbeat_seq": node.heartbeat_seq,
         "latest": {m.value: list(entry) for m, entry in node.latest.items()},
-        "metrics": {name: [sample[k] for sample in node._metrics] for k, name in enumerate(("cpu", "mem", "io"))},
+        "metrics": _packed(*node._metrics),
         "modalities": sorted(m.value for m in node.modalities),
         "node_id": node.id,
     }
@@ -731,6 +752,27 @@ class TestFastPathsMatchTheirOracles:
         for target_id in (None, new_id):
             restored = cluster.restore_node(chk, target_id=target_id)
             assert restored.snapshot() == _canonical(_state(restored))
+
+    @given(_served, st.lists(st.tuples(_samples, _samples), max_size=5),
+           st.lists(st.tuples(st.integers(0, 3), _escaped_text), max_size=3))
+    @settings(deadline=None)
+    def test_samples_move_no_snapshot_length_and_restore_bit_for_bit(self, served, pairs, inputs):
+        """Two nodes alike but for their sample values write snapshots of one length; a restore keeps the bits."""
+        twins = _two_nodes(served), _two_nodes(served)
+        for side, cluster in enumerate(twins):
+            for sample in pairs:
+                cluster.nodes[1].push_metrics(*sample[side])
+            for index, tag in inputs:
+                cluster.heartbeat_tick()
+                cluster.submit_input(served[index % len(served)], tag)
+                cluster.process_step()
+        cluster, node = twins[0], twins[0].nodes[1]
+        assert len(node.snapshot()) == len(twins[1].nodes[1].snapshot())
+        restored = cluster.restore_node(cluster.checkpoint_node(1))
+        # An int 0 or 1 comes back as the float with its bits, and so gives the same load.
+        assert all(type(value) is float for sample in restored._metrics for value in sample)
+        assert _packed(*restored._metrics) == _packed(*node._metrics)
+        assert struct.pack("<d", restored._load) == struct.pack("<d", node._load)
 
     @given(st.lists(_samples, min_size=1, max_size=7), st.data())
     @settings(deadline=None)
@@ -807,7 +849,7 @@ class TestLoadBalancer:
                        (0.9, 0.9, math.nan)):
             with pytest.raises(InvalidArgument):
                 node.push_metrics(*sample)
-        assert json.loads(node.snapshot())["metrics"] == {"cpu": [0.2], "mem": [0.2], "io": [0.2]}
+        assert _window(node.snapshot()) == [(0.2, 0.2, 0.2)]
         assert node.predicted_load() == _load(([0.2], [0.2], [0.2]))
 
     def test_routing_follows_membership_changes(self):
@@ -819,8 +861,7 @@ class TestLoadBalancer:
             """balance_load per modality, checked against the recomputed loads."""
             loads = {}
             for node_id, node in cluster.nodes.items():
-                metrics = json.loads(node.snapshot())["metrics"]
-                loads[node_id] = _load(metrics[name] for name in ("cpu", "mem", "io"))
+                loads[node_id] = _load(zip(*_window(node.snapshot())))
                 assert node.predicted_load() == loads[node_id]
             chosen = {}
             for modality in Modality:
