@@ -32,6 +32,10 @@ class AccelOp(Enum):
     MATMUL = "matmul"
 
 
+# Bound once: before Python 3.12, a member read through its class goes through EnumType.__getattr__.
+_ELEMWISE_SUM, _MATMUL = AccelOp.ELEMWISE_SUM, AccelOp.MATMUL
+
+
 @dataclass(frozen=True)
 class AccelTask:
     """Binary tensor op over device regions; shapes are element counts."""
@@ -84,9 +88,9 @@ class AccelDevice:
         a_shape, b_shape = _checked_shape(task.a_shape), _checked_shape(task.b_shape)
         self._offset(task.a, 8 * prod(a_shape), "input a")
         self._offset(task.b, 8 * prod(b_shape), "input b")
-        if task.op is AccelOp.ELEMWISE_SUM:
+        if task.op is _ELEMWISE_SUM:
             out_shape = _sum_shape(a_shape, b_shape)
-        elif task.op is AccelOp.MATMUL:
+        elif task.op is _MATMUL:
             out_shape = _matmul_shape(a_shape, b_shape)
         else:
             raise InvalidArgument(f"unknown device op {shown(task.op)}")
@@ -112,7 +116,7 @@ class AccelDevice:
             raise InvalidArgument(f"device task {task_id} names a region freed since its submit")
         a = _load(a_shape, self._buffer, 8 * task.a.first_block)
         b = _load(b_shape, self._buffer, 8 * task.b.first_block)
-        if task.op is AccelOp.ELEMWISE_SUM:
+        if task.op is _ELEMWISE_SUM:
             result = elementwise_sum(a, b)
         else:
             result = matmul_naive(a, b)

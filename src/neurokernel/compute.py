@@ -21,6 +21,9 @@ class Opcode(IntEnum):
     DIVIDE = 3
 
 
+_ADD, _SUBTRACT, _MULTIPLY = Opcode.ADD, Opcode.SUBTRACT, Opcode.MULTIPLY  # bound once, as in scheduler.py
+
+
 def simple_compute(a: int, b: int, op: Opcode | int) -> int:
     """Apply ``op`` to two signed 64-bit integers.
 
@@ -35,11 +38,11 @@ def simple_compute(a: int, b: int, op: Opcode | int) -> int:
     except ValueError:
         raise InvalidArgument(f"unknown opcode {shown(op)}") from None
 
-    if op is Opcode.ADD:
+    if op is _ADD:
         result = a + b
-    elif op is Opcode.SUBTRACT:
+    elif op is _SUBTRACT:
         result = a - b
-    elif op is Opcode.MULTIPLY:
+    elif op is _MULTIPLY:
         result = a * b
     else:
         if b == 0:

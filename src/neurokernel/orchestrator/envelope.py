@@ -35,6 +35,9 @@ class QoS(IntEnum):
     BULK = 1
 
 
+_QOS = tuple(map(QoS, range(len(QoS))))  # by qos byte: an index, not an enum call per message
+
+
 @dataclass(frozen=True)
 class MessageEnvelope:
     msg_id: int
@@ -73,10 +76,8 @@ def decode(data: bytes) -> MessageEnvelope:
     magic, qos_raw, msg_id, source, dest, payload_len = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise InvalidArgument(f"bad magic {shown(magic)}")
-    try:
-        qos = QoS(qos_raw)
-    except ValueError:
-        raise InvalidArgument(f"unknown qos byte {qos_raw}") from None
+    if qos_raw >= len(_QOS):  # an unsigned byte: no negative index
+        raise InvalidArgument(f"unknown qos byte {qos_raw}")
     if len(data) != _HEADER.size + payload_len + _CRC.size:
         raise InvalidArgument(
             f"frame length {len(data)} does not match payload_len {payload_len}"
@@ -85,4 +86,4 @@ def decode(data: bytes) -> MessageEnvelope:
     (crc,) = _CRC.unpack_from(data, _HEADER.size + payload_len)
     if crc != zlib.crc32(payload):
         raise ChecksumMismatch(f"payload CRC mismatch on msg {msg_id}")
-    return MessageEnvelope(msg_id=msg_id, source=source, dest=dest, payload=payload, qos=qos)
+    return MessageEnvelope(msg_id=msg_id, source=source, dest=dest, payload=payload, qos=_QOS[qos_raw])

@@ -25,8 +25,12 @@ class Modality(Enum):
     LANGUAGE = "language"
     SENSOR = "sensor"
 
+    __hash__ = object.__hash__  # members are singletons equal by identity; Enum's __hash__ is Python code
 
-FUSION_ORDER = (Modality.VISION, Modality.SENSOR, Modality.AUDIO, Modality.LANGUAGE)
+
+_VISION, _SENSOR, _AUDIO = Modality.VISION, Modality.SENSOR, Modality.AUDIO  # bound once, as in cluster.py
+FUSION_ORDER = (_VISION, _SENSOR, _AUDIO, Modality.LANGUAGE)
+_SCENE, _SEEN = frozenset({_VISION, _SENSOR, _AUDIO}), frozenset({_VISION})  # the sets with a template
 
 # Fixed tag -> label stubs standing in for real per-modality models.
 MODALITY_LABELS: dict[Modality, dict[str, str]] = {
@@ -87,13 +91,10 @@ def fuse(outputs: Mapping[Modality, tuple[str, Sequence[float]]]) -> FusedRepres
             raise InvalidArgument(f"{m.value} output must be a (label, vector) pair, got {shown(output)}")
     present = frozenset(outputs)
     labels = {m: outputs[m][0] for m in outputs}
-    if present == {Modality.VISION, Modality.SENSOR, Modality.AUDIO}:
-        summary = (
-            f"A {labels[Modality.VISION]} is standing "
-            f"{_meters(labels[Modality.SENSOR])} meters away, {labels[Modality.AUDIO]}"
-        )
-    elif present == {Modality.VISION}:
-        summary = f"A {labels[Modality.VISION]} is present"
+    if present == _SCENE:
+        summary = f"A {labels[_VISION]} is standing {_meters(labels[_SENSOR])} meters away, {labels[_AUDIO]}"
+    elif present == _SEEN:
+        summary = f"A {labels[_VISION]} is present"
     else:
         ordered = [labels[m] for m in FUSION_ORDER if m in present]
         summary = "Observed: " + "; ".join(ordered)

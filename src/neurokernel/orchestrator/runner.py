@@ -24,6 +24,7 @@ from .fusion import Modality, decide, fuse
 
 CHECKPOINT_PERIOD = 5
 MAX_TICKS = 2**63 - 1  # the cluster clock is a signed 64-bit count, as in a kernel
+_SUSPECT, _FAILED = Liveness.SUSPECT, Liveness.FAILED  # bound once, as in cluster.py: read every tick
 
 DEMO_SCENARIO = """\
 # Demo: three nodes, three modalities, no failures.
@@ -96,7 +97,7 @@ def run_scenario(
             events.append((tick, "kill", f"node={node_id}"))
         cluster.heartbeat_tick()
         for node in cluster.nodes.values():
-            if node.liveness is not Liveness.FAILED and not node.silenced:
+            if node.liveness is not _FAILED and not node.silenced:
                 node.push_metrics(rng.random(), rng.random(), rng.random())
         for modality, tag in inputs_by_tick.get(tick, ()):
             try:
@@ -107,11 +108,11 @@ def run_scenario(
             except NodeUnreachable as exc:
                 events.append((tick, "input-dropped", f"modality={modality.value}: {exc.detail}"))
         was_suspect = {
-            nid for nid, n in cluster.nodes.items() if n.liveness is Liveness.SUSPECT
+            nid for nid, n in cluster.nodes.items() if n.liveness is _SUSPECT
         }
         failed = cluster.detect_failures()
         for node_id, node in cluster.nodes.items():
-            if node.liveness is Liveness.SUSPECT and node_id not in was_suspect:
+            if node.liveness is _SUSPECT and node_id not in was_suspect:
                 events.append((tick, "suspect", f"node={node_id}"))
         for node_id in failed:
             events.append((tick, "failed", f"node={node_id}"))
@@ -123,7 +124,7 @@ def run_scenario(
                 (tick, "processed", f"node={node_id} modality={modality.value} label={label}")
             )
         if tick % CHECKPOINT_PERIOD == 0:
-            live = [nid for nid, n in cluster.nodes.items() if n.liveness is not Liveness.FAILED]
+            live = [nid for nid, n in cluster.nodes.items() if n.liveness is not _FAILED]
             if len(live) > 1:
                 for node_id in live:
                     chk = cluster.checkpoint_node(node_id)

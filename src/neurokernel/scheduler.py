@@ -45,6 +45,11 @@ class TaskState(Enum):
     FAULTED = "faulted"
 
 
+# Bound once: before Python 3.12, a member read through its class goes through EnumType.__getattr__.
+_QUEUED, _RUNNING, _PREEMPTED = TaskState.QUEUED, TaskState.RUNNING, TaskState.PREEMPTED
+_DONE, _FAULTED = TaskState.DONE, TaskState.FAULTED
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     deprioritize_threshold: int = 1_000_000
@@ -73,7 +78,7 @@ class MlTask:
         self.id = task_id
         self.work = work
         self.priority = priority
-        self.state = TaskState.QUEUED
+        self.state = _QUEUED
         self.consumed_cycles = 0
         self.fp_context: list[float] = [0.0] * FP_SLOTS
         self._gen: Iterator[int] | None = None
@@ -137,7 +142,7 @@ class MlScheduler:
         """Queue a fresh task; its priority is read now, not when it is dequeued."""
         if not isinstance(task, MlTask):
             check_type(task, MlTask, "enqueued task")
-        if task.state is not TaskState.QUEUED:
+        if task.state is not _QUEUED:
             raise InvalidArgument(
                 f"only fresh tasks can be enqueued, task {shown(task.id)} is {task.state.value}"
             )
@@ -204,7 +209,7 @@ class MlScheduler:
                 else:
                     self._push((priority, next(self._seqs), task))
             except BaseException as exc:
-                task.state = TaskState.FAULTED
+                task.state = _FAULTED
                 task._gen = None
                 for entry in batch[i + 1:]:
                     self._push(entry)
@@ -219,12 +224,12 @@ class MlScheduler:
         The one place a context is loaded or saved. A fresh task's context is
         all zeros, so it starts from a clean register file.
         """
-        if task.state is TaskState.QUEUED:
+        if task.state is _QUEUED:
             task._gen = iter(task.work(self.fp_registers))
-        elif task.state is not TaskState.PREEMPTED:
+        elif task.state is not _PREEMPTED:
             raise InvalidArgument(f"task {shown(task.id)} is not runnable ({task.state.value})")
         self.fp_registers[:] = task.fp_context
-        task.state = TaskState.RUNNING
+        task.state = _RUNNING
 
         used, quantum = 0, self.config.quantum
         try:
@@ -234,10 +239,10 @@ class MlScheduler:
                 used += cost
                 if used >= quantum:
                     task.fp_context = list(self.fp_registers)
-                    task.state = TaskState.PREEMPTED
+                    task.state = _PREEMPTED
                     return False
             task.fp_context = list(self.fp_registers)
-            task.state = TaskState.DONE
+            task.state = _DONE
             return True
         finally:  # the slice's cycles count once, at its end, however it ends
             task.consumed_cycles += used

@@ -12,7 +12,8 @@ still succeeds on it. An unchanged dataclasses.replace copy of one of the
 TICKETS (a pool or device handle, token or predicate) is refused the same way: what
 handed a ticket out accepts only that object. REFUSED holds the bad values a
 swap does not reach. TIMED names the per-job and per-message sites, whose valid call enters no
-checker in errors.py.
+checker in errors.py. No function of the package reads an enum member
+through its class (test_no_function_reads_an_enum_member_through_its_class).
 
 A public name is a function or class defined in a module of the package
 whose name does not start with "_", and each public method of such a class.
@@ -22,6 +23,7 @@ names the only exceptions, each with its reason.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -669,3 +671,32 @@ def test_a_valid_call_at_a_timed_site_enters_no_checker(name):
     finally:
         sys.setprofile(None)
     assert entered == []
+
+
+def _enum_member_reads():
+    """file:line of each <Enum>.<MEMBER> read inside a function or lambda body.
+
+    Before Python 3.12, EnumType defines __getattr__, so such a read is not
+    specialised and costs 90-135 ns; a module-level binding costs about 20.
+    Module level and default arguments run once and are allowed. cli and
+    selftest are the command line and the acceptance checks, not timed paths.
+    """
+    for info in pkgutil.walk_packages(neurokernel.__path__, "neurokernel."):
+        if info.name in ("neurokernel.cli", "neurokernel.selftest"):
+            continue
+        module = importlib.import_module(info.name)
+        enums = {name: obj for name, obj in vars(module).items()
+                 if inspect.isclass(obj) and issubclass(obj, Enum) and obj.__module__.startswith("neurokernel.")}
+        tree = ast.parse(inspect.getsource(module))
+        bodies = [node.body for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Lambda))]
+        sites = {(node.lineno, f"{node.value.id}.{node.attr}")
+                 for body in bodies for stmt in (body if isinstance(body, list) else [body])
+                 for node in ast.walk(stmt)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in enums and node.attr in enums[node.value.id].__members__}
+        yield from (f"{module.__file__}:{line}: {read}" for line, read in sorted(sites))
+
+
+def test_no_function_reads_an_enum_member_through_its_class():
+    sites = list(_enum_member_reads())
+    assert sites == [], "bind these members once at module level:\n" + "\n".join(sites)

@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import json
 import math
+import pickle
 import re
 import struct
 from collections import deque
@@ -33,6 +34,7 @@ from neurokernel.orchestrator import (
     run_scenario,
 )
 from neurokernel.orchestrator import fusion
+from neurokernel.orchestrator.cluster import _request
 from neurokernel.orchestrator.envelope import MAGIC
 from neurokernel.rabab import embed
 
@@ -79,7 +81,7 @@ class TestEnvelopeCodec:
                 with pytest.raises(ChecksumMismatch):
                     decode(bytes(corrupted))
 
-    @pytest.mark.parametrize("qos_byte", [2, 255])
+    @pytest.mark.parametrize("qos_byte", range(2, 256))  # every byte past the last QoS value
     def test_unknown_qos_byte_rejected(self, qos_byte):
         frame = bytearray(encode(MessageEnvelope(msg_id=1, source=1, dest=2, payload=b"x")))
         frame[4] = qos_byte  # the byte after the magic
@@ -1039,6 +1041,18 @@ class TestOutputsAreComputedWhereRead:
         assert digest.hexdigest() == "7ee2aad8bf67d23c4bf67a6da24e51f20f4755d9e5b0efbd34c71554b1a9e73d"
 
 
+class TestModalityHash:
+    def test_a_member_hashes_by_identity(self):
+        assert Modality.__hash__ is object.__hash__
+        assert len(Modality) == 4  # the dunder did not become a member
+
+    @pytest.mark.parametrize("modality", list(Modality), ids=lambda m: m.value)
+    def test_a_pickled_member_is_the_same_member_and_finds_its_labels(self, modality):
+        back = pickle.loads(pickle.dumps(modality))
+        assert back is modality
+        assert fusion.MODALITY_LABELS[back] is fusion.MODALITY_LABELS[modality]
+
+
 class TestInboxQoS:
     def test_realtime_processed_before_bulk(self):
         cluster = Cluster()
@@ -1092,6 +1106,25 @@ class TestSubmitInput:
         assert [env.payload for env in cluster.nodes[1].drain_inbox()] == [
             json.dumps({"modality": m.value, "tag": tag}, sort_keys=True).encode("utf-8")
             for m, tag in requests]
+
+
+class TestRequestRefusals:
+    """A payload _request cannot read as an input request is one InvalidArgument naming the message."""
+
+    @pytest.mark.parametrize("payload", [
+        b"not json", b'["vision", "person"]', b'{"modality": "vision"}',
+        b'{"modality": "smell", "tag": "x"}', b'{"modality": [], "tag": "x"}',
+    ], ids=["not-json", "array", "no-tag", "unknown-modality", "unhashable-modality"])
+    def test_a_payload_that_is_not_a_request_is_refused(self, payload):
+        env = MessageEnvelope(msg_id=7, source=0, dest=1, payload=payload)
+        with pytest.raises(InvalidArgument, match="^InvalidArgument: message 7 is not an input request$"):
+            _request(env)
+
+    def test_a_modality_the_server_does_not_serve_is_refused(self):
+        env = MessageEnvelope(msg_id=7, source=0, dest=3, payload=b'{"modality": "audio", "tag": "help"}')
+        with pytest.raises(InvalidArgument, match="^InvalidArgument: node 3 does not support audio$"):
+            _request(env, Node(3, {Modality.VISION}))
+        assert _request(env, Node(3, {Modality.AUDIO})) == (Modality.AUDIO, "help")
 
 
 _BUILTIN_SUM = builtins.sum
