@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 
 from ..errors import InvalidArgument, NodeUnreachable, check_count, check_type, shown
 from .envelope import MAX_ADDRESS, MessageEnvelope, QoS, decode, encode
@@ -46,10 +47,18 @@ class Checkpoint:
     seq: int
     snapshot: bytes
 
+    def __init__(self, node_id: int, seq: int, snapshot: bytes):  # fills its dict as MessageEnvelope's does
+        fields = self.__dict__
+        fields["node_id"] = node_id
+        fields["seq"] = seq
+        fields["snapshot"] = snapshot
+
 
 # Each modality's request payload up to the tag: json.dumps(request, sort_keys=True).
 _REQUEST_HEADS = {m: f'{{"modality": {_json_str(m.value)}, "tag": ' for m in Modality}
 _MODALITIES = {m.value: m for m in Modality}  # what Modality(value) finds, without the enum call
+_parse_json = json.JSONDecoder().decode  # a str: json.loads(bytes) detects the encoding on every call
+_by_load = attrgetter("_load")
 
 
 class Node:
@@ -125,13 +134,6 @@ class Node:
     def _enqueue(self, env: MessageEnvelope) -> None:
         (self._inbox_rt if env.qos is _REALTIME else self._inbox_bulk).append(env)
 
-    def pop_next(self) -> MessageEnvelope | None:
-        if self._inbox_rt:
-            return self._inbox_rt.popleft()
-        if self._inbox_bulk:
-            return self._inbox_bulk.popleft()
-        return None
-
     def drain_inbox(self) -> list[MessageEnvelope]:
         pending = list(self._inbox_rt) + list(self._inbox_bulk)
         self._inbox_rt.clear()
@@ -158,13 +160,11 @@ class Node:
         order. Output vectors are not stored: they are a function of the modality
         and tag. Written directly, as that encoder would: strings escaped to ASCII, ints by str.
         """
-        return "".join((
-            '{"heartbeat_seq":', str(self.heartbeat_seq), ',"latest":{',
-            ",".join([f"{key}{entry[0]},{_json_str(entry[1])},{_json_str(entry[2])}]"
-                      for m, key in self._latest_keys if (entry := self.latest.get(m)) is not None]),
-            '},"metrics":"', _WINDOWS[len(self._metrics)].pack(*itertools.chain.from_iterable(self._metrics)).hex(),
-            '"', self._snapshot_tail,
-        )).encode()
+        window = self._metrics
+        latest = ",".join([f"{key}{entry[0]},{_json_str(entry[1])},{_json_str(entry[2])}]"
+                           for m, key in self._latest_keys if (entry := self.latest.get(m)) is not None])
+        return (f'{{"heartbeat_seq":{self.heartbeat_seq},"latest":{{{latest}}},'
+                f'"metrics":"{_WINDOWS[len(window)].pack(*sum(window, ())).hex()}"{self._snapshot_tail}').encode()
 
     @classmethod
     def from_snapshot(cls, snapshot: bytes, node_id: int, as_id: int, now: int) -> Node:
@@ -202,9 +202,9 @@ class Node:
 def _request(env: MessageEnvelope, server: Node | None = None) -> tuple[Modality, str]:
     """The (modality, tag) that a submit_input payload asks for, served by ``server``."""
     try:
-        request = json.loads(env.payload)
+        request = _parse_json(env.payload.decode())  # UTF-8 only, as submit_input writes it
         modality, tag = _MODALITIES[request["modality"]], request["tag"]
-    except (ValueError, KeyError, TypeError):
+    except (ValueError, KeyError, TypeError, AttributeError):
         raise InvalidArgument(f"message {shown(env.msg_id)} is not an input request") from None
     if server is not None and modality not in server.modalities:
         raise InvalidArgument(f"node {server.id} does not support {modality.value}")
@@ -221,7 +221,7 @@ class Cluster:
         self.timeout_ticks = check_count(timeout_ticks, "timeout_ticks")
         self.tick = 0
         self.nodes: dict[int, Node] = {}
-        # Per modality, the nodes serving it in id order; _insert drops it.
+        # Per modality, the non-failed nodes serving it in id order; _insert and a failure drop it.
         self._supporters: dict[Modality, list[Node]] | None = None
         self._next_msg_id = itertools.count(1)
         self._failover_log: list[tuple[int, int | None]] = []
@@ -283,15 +283,17 @@ class Cluster:
         twice the timeout makes it Failed and triggers failover of its
         pending work. Suspects whose heartbeats resume return to Alive.
         """
+        tick, timeout = self.tick, self.timeout_ticks
         newly_failed = []
         for node in self.nodes.values():
             if node.liveness is _FAILED:
                 continue
-            gap = self.tick - node.last_heartbeat
-            if gap > 2 * self.timeout_ticks:
+            gap = tick - node.last_heartbeat
+            if gap > 2 * timeout:
                 node.liveness = _FAILED
                 newly_failed.append(node.id)
-            elif gap > self.timeout_ticks:
+                self._supporters = None  # before _failover routes: the table holds only non-failed nodes
+            elif gap > timeout:
                 node.liveness = _SUSPECT
             else:
                 node.liveness = _ALIVE
@@ -352,12 +354,10 @@ class Cluster:
         """
         records = []
         for node in self.nodes.values():
-            if node.liveness is _FAILED or node.silenced:
+            inbox = node._inbox_rt or node._inbox_bulk  # Realtime first; an idle node costs this one test
+            if not inbox or node.liveness is _FAILED or node.silenced:
                 continue
-            env = node.pop_next()
-            if env is None:
-                continue
-            modality, tag = _request(env, node)
+            modality, tag = _request(inbox.popleft(), node)
             records.append((node.id, modality, tag, node._record(modality, self.tick, tag)))
         return records
 
@@ -372,16 +372,14 @@ class Cluster:
         if not isinstance(modality, Modality):
             check_type(modality, Modality, "modality")
         supporters = self._supporters
-        if supporters is None:
-            supporters = self._supporters = {
-                m: [node for node in self.nodes.values() if m in node.modalities] for m in Modality}
-        best = None
-        for node in supporters.get(modality, ()):  # id order, so the first of equal loads wins
-            if node.liveness is not _FAILED and (best is None or node._load < best._load):
-                best = node
-        if best is None:
+        if supporters is None:  # id order, and min keeps the first of equal loads: the lowest id wins
+            supporters = self._supporters = {m: [node for node in self.nodes.values()
+                                                 if m in node.modalities and node.liveness is not _FAILED]
+                                             for m in Modality}
+        live = supporters[modality]
+        if not live:
             raise NodeUnreachable(f"no live node supports {modality.value}")
-        return best.id
+        return min(live, key=_by_load).id
 
     # -- checkpoints ---------------------------------------------------------
 
@@ -393,11 +391,10 @@ class Cluster:
         replica there is replaced.
         """
         node = self.node(node_id)
-        peer = next(
-            (n for n in self.nodes.values() if n is not node and n.liveness is not _FAILED),
-            None,
-        )
-        if peer is None:
+        for peer in self.nodes.values():
+            if peer is not node and peer.liveness is not _FAILED:
+                break
+        else:
             raise NodeUnreachable("no peer available to replicate the checkpoint")
         chk = Checkpoint(node_id, node.checkpoint_seq + 1, node.snapshot())
         node.checkpoint_seq = chk.seq

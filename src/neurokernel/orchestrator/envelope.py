@@ -46,6 +46,15 @@ class MessageEnvelope:
     payload: bytes
     qos: QoS = QoS.BULK
 
+    # Frozen, its generated __init__ makes one object.__setattr__ call per field: fill the dict directly.
+    def __init__(self, msg_id: int, source: int, dest: int, payload: bytes, qos: QoS = QoS.BULK):
+        fields = self.__dict__
+        fields["msg_id"] = msg_id
+        fields["source"] = source
+        fields["dest"] = dest
+        fields["payload"] = payload
+        fields["qos"] = qos
+
 
 def encode(env: MessageEnvelope) -> bytes:
     """The frame of env: int fields plain ints that fit, qos a QoS, the payload bytes (timed-loop form)."""

@@ -247,7 +247,6 @@ CALLS = {
     "orchestrator.cluster.Node": lambda w: call(Node, 3, {V}),
     "orchestrator.cluster.Node.push_metrics": lambda w: call(w.node.push_metrics, 0.1, 0.2, 0.3),
     "orchestrator.cluster.Node.predicted_load": lambda w: call(w.node.predicted_load),
-    "orchestrator.cluster.Node.pop_next": lambda w: call(w.node.pop_next),
     "orchestrator.cluster.Node.drain_inbox": lambda w: call(w.node.drain_inbox),
     "orchestrator.cluster.Node.snapshot": lambda w: call(w.node.snapshot),
     "orchestrator.cluster.Node.from_snapshot": lambda w: call(Node.from_snapshot, w.chk.snapshot, 1, 1, 1),
@@ -671,6 +670,42 @@ def test_a_valid_call_at_a_timed_site_enters_no_checker(name):
     finally:
         sys.setprofile(None)
     assert entered == []
+
+
+def _calls(fn, *args) -> list:
+    """The code objects of the Python-level calls made by fn(*args), fn's own first."""
+    codes = []
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return codes
+
+
+def _idle_cluster() -> Cluster:
+    """48 idle nodes, as many as the cluster workload runs; the per-node paths below run once per node a tick."""
+    cluster = Cluster()
+    for node_id in range(1, 49):
+        cluster.add_node(node_id, {list(Modality)[node_id % len(Modality)]})
+    return cluster
+
+
+def test_process_step_over_idle_nodes_makes_no_python_call():
+    cluster = _idle_cluster()
+    assert _calls(cluster.process_step) == [Cluster.process_step.__code__]
+
+
+def test_checkpoint_node_builds_no_generator():
+    cluster = _idle_cluster()
+    cluster.nodes[5].push_metrics(0.1, 0.2, 0.3)
+    names = [code.co_name for code in _calls(cluster.checkpoint_node, 5)]
+    assert names[0] == "checkpoint_node" and "<genexpr>" not in names
 
 
 def _enum_member_reads():

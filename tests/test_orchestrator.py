@@ -1,5 +1,7 @@
 import builtins
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import pickle
@@ -904,6 +906,23 @@ class TestLoadBalancer:
         cluster.restore_node(chk5, target_id=6)  # the failed node's state on a new id
         assert routes() == {V: 6, A: 6, L: 4, S: 4}
 
+    def test_failover_never_routes_to_the_node_it_just_failed(self):
+        """The supporter table is dropped before _failover routes the failed node's queue."""
+        cluster = Cluster()
+        cluster.add_node(1, {Modality.VISION})
+        cluster.add_node(2, {Modality.VISION})
+        cluster.nodes[2].push_metrics(0.5, 0.5, 0.5)  # node 1, idle, takes the inputs
+        msg_ids = [cluster.submit_input(Modality.VISION, f"t{i}")[1] for i in range(3)]
+        assert cluster.nodes[1].pending == 3
+        cluster.heartbeat_tick()
+        cluster.silence(1)
+        for _ in range(7):
+            cluster.heartbeat_tick()
+        assert cluster.detect_failures() == [1]
+        assert cluster.last_failover_events() == [(msg_id, 2) for msg_id in msg_ids]
+        assert (cluster.nodes[1].pending, cluster.nodes[2].pending) == (0, 3)
+        assert cluster.balance_load(Modality.VISION) == 2
+
 
 class TestFusion:
     def out(self, label):
@@ -1114,7 +1133,13 @@ class TestRequestRefusals:
     @pytest.mark.parametrize("payload", [
         b"not json", b'["vision", "person"]', b'{"modality": "vision"}',
         b'{"modality": "smell", "tag": "x"}', b'{"modality": [], "tag": "x"}',
-    ], ids=["not-json", "array", "no-tag", "unknown-modality", "unhashable-modality"])
+        # A payload is UTF-8 JSON, as submit_input writes it; json.loads(bytes) also took the first three.
+        b'\xef\xbb\xbf{"modality": "vision", "tag": "x"}',
+        '{"modality": "vision", "tag": "x"}'.encode("utf-16-le"),
+        b'{"modality": "vision", "tag": "\xed\xa0\x80"}',
+        b'{"modality": "vision", "tag": "\xff"}',
+    ], ids=["not-json", "array", "no-tag", "unknown-modality", "unhashable-modality",
+            "utf-8-bom", "utf-16-le", "encoded-surrogate", "invalid-utf-8"])
     def test_a_payload_that_is_not_a_request_is_refused(self, payload):
         env = MessageEnvelope(msg_id=7, source=0, dest=1, payload=payload)
         with pytest.raises(InvalidArgument, match="^InvalidArgument: message 7 is not an input request$"):
@@ -1125,6 +1150,42 @@ class TestRequestRefusals:
         with pytest.raises(InvalidArgument, match="^InvalidArgument: node 3 does not support audio$"):
             _request(env, Node(3, {Modality.VISION}))
         assert _request(env, Node(3, {Modality.AUDIO})) == (Modality.AUDIO, "help")
+
+
+_RECORD_VALUES = {
+    MessageEnvelope: (7, 0, 3, b'{"modality": "vision", "tag": "x"}', QoS.REALTIME),
+    Checkpoint: (3, 2, b"{}"),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORD_VALUES), ids=lambda cls: cls.__name__)
+class TestRecordInits:
+    """A record's hand-written __init__ builds what the generated one would."""
+
+    def test_parameters_are_the_fields(self, cls):
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls)]
+
+    def test_an_instance_is_the_generated_one(self, cls):
+        values = _RECORD_VALUES[cls]
+        generated = object.__new__(cls)
+        for field, value in zip(dataclasses.fields(cls), values):
+            object.__setattr__(generated, field.name, value)
+        record = cls(*values)
+        assert record == generated and hash(record) == hash(generated) and repr(record) == repr(generated)
+        assert vars(record) == vars(generated)
+
+    def test_it_stays_frozen(self, cls):
+        record = cls(*_RECORD_VALUES[cls])
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, 1)
+        first = dataclasses.fields(cls)[0].name
+        changed = dataclasses.replace(record, **{first: 99})
+        assert type(changed) is cls and changed != record and getattr(changed, first) == 99
+        assert dataclasses.replace(changed, **{first: getattr(record, first)}) == record
 
 
 _BUILTIN_SUM = builtins.sum
