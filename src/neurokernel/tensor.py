@@ -3,7 +3,8 @@
 A tensor packs its entries in an ``array('d')``, 8 bytes each, so
 ``tobytes``, ``frombytes`` and device staging (``_store``, ``_load``) copy
 bytes. Every matrix product (naive, blocked, parallel, the device's and the
-scheduler's) unboxes A's rows and B's columns into lists once (``tolist()``)
+scheduler's) unboxes each operand once, the device's straight from its
+buffer (``_entries``), cuts A's rows and B's columns once (``_rows_cols``)
 and runs through ``_mac``, which walks k in slices of at most ``_WIDTH`` =
 64 entries. Each slice runs a straight-line kernel generated for its width
 w, compiled on first use and cached (``_kernel``): it unpacks the w row
@@ -176,6 +177,10 @@ class Tensor:
 
 
 def _checked_shape(shape: Sequence[int]) -> tuple[int, ...]:
+    if type(shape) is tuple and len(shape) == 2:  # per task and staged tensor: the timed-loop form
+        m, n = shape
+        if type(m) is int and type(n) is int and m > 0 and n > 0 and m * n <= _MAX_ENTRIES:
+            return shape
     try:
         shape = tuple(shape)
     except TypeError:
@@ -218,13 +223,24 @@ def _store(tensor: Tensor, view: memoryview, offset: int) -> None:
 
 
 def _load(shape: tuple[int, ...], view: memoryview, offset: int) -> Tensor:
-    """The package's one decoder: the float64s at offset in a byte view, one memcpy into exact storage."""
+    """The float64s at offset in a byte view as a tensor: one memcpy into exact storage (frombytes over-allocates)."""
     values = _reserve(shape)
     memoryview(values).cast("B")[:] = view[offset : offset + 8 * len(values)]
     if _BYTEORDER != "little":
         values.byteswap()
     _require_finite(values)
     return Tensor._from_finite(shape, values)
+
+
+def _entries(view: memoryview, offset: int, count: int) -> list[float]:
+    """count float64s at offset in a byte view as floats, as _load reads them; the array is dropped once unboxed."""
+    values = array("d")
+    values.frombytes(view[offset : offset + 8 * count])
+    if _BYTEORDER != "little":
+        values.byteswap()
+    entries = values.tolist()
+    _require_finite(entries)
+    return entries
 
 
 def validate_matmul_shapes(a: Tensor, b: Tensor) -> None:
@@ -264,10 +280,16 @@ def elementwise_sum(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_finite(shape, out)
 
 
-def _columns(b: Tensor) -> list[list[float]]:
-    """B unboxed and transposed once: column j is every n-th entry from j."""
-    data, n = b._data.tolist(), b.shape[1]
-    return [data[j::n] for j in range(n)]
+def _rows_cols(a: list[float], k: int, b: list[float], n: int) -> tuple[list[tuple[float, ...]], list[list[float]]]:
+    """The one cut of every product's operands: A's rows of k entries, tuples cut in C, and B's columns."""
+    return list(zip(*[iter(a)] * k)), [b[j::n] for j in range(n)]
+
+
+def _operands(a: Tensor, b: Tensor) -> tuple[list[tuple[float, ...]], list[list[float]], tuple[int, int]]:
+    """The host products' prologue: the checked operands cut for _mac, and the product's shape."""
+    validate_matmul_shapes(a, b)
+    k, n = b._shape
+    return *_rows_cols(a._data.tolist(), k, b._data.tolist(), n), (a._shape[0], n)
 
 
 @lru_cache(maxsize=2 * _WIDTH)
@@ -294,7 +316,7 @@ def _kernel(w: int, carried: bool):
     return namespace["kernel"]
 
 
-def _mac(rows: list[list[float]], cols: list[list[float]]) -> list[float]:
+def _mac(rows: list[tuple[float, ...]], cols: list[list[float]]) -> list[float]:
     """Every row times every column, row-major in one list: the package's one multiply-accumulate kernel.
 
     k is walked in slices of at most _WIDTH entries, in ascending order; each
@@ -329,8 +351,8 @@ def _product(parts: list[list[float]], shape: tuple[int, int]) -> Tensor:
 
 def matmul_naive(a: Tensor, b: Tensor) -> Tensor:
     """Every row of a against every column of b in one kernel call."""
-    validate_matmul_shapes(a, b)
-    return _product([_mac(a.rows(), _columns(b))], (a.shape[0], b.shape[1]))
+    rows, cols, shape = _operands(a, b)
+    return _product([_mac(rows, cols)], shape)
 
 
 def _bands(rows: list, height: int) -> list:
@@ -341,9 +363,8 @@ def _bands(rows: list, height: int) -> list:
 def matmul_blocked(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> Tensor:
     """The kernel over bands of block_size rows of a; k is never split."""
     config = MatmulConfig() if config is None else check_type(config, MatmulConfig, "matmul config")
-    validate_matmul_shapes(a, b)
-    cols = _columns(b)
-    return _product([_mac(band, cols) for band in _bands(a.rows(), config.block_size)], (a.shape[0], b.shape[1]))
+    rows, cols, shape = _operands(a, b)
+    return _product([_mac(band, cols) for band in _bands(rows, config.block_size)], shape)
 
 
 # Row bands go to worker processes from this many multiply-adds (m*k*n) on.
@@ -383,7 +404,7 @@ def _close_at_exit() -> None:
     threading._register_atexit(_close_pool)
 
 
-def _on_pool(bands: list[list[list[float]]], cols: list[list[float]]) -> list[list[float]]:
+def _on_pool(bands: list[list[tuple[float, ...]]], cols: list[list[float]]) -> list[list[float]]:
     """``_mac`` of each band against cols in the persistent worker pool, in band order.
 
     The pool starts on first use and lives until the interpreter exits. It
@@ -422,8 +443,7 @@ def matmul_parallel(a: Tensor, b: Tensor, config: MatmulConfig | None = None) ->
     result.
     """
     config = MatmulConfig() if config is None else check_type(config, MatmulConfig, "matmul config")
-    validate_matmul_shapes(a, b)
-    rows, cols, shape = a.rows(), _columns(b), (a.shape[0], b.shape[1])
+    rows, cols, shape = _operands(a, b)
     bands = _bands(rows, -(-len(rows) // config.worker_count))
     in_process = len(bands) == 1 or len(rows) * len(cols[0]) * len(cols) < _POOL_MIN_MACS
     return _product([_mac(rows, cols)] if in_process else _on_pool(bands, cols), shape)

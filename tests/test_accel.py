@@ -9,7 +9,7 @@ import pytest
 
 from neurokernel import tensor
 from neurokernel.accel import AccelDevice, AccelOp, AccelTask
-from neurokernel.errors import InvalidArgument, OutOfMemory, ShapeMismatch
+from neurokernel.errors import InvalidArgument, OutOfMemory, Overflow, ShapeMismatch
 from neurokernel.tensor import Tensor, elementwise_sum, matmul_naive
 
 
@@ -110,8 +110,9 @@ class TestSubmitExecute:
 
     def test_device_equals_host_bit_exactly(self):
         rng = Random(21)
-        for _ in range(10):
-            m, k, n = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8)
+        # Ten drawn shapes, then 1-wide dimensions and k on either side of the kernel's 64-entry slice seam.
+        for shape in [None] * 10 + [(1, 1, 1), (1, 70, 1), (3, 65, 2), (2, 130, 3), (16, 1, 16), (5, 64, 7)]:
+            m, k, n = shape or (rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 8))
             a, b = Tensor.random((m, k), rng), Tensor.random((k, n), rng)
             dev, (ra, rb) = loaded_device(a, b)
             rout = dev.allocate(8 * m * n)
@@ -159,6 +160,16 @@ class TestSubmitExecute:
         assert dev._buffer[offset(rout) : offset(rout) + 8 * 6] == struct.pack(f"{order}6d", *product.tolist())
         assert dev.read_tensor(ra, (3, 4)) == a
         assert dev.read_tensor(rout, (3, 2)).tobytes() == product.tobytes()
+
+    def test_an_overflowing_product_raises_overflow_and_writes_nothing(self):
+        huge = Tensor((2, 2), [1e308] * 4)
+        dev, (ra, rb, rout) = loaded_device(huge, huge, Tensor.identity(2))
+        before = bytes(dev._buffer)
+        dev.submit(AccelTask(AccelOp.MATMUL, ra, (2, 2), rb, (2, 2), rout))
+        with pytest.raises(Overflow, match="^Overflow: matmul overflowed the float64 range$"):
+            dev.execute_next()
+        assert bytes(dev._buffer) == before
+        assert dev.execute_next() is None
 
     def test_device_sum_equals_host(self):
         rng = Random(22)

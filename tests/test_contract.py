@@ -14,6 +14,9 @@ handed a ticket out accepts only that object. REFUSED holds the bad values a
 swap does not reach. TIMED names the per-job and per-message sites, whose valid call enters no
 checker in errors.py. No function of the package reads an enum member
 through its class (test_no_function_reads_an_enum_member_through_its_class).
+A record built per call whose __init__ is hand-written builds what the
+generated one would (TestRecordInits), and the timed paths' call structure is
+counted under sys.setprofile (a device matmul calls no host product).
 
 A public name is a function or class defined in a module of the package
 whose name does not start with "_", and each public method of such a class.
@@ -636,6 +639,55 @@ def test_a_bad_value_no_swap_reaches_is_one_invalid_argument(name):
     assert world.fingerprint() == before
 
 
+# Records built per call, whose hand-written __init__ fills the instance dict: one valid instance's fields each.
+_RECORD_VALUES = {
+    MessageEnvelope: (7, 0, 3, b'{"modality": "vision", "tag": "x"}', QoS.REALTIME),
+    Checkpoint: (3, 2, b"{}"),
+    AccelTask: (AccelOp.MATMUL, BlockHandle(0, 2), (1, 2), BlockHandle(2, 2), (2, 1), BlockHandle(4, 1)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORD_VALUES), ids=lambda cls: cls.__name__)
+class TestRecordInits:
+    """A record's hand-written __init__ builds what the generated one would."""
+
+    def test_parameters_are_the_fields(self, cls):
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert [(p.name, p.default) for p in params] == [
+            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls)]
+
+    def test_an_instance_is_the_generated_one(self, cls):
+        values = _RECORD_VALUES[cls]
+        generated = object.__new__(cls)
+        for field, value in zip(dataclasses.fields(cls), values):
+            object.__setattr__(generated, field.name, value)
+        record = cls(*values)
+        assert record == generated and hash(record) == hash(generated) and repr(record) == repr(generated)
+        assert vars(record) == vars(generated)
+
+    def test_it_stays_frozen(self, cls):
+        record = cls(*_RECORD_VALUES[cls])
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, 1)
+        first = dataclasses.fields(cls)[0].name
+        changed = dataclasses.replace(record, **{first: 99})
+        assert type(changed) is cls and changed != record and getattr(changed, first) == 99
+        assert dataclasses.replace(changed, **{first: getattr(record, first)}) == record
+
+
+def _square_task(w: World) -> AccelTask:
+    """A 1x1 by 1x1 product on the world's one-entry region: the device's per-request shapes are rank 2."""
+    return AccelTask(AccelOp.MATMUL, w.region, (1, 1), w.region, (1, 1), w.region)
+
+
+def _queued_product(w: World):
+    """execute_next with that product queued."""
+    w.dev.submit(_square_task(w))
+    return call(w.dev.execute_next)
+
+
 # Sites run once per job, staged tensor or cluster message: each tests its
 # arguments inline and calls into errors.py only when that test fails.
 TIMED = {
@@ -650,6 +702,9 @@ TIMED = {
     "decode": lambda w: call(decode, w.frame),
     "write_tensor": lambda w: call(w.dev.write_tensor, w.region, Tensor.vector([3.0])),
     "execute_next": lambda w: call(w.dev.execute_next),
+    "submit": lambda w: call(w.dev.submit, _square_task(w)),
+    "execute_next (matmul)": _queued_product,
+    "read_tensor": lambda w: call(w.dev.read_tensor, w.region, (1, 1)),
     "matmul_naive": lambda w: call(matmul_naive, w.t, w.t),
     "elementwise_sum": lambda w: call(elementwise_sum, w.t, w.t),
 }
@@ -706,6 +761,20 @@ def test_checkpoint_node_builds_no_generator():
     cluster.nodes[5].push_metrics(0.1, 0.2, 0.3)
     names = [code.co_name for code in _calls(cluster.checkpoint_node, 5)]
     assert names[0] == "checkpoint_node" and "<genexpr>" not in names
+
+
+def test_a_device_product_runs_no_host_product_and_builds_one_tensor():
+    # The operands go from the device buffer straight to the kernel: only the result is a Tensor.
+    a, b = Tensor.random((3, 4), Random(5)), Tensor.random((4, 2), Random(6))
+    dev = AccelDevice()
+    ra, rb, rout = dev.allocate(8 * 12), dev.allocate(8 * 8), dev.allocate(8 * 6)
+    dev.write_tensor(ra, a)
+    dev.write_tensor(rb, b)
+    dev.submit(AccelTask(AccelOp.MATMUL, ra, (3, 4), rb, (4, 2), rout))
+    codes = _calls(dev.execute_next)
+    assert matmul_naive.__code__ not in codes and validate_matmul_shapes.__code__ not in codes
+    assert codes.count(Tensor._from_finite.__func__.__code__) == 1
+    assert dev.read_tensor(rout, (3, 2)) == matmul_naive(a, b)
 
 
 def _enum_member_reads():

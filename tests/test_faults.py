@@ -205,9 +205,18 @@ def _device_output():
     return dev.execute_next, lambda: dev.free(out), lambda: dev.read_tensor(dev.allocate(16), (2,)).tobytes()
 
 
+def _device_product():
+    dev = AccelDevice()
+    a, b, out = dev.allocate(32), dev.allocate(32), dev.allocate(32)
+    dev.write_tensor(a, Tensor((2, 2), [1.5, 2.5, -0.5, 4.0]))
+    dev.write_tensor(b, Tensor((2, 2), [0.25, -3.0, 2.0, 1.0]))
+    dev.submit(AccelTask(AccelOp.MATMUL, a, (2, 2), b, (2, 2), out))
+    return dev.execute_next, lambda: dev.free(out), lambda: dev.read_tensor(dev.allocate(32), (2, 2)).tobytes()
+
+
 # Each builds a fresh (write, free, read a reallocation of the freed storage).
 WRITERS = {"BlockPool.write": _pool_write, "AccelDevice.write_tensor": _device_write,
-           "AccelDevice.execute_next": _device_output}
+           "AccelDevice.execute_next": _device_output, "AccelDevice.execute_next (matmul)": _device_product}
 
 
 @pytest.mark.parametrize("writer", sorted(WRITERS))

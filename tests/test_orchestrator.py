@@ -1,7 +1,5 @@
 import builtins
-import dataclasses
 import hashlib
-import inspect
 import json
 import math
 import pickle
@@ -1150,42 +1148,6 @@ class TestRequestRefusals:
         with pytest.raises(InvalidArgument, match="^InvalidArgument: node 3 does not support audio$"):
             _request(env, Node(3, {Modality.VISION}))
         assert _request(env, Node(3, {Modality.AUDIO})) == (Modality.AUDIO, "help")
-
-
-_RECORD_VALUES = {
-    MessageEnvelope: (7, 0, 3, b'{"modality": "vision", "tag": "x"}', QoS.REALTIME),
-    Checkpoint: (3, 2, b"{}"),
-}
-
-
-@pytest.mark.parametrize("cls", list(_RECORD_VALUES), ids=lambda cls: cls.__name__)
-class TestRecordInits:
-    """A record's hand-written __init__ builds what the generated one would."""
-
-    def test_parameters_are_the_fields(self, cls):
-        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-        assert [(p.name, p.default) for p in params] == [
-            (f.name, inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
-            for f in dataclasses.fields(cls)]
-
-    def test_an_instance_is_the_generated_one(self, cls):
-        values = _RECORD_VALUES[cls]
-        generated = object.__new__(cls)
-        for field, value in zip(dataclasses.fields(cls), values):
-            object.__setattr__(generated, field.name, value)
-        record = cls(*values)
-        assert record == generated and hash(record) == hash(generated) and repr(record) == repr(generated)
-        assert vars(record) == vars(generated)
-
-    def test_it_stays_frozen(self, cls):
-        record = cls(*_RECORD_VALUES[cls])
-        for field in dataclasses.fields(cls):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, field.name, 1)
-        first = dataclasses.fields(cls)[0].name
-        changed = dataclasses.replace(record, **{first: 99})
-        assert type(changed) is cls and changed != record and getattr(changed, first) == 99
-        assert dataclasses.replace(changed, **{first: getattr(record, first)}) == record
 
 
 _BUILTIN_SUM = builtins.sum
