@@ -2,13 +2,12 @@
 
 Device memory is a BlockPool of 8-byte blocks, one float64 each: a region is
 a pool handle, with the pool's first fit, reuse, zero-on-free and ticket
-rule. Tasks run one at a time, in submission order, on the host's kernels
-(a MATMUL on its operands read straight into floats, so only its product is
-a Tensor); equality with host results is the device's test oracle, since
-there is no real hardware behind it. Staging is zero-copy: one memcpy each
-way between a tensor's storage and a view of the pool's storage, and only a
-read allocates, the tensor it returns. allocate marks a region written, so
-staging bypasses BlockPool.write and free always zeroes.
+rule. Tasks run one at a time, in submission order, on the same naive
+tensor kernels as the host; equality with host results is the device's test
+oracle, since there is no real hardware behind it. Staging is zero-copy:
+one memcpy each way between a tensor's storage and a view of the pool's
+storage, and only a read allocates, the tensor it returns. allocate marks a
+region written, so staging bypasses BlockPool.write and free always zeroes.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from math import prod
 from .errors import InvalidArgument, check_count, check_type, shown
 from .mempool import BlockHandle, BlockPool, PoolConfig
 from .tensor import (
-    Tensor, _checked_shape, _entries, _load, _mac, _matmul_shape, _product, _rows_cols, _store, _sum_shape,
-    elementwise_sum, matmul_naive,  # not called here; kept importable, as benchmarks/ rebinds accel.matmul_naive
+    Tensor, _checked_shape, _load, _matmul_shape, _store, _sum_shape, elementwise_sum, matmul_naive,
 )
 
 DEVICE_BUFFER_BYTES = 1024 * 1024
@@ -126,16 +124,13 @@ class AccelDevice:
         live = self._pool._live
         if not (task.a in live and task.b in live and task.out in live):
             raise InvalidArgument(f"device task {task_id} names a region freed since its submit")
-        buffer = self._buffer
-        if task.op is _MATMUL:  # each operand read once into floats, cut once, on the one kernel
-            (m, k), n = a_shape, b_shape[1]
-            rows, cols = _rows_cols(_entries(buffer, 8 * task.a.first_block, m * k), k,
-                                    _entries(buffer, 8 * task.b.first_block, k * n), n)
-            result = _product([_mac(rows, cols)], (m, n))
+        a = _load(a_shape, self._buffer, 8 * task.a.first_block)
+        b = _load(b_shape, self._buffer, 8 * task.b.first_block)
+        if task.op is _ELEMWISE_SUM:
+            result = elementwise_sum(a, b)
         else:
-            result = elementwise_sum(_load(a_shape, buffer, 8 * task.a.first_block),
-                                     _load(b_shape, buffer, 8 * task.b.first_block))
-        _store(result, buffer, 8 * task.out.first_block)
+            result = matmul_naive(a, b)
+        _store(result, self._buffer, 8 * task.out.first_block)
         return task_id
 
     # Host staging helpers; execution itself never leaves the device buffer.

@@ -3,13 +3,14 @@
 A tensor packs its entries in an ``array('d')``, 8 bytes each, so
 ``tobytes``, ``frombytes`` and device staging (``_store``, ``_load``) copy
 bytes. Every matrix product (naive, blocked, parallel, the device's and the
-scheduler's) unboxes each operand once, the device's straight from its
-buffer (``_entries``), cuts A's rows and B's columns once (``_rows_cols``)
-and runs through ``_mac``, which walks k in slices of at most ``_WIDTH`` =
-64 entries. Each slice runs a straight-line kernel generated for its width
-w, compiled on first use and cached (``_kernel``): it unpacks the w row
-entries into locals and appends ``acc + r0 * c0 + r1 * c1 + ...`` for each
-column to one row-major list, acc being the literal 0.0 on the first slice.
+scheduler's) unboxes A's rows and B's columns once (``_operands``: the
+rows cut as tuples in C, the columns sliced from one ``tolist()``) and runs
+through ``_mac``, which walks k in slices of at most ``_WIDTH`` = 64 entries.
+Each slice runs a straight-line kernel generated for its width w, compiled
+on first use and cached (``_kernel``): it unpacks the w row entries into
+locals and appends ``acc + r0 * c0 + r1 * c1 + ...`` for each column to one
+row-major list, acc being the literal 0.0 on the first slice; ``_product``
+packs that list into the product's exact storage (``struct.pack_into``).
 Python evaluates ``+`` left to right and CPython never fuses a multiply with
 an add, so every element is ``((0.0 + a0*b0) + a1*b1) + ...`` in ascending
 k: the roundings of the loop ``acc += x * y`` it replaced, bit for bit on
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, prod
 from random import Random
+from struct import pack_into
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -223,24 +225,13 @@ def _store(tensor: Tensor, view: memoryview, offset: int) -> None:
 
 
 def _load(shape: tuple[int, ...], view: memoryview, offset: int) -> Tensor:
-    """The float64s at offset in a byte view as a tensor: one memcpy into exact storage (frombytes over-allocates)."""
+    """The package's one decoder: the float64s at offset in a byte view, one memcpy into exact storage."""
     values = _reserve(shape)
     memoryview(values).cast("B")[:] = view[offset : offset + 8 * len(values)]
     if _BYTEORDER != "little":
         values.byteswap()
     _require_finite(values)
     return Tensor._from_finite(shape, values)
-
-
-def _entries(view: memoryview, offset: int, count: int) -> list[float]:
-    """count float64s at offset in a byte view as floats, as _load reads them; the array is dropped once unboxed."""
-    values = array("d")
-    values.frombytes(view[offset : offset + 8 * count])
-    if _BYTEORDER != "little":
-        values.byteswap()
-    entries = values.tolist()
-    _require_finite(entries)
-    return entries
 
 
 def validate_matmul_shapes(a: Tensor, b: Tensor) -> None:
@@ -280,16 +271,16 @@ def elementwise_sum(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_finite(shape, out)
 
 
-def _rows_cols(a: list[float], k: int, b: list[float], n: int) -> tuple[list[tuple[float, ...]], list[list[float]]]:
-    """The one cut of every product's operands: A's rows of k entries, tuples cut in C, and B's columns."""
-    return list(zip(*[iter(a)] * k)), [b[j::n] for j in range(n)]
-
-
 def _operands(a: Tensor, b: Tensor) -> tuple[list[tuple[float, ...]], list[list[float]], tuple[int, int]]:
-    """The host products' prologue: the checked operands cut for _mac, and the product's shape."""
+    """Every product's prologue: the checked operands cut once for _mac, and the product's shape.
+
+    A's rows are tuples of k entries cut in C straight from its storage; B is
+    unboxed once (``tolist()``) and column j is every n-th entry from j.
+    """
     validate_matmul_shapes(a, b)
     k, n = b._shape
-    return *_rows_cols(a._data.tolist(), k, b._data.tolist(), n), (a._shape[0], n)
+    data = b._data.tolist()
+    return list(zip(*[iter(a._data)] * k)), [data[j::n] for j in range(n)], (a._shape[0], n)
 
 
 @lru_cache(maxsize=2 * _WIDTH)
@@ -341,12 +332,13 @@ def _mac(rows: list[tuple[float, ...]], cols: list[list[float]]) -> list[float]:
 
 def _product(parts: list[list[float]], shape: tuple[int, int]) -> Tensor:
     """The kernel's row-major output, in consecutive parts, as a tensor; Overflow if any entry is not finite."""
-    out = array("d", parts[0])  # exact
-    for part in parts[1:]:
-        out.fromlist(part)
+    out, offset = _reserve(shape), 0  # exact; packed in C, where array() converts entry by entry
+    for part in parts:
+        pack_into(f"{len(part)}d", out, offset, *part)
+        offset += 8 * len(part)
     if not isfinite(sum(map(sum, parts), 0.0)):  # _require_finite's test, by parts
         _require_finite(out, Overflow, "matmul overflowed the float64 range")
-    return Tensor._from_finite(shape, out if len(parts) == 1 else out[:])  # fromlist leaves spare room
+    return Tensor._from_finite(shape, out)
 
 
 def matmul_naive(a: Tensor, b: Tensor) -> Tensor:
