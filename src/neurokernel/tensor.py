@@ -29,23 +29,21 @@ dot product, 2.6-3.8 -> 4.2-5.8 ms, where per-slice overhead dominates.
 
 In one process, row bands are a driver, not a speed-up: naive and 32-row
 bands took 5.24 and 5.30 ms at n = 64, 42.5 and 42.3 ms at n = 128 (median
-of 25, 2 cores, Python 3.11.7). ``matmul_parallel`` runs them in worker
-processes, where the GIL does not serialize them: one ``ProcessPoolExecutor``
-of up to MAX_WORKERS processes on the ``forkserver`` start method, started on
-the first product of at least _POOL_MIN_MACS multiply-adds and kept for the
-life of the process; ``multiprocessing`` is imported only then. Each band
-and B's columns travel pickled as lists of floats, which round-trip
-exactly, and the workers run the same ``_mac``, so the bands are
-bit-identical to naive. The main module must be importable and its entry
-point guarded by ``if __name__ == "__main__":``, since each worker
-re-imports it; a main read from stdin cannot be, and breaks the pool (one
-KernelError).
+of 25, 2 cores, Python 3.11.7). ``matmul_parallel`` runs them in separate
+processes, where the GIL does not serialize them: the caller computes the
+last band, and worker_count - 1 ``forkserver`` worker processes the others,
+one band each over its own pipe (``_on_workers``). The first product to need
+a worker starts it, and later products reuse it. Bands and B's columns travel
+pickled as lists of floats, which round-trip exactly, and the workers run
+the same ``_mac``, so the bands are bit-identical to naive. Each worker
+re-imports the main module, which must be importable, its entry point
+guarded by ``if __name__ == "__main__":``; a main read from stdin is not, so
+its workers die at start (one KernelError).
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,7 +65,7 @@ _BYTEORDER = sys.byteorder  # of the array's native float64; tobytes() is little
 
 @dataclass(frozen=True)
 class MatmulConfig:
-    """Rows a band for matmul_blocked, and bands (one per worker process) for matmul_parallel."""
+    """Rows a band for matmul_blocked, and bands for matmul_parallel: one in the caller, one per other worker."""
 
     block_size: int = DEFAULT_BLOCK_SIZE
     worker_count: int = 4
@@ -359,83 +357,80 @@ def matmul_blocked(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> 
     return _product([_mac(band, cols) for band in _bands(rows, config.block_size)], shape)
 
 
-# Row bands go to worker processes from this many multiply-adds (m*k*n) on.
-# Squares with 2 workers against naive, median of 25 (2 cores, Python 3.11.7):
-# 0.63-1.13x at n = 48, 0.76-1.07x at n = 64, 1.06-1.35x at n = 72 and
-# 1.32-1.48x at n = 88; below the cutoff the round trip costs what it saves.
+# Row bands go to worker processes from this many multiply-adds (m*k*n) on, an
+# earlier process pool's break-even (0.63-1.13x at n = 48). Squares, 2 workers
+# against naive, median of 25 (2 cores, Python 3.11.7, second core free): 1.46-
+# 1.54x at n = 64, 1.48-1.57x at 72, 1.57-1.75x at 88 and 1.67-1.76x at 128.
 _POOL_MIN_MACS = 64 ** 3
-_pool = None  # the ProcessPoolExecutor, started on first use
+_workers: list = []  # (process, pipe) pairs, started on demand and kept until a failure
 
 
-def _close_pool() -> None:
-    """Shut the worker pool down, if there is one; the next call starts a fresh one.
+def _serve(pipe) -> None:
+    """A worker's loop: receive a band and B's columns, send back their _mac, until the pipe closes."""
+    while True:
+        try:
+            band, cols = pipe.recv()
+        except EOFError:  # the caller closed its end, or exited
+            return
+        pipe.send(_mac(band, cols))
 
-    If any worker has exited, every worker is terminated first: the dead one
-    may hold the call queue's lock, and shutdown() would wait for good on the
-    live ones blocked behind it.
+
+def _close_workers() -> None:
+    """Stop every worker; the next pooled call starts fresh ones, so no result left in a pipe is read."""
+    for process, pipe in _workers:
+        pipe.close()
+        process.kill()
+        process.join()
+    _workers.clear()
+
+
+def _on_workers(bands: list[list[tuple[float, ...]]], cols: list[list[float]]) -> list[list[float]]:
+    """``_mac`` of each band against cols, in band order: the last band here, each other in a worker process.
+
+    Every band is sent before this process runs its own and received after,
+    so no thread runs beside the caller. Workers start when a call first
+    needs them (``multiprocessing`` is imported only then) and serve later
+    calls. Any failure closes every worker: a worker's pipe that fails (the
+    worker died, or never started) is one KernelError, and any other
+    exception, the caller's own band's too, passes through.
     """
-    global _pool
-    if _pool is not None:
-        processes = tuple(_pool._processes.values())
-        if any(p.exitcode is not None for p in processes):
-            for p in processes:
-                p.terminate()
-        _pool.shutdown()
-        _pool = None
-
-
-@lru_cache(maxsize=None)
-def _close_at_exit() -> None:
-    """Close the pool at exit, once registered, after concurrent.futures is imported.
-
-    Threading's exit hooks run last registered first, so the pool closes
-    before concurrent.futures joins its executors, a join that a dead worker
-    would hang; and before module teardown, when an executor first collected
-    runs a callback whose globals are gone.
-    """
-    threading._register_atexit(_close_pool)
-
-
-def _on_pool(bands: list[list[tuple[float, ...]]], cols: list[list[float]]) -> list[list[float]]:
-    """``_mac`` of each band against cols in the persistent worker pool, in band order.
-
-    The pool starts on first use and lives until the interpreter exits. It
-    starts one of its MAX_WORKERS processes only when a band finds none idle
-    (on demand unless the start method is fork), so it holds at most one
-    more than the most bands a call has sent: one more if a worker's last
-    result reaches the caller before the worker counts as idle. A worker
-    that dies breaks the pool: the call raises one KernelError and the next
-    call starts a fresh pool. A worker found dead before the map breaks it
-    too: the executor's manager thread takes a death it sees together with
-    the submit's wake-up for the wake-up alone.
-    """
-    global _pool
     import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from pickle import dumps
 
-    if _pool is None:
+    *sent, last = bands
+    try:
         # forkserver forks each worker from a single-threaded server, never
         # from this process and its threads; the worker re-imports __main__.
-        _pool = ProcessPoolExecutor(MAX_WORKERS, mp_context=multiprocessing.get_context("forkserver"))
-        _close_at_exit()
-    try:
-        if any(p.exitcode is not None for p in _pool._processes.values()):
-            raise BrokenProcessPool("a worker process exited before the call")
-        return list(_pool.map(_mac, bands, [cols] * len(bands)))
-    except BrokenProcessPool as exc:
-        _close_pool()
-        raise KernelError(f"a matmul worker process died: {exc}") from exc
+        context = multiprocessing.get_context("forkserver")
+        while len(_workers) < len(sent):
+            pipe, theirs = context.Pipe()
+            # A daemon: multiprocessing's exit hook stops it when this process exits.
+            process = context.Process(target=_serve, args=(theirs,), daemon=True)
+            process.start()
+            theirs.close()  # held here too, a dead worker's pipe would not fail
+            _workers.append((process, pipe))
+        pipes = [pipe for _, pipe in _workers[: len(sent)]]
+        for band, pipe in zip(sent, pipes):
+            pipe.send_bytes(dumps((band, cols)))  # a failed send() would keep a BytesIO view GC cannot close
+        mine = _mac(last, cols)
+        return [pipe.recv() for pipe in pipes] + [mine]
+    except (EOFError, OSError) as exc:
+        _close_workers()
+        raise KernelError(f"a matmul worker process died: {exc!r}") from exc
+    except BaseException:
+        _close_workers()
+        raise
 
 
 def matmul_parallel(a: Tensor, b: Tensor, config: MatmulConfig | None = None) -> Tensor:
-    """The kernel over bands of ceil(m / worker_count) rows of a, one per worker process.
+    """The kernel over bands of ceil(m / worker_count) rows of a: the last here, each other in a worker process.
 
     Below _POOL_MIN_MACS, or with one band, the product runs in this process.
-    Callers get every band, in order, or one KernelError; never a partial
+    Callers get every band, in order, or one exception; never a partial
     result.
     """
     config = MatmulConfig() if config is None else check_type(config, MatmulConfig, "matmul config")
     rows, cols, shape = _operands(a, b)
     bands = _bands(rows, -(-len(rows) // config.worker_count))
     in_process = len(bands) == 1 or len(rows) * len(cols[0]) * len(cols) < _POOL_MIN_MACS
-    return _product([_mac(rows, cols)] if in_process else _on_pool(bands, cols), shape)
+    return _product([_mac(rows, cols)] if in_process else _on_workers(bands, cols), shape)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import neurokernel
+import neurokernel.cli as cli
 from neurokernel.cli import main
 from neurokernel.config import ENV_VAR, config_from, directives, parse_config
 from neurokernel.errors import InvalidArgument
@@ -66,6 +67,24 @@ class TestMatmulBench:
         checksums2 = [line.split(",")[-1] for line in out2.strip().splitlines()[1:]]
         assert checksums1 == checksums2
         assert len(set(checksums1)) == 1  # all variants agree on the result
+
+    def test_each_variant_runs_once_untimed_before_its_trials(self, capsys, monkeypatch):
+        # The first product may pay one-time costs, such as starting matmul_parallel's workers.
+        events = []
+
+        def recorded(name, call):
+            def run(*args):
+                events.append(name)
+                return call(*args)
+            return run
+
+        variants = ("matmul_naive", "matmul_blocked", "matmul_parallel")
+        for name in variants:
+            monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+        monkeypatch.setattr(cli.time, "perf_counter_ns", recorded("clock", cli.time.perf_counter_ns))
+        code, _, _ = run(capsys, "matmul-bench", "--n", "4", "--trials", "2")
+        assert code == 0
+        assert events == [event for name in variants for event in [name] + ["clock", name, "clock"] * 2]
 
     @pytest.mark.parametrize("flag, value", [("--block", "0"), ("--workers", "9")])
     def test_invalid_config_fails_before_any_output(self, capsys, flag, value):

@@ -1,14 +1,12 @@
-import inspect
-import multiprocessing.connection
 import os
 import signal
 import struct
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from array import array
-from concurrent.futures.process import BrokenProcessPool
 from decimal import Decimal
 from fractions import Fraction
 from math import copysign, prod
@@ -326,49 +324,22 @@ def test_a_tensor_stores_8_bytes_an_entry(make):
     assert grown <= 8 * n * n + (16 << 10), grown
 
 
-def _manager_wait(real_wait, missed):
-    """connection.wait as CPython's executor manager thread misreads it.
-
-    The manager takes a wait that returns the submit's wake-up and a dead
-    worker's sentinel together for a wake-up alone; the live workers then
-    compute the product, or block for good on the call queue's lock if the
-    dead worker held it. This wait always comes out that way for the
-    manager: it returns on a result or a wake-up, with whatever worker
-    sentinels are ready by then. A death that only the manager could find,
-    after 10 s, is appended to ``missed`` and handed over, so a miss fails a
-    test instead of hanging it.
-    """
-    def wait(objects, timeout=None):
-        sentinels = [o for o in objects if isinstance(o, int)]
-        readers = [o for o in objects if not isinstance(o, int)]
-        if not (sentinels and readers):  # not the manager's wait
-            return real_wait(objects, timeout)
-        while True:
-            ready = real_wait(readers, 10)
-            dead = real_wait(sentinels, 0)
-            if ready or dead:
-                missed.extend(() if ready else dead)
-                return ready + dead
-
-    return wait
-
-
 @pytest.fixture
 def pool_calls(monkeypatch):
-    """(band count, band heights) of each product sent to the worker pool."""
+    """(band count, band heights) of each product split between the caller and worker processes."""
     calls = []
-    on_pool = tensor._on_pool
+    on_workers = tensor._on_workers
 
     def spy(bands, cols):
         calls.append((len(bands), [len(band) for band in bands]))
-        return on_pool(bands, cols)
+        return on_workers(bands, cols)
 
-    monkeypatch.setattr(tensor, "_on_pool", spy)
+    monkeypatch.setattr(tensor, "_on_workers", spy)
     return calls
 
 
 class TestProcessPool:
-    """matmul_parallel from _POOL_MIN_MACS multiply-adds on: bands in worker processes."""
+    """matmul_parallel from _POOL_MIN_MACS multiply-adds on: the last band in the caller, the others in workers."""
 
     # ceil(70 / workers) rows a band, the last band shorter.
     @pytest.mark.parametrize("workers, heights", [
@@ -392,117 +363,103 @@ class TestProcessPool:
 
     def test_overflow_only_in_a_worker_band(self, pool_calls):
         rows = Tensor.random((70, 70), Random(13)).rows()
-        rows[-1] = [1e300] * 70
+        rows[0] = [1e300] * 70  # in the first band, which a worker computes
         a, b = Tensor((70, 70), sum(rows, [])), Tensor((70, 70), [1e10] * 4900)
-        matmul_naive(Tensor((35, 70), sum(rows[:35], [])), b)  # the first band is finite
+        matmul_naive(Tensor((35, 70), sum(rows[35:], [])), b)  # the caller's band is finite
         with pytest.raises(Overflow):
             matmul_parallel(a, b, MatmulConfig(worker_count=2))
         assert pool_calls == [(2, [35, 35])]
 
-    def test_a_killed_worker_is_one_kernel_error_then_a_fresh_pool(self):
-        rng = Random(14)
+    @staticmethod
+    def _squares(seed):
+        rng = Random(seed)
         a, b = Tensor.random((64, 64), rng), Tensor.random((64, 64), rng)
+        return a, b, matmul_naive(a, b).tobytes()
+
+    def test_a_killed_idle_worker_is_one_kernel_error_then_fresh_workers(self):
+        a, b, expected = self._squares(14)
         config = MatmulConfig(worker_count=2)
-        expected = matmul_naive(a, b).tobytes()
         assert matmul_parallel(a, b, config).tobytes() == expected
-        pool = tensor._pool
-        victim = next(iter(pool._processes.values()))
+        victim = tensor._workers[0][0]
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(10)
         assert not victim.is_alive()
         with pytest.raises(KernelError) as caught:
             matmul_parallel(a, b, config)
         assert type(caught.value) is KernelError
-        assert isinstance(caught.value.__cause__, BrokenProcessPool)
+        assert isinstance(caught.value.__cause__, (EOFError, OSError))
         assert matmul_parallel(a, b, config).tobytes() == expected
-        assert tensor._pool is not pool
+        assert tensor._workers[0][0] is not victim
 
-    def test_a_death_seen_only_with_the_wake_up_is_still_one_kernel_error(self, monkeypatch):
-        missed = []
-        monkeypatch.setattr(multiprocessing.connection, "wait",
-                            _manager_wait(multiprocessing.connection.wait, missed))
-        tensor._close_pool()  # a pool whose manager waits through the patch
-        self.test_a_killed_worker_is_one_kernel_error_then_a_fresh_pool()
-        assert not missed
+    def test_an_error_in_the_callers_own_band_passes_through_and_closes_every_worker(self, monkeypatch):
+        class OwnBandFailed(Exception):
+            pass
 
-    @pytest.mark.parametrize("then", ["grow", "exit"])
-    def test_closing_a_pool_with_a_dead_worker_does_not_hang(self, tmp_path, then):
-        # Of two idle workers, one blocks reading the call queue while holding
-        # its lock and the other waits for the lock. The reader is killed
-        # (found by its wait channel where /proc shows it, else the first
-        # worker is), the manager misses the death, and then a call asks for
-        # more workers than the pool ran, or the interpreter exits. The call
-        # finds the dead worker first: one KernelError, then a fresh pool.
-        script = tmp_path / "dead_worker.py"
-        script.write_text(inspect.getsource(_manager_wait) + textwrap.dedent("""
-            import multiprocessing.connection, os, signal, sys, time
-            from random import Random
-            from neurokernel import tensor
-            from neurokernel.errors import KernelError
-            from neurokernel.tensor import MatmulConfig, Tensor, matmul_naive, matmul_parallel
+        def failing_mac(rows, cols):
+            raise OwnBandFailed
 
-            def reader(processes):
-                deadline = time.monotonic() + 5
-                while time.monotonic() < deadline:
-                    for p in processes:
-                        try:
-                            with open(f"/proc/{p.pid}/wchan") as f:
-                                if "pipe" in f.read():
-                                    return p
-                        except OSError:
-                            pass
-                    time.sleep(0.01)
-                return processes[0]
+        a, b, expected = self._squares(16)
+        config = MatmulConfig(worker_count=3)
+        assert matmul_parallel(a, b, config).tobytes() == expected
+        workers = [process for process, _ in tensor._workers]
+        assert len(workers) == 2
+        monkeypatch.setattr(tensor, "_mac", failing_mac)  # this process only; the workers run their own
+        with pytest.raises(OwnBandFailed):
+            matmul_parallel(a, b, config)
+        monkeypatch.undo()
+        assert tensor._workers == []
+        assert not any(process.is_alive() for process in workers)
+        assert matmul_parallel(a, b, config).tobytes() == expected
 
-            if __name__ == "__main__":
-                missed = []
-                multiprocessing.connection.wait = _manager_wait(multiprocessing.connection.wait, missed)
-                a = Tensor.random((64, 64), Random(0))
-                matmul_parallel(a, a, MatmulConfig(worker_count=2))
-                victim = reader(list(tensor._pool._processes.values()))
-                os.kill(victim.pid, signal.SIGKILL)
-                victim.join(10)
-                if sys.argv[1] == "grow":
-                    try:
-                        matmul_parallel(a, a, MatmulConfig(worker_count=3))
-                    except KernelError as exc:
-                        print(type(exc).__name__)
-                    got = matmul_parallel(a, a, MatmulConfig(worker_count=3))
-                    print(got.tobytes() == matmul_naive(a, a).tobytes(), missed)
-        """))
-        proc = _run_python([str(script), then], timeout=30)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == ("KernelError\nTrue []\n" if then == "grow" else "")
-
-    def test_a_main_read_from_stdin_breaks_the_pool_as_one_kernel_error(self):
-        # Workers re-import __main__, and "<stdin>" cannot be re-read.
+    def test_a_main_read_from_stdin_is_one_kernel_error(self):
+        # Workers re-import __main__, and "<stdin>" cannot be re-read: each dies at start.
         script = textwrap.dedent("""
             from random import Random
+            from neurokernel import tensor
             from neurokernel.errors import KernelError
             from neurokernel.tensor import MatmulConfig, Tensor, matmul_parallel
             a = Tensor.random((64, 64), Random(0))
             try:
                 matmul_parallel(a, a, MatmulConfig(worker_count=2))
             except KernelError as exc:
-                print(type(exc).__name__, type(exc.__cause__).__name__)
+                print(type(exc).__name__, isinstance(exc.__cause__, (EOFError, OSError)), tensor._workers)
         """)
         proc = _run_python(["-"], timeout=60, input=script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "KernelError BrokenProcessPool\n"
+        assert proc.stdout == "KernelError True []\n"
 
-    def test_workers_start_on_demand_and_never_past_the_most_asked_for(self):
-        rng = Random(15)
-        a, b = Tensor.random((64, 64), rng), Tensor.random((64, 64), rng)
-        expected = matmul_naive(a, b).tobytes()
-        tensor._close_pool()
+    def test_workers_start_on_demand_and_stay(self):
+        a, b, expected = self._squares(15)
+        tensor._close_workers()
         held = []
         for workers in (2, 8, 2):
             assert matmul_parallel(a, b, MatmulConfig(worker_count=workers)).tobytes() == expected
-            held.append(len(tensor._pool._processes))
-        # A band starts a worker only if none is idle: the first product starts
-        # its 2; the 8 bands start more, fewer than 8 if early bands finish
-        # before the last are sent; the last product finds idle workers.
-        assert held[0] == 2 and 2 < held[1] <= 8 and held[2] == held[1]
+            held.append(len(tensor._workers))
+        assert held == [1, 7, 7]  # one band a call runs in the caller
+
+    def test_a_pooled_product_leaves_no_thread_running(self):
+        a, b, expected = self._squares(17)
+        tensor._close_workers()  # the product starts its workers
+        before = threading.active_count()
+        assert matmul_parallel(a, b, MatmulConfig(worker_count=4)).tobytes() == expected
+        assert threading.active_count() == before
+
+    def test_no_worker_outlives_its_interpreter(self):
+        code = textwrap.dedent("""
+            from random import Random
+            from neurokernel import tensor
+            from neurokernel.tensor import MatmulConfig, Tensor, matmul_parallel
+            a = Tensor.random((64, 64), Random(0))
+            matmul_parallel(a, a, MatmulConfig(worker_count=3))
+            print(*(process.pid for process, _ in tensor._workers))
+        """)
+        proc = _run_python(["-c", code], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_the_pool_does_not_hold_up_interpreter_exit(self):
         proc = _run_python(["-m", "neurokernel.cli", "matmul-bench", "--n", "96",
