@@ -127,10 +127,6 @@ class Node:
                 self._load = load
             raise
 
-    def predicted_load(self) -> float:
-        """0.5*cpu + 0.3*mem + 0.2*io over 3-sample moving averages; 0 with no sample."""
-        return self._load
-
     def _enqueue(self, env: MessageEnvelope) -> None:
         (self._inbox_rt if env.qos is _REALTIME else self._inbox_bulk).append(env)
 
@@ -139,10 +135,6 @@ class Node:
         self._inbox_rt.clear()
         self._inbox_bulk.clear()
         return pending
-
-    @property
-    def pending(self) -> int:
-        return len(self._inbox_rt) + len(self._inbox_bulk)
 
     def _record(self, modality: Modality, tick: int, tag: str) -> str:
         """Label tag with the modality's stub at tick, keep it as the modality's latest; the label."""

@@ -5,9 +5,13 @@ Scenario grammar (one directive per line, '#' starts a comment):
     node <id> <modality[,modality...]>
     input <tick> <modality> <tag>
     kill <tick> <node-id>
+    revive <tick> <node-id>
 
-A kill at tick t silences the node before it would beat at t, so its last
-heartbeat is tick t-1. Node metrics are synthetic per-tick samples drawn
+A tick is an int from 1, the first tick run; a tick after the run's last is
+allowed and never happens. A kill at tick t silences the node before it
+would beat at t, so its last heartbeat is tick t-1. A revive at t, after t's
+kills, lets a silenced node beat again from t: a Suspect node turns Alive, a
+Failed one stays Failed. Node metrics are synthetic per-tick samples drawn
 from the run seed, which is what makes the balancer exercise different
 choices across seeds while staying reproducible for a fixed one.
 """
@@ -42,6 +46,15 @@ class Scenario:
     nodes: list[tuple[int, frozenset[Modality]]] = field(default_factory=list)
     inputs: list[tuple[int, Modality, str]] = field(default_factory=list)
     kills: list[tuple[int, int]] = field(default_factory=list)
+    revives: list[tuple[int, int]] = field(default_factory=list)
+
+
+def _tick(text: str) -> int:
+    """A directive's tick: an int from 1; a ValueError names any other."""
+    tick = int(text)
+    if tick < 1:
+        raise ValueError(f"tick {tick} is before the first tick, 1")
+    return tick
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -53,9 +66,11 @@ def parse_scenario(text: str) -> Scenario:
                 modalities = frozenset(Modality(m) for m in parts[2].split(","))
                 scenario.nodes.append((int(parts[1]), modalities))
             elif parts[0] == "input" and len(parts) == 4:
-                scenario.inputs.append((int(parts[1]), Modality(parts[2]), parts[3]))
+                scenario.inputs.append((_tick(parts[1]), Modality(parts[2]), parts[3]))
             elif parts[0] == "kill" and len(parts) == 3:
-                scenario.kills.append((int(parts[1]), int(parts[2])))
+                scenario.kills.append((_tick(parts[1]), int(parts[2])))
+            elif parts[0] == "revive" and len(parts) == 3:
+                scenario.revives.append((_tick(parts[1]), int(parts[2])))
             else:
                 raise ValueError(f"unrecognized directive {shown(parts[0])}")
         except ValueError as exc:
@@ -87,14 +102,15 @@ def run_scenario(
     inputs_by_tick: dict[int, list[tuple[Modality, str]]] = {}
     for tick, modality, tag in scenario.inputs:
         inputs_by_tick.setdefault(tick, []).append((modality, tag))
-    kills_by_tick: dict[int, list[int]] = {}
-    for tick, node_id in scenario.kills:
-        kills_by_tick.setdefault(tick, []).append(node_id)
+    switches_by_tick: dict[int, list[tuple[str, int]]] = {}  # a tick's kills, then its revives
+    for kind, switches in (("kill", scenario.kills), ("revive", scenario.revives)):
+        for tick, node_id in switches:
+            switches_by_tick.setdefault(tick, []).append((kind, node_id))
 
     for tick in range(1, ticks + 1):
-        for node_id in kills_by_tick.get(tick, ()):
-            cluster.silence(node_id)
-            events.append((tick, "kill", f"node={node_id}"))
+        for kind, node_id in switches_by_tick.get(tick, ()):
+            (cluster.silence if kind == "kill" else cluster.unsilence)(node_id)
+            events.append((tick, kind, f"node={node_id}"))
         cluster.heartbeat_tick()
         for node in cluster.nodes.values():
             if node.liveness is not _FAILED and not node.silenced:

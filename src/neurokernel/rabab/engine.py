@@ -42,12 +42,6 @@ class KnowledgeGraph:
     def __init__(self):
         self._edges: dict[tuple[str, str], float] = {}
 
-    def __len__(self) -> int:
-        return len(self._edges)
-
-    def weight(self, subject: str, obj: str) -> float:
-        return self._edges.get(_edge(subject, obj), 0.0)
-
     def evolve(self, subject: str, obj: str, target: float) -> float:
         """Move the edge weight one smoothing step toward the target.
 

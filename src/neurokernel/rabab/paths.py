@@ -76,22 +76,8 @@ class Framebuffer:
         except (MemoryError, OverflowError):
             raise OutOfMemory(f"host cannot hold a {shown(width)}x{shown(height)} framebuffer") from None
 
-    def get(self, x: int, y: int) -> Color:
-        self._check_bounds(x, y)
-        return self._pixels[y * self.width + x]
-
-    def _check_bounds(self, x: int, y: int) -> None:
-        """Refuse a pixel outside the grid, or coordinates that are not ints."""
-        if type(x) is not int or type(y) is not int or not (0 <= x < self.width and 0 <= y < self.height):
-            raise InvalidArgument(
-                f"pixel ({shown(x)}, {shown(y)}) outside {self.width}x{self.height} framebuffer"
-            )
-
     def _set(self, x: int, y: int, color: Color) -> None:
         self._pixels[y * self.width + x] = color
-
-    def pixels(self) -> list[Color]:
-        return list(self._pixels)
 
     def to_ppm(self) -> str:
         """Plain-text PPM (P3) rendering of the framebuffer."""

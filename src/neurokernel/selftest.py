@@ -33,7 +33,7 @@ from .orchestrator.envelope import MessageEnvelope, QoS, decode, encode
 from .orchestrator.fusion import Modality
 from .orchestrator.runner import DEMO_SCENARIO, parse_scenario, run_scenario
 from .rabab.engine import RababEngine, cosine_similarity
-from .rabab.paths import DrawPixel, Identity, Translate, canonicalize_path
+from .rabab.paths import DrawPixel, Identity, Translate, canonicalize_path, paths_equivalent
 from .scheduler import MlScheduler, MlTask, SchedulerConfig, TaskState, cycles_work, matmul_work
 from .tensor import MatmulConfig, Tensor, matmul_blocked, matmul_naive, matmul_parallel
 
@@ -563,7 +563,7 @@ def _effect_signature(path, width: int = 8, height: int = 8):
 
 def _check_canonicalization() -> str:
     by_form: dict = {}
-    by_sig: dict = {}
+    by_sig: dict = {}  # one representative path per effect
     total = 0
     for length in range(5):
         for path in itertools.product(_PATH_ALPHABET, repeat=length):
@@ -583,9 +583,10 @@ def _check_canonicalization() -> str:
             else:
                 by_form[form] = sig
             if sig in by_sig:
-                _require(by_sig[sig] == form, f"same effect, different form: {path!r}")
+                _require(paths_equivalent(path, by_sig[sig], width=8, height=8),
+                         f"same effect, not equivalent: {path!r}")
             else:
-                by_sig[sig] = form
+                by_sig[sig] = path
     return f"canonicalization agrees with the effect oracle on {total} paths"
 
 

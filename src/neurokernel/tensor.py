@@ -1,11 +1,11 @@
 """Dense rank-1/rank-2 float64 tensors and the one matrix kernel over them.
 
 A tensor packs its entries in an ``array('d')``, 8 bytes each, so
-``tobytes``, ``frombytes`` and device staging (``_store``, ``_load``) copy
-bytes. Every matrix product (naive, blocked, parallel, the device's and the
-scheduler's) unboxes A's rows and B's columns once (``_operands``: the
-rows cut as tuples in C, the columns sliced from one ``tolist()``) and runs
-through ``_mac``, which walks k in slices of at most ``_WIDTH`` = 64 entries.
+``tobytes`` and device staging (``_store``, ``_load``) copy bytes. Every
+matrix product (naive, blocked, parallel, the device's and the scheduler's)
+unboxes A's rows and B's columns once (``_operands``: the rows cut as tuples
+in C, the columns sliced from one ``tolist()``) and runs through ``_mac``,
+which walks k in slices of at most ``_WIDTH`` = 64 entries.
 Each slice runs a straight-line kernel generated for its width w, compiled
 on first use and cached (``_kernel``): it unpacks the w row entries into
 locals and appends ``acc + r0 * c0 + r1 * c1 + ...`` for each column to one
@@ -140,36 +140,12 @@ class Tensor:
         _require_finite(data)
         return cls._from_finite(shape, data)
 
-    @classmethod
-    def frombytes(cls, shape: Sequence[int], raw: bytes | memoryview) -> "Tensor":
-        """Decode a tobytes() buffer held in any contiguous buffer (bytes, a memoryview, ...), checked once."""
-        shape = _checked_shape(shape)
-        try:  # not a buffer, or a released, strided or non-native-format view: not readable as bytes
-            view = memoryview(raw).cast("B")
-        except (TypeError, ValueError):
-            raise InvalidArgument(f"tensor bytes must be one contiguous buffer, got {type(raw).__name__}") from None
-        with view:
-            if view.nbytes != 8 * prod(shape):
-                raise InvalidArgument(f"shape {shown(shape)} needs {8 * prod(shape)} bytes, got {len(view)}")
-            return _load(shape, view, 0)
-
     def tobytes(self) -> bytes:
-        """Little-endian float64 buffer; equality of buffers is bit equality."""
+        """Little-endian float64 buffer; equality of buffers is bit equality, the one tensor equality."""
         return _little_endian(self._data).tobytes()
 
     def tolist(self) -> list[float]:
         return self._data.tolist()
-
-    def rows(self) -> list[list[float]]:
-        data, n = self._data.tolist(), self._shape[-1]
-        return [data[i : i + n] for i in range(0, len(data), n)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self._shape == other._shape and self._data == other._data
-
-    __hash__ = None  # mutable-looking value type; not hashable
 
     def __repr__(self) -> str:
         shape = "x".join(str(d) for d in self._shape)

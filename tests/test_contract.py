@@ -22,7 +22,13 @@ accel.matmul_naive, the name a profiler rebinds).
 A public name is a function or class defined in a module of the package
 whose name does not start with "_", and each public method of such a class.
 test_every_public_callable_has_a_row fails on one without a row; EXEMPT
-names the only exceptions, each with its reason.
+names the only exceptions, each with its reason. A row shows a callable
+keeps the contract, not that the program needs it:
+test_every_package_function_is_entered_by_a_golden_run runs every
+test_golden case in this process under sys.setprofile, and fails on any
+function defined at module or class level in the package (private ones and
+hand-written dunders too) that none enters, unless UNCALLED names it with
+the path that does.
 """
 
 from __future__ import annotations
@@ -31,9 +37,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import io
 import pkgutil
 import sys
-from array import array
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from enum import Enum
 from functools import partial
@@ -43,7 +50,9 @@ import pytest
 
 import neurokernel
 import neurokernel.errors
+import test_golden
 from neurokernel.accel import AccelDevice, AccelOp, AccelTask
+from neurokernel.cli import main
 from neurokernel.compute import Opcode, simple_compute
 from neurokernel.config import config_from, directives, parse_config, read_text, resolve_config
 from neurokernel.errors import InvalidArgument, KernelError, OutOfMemory, check_count, check_type, shown
@@ -175,10 +184,10 @@ class World:
             self.dev.read_tensor(self.region, (1,)).tobytes(),
             bytes(self.dev._pool._bitmap), self.dev._pool.allocated_blocks, self.dev._pool.live_handles,
             tuple(self.dev._pool._live.values()), len(self.dev._queue),
-            cluster.tick, [(n.snapshot(), n.pending, n.liveness, n.silenced) for n in cluster.nodes.values()],
+            cluster.tick, [(n.snapshot(), tuple(n._inbox_rt), tuple(n._inbox_bulk), n.liveness, n.silenced)
+                           for n in cluster.nodes.values()],
             self.engine.leaked_resources(), (self.pred.alpha, self.pred.beta),
-            len(self.graph), self.graph.weight("a", "b"),
-            self.fb.pixels(),
+            dict(self.graph._edges), list(self.fb._pixels),
         )
 
 
@@ -203,10 +212,8 @@ CALLS = {
     "tensor.Tensor.vector": lambda w: call(Tensor.vector, [1.0]),
     "tensor.Tensor.identity": lambda w: call(Tensor.identity, 2),
     "tensor.Tensor.random": lambda w: call(Tensor.random, (2,), Random(1)),
-    "tensor.Tensor.frombytes": lambda w: call(Tensor.frombytes, (1,), bytes(8)),
     "tensor.Tensor.tobytes": lambda w: call(w.t.tobytes),
     "tensor.Tensor.tolist": lambda w: call(w.t.tolist),
-    "tensor.Tensor.rows": lambda w: call(w.t.rows),
     "tensor.validate_matmul_shapes": lambda w: call(validate_matmul_shapes, w.t, w.t),
     "tensor.elementwise_sum": lambda w: call(elementwise_sum, w.t, w.t),
     "tensor.matmul_naive": lambda w: call(matmul_naive, w.t, w.t),
@@ -250,7 +257,6 @@ CALLS = {
     "orchestrator.cluster.Checkpoint": lambda w: call(Checkpoint, 1, 1, b"{}"),
     "orchestrator.cluster.Node": lambda w: call(Node, 3, {V}),
     "orchestrator.cluster.Node.push_metrics": lambda w: call(w.node.push_metrics, 0.1, 0.2, 0.3),
-    "orchestrator.cluster.Node.predicted_load": lambda w: call(w.node.predicted_load),
     "orchestrator.cluster.Node.drain_inbox": lambda w: call(w.node.drain_inbox),
     "orchestrator.cluster.Node.snapshot": lambda w: call(w.node.snapshot),
     "orchestrator.cluster.Node.from_snapshot": lambda w: call(Node.from_snapshot, w.chk.snapshot, 1, 1, 1),
@@ -273,7 +279,6 @@ CALLS = {
     "orchestrator.runner.run_scenario": lambda w: call(run_scenario, w.scenario, 3, seed=0, timeout_ticks=3),
     "rabab.engine.Predicate": lambda w: call(Predicate, "p", bool),
     "rabab.engine.KnowledgeGraph": lambda w: call(KnowledgeGraph),
-    "rabab.engine.KnowledgeGraph.weight": lambda w: call(w.graph.weight, "a", "b"),
     "rabab.engine.KnowledgeGraph.evolve": lambda w: call(w.graph.evolve, "a", "c", 0.5),
     "rabab.engine.embed": lambda w: call(embed, b"x"),
     "rabab.engine.cosine_similarity": lambda w: call(cosine_similarity, [1.0, 0.0], [1.0, 1.0]),
@@ -288,8 +293,6 @@ CALLS = {
     "rabab.paths.Translate": lambda w: call(Translate, 1, 0),
     "rabab.paths.DrawPixel": lambda w: call(DrawPixel, 1, 1, RED),
     "rabab.paths.Framebuffer": lambda w: call(Framebuffer, 8, 8),
-    "rabab.paths.Framebuffer.get": lambda w: call(w.fb.get, 1, 1),
-    "rabab.paths.Framebuffer.pixels": lambda w: call(w.fb.pixels),
     "rabab.paths.Framebuffer.to_ppm": lambda w: call(w.fb.to_ppm),
     "rabab.paths.interpret_intent": lambda w: call(interpret_intent, DrawPixel(1, 1, RED), w.fb),
     "rabab.paths.parse_intent": lambda w: call(parse_intent, "pixel:1,2,#FF0000"),
@@ -362,6 +365,70 @@ def test_only_exception_classes_and_enums_are_exempt_by_name():
         assert issubclass(public[name], (KernelError, Enum)), (name, reason)
 
 
+# Package functions no golden run enters, each with the path that does.
+UNCALLED = {
+    "cli.entrypoint": "the installed console script: CI's Selftest step runs it",
+    "config.parse_config": "a --config file or NEUROKERNEL_CONFIG: test_cli runs both",
+    "errors.TaskFault.__init__": "a task whose slice faults in batch_execute: test_scheduler runs several",
+    "mempool.BlockPool.live_handles": "the jobs benchmark's leak check (benchmarks/nkbench/jobs.py)",
+    "tensor._serve": "a matmul worker's loop: it runs in the worker process, which the profile does not see",
+    "tensor._close_workers": "a pooled product's failure path: TestProcessPool kills a worker",
+    "tensor.Tensor.__repr__": "pytest's assertion messages show a tensor through it",
+    "scheduler.MlTask.__repr__": "pytest's assertion messages show a task through it",
+}
+
+
+def _package_functions():
+    """(name, code) of each function defined at module or class level in the package's files.
+
+    Private ones and hand-written dunders too, named as in CALLS; a property is
+    its getter, a cached function the one it wraps. Dataclass-generated
+    methods are left out: their code is not in the package's files.
+    """
+    for info in pkgutil.walk_packages(neurokernel.__path__, "neurokernel."):
+        module = importlib.import_module(info.name)
+        prefix = info.name.removeprefix("neurokernel.")
+        for name, obj in vars(module).items():
+            members = [(f"{prefix}.{name}", obj)]
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                members += [(f"{prefix}.{name}.{attr}", member) for attr, member in vars(obj).items()]
+            for qualified, member in members:
+                fn = member.fget if isinstance(member, property) else member
+                fn = inspect.unwrap(getattr(fn, "__func__", fn))  # a classmethod's, or an lru_cache's
+                if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
+                    yield qualified, fn.__code__
+
+
+def _entered_by_the_golden_runs(tmp_path) -> set:
+    """The code objects entered while every test_golden case runs in this process."""
+    runs = [(test_golden.case_argv(case, tmp_path), code) for case, (*_, code) in test_golden.CASES.items()]
+    runs += [(argv, 0) for argv, _keep, _budget in test_golden.TIMED.values()]
+    entered = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    neurokernel.tensor._kernel.cache_clear()  # a warm cache would not enter the function it wraps
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        sys.setprofile(profile)
+        try:
+            codes = [main(argv) for argv, _code in runs]
+        finally:
+            sys.setprofile(None)
+    assert codes == [code for _argv, code in runs]
+    return entered
+
+
+def test_every_package_function_is_entered_by_a_golden_run(tmp_path):
+    functions = dict(_package_functions())
+    entered = _entered_by_the_golden_runs(tmp_path)
+    never = sorted(name for name, code in functions.items() if code not in entered and name not in UNCALLED)
+    assert never == [], f"package functions no program path enters: {never}"
+    stale = sorted(name for name in UNCALLED if name not in functions or functions[name] in entered)
+    assert stale == [], f"UNCALLED entries that name nothing, or a function a golden run enters: {stale}"
+
+
 KERNEL_ERRORS = sorted((obj for obj in vars(neurokernel.errors).values()
                         if inspect.isclass(obj) and issubclass(obj, KernelError)), key=lambda cls: cls.__name__)
 
@@ -405,7 +472,6 @@ RETURNS = {
     "tensor.MatmulConfig": {0: (HUGE,)},
     "tensor.Tensor.vector": {0: (b"x", [1])},  # bytes are a sequence of ints
     "tensor.Tensor.random": {0: (b"x", [1])},  # a shape is any sequence of ints
-    "tensor.Tensor.frombytes": {0: ([1],)},
     "tensor.matmul_blocked": {2: (None,)},  # None: the default config
     "tensor.matmul_parallel": {2: (None,)},
     "mempool.PoolConfig": {0: (HUGE,)},  # BlockPool refuses it with OutOfMemory
@@ -435,13 +501,11 @@ RETURNS = {
     # A restore reads the checkpoint's node id and snapshot; seq only orders replicas.
     "orchestrator.cluster.Cluster.restore_node": {(0, "seq"): EVERY, 1: (None,)},
     "orchestrator.runner.run_scenario": {"seed": (HUGE, 0, -1), "timeout_ticks": (HUGE,)},  # any int seeds
-    "rabab.engine.KnowledgeGraph.weight": {0: ("x",), 1: ("x",)},
     "rabab.engine.KnowledgeGraph.evolve": {0: ("x",), 1: ("x",), 2: (1.0, 0)},  # a target in [0, 1]
     "rabab.engine.embed": {0: (b"x",)},
     "rabab.engine.RababEngine.register_predicate": {0: ("x",)},
     "rabab.engine.RababEngine.evolve_predicate": {1: EVERY, 2: (True,)},  # the value goes to the rule
     "rabab.engine.RababEngine.allocate_linear": {0: EVERY},  # a payload is anything
-    "rabab.paths.Framebuffer.get": {0: (0,), 1: (0,)},  # pixel 0 is in the frame
     "rabab.paths.interpret_intent": {(0, "x"): (0,), (0, "y"): (0,)},
     # An empty collection is the empty path; a size draws nothing.
     "rabab.paths.apply_path": {0: ({},)},
@@ -610,8 +674,6 @@ REFUSED = {
     "entry-none": lambda w: Tensor((1,), [None]),
     "entry-complex": lambda w: Tensor((1,), [1j]),
     "entry-signalling-nan": lambda w: Tensor((1,), [Decimal("sNaN")]),
-    "bytes-of-two-byte-items": lambda w: Tensor.frombytes((1,), memoryview(array("H", [0] * 8))),
-    "bytes-strided": lambda w: Tensor.frombytes((1,), memoryview(bytes(16))[::2]),
     "read-str-shape": lambda w: w.dev.read_tensor(w.region, ("1",)),
     "submit-str-shape": lambda w: w.dev.submit(
         AccelTask(AccelOp.ELEMWISE_SUM, w.region, ("a", 1), w.region, ("a", 1), w.region)),
@@ -776,10 +838,9 @@ def test_a_device_product_runs_once_through_accel_matmul_naive_and_cuts_each_ope
     operands = []
     monkeypatch.setattr(neurokernel.accel, "matmul_naive", lambda x, y: operands.append((x, y)) or matmul_naive(x, y))
     codes = _calls(dev.execute_next)
-    assert operands == [(a, b)]
+    assert [(x.tobytes(), y.tobytes()) for x, y in operands] == [(a.tobytes(), b.tobytes())]
     assert codes.count(matmul_naive.__code__) == codes.count(validate_matmul_shapes.__code__) == 1
-    assert Tensor.rows.__code__ not in codes
-    assert dev.read_tensor(rout, (3, 2)) == matmul_naive(a, b)
+    assert dev.read_tensor(rout, (3, 2)).tobytes() == matmul_naive(a, b).tobytes()
 
 
 def _enum_member_reads():

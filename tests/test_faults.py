@@ -259,11 +259,11 @@ def test_a_fault_in_push_metrics_leaves_later_samples_accepted(before):
         unfaulted.push_metrics(0.25, 0.5, 0.75)
         where = fault_at(lambda: node.push_metrics(0.25, 0.5, 0.75), n)
         restored = Node.from_snapshot(node.snapshot(), 1, 1, 0)
-        assert node.predicted_load() == restored.predicted_load(), f"fault at {where}"
+        assert node._load == restored._load, f"fault at {where}"
         assert node.snapshot() in (untouched, unfaulted.snapshot()), f"fault at {where}"
         for sample in samples:
             node.push_metrics(*sample)
-        assert (node.snapshot(), node.predicted_load()) == (healed.snapshot(), healed.predicted_load()), \
+        assert (node.snapshot(), node._load) == (healed.snapshot(), healed._load), \
             f"fault at {where}"
         if where is None:
             break

@@ -46,6 +46,10 @@ CASES = {
         ["orchestrate", "--ticks", "60", "--seed", "3", "--scenario"],
         "orchestrate_failover.scenario", "", 0,
     ),
+    # A kill, then a revive before the node fails: Suspect, Alive again, and serving.
+    "orchestrate_revive": (
+        ["orchestrate", "--ticks", "14", "--scenario"], "orchestrate_revive.scenario", "", 0,
+    ),
     "accel_demo": (["accel-demo", "--n", "8"], None, "", 0),
     "compute_div": (["compute", "--a", "6", "--b", "3", "--op", "div"], None, "", 0),
     "rabab_demo": (["rabab-demo", "--iterations", "50", "--seed", "0"], None, "", 0),
@@ -74,17 +78,23 @@ TIMED = {
 }
 
 
+def case_argv(case: str, tmp_path: Path) -> list[str]:
+    """The case's command line: its script last, copied under tmp_path when a line is appended."""
+    argv, script, extra, _code = CASES[case]
+    if script is None:
+        return argv
+    path = GOLDEN / script
+    if extra:
+        path = tmp_path / script
+        path.write_text((GOLDEN / script).read_text(encoding="utf-8") + extra, encoding="utf-8")
+    return [*argv, str(path)]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, capsys, tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
-    argv, script, extra, expected_code = CASES[case]
-    if script is not None:
-        path = GOLDEN / script
-        if extra:
-            path = tmp_path / script
-            path.write_text((GOLDEN / script).read_text(encoding="utf-8") + extra, encoding="utf-8")
-        argv = [*argv, str(path)]
-    code = main(argv)
+    expected_code = CASES[case][3]
+    code = main(case_argv(case, tmp_path))
     out, err = capsys.readouterr()
     assert code == expected_code
     if expected_code == 0:

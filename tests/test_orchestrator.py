@@ -46,6 +46,11 @@ def _left_to_right(values) -> float:
     return total
 
 
+def _queued(node) -> list[int]:
+    """The message ids in a node's two inboxes, Realtime first: the order it processes them."""
+    return [env.msg_id for env in (*node._inbox_rt, *node._inbox_bulk)]
+
+
 def _load(windows) -> float:
     """The predicted load of (cpu, mem, io) sample windows, recomputed."""
     load = 0.0
@@ -209,7 +214,7 @@ class TestFailureDetection:
         failed = cluster.detect_failures()
         assert failed == [1]
         assert cluster.last_failover_events() == [(msg_id, 2)]
-        assert cluster.nodes[2].pending == 1
+        assert _queued(cluster.nodes[2]) == [msg_id]
         records = cluster.process_step()
         assert records == [(2, Modality.VISION, "person", "person")]
 
@@ -280,7 +285,7 @@ class TestCheckpoints:
         chk = cluster.checkpoint_node(1)
         assert cluster.submit_input(Modality.VISION, "obstacle") == (1, 2)
         cluster.restore_node(chk)
-        assert cluster.nodes[1].pending == 1
+        assert _queued(cluster.nodes[1]) == [2]
         label = modality_process(Modality.VISION, b"obstacle")[0]
         assert cluster.process_step() == [(1, Modality.VISION, "obstacle", label)]
         assert cluster.checkpoint_node(1).seq == 2  # the checkpoint number carried over too
@@ -599,7 +604,7 @@ def _feed(cluster, ticks) -> list:
         for modality, tag in inputs:
             cluster.submit_input(modality, tag)
         records = cluster.process_step() + cluster.process_step()
-        seen.append((records, cluster.collect_outputs(), cluster.nodes[1].predicted_load()))
+        seen.append((records, cluster.collect_outputs(), cluster.nodes[1]._load))
     return seen
 
 
@@ -783,14 +788,14 @@ class TestFastPathsMatchTheirOracles:
         for count, sample in enumerate(samples, 1):
             node.push_metrics(*sample)
             windows = [[s[k] for s in samples[max(0, count - 3):count]] for k in range(3)]
-            assert node.predicted_load().hex() == _load(windows).hex()
+            assert node._load.hex() == _load(windows).hex()
             bad = list(sample)
             bad[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from([1.5, -0.1, math.nan, True, None, "0"]))
             before = node.snapshot()
             with pytest.raises(InvalidArgument) as refused:
                 node.push_metrics(*bad)
             assert refused.value.detail == f"metric sample {tuple(bad)!r} is not three numbers in [0, 1]"
-            assert node.snapshot() == before and node.predicted_load().hex() == _load(windows).hex()
+            assert node.snapshot() == before and node._load.hex() == _load(windows).hex()
 
     @given(st.sampled_from(list(Modality)), _escaped_text, st.sampled_from(list(QoS)))
     @settings(deadline=None)
@@ -834,13 +839,13 @@ class TestLoadBalancer:
         node = cluster.nodes[1]
         for load in (0.9, 0.3, 0.3, 0.3):  # first sample rolls out of the window
             node.push_metrics(load, 0.0, 0.0)
-        assert node.predicted_load() == pytest.approx(0.5 * 0.3)
+        assert node._load == pytest.approx(0.5 * 0.3)
 
     def test_weights(self):
         cluster = Cluster()
         cluster.add_node(1, {Modality.VISION})
         cluster.nodes[1].push_metrics(1.0, 0.5, 0.25)
-        assert cluster.nodes[1].predicted_load() == pytest.approx(0.5 + 0.15 + 0.05)
+        assert cluster.nodes[1]._load == pytest.approx(0.5 + 0.15 + 0.05)
 
     def test_refused_sample_changes_no_window(self):
         cluster = Cluster()
@@ -852,7 +857,7 @@ class TestLoadBalancer:
             with pytest.raises(InvalidArgument):
                 node.push_metrics(*sample)
         assert _window(node.snapshot()) == [(0.2, 0.2, 0.2)]
-        assert node.predicted_load() == _load(([0.2], [0.2], [0.2]))
+        assert node._load == _load(([0.2], [0.2], [0.2]))
 
     def test_routing_follows_membership_changes(self):
         """balance_load against the oracle after each kind of table change."""
@@ -864,7 +869,7 @@ class TestLoadBalancer:
             loads = {}
             for node_id, node in cluster.nodes.items():
                 loads[node_id] = _load(zip(*_window(node.snapshot())))
-                assert node.predicted_load() == loads[node_id]
+                assert node._load == loads[node_id]
             chosen = {}
             for modality in Modality:
                 live = [(loads[node_id], node_id) for node_id, node in cluster.nodes.items()
@@ -911,14 +916,14 @@ class TestLoadBalancer:
         cluster.add_node(2, {Modality.VISION})
         cluster.nodes[2].push_metrics(0.5, 0.5, 0.5)  # node 1, idle, takes the inputs
         msg_ids = [cluster.submit_input(Modality.VISION, f"t{i}")[1] for i in range(3)]
-        assert cluster.nodes[1].pending == 3
+        assert _queued(cluster.nodes[1]) == msg_ids
         cluster.heartbeat_tick()
         cluster.silence(1)
         for _ in range(7):
             cluster.heartbeat_tick()
         assert cluster.detect_failures() == [1]
         assert cluster.last_failover_events() == [(msg_id, 2) for msg_id in msg_ids]
-        assert (cluster.nodes[1].pending, cluster.nodes[2].pending) == (0, 3)
+        assert (_queued(cluster.nodes[1]), _queued(cluster.nodes[2])) == ([], msg_ids)
         assert cluster.balance_load(Modality.VISION) == 2
 
 
@@ -1091,7 +1096,7 @@ class TestSubmitInput:
         cluster.add_node(2, {Modality.AUDIO})
         with pytest.raises(InvalidArgument):
             cluster.submit_input(Modality.VISION, tag)
-        assert cluster.nodes[1].pending == 0
+        assert _queued(cluster.nodes[1]) == []
         assert cluster.submit_input(Modality.AUDIO, "help") == (2, 1)  # no msg id used up
         assert cluster.process_step() == [(2, Modality.AUDIO, "help", "asking for help")]
 
@@ -1102,7 +1107,7 @@ class TestSubmitInput:
         before = dict(cluster.nodes)
         with pytest.raises(InvalidArgument):
             cluster.submit_input(modality, "person")
-        assert cluster.nodes == before and cluster.nodes[1].pending == 0
+        assert cluster.nodes == before and _queued(cluster.nodes[1]) == []
         assert cluster.submit_input(Modality.VISION, "person") == (1, 1)  # no msg id used up
 
     @pytest.mark.parametrize("qos", [5, "realtime", None], ids=["int", "str", "none"])
@@ -1111,7 +1116,7 @@ class TestSubmitInput:
         cluster.add_node(1, {Modality.VISION})
         with pytest.raises(InvalidArgument):
             cluster.submit_input(Modality.VISION, "x", qos=qos)
-        assert cluster.nodes[1].pending == 0
+        assert _queued(cluster.nodes[1]) == []
         assert cluster.submit_input(Modality.VISION, "person") == (1, 1)  # no msg id used up
 
     def test_the_payload_is_the_request_as_sorted_key_json(self):
@@ -1182,18 +1187,18 @@ class TestFloatSumsAreLeftToRight:
 
     def test_compensated_builtin_sum_changes_nothing(self, monkeypatch):
         assert any(_compensated_sum(w) != _left_to_right(w) for w in self.WINDOWS)
-        load = self.build().nodes[1].predicted_load()
+        load = self.build().nodes[1]._load
         assert load == _load(self.WINDOWS)
         vectors = [embed(tag.encode("utf-8")) for tag in self.TAGS]
         chk = self.build().checkpoint_node(1)
         monkeypatch.setattr(builtins, "sum", _compensated_sum)
-        assert self.build().nodes[1].predicted_load() == load
+        assert self.build().nodes[1]._load == load
         assert [embed(tag.encode("utf-8")) for tag in self.TAGS] == vectors
         cluster = Cluster()
         cluster.add_node(2, {Modality.AUDIO})
         restored = cluster.restore_node(chk)  # written with plain sums
         assert restored.snapshot() == chk.snapshot
-        assert restored.predicted_load() == load
+        assert restored._load == load
 
 
 class TestScenario:
@@ -1223,6 +1228,31 @@ class TestScenario:
     def test_bad_modality_rejected(self):
         with pytest.raises(InvalidArgument):
             parse_scenario("node 1 teleport\n")
+
+    @pytest.mark.parametrize("line", ["input 0 vision a", "kill -3 1", "revive 0 1"])
+    def test_a_directive_before_the_first_tick_is_refused_with_its_line(self, line):
+        with pytest.raises(InvalidArgument, match=r"^InvalidArgument: scenario line 2: tick -?[0-9]+ is before"):
+            parse_scenario(f"node 1 vision\n{line}\n")
+
+    @pytest.mark.parametrize("line", ["revive 3", "revive 3 1 2", "revive x 1", "revive 3 one"])
+    def test_a_malformed_revive_is_refused_with_its_line(self, line):
+        with pytest.raises(InvalidArgument, match="^InvalidArgument: scenario line 3: "):
+            parse_scenario(f"node 1 vision\nkill 1 1\n{line}\n")
+
+    def test_a_tick_past_the_run_is_allowed_and_never_happens(self):
+        scenario = parse_scenario("node 1 vision\ninput 6 vision a\nkill 6 1\nrevive 6 1\n")
+        assert run_scenario(scenario, ticks=5) == ([(0, "node", "id=1 modalities=vision")], None, None)
+
+    def test_a_revive_after_the_node_failed_leaves_it_failed(self):
+        # Killed at 2, node 1 last beat at 1 and fails at 8, past twice the 3-tick timeout.
+        text = "node 1 vision\nnode 2 vision\nkill 2 1\nrevive 9 1\ninput 10 vision person\n"
+        events, _summary, _action = run_scenario(parse_scenario(text), ticks=12)
+        assert (8, "failed", "node=1") in events
+        assert [row for row in events if row[0] >= 9] == [
+            (9, "revive", "node=1"),
+            (10, "input", "modality=vision tag=person node=2 msg=1"),
+            (10, "processed", "node=2 modality=vision label=person"),
+        ]
 
     def test_deterministic_for_fixed_seed(self):
         scenario = parse_scenario(DEMO_SCENARIO)
@@ -1448,7 +1478,7 @@ class ClusterModel(RuleBasedStateMachine):
     def the_twin_is_the_same_cluster(self):
         def state(cluster):
             return {nid: (n.snapshot(), n.liveness, n.silenced, n.last_heartbeat, n.checkpoint_seq,
-                          n.checkpoint_store, n.pending, n.predicted_load())
+                          n.checkpoint_store, tuple(n._inbox_rt), tuple(n._inbox_bulk), n._load)
                     for nid, n in cluster.nodes.items()}
         assert state(self.twin) == state(self.cluster)
         assert self.twin.collect_outputs() == self.cluster.collect_outputs()
@@ -1467,7 +1497,7 @@ class ClusterModel(RuleBasedStateMachine):
     @invariant()
     def balance_load_is_the_least_loaded_live_supporter(self):
         for node_id, windows in self.windows.items():
-            assert self.cluster.nodes[node_id].predicted_load() == _load(windows)
+            assert self.cluster.nodes[node_id]._load == _load(windows)
         for modality in Modality:
             expected = self._route(modality)
             if expected is None:
@@ -1493,7 +1523,9 @@ class ClusterModel(RuleBasedStateMachine):
         assert set().union(*outcomes) == self.submitted
         assert sum(map(len, outcomes)) == len(self.submitted)  # no message has two ends
         for node_id, (realtime, bulk) in self.inbox.items():
-            assert self.cluster.nodes[node_id].pending == len(realtime) + len(bulk)
+            node = self.cluster.nodes[node_id]
+            assert [env.msg_id for env in node._inbox_rt] == [msg_id for msg_id, _m, _t in realtime]
+            assert [env.msg_id for env in node._inbox_bulk] == [msg_id for msg_id, _m, _t in bulk]
 
 
 TestClusterModel = ClusterModel.TestCase

@@ -99,7 +99,7 @@ class TestKnowledgeGraph:
         graph = KnowledgeGraph()
         for _ in range(5):
             graph.evolve("a", "b", 0.5)
-        w = graph.weight("a", "b")
+        w = graph._edges["a", "b"]
         assert graph.evolve("a", "b", w) == w
 
     def test_monotone_convergence_matches_geometric_oracle(self):
@@ -294,21 +294,21 @@ class TestIntents:
     def test_draw_red_pixel(self):
         fb = Framebuffer()
         interpret_intent(DrawPixel(100, 50, RED), fb)
-        assert fb.get(100, 50) == (255, 0, 0)
+        assert fb._pixels[50 * fb.width + 100] == (255, 0, 0)
 
     def test_only_one_pixel_changes(self):
         fb = Framebuffer(8, 8)
-        before = fb.pixels()
+        before = list(fb._pixels)
         interpret_intent(DrawPixel(3, 4, RED), fb)
-        after = fb.pixels()
+        after = fb._pixels
         diffs = [i for i, (x, y) in enumerate(zip(before, after)) if x != y]
         assert diffs == [4 * 8 + 3]
 
     def test_black_on_black_is_idempotent(self):
         fb = Framebuffer(8, 8)
-        before = fb.pixels()
+        before = list(fb._pixels)
         interpret_intent(DrawPixel(0, 0, BLACK), fb)
-        assert fb.pixels() == before
+        assert fb._pixels == before
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -405,8 +405,8 @@ class TestPathCanonicalization:
                 DrawPixel(0, 0, RED), DrawPixel(0, 0, BLUE)]
         expected = [BLACK] * 64
         expected[1 * 8 + 2], expected[3 * 8 + 2], expected[2 * 8 + 1] = RED, BLUE, BLUE
-        assert apply_path(path, Framebuffer(8, 8)).pixels() == expected
-        assert apply_path(canonicalize_path(path, 8, 8), Framebuffer(8, 8)).pixels() == expected
+        assert apply_path(path, Framebuffer(8, 8))._pixels == expected
+        assert apply_path(canonicalize_path(path, 8, 8), Framebuffer(8, 8))._pixels == expected
 
     @pytest.mark.parametrize("bad", [DrawPixel(7, 0, RED), DrawPixel(0, 0, (256, 0, 0)),
                                      DrawPixel(0.5, 0, RED), DrawPixel(True, 0, RED),
@@ -418,7 +418,7 @@ class TestPathCanonicalization:
         fb = Framebuffer(8, 8)
         with pytest.raises(InvalidArgument):
             apply_path([DrawPixel(1, 1, RED), Translate(1, 0), bad], fb)
-        assert fb.pixels() == [BLACK] * 64
+        assert fb._pixels == [BLACK] * 64
 
     def test_inequivalent_paths_detected(self):
         assert not paths_equivalent([DrawPixel(1, 1, RED)], [DrawPixel(1, 2, RED)])

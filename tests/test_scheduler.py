@@ -284,7 +284,7 @@ class TestWorkBuilders:
         task = MlTask("mm", matmul_work(a, b, on_result=results.append))
         sched.enqueue(task)
         assert sched.batch_execute(1) == ["mm"]
-        assert results[0] == matmul_naive(a, b)
+        assert results[0].tobytes() == matmul_naive(a, b).tobytes()
         assert task.consumed_cycles == 2 * 2 * 2 + ALLOC_CYCLES
 
     def test_matmul_work_rejects_nonconforming_shapes(self):
