@@ -1254,6 +1254,26 @@ class TestScenario:
             (10, "processed", "node=2 modality=vision label=person"),
         ]
 
+    def test_a_revive_of_an_alive_node_only_logs_its_row(self):
+        # The node never stopped beating: the run draws and routes as without the line.
+        text = "node 1 vision\nnode 2 vision\ninput 2 vision person\ninput 5 vision cup\n"
+        plain = run_scenario(parse_scenario(text), ticks=8, seed=3)
+        events, summary, action = run_scenario(parse_scenario(text + "revive 4 1\n"), ticks=8, seed=3)
+        assert (4, "revive", "node=1") in events
+        assert ([row for row in events if row != (4, "revive", "node=1")], summary, action) == plain
+
+    def test_a_tick_runs_its_kills_before_its_revives_whatever_the_line_order(self):
+        # Killed and revived at 3, node 1 still beats at 3: it never turns Suspect.
+        text = "node 1 vision\nrevive 3 1\nkill 3 1\ninput 9 vision person\n"
+        events, _summary, _action = run_scenario(parse_scenario(text), ticks=10)
+        assert [row for row in events if row[0] == 3] == [(3, "kill", "node=1"), (3, "revive", "node=1")]
+        assert not any(event in ("suspect", "failed") for _, event, _d in events)
+        assert (9, "input", "modality=vision tag=person node=1 msg=1") in events
+
+    def test_a_revive_of_an_undeclared_node_is_refused(self):
+        with pytest.raises(InvalidArgument, match="unknown node 9"):
+            run_scenario(parse_scenario("node 1 vision\nrevive 2 9\n"), ticks=3)
+
     def test_deterministic_for_fixed_seed(self):
         scenario = parse_scenario(DEMO_SCENARIO)
         assert run_scenario(scenario, 8, seed=5) == run_scenario(

@@ -78,6 +78,13 @@ class TestConstruction:
         with pytest.raises(InvalidArgument):
             _device_read((3,), struct.pack("<3d", 1.0, bad, 2.0))
 
+    # A read checks its shape before it touches the buffer: the 8-byte region
+    # is never the reason, since rank and dimensions are refused first.
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (0,), (0, 2), (-1, 2), (-1, -1)])
+    def test_a_read_refuses_bad_shapes(self, shape):
+        with pytest.raises(InvalidArgument):
+            _device_read(shape, bytes(8))
+
     def test_a_flipped_byte_order_writes_and_reads_the_other_order(self, monkeypatch):
         # No CI host is big-endian. With the module's byte order flipped,
         # tobytes() byte-swaps on a little-endian host (and stops swapping on
