@@ -175,21 +175,19 @@ class BlockPool:
 
     # -- data access ------------------------------------------------------
 
-    def _span(self, handle: BlockHandle, offset: int, length: int | None) -> tuple[int, int]:
-        """Storage (start, length) of an access; a length of None runs to the end."""
+    def read(self, handle: BlockHandle) -> bytes:
+        """The handle's whole region."""
         first, n_blocks = self._entry(handle)
-        span = n_blocks * self.config.block_bytes
-        check_count(offset, "offset", 0, span)
-        length = span - offset if length is None else check_count(length, "length", 0, span - offset)
-        return first * self.config.block_bytes + offset, length
+        bb = self.config.block_bytes
+        return memoryview(self._storage)[first * bb : (first + n_blocks) * bb].tobytes()  # one copy, not two
 
-    def read(self, handle: BlockHandle, offset: int = 0, length: int | None = None) -> bytes:
-        start, length = self._span(handle, offset, length)
-        return memoryview(self._storage)[start : start + length].tobytes()  # one copy, not two
-
-    def write(self, handle: BlockHandle, offset: int, data: bytes) -> None:
+    def write(self, handle: BlockHandle, data: bytes) -> None:
+        """Copy data in from the region's first byte; data longer than the region is refused."""
         check_type(data, (bytes, bytearray), "data")
-        start, length = self._span(handle, offset, len(data))
+        first, n_blocks = self._entry(handle)
+        bb = self.config.block_bytes
+        if len(data) > n_blocks * bb:
+            raise InvalidArgument(f"region holds {n_blocks * bb} bytes but the data is {len(data)}")
         self._live[handle] = True  # first: a fault after it costs free() only a redundant zeroing
-        self._storage[start : start + length] = data
+        self._storage[first * bb : first * bb + len(data)] = data
 

@@ -62,7 +62,7 @@ _by_load = attrgetter("_load")
 
 
 class Node:
-    """One simulated worker node with an inbox ordered Realtime before Bulk.
+    """One simulated worker node with a FIFO inbox.
 
     ``latest`` keeps, per modality served, the last input processed as
     ``(tick, tag, label)``, the triple its snapshot holds. A new input of the
@@ -98,8 +98,7 @@ class Node:
         self.checkpoint_store: dict[int, Checkpoint] = {}
         self._metrics: deque[tuple[float, float, float]] = deque(maxlen=METRIC_WINDOW)  # (cpu, mem, io)
         self._load = 0.0
-        self._inbox_rt: deque[MessageEnvelope] = deque()
-        self._inbox_bulk: deque[MessageEnvelope] = deque()
+        self._inbox: deque[MessageEnvelope] = deque()
 
     def push_metrics(self, cpu: float, mem: float, io: float) -> None:
         """Add one (cpu, mem, io) sample to the window, and store the load it gives.
@@ -127,13 +126,8 @@ class Node:
                 self._load = load
             raise
 
-    def _enqueue(self, env: MessageEnvelope) -> None:
-        (self._inbox_rt if env.qos is _REALTIME else self._inbox_bulk).append(env)
-
     def drain_inbox(self) -> list[MessageEnvelope]:
-        pending = list(self._inbox_rt) + list(self._inbox_bulk)
-        self._inbox_rt.clear()
-        self._inbox_bulk.clear()
+        pending, self._inbox = list(self._inbox), deque()
         return pending
 
     def _record(self, modality: Modality, tick: int, tag: str) -> str:
@@ -159,16 +153,14 @@ class Node:
                 f'"metrics":"{_WINDOWS[len(window)].pack(*sum(window, ())).hex()}"{self._snapshot_tail}').encode()
 
     @classmethod
-    def from_snapshot(cls, snapshot: bytes, node_id: int, as_id: int, now: int) -> Node:
-        """Rebuild node ``node_id``, as ``as_id``, at tick ``now``, from bytes its snapshot() wrote.
+    def from_snapshot(cls, snapshot: bytes, node_id: int, now: int) -> Node:
+        """Rebuild node ``node_id`` at tick ``now`` from bytes its snapshot() wrote.
 
         Each unpacked metric sample goes through push_metrics and each latest
         input through _record, which derives its label again. Bytes that the rebuilt
         node's snapshot() does not reproduce (uppercase or spaced hex, a fourth
         sample), or that record an input after ``now``, raise InvalidArgument.
         """
-        # Checked here too: True equals 1, so it would keep the id unmoved.
-        check_count(as_id, "node id", COORDINATOR_ID + 1, MAX_ADDRESS)
         check_count(now, "now", 0)
         try:
             state = json.loads(snapshot)
@@ -183,11 +175,6 @@ class Node:
                 raise ValueError("not the bytes snapshot() writes")
         except (InvalidArgument, ValueError, KeyError, TypeError, AttributeError, RecursionError, struct.error):
             raise InvalidArgument("unknown or corrupt checkpoint") from None
-        if as_id != node_id:  # the checked state, moved onto the replacement id
-            moved = cls(as_id, node.modalities)
-            moved.heartbeat_seq, moved._metrics = node.heartbeat_seq, node._metrics
-            moved._load, moved.latest = node._load, node.latest
-            node = moved
         return node
 
 
@@ -314,9 +301,9 @@ class Cluster:
 
     def _deliver(self, env: MessageEnvelope) -> None:
         """Send a request built here to balance_load's live pick, through the wire codec."""
-        self.nodes[env.dest]._enqueue(decode(encode(env)))
+        self.nodes[env.dest]._inbox.append(decode(encode(env)))
 
-    def submit_input(self, modality: Modality, tag: str, qos: QoS = QoS.REALTIME) -> tuple[int, int]:
+    def submit_input(self, modality: Modality, tag: str) -> tuple[int, int]:
         """Balance, wrap, and route one nonempty UTF-8 str tag; (node, msg_id).
 
         A refused argument routes nothing and uses no message id.
@@ -328,13 +315,11 @@ class Cluster:
             tag.encode("utf-8")
         except UnicodeEncodeError:
             raise InvalidArgument(f"tag {shown(tag)} is not encodable as UTF-8") from None
-        if type(qos) is not QoS:  # its int value is taken too, but not a bool or a float
-            qos = QoS(check_count(qos, "qos", 0, len(QoS) - 1))
         target = self.balance_load(modality)
         payload = f"{_REQUEST_HEADS[modality]}{_json_str(tag)}}}".encode()
         env = MessageEnvelope(
             msg_id=next(self._next_msg_id), source=COORDINATOR_ID, dest=target,
-            payload=payload, qos=qos,
+            payload=payload, qos=_REALTIME,
         )
         self._deliver(env)
         return target, env.msg_id
@@ -346,7 +331,7 @@ class Cluster:
         """
         records = []
         for node in self.nodes.values():
-            inbox = node._inbox_rt or node._inbox_bulk  # Realtime first; an idle node costs this one test
+            inbox = node._inbox  # an idle node costs this one test
             if not inbox or node.liveness is _FAILED or node.silenced:
                 continue
             modality, tag = _request(inbox.popleft(), node)
@@ -393,24 +378,23 @@ class Cluster:
         peer.checkpoint_store[node_id] = chk
         return chk
 
-    def restore_node(self, chk: Checkpoint, target_id: int | None = None) -> Node:
-        """Rebuild a checkpointed node, optionally under a new id; a refusal changes no node.
+    def restore_node(self, chk: Checkpoint) -> Node:
+        """Rebuild a checkpointed node onto its own id; a refusal changes no node.
 
-        Onto an existing id, what the snapshot does not hold carries over from
-        the node replaced: the replicas it keeps for peers, its checkpoint
-        number and its queued messages. A queued message of a modality the
-        restored node does not serve refuses the restore, and so does an input
-        recorded at a tick later than the cluster's clock.
+        If the id is in the table, what the snapshot does not hold carries
+        over from the node replaced: the replicas it keeps for peers, its
+        checkpoint number and its queued messages. A queued message of a
+        modality the restored node does not serve refuses the restore, and so
+        does an input recorded at a tick later than the cluster's clock.
         """
         check_type(chk, Checkpoint, "checkpoint")
-        node_id = chk.node_id if target_id is None else target_id
-        node = Node.from_snapshot(chk.snapshot, chk.node_id, node_id, self.tick)
-        old = self.nodes.get(node_id)
+        node = Node.from_snapshot(chk.snapshot, chk.node_id, self.tick)
+        old = self.nodes.get(node.id)
         if old is not None:
-            for env in (*old._inbox_rt, *old._inbox_bulk):
+            for env in old._inbox:
                 _request(env, node)
             node.checkpoint_store, node.checkpoint_seq = old.checkpoint_store, old.checkpoint_seq
-            node._inbox_rt, node._inbox_bulk = old._inbox_rt, old._inbox_bulk
+            node._inbox = old._inbox
         return self._insert(node)
 
     # -- fusion inputs ---------------------------------------------------------

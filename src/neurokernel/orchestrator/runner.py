@@ -7,6 +7,8 @@ Scenario grammar (one directive per line, '#' starts a comment):
     kill <tick> <node-id>
     revive <tick> <node-id>
 
+A node id is an int in 1..2**32-1, declared by one node line; a kill or
+revive names a declared id, whether its node line comes before or after it.
 A tick is an int from 1, the first tick run; a tick after the run's last is
 allowed and never happens. A kill at tick t silences the node before it
 would beat at t, so its last heartbeat is tick t-1. A revive at t, after t's
@@ -24,6 +26,7 @@ from random import Random
 from ..config import directives
 from ..errors import InvalidArgument, NodeUnreachable, check_count, check_type, shown
 from .cluster import Cluster, Liveness
+from .envelope import MAX_ADDRESS
 from .fusion import Modality, decide, fuse
 
 CHECKPOINT_PERIOD = 5
@@ -59,22 +62,33 @@ def _tick(text: str) -> int:
 
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
+    declared: dict[int, int] = {}  # node id -> the line that declares it
+    named: list[tuple[int, int]] = []  # (line, node id) of each kill and revive
     for lineno, line in directives(text):
         parts = line.split()
         try:
             if parts[0] == "node" and len(parts) == 3:
+                node_id = int(parts[1])
+                if not 1 <= node_id <= MAX_ADDRESS:
+                    raise ValueError(f"node id {node_id} is not in 1..{MAX_ADDRESS}")
+                if node_id in declared:
+                    raise ValueError(f"node {node_id} is already declared on line {declared[node_id]}")
                 modalities = frozenset(Modality(m) for m in parts[2].split(","))
-                scenario.nodes.append((int(parts[1]), modalities))
+                declared[node_id] = lineno
+                scenario.nodes.append((node_id, modalities))
             elif parts[0] == "input" and len(parts) == 4:
                 scenario.inputs.append((_tick(parts[1]), Modality(parts[2]), parts[3]))
-            elif parts[0] == "kill" and len(parts) == 3:
-                scenario.kills.append((_tick(parts[1]), int(parts[2])))
-            elif parts[0] == "revive" and len(parts) == 3:
-                scenario.revives.append((_tick(parts[1]), int(parts[2])))
+            elif parts[0] in ("kill", "revive") and len(parts) == 3:
+                switch = (_tick(parts[1]), int(parts[2]))
+                (scenario.kills if parts[0] == "kill" else scenario.revives).append(switch)
+                named.append((lineno, switch[1]))
             else:
                 raise ValueError(f"unrecognized directive {shown(parts[0])}")
         except ValueError as exc:
             raise InvalidArgument(f"scenario line {lineno}: {exc}") from None
+    for lineno, node_id in named:
+        if node_id not in declared:
+            raise InvalidArgument(f"scenario line {lineno}: unknown node {node_id}")
     return scenario
 
 

@@ -98,7 +98,7 @@ def cycles_work(total_cycles: int, chunk: int = 1) -> WorkFn:
     return work
 
 
-def matmul_work(a: Tensor, b: Tensor, on_result=None) -> WorkFn:
+def matmul_work(a: Tensor, b: Tensor, on_result: Callable[[Tensor], object]) -> WorkFn:
     """Matrix multiply as scheduler work, priced by the documented cost model.
 
     Shapes are checked when the work is built. The work costs ALLOC_CYCLES
@@ -107,16 +107,14 @@ def matmul_work(a: Tensor, b: Tensor, on_result=None) -> WorkFn:
     on_result, or raises Overflow.
     """
     validate_matmul_shapes(a, b)
-    check_type(on_result, (Callable, type(None)), "on_result")
+    check_type(on_result, Callable, "on_result")
     (m, kk), n = a.shape, b.shape[1]
 
     def work(fp: list[float]) -> Iterator[int]:
         yield ALLOC_CYCLES
         for _ in range(m * n):
             yield kk * MULADD_CYCLES
-        product = matmul_naive(a, b)
-        if on_result is not None:
-            on_result(product)
+        on_result(matmul_naive(a, b))
 
     return work
 

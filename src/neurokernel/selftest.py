@@ -179,7 +179,7 @@ def _allocator_run(seed: int, op_count: int, check: bool) -> list:
                     pool.read(handle) == bytes(n * 4096),
                     "fresh allocation must read as zeros",
                 )
-                pool.write(handle, 0, bytes([handle.first_block % 255 + 1]) * 16)
+                pool.write(handle, bytes([handle.first_block % 255 + 1]) * 16)
         elif roll < 0.85:
             idx = rng.randrange(len(live))
             handle = live.pop(idx)
@@ -528,6 +528,7 @@ def check_rabab(seed: int = 0) -> str:
     )
 
 
+_SIDE = 8  # the width and height of every canvas a path check draws on
 _SENTINEL = (7, 7, 7)
 _PALETTE = ((255, 0, 0), (0, 0, 255))
 _PATH_ALPHABET = (
@@ -540,7 +541,7 @@ _PATH_ALPHABET = (
 )
 
 
-def _effect_signature(path, width: int = 8, height: int = 8):
+def _effect_signature(path):
     """Apply the path to uniform canvases by direct interpretation.
 
     Independent of canonicalize_path: equal signatures here means equal
@@ -549,7 +550,7 @@ def _effect_signature(path, width: int = 8, height: int = 8):
     """
     canvases = []
     for base in (_SENTINEL, *_PALETTE):
-        grid = [[base] * width for _ in range(height)]
+        grid = [[base] * _SIDE for _ in range(_SIDE)]
         tx = ty = 0
         for op in path:
             if isinstance(op, Translate):
@@ -568,14 +569,14 @@ def _check_canonicalization() -> str:
     for length in range(5):
         for path in itertools.product(_PATH_ALPHABET, repeat=length):
             total += 1
-            form = canonicalize_path(path, width=8, height=8)
+            form = canonicalize_path(path, width=_SIDE, height=_SIDE)
             sig = _effect_signature(path)
             _require(
                 _effect_signature(form) == sig,
                 f"canonical form of {path!r} changed the effect",
             )
             _require(
-                canonicalize_path(form, width=8, height=8) == form,
+                canonicalize_path(form, width=_SIDE, height=_SIDE) == form,
                 "canonicalization must be idempotent",
             )
             if form in by_form:
@@ -583,7 +584,7 @@ def _check_canonicalization() -> str:
             else:
                 by_form[form] = sig
             if sig in by_sig:
-                _require(paths_equivalent(path, by_sig[sig], width=8, height=8),
+                _require(paths_equivalent(path, by_sig[sig], width=_SIDE, height=_SIDE),
                          f"same effect, not equivalent: {path!r}")
             else:
                 by_sig[sig] = path

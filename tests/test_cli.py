@@ -18,6 +18,9 @@ from neurokernel.scheduler import SchedulerConfig
 from neurokernel.tensor import MatmulConfig
 
 
+FAILOVER_SCENARIO = str(Path(__file__).parent / "golden" / "orchestrate_failover.scenario")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -303,6 +306,23 @@ class TestOrchestrate:
         events, summary, action = run_scenario(parse_scenario(text), 3, seed=0)
         assert (summary, action) == (None, None)
         assert {kind for _tick, kind, _detail in events} == {"node"}
+
+
+    # Node 9 is killed at 14, so its last beat is 13.
+    @pytest.mark.parametrize("flag, rows", [
+        ([], ["17,suspect,node=9", "20,failed,node=9"]),
+        (["--timeout", "1"], ["15,suspect,node=9", "16,failed,node=9"]),
+    ], ids=["default", "1"])
+    def test_the_timeout_sets_when_a_silent_node_turns_suspect_and_failed(self, capsys, flag, rows):
+        code, out, err = run(capsys, "orchestrate", "--scenario", FAILOVER_SCENARIO,
+                             "--seed", "3", "--ticks", "60", *flag)
+        assert (code, err) == (0, "")
+        assert [line for line in out.splitlines() if line.endswith((",suspect,node=9", ",failed,node=9"))] == rows
+
+    def test_a_timeout_below_one_is_refused(self, capsys):
+        code, out, err = run(capsys, "orchestrate", "--scenario", FAILOVER_SCENARIO,
+                             "--seed", "3", "--ticks", "60", "--timeout", "0")
+        assert (code, out, err) == (1, "", "InvalidArgument: timeout_ticks must be an int >= 1, got 0\n")
 
 
 class TestRababDemo:

@@ -184,7 +184,7 @@ class World:
             self.dev.read_tensor(self.region, (1,)).tobytes(),
             bytes(self.dev._pool._bitmap), self.dev._pool.allocated_blocks, self.dev._pool.live_handles,
             tuple(self.dev._pool._live.values()), len(self.dev._queue),
-            cluster.tick, [(n.snapshot(), tuple(n._inbox_rt), tuple(n._inbox_bulk), n.liveness, n.silenced)
+            cluster.tick, [(n.snapshot(), tuple(n._inbox), n.liveness, n.silenced)
                            for n in cluster.nodes.values()],
             self.engine.leaked_resources(), (self.pred.alpha, self.pred.beta),
             dict(self.graph._edges), list(self.fb._pixels),
@@ -227,8 +227,8 @@ CALLS = {
     "mempool.BlockPool.alloc": lambda w: call(w.pool.alloc, 1),
     "mempool.BlockPool.alloc_large_page": lambda w: call(w.pool.alloc_large_page, 4 * 4096),
     "mempool.BlockPool.free": lambda w: call(w.pool.free, w.handle),
-    "mempool.BlockPool.read": lambda w: call(w.pool.read, w.handle, 0, 4),
-    "mempool.BlockPool.write": lambda w: call(w.pool.write, w.handle, 0, b"ab"),
+    "mempool.BlockPool.read": lambda w: call(w.pool.read, w.handle),
+    "mempool.BlockPool.write": lambda w: call(w.pool.write, w.handle, b"ab"),
     "accel.AccelTask": lambda w: call(AccelTask, AccelOp.MATMUL, w.region, (1, 1), w.region, (1, 1), w.region),
     "accel.AccelDevice": lambda w: call(AccelDevice),
     "accel.AccelDevice.allocate": lambda w: call(w.dev.allocate, 8),
@@ -259,7 +259,7 @@ CALLS = {
     "orchestrator.cluster.Node.push_metrics": lambda w: call(w.node.push_metrics, 0.1, 0.2, 0.3),
     "orchestrator.cluster.Node.drain_inbox": lambda w: call(w.node.drain_inbox),
     "orchestrator.cluster.Node.snapshot": lambda w: call(w.node.snapshot),
-    "orchestrator.cluster.Node.from_snapshot": lambda w: call(Node.from_snapshot, w.chk.snapshot, 1, 1, 1),
+    "orchestrator.cluster.Node.from_snapshot": lambda w: call(Node.from_snapshot, w.chk.snapshot, 1, 1),
     "orchestrator.cluster.Cluster": lambda w: call(Cluster, 3),
     "orchestrator.cluster.Cluster.add_node": lambda w: call(w.cluster.add_node, 3, {V}),
     "orchestrator.cluster.Cluster.node": lambda w: call(w.cluster.node, 1),
@@ -268,11 +268,11 @@ CALLS = {
     "orchestrator.cluster.Cluster.heartbeat_tick": lambda w: call(w.cluster.heartbeat_tick),
     "orchestrator.cluster.Cluster.detect_failures": lambda w: call(w.cluster.detect_failures),
     "orchestrator.cluster.Cluster.last_failover_events": lambda w: call(w.cluster.last_failover_events),
-    "orchestrator.cluster.Cluster.submit_input": lambda w: call(w.cluster.submit_input, V, "person", QoS.BULK),
+    "orchestrator.cluster.Cluster.submit_input": lambda w: call(w.cluster.submit_input, V, "person"),
     "orchestrator.cluster.Cluster.process_step": lambda w: call(w.cluster.process_step),
     "orchestrator.cluster.Cluster.balance_load": lambda w: call(w.cluster.balance_load, V),
     "orchestrator.cluster.Cluster.checkpoint_node": lambda w: call(w.cluster.checkpoint_node, 1),
-    "orchestrator.cluster.Cluster.restore_node": lambda w: call(w.cluster.restore_node, w.chk, 1),
+    "orchestrator.cluster.Cluster.restore_node": lambda w: call(w.cluster.restore_node, w.chk),
     "orchestrator.cluster.Cluster.collect_outputs": lambda w: call(w.cluster.collect_outputs),
     "orchestrator.runner.Scenario": lambda w: call(Scenario),
     "orchestrator.runner.parse_scenario": lambda w: call(parse_scenario, DEMO_SCENARIO),
@@ -476,30 +476,27 @@ RETURNS = {
     "tensor.matmul_parallel": {2: (None,)},
     "mempool.PoolConfig": {0: (HUGE,)},  # BlockPool refuses it with OutOfMemory
     "mempool.BlockPool": {0: (None,)},
-    # Offset 0 is the start of the span, and a length of 0 reads nothing.
-    "mempool.BlockPool.read": {1: (0,), 2: (None, 0)},
-    "mempool.BlockPool.write": {1: (0,), 2: (b"x",)},
+    "mempool.BlockPool.write": {1: (b"x",)},
     "accel.AccelDevice.read_tensor": {1: ([1],)},
     "accel.AccelDevice.submit": {(0, "a_shape"): ([1],), (0, "b_shape"): ([1],)},
     "scheduler.SchedulerConfig": {0: (HUGE,), 1: (HUGE,), 2: (HUGE,)},
     "scheduler.cycles_work": {0: (HUGE,), "chunk": (HUGE,)},  # lazy: it costs what it runs
-    "scheduler.matmul_work": {"on_result": (None,)},
     "scheduler.MlScheduler": {0: (None,)},
     "scheduler.MlScheduler.batch_execute": {0: (HUGE,)},  # at most the queue runs
     # 0 is a u64 message id and the coordinator's address.
     "orchestrator.envelope.encode": {(0, "payload"): (b"x",), (0, "msg_id"): (0,), (0, "source"): (0,),
                                      (0, "dest"): (0,)},
-    "orchestrator.cluster.Cluster.submit_input": {1: ("x",), 2: (0,)},  # qos 0 is REALTIME
+    "orchestrator.cluster.Cluster.submit_input": {1: ("x",)},
     "orchestrator.fusion.modality_label": {1: (b"x",)},
     "orchestrator.fusion.modality_process": {1: (b"x",)},
     "orchestrator.fusion.decide": {(0, "outputs"): EVERY, (0, "summary"): ("x",)},  # it reads the summary
     "orchestrator.cluster.Node": {1: ({},)},  # an empty collection: no modalities
     "orchestrator.cluster.Node.push_metrics": {0: (1.0, 0), 1: (1.0, 0), 2: (1.0, 0)},  # samples in [0, 1]
-    "orchestrator.cluster.Node.from_snapshot": {3: (HUGE,)},  # any tick at or after the input
+    "orchestrator.cluster.Node.from_snapshot": {2: (HUGE,)},  # any tick at or after the input
     "orchestrator.cluster.Cluster": {0: (HUGE,)},
     "orchestrator.cluster.Cluster.add_node": {1: ({},)},
     # A restore reads the checkpoint's node id and snapshot; seq only orders replicas.
-    "orchestrator.cluster.Cluster.restore_node": {(0, "seq"): EVERY, 1: (None,)},
+    "orchestrator.cluster.Cluster.restore_node": {(0, "seq"): EVERY},
     "orchestrator.runner.run_scenario": {"seed": (HUGE, 0, -1), "timeout_ticks": (HUGE,)},  # any int seeds
     "rabab.engine.KnowledgeGraph.evolve": {0: ("x",), 1: ("x",), 2: (1.0, 0)},  # a target in [0, 1]
     "rabab.engine.embed": {0: (b"x",)},
@@ -660,7 +657,6 @@ class StrDraws(Random):
 # changes nothing.
 REFUSED = {
     "node-id-past-u32": lambda w: w.cluster.add_node(2**32, {V}),
-    "node-id-negative": lambda w: w.cluster.restore_node(w.chk, -1),
     "large-page-class-float": lambda w: PoolConfig(large_page_classes=(65536.0,)),
     "large-page-float": lambda w: w.pool.alloc_large_page(4 * 4096.0),  # equal to a registered class
     "priority-bool": lambda w: w.sched.enqueue(MlTask("b", cycles_work(1), priority=True)),
@@ -757,7 +753,7 @@ TIMED = {
     "enqueue": lambda w: call(w.sched.enqueue, w.task),
     "free": lambda w: call(w.pool.free, w.handle),
     "push_metrics": lambda w: call(w.node.push_metrics, 0.1, 0.2, 0.3),
-    "submit_input": lambda w: call(w.cluster.submit_input, V, "person", QoS.BULK),
+    "submit_input": lambda w: call(w.cluster.submit_input, V, "person"),
     "balance_load": lambda w: call(w.cluster.balance_load, V),
     "process_step": lambda w: call(w.cluster.process_step),
     "modality_label": lambda w: call(modality_label, V, b"person"),

@@ -187,7 +187,7 @@ def test_every_allowance_names_a_line():
 def _pool_write():
     pool = BlockPool(PoolConfig(2 * 4096, 4096, ()))
     handle = pool.alloc(1)
-    return lambda: pool.write(handle, 0, b"ab"), lambda: pool.free(handle), lambda: pool.read(pool.alloc(1), 0, 4)
+    return lambda: pool.write(handle, b"ab"), lambda: pool.free(handle), lambda: pool.read(pool.alloc(1))
 
 
 def _device_write():
@@ -258,7 +258,7 @@ def test_a_fault_in_push_metrics_leaves_later_samples_accepted(before):
         untouched = unfaulted.snapshot()
         unfaulted.push_metrics(0.25, 0.5, 0.75)
         where = fault_at(lambda: node.push_metrics(0.25, 0.5, 0.75), n)
-        restored = Node.from_snapshot(node.snapshot(), 1, 1, 0)
+        restored = Node.from_snapshot(node.snapshot(), 1, 0)
         assert node._load == restored._load, f"fault at {where}"
         assert node.snapshot() in (untouched, unfaulted.snapshot()), f"fault at {where}"
         for sample in samples:

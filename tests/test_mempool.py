@@ -101,7 +101,7 @@ class TestFree:
     def test_only_a_live_handle_this_pool_allocated_is_accepted(self, stray):
         pool = small_pool()
         handle = pool.alloc(1)
-        pool.write(handle, 0, b"ab")
+        pool.write(handle, b"ab")
         if stray == "freed":
             other = pool.alloc(1)
             pool.free(other)
@@ -112,18 +112,18 @@ class TestFree:
                       "moved copy": {"first_block": 2}}[stray]
             other = replace(handle, **fields)
         before = (pool.bitmap(), pool.allocated_blocks, pool.live_handles)
-        for use in (pool.free, pool.read, lambda h: pool.write(h, 0, b"cd")):
+        for use in (pool.free, pool.read, lambda h: pool.write(h, b"cd")):
             with pytest.raises(InvalidArgument):
                 use(other)
         assert (pool.bitmap(), pool.allocated_blocks, pool.live_handles) == before
-        assert pool.read(handle, 0, 2) == b"ab"
+        assert pool.read(handle)[:2] == b"ab"
         pool.free(handle)
         assert pool.live_handles == 0
 
     def test_free_allocates_before_it_commits(self, monkeypatch):
         pool = small_pool()
         handle = pool.alloc(2)
-        pool.write(handle, 0, b"\xff")
+        pool.write(handle, b"\xff")
 
         def scarce(size=0):
             if size == 2 * 4096:  # the zero buffer for the handle's storage
@@ -136,7 +136,7 @@ class TestFree:
         monkeypatch.undo()
         assert pool.live_handles == 1
         assert pool.allocated_blocks == sum(pool.bitmap()) == 2
-        assert pool.read(handle, 0, 1) == b"\xff"
+        assert pool.read(handle)[:1] == b"\xff"
         pool.free(handle)
         assert pool.bitmap() == (False,) * 4
         assert pool.read(pool.alloc(2)) == bytes(2 * 4096)
@@ -160,7 +160,7 @@ class TestFree:
     def test_freed_blocks_are_zeroed_before_reuse(self):
         pool = small_pool()
         handle = pool.alloc(1)
-        pool.write(handle, 0, b"\xff" * 4096)
+        pool.write(handle, b"\xff" * 4096)
         pool.free(handle)
         again = pool.alloc(1)
         assert again.first_block == handle.first_block
@@ -170,7 +170,7 @@ class TestFree:
         pool = small_pool()
         first, second = pool.alloc(1), pool.alloc(2)
         assert pool._live == {first: False, second: False}
-        pool.write(second, 4096, b"\x01")
+        pool.write(second, b"\x01")
         assert pool._live == {first: False, second: True}
         pool.free(second)
         assert pool._live == {first: False}
@@ -178,7 +178,7 @@ class TestFree:
     def test_a_read_copies_its_bytes_once(self):
         pool = small_pool(blocks=32)
         handle = pool.alloc(32)
-        pool.write(handle, 0, b"\x07" * 4096)
+        pool.write(handle, b"\x07" * 4096)
         pool.read(handle)  # fills any cache before the count
         tracemalloc.start()
         try:
@@ -188,6 +188,16 @@ class TestFree:
             tracemalloc.stop()
         assert data[:4097] == b"\x07" * 4096 + b"\x00"
         assert peak < len(data) + (4 << 10), peak
+
+    def test_a_write_longer_than_its_region_is_refused_and_changes_nothing(self):
+        pool = small_pool()
+        handle, after = pool.alloc(1), pool.alloc(1)
+        with pytest.raises(InvalidArgument, match="^InvalidArgument: region holds 4096 bytes but the data is 4097$"):
+            pool.write(handle, b"\xff" * 4097)
+        assert pool._live == {handle: False, after: False}
+        assert pool.read(handle) + pool.read(after) == bytes(2 * 4096)
+        pool.write(handle, b"\xff" * 4096)  # exactly the region
+        assert pool.read(handle) + pool.read(after) == b"\xff" * 4096 + bytes(4096)
 
 
 class TestLargePages:
@@ -257,9 +267,10 @@ def test_randomized_invariants_against_brute_force():
 def test_fresh_allocations_read_zero_after_random_writes():
     # free() zeroes only the handles write() touched: every block a fresh
     # allocation gets must still read as zero.
+    # A write replaces the region's first len(data) bytes and leaves the rest as they were.
     pool = small_pool(blocks=32, classes=(4 * 4096,))
     rng = Random(21)
-    live = []
+    live = {}  # handle -> the contents its writes give
     for _ in range(2000):
         roll = rng.random()
         if roll < 0.4 or not live:
@@ -268,15 +279,17 @@ def test_fresh_allocations_read_zero_after_random_writes():
             except OutOfMemory:
                 continue
             assert pool.read(handle) == bytes(handle.n_blocks * 4096)
-            live.append(handle)
+            live[handle] = bytearray(handle.n_blocks * 4096)
         elif roll < 0.75:
-            handle = live[rng.randrange(len(live))]
-            offset = rng.randrange(handle.n_blocks * 4096)
-            data = bytes([rng.randint(1, 255)]) * rng.randint(1, handle.n_blocks * 4096 - offset)
-            pool.write(handle, offset, data)
-            assert pool.read(handle, offset, len(data)) == data
+            handle, contents = rng.choice(list(live.items()))
+            data = bytes([rng.randint(1, 255)]) * rng.randint(1, len(contents))
+            pool.write(handle, data)
+            contents[:len(data)] = data
+            assert pool.read(handle) == contents
         else:
-            pool.free(live.pop(rng.randrange(len(live))))
+            handle = rng.choice(list(live))
+            del live[handle]
+            pool.free(handle)
 
 
 class PoolModel(RuleBasedStateMachine):
@@ -304,7 +317,7 @@ class PoolModel(RuleBasedStateMachine):
         handle = allocate()
         assert (handle.first_block, handle.n_blocks) == (expected, n_blocks)
         assert self.pool.read(handle) == bytes(n_blocks * 4096)  # freed blocks were zeroed
-        self.pool.write(handle, 0, b"\xff" * n_blocks * 4096)
+        self.pool.write(handle, b"\xff" * n_blocks * 4096)
         self.used.update(range(expected, expected + n_blocks))
         return handle
 

@@ -47,8 +47,13 @@ def _left_to_right(values) -> float:
 
 
 def _queued(node) -> list[int]:
-    """The message ids in a node's two inboxes, Realtime first: the order it processes them."""
-    return [env.msg_id for env in (*node._inbox_rt, *node._inbox_bulk)]
+    """The message ids in a node's inbox, in the order it processes them."""
+    return [env.msg_id for env in node._inbox]
+
+
+def _taken_as(chk: Checkpoint, node_id: int) -> Checkpoint:
+    """The checkpoint node node_id would give holding chk's state: only the id differs."""
+    return Checkpoint(node_id, chk.seq, _canonical({**json.loads(chk.snapshot), "node_id": node_id}))
 
 
 def _load(windows) -> float:
@@ -258,16 +263,19 @@ class TestCheckpoints:
         cluster.restore_node(chk)
         assert cluster.nodes[1].snapshot() == chk.snapshot
 
-    def test_restore_onto_replacement_serves_old_modalities(self):
+    def test_restore_of_a_failed_node_serves_its_modalities_again(self):
         cluster = self.build()
         chk = cluster.checkpoint_node(1)
         cluster.silence(1)
         for _ in range(7):
             cluster.heartbeat_tick()
-        cluster.detect_failures()
-        replacement = cluster.restore_node(chk, target_id=9)
-        assert replacement.modalities == {Modality.VISION, Modality.SENSOR}
-        assert cluster.balance_load(Modality.SENSOR) == 9
+        assert cluster.detect_failures() == [1]
+        with pytest.raises(NodeUnreachable):
+            cluster.balance_load(Modality.SENSOR)
+        restored = cluster.restore_node(chk)
+        assert (restored.liveness, restored.silenced, restored.last_heartbeat) == (Liveness.ALIVE, False, 8)
+        assert restored.modalities == {Modality.VISION, Modality.SENSOR}
+        assert cluster.balance_load(Modality.SENSOR) == 1
 
     def test_restore_keeps_the_replicas_held_for_peers(self):
         cluster = self.build()
@@ -277,8 +285,6 @@ class TestCheckpoints:
         assert cluster.nodes[1].checkpoint_store == held
         cluster.restore_node(own)
         assert cluster.nodes[1].checkpoint_store == held
-        # A replacement id held nothing, so it starts with an empty store.
-        assert cluster.restore_node(own, target_id=9).checkpoint_store == {}
 
     def test_rollback_processes_the_queued_message(self):
         cluster = self.build()
@@ -292,11 +298,15 @@ class TestCheckpoints:
 
     def test_restore_refused_when_a_queued_message_is_not_served(self):
         cluster = self.build()
-        vision = cluster.checkpoint_node(1)
         assert cluster.submit_input(Modality.AUDIO, "help") == (2, 2)
+        # Node 2 of another cluster serves vision alone.
+        other = Cluster()
+        other.add_node(1, {Modality.AUDIO})
+        other.add_node(2, {Modality.VISION})
+        vision = other.checkpoint_node(2)
         before = dict(cluster.nodes)
-        with pytest.raises(InvalidArgument):
-            cluster.restore_node(vision, target_id=2)
+        with pytest.raises(InvalidArgument, match="^InvalidArgument: node 2 does not support audio$"):
+            cluster.restore_node(vision)
         assert cluster.nodes == before  # Node compares by identity
         assert [env.msg_id for env in cluster.nodes[2].drain_inbox()] == [2]
 
@@ -341,8 +351,7 @@ class TestCheckpoints:
             "four-sample-window", "metric-hex-length", "metric-hex-odd-length", "metric-not-hex",
             "metric-hex-uppercase", "metric-hex-spaced", "unserved-modality", "tick-after-the-clock",
             "empty-tag"])
-    @pytest.mark.parametrize("target_id", [None, 9])
-    def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt, target_id):
+    def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt):
         cluster = self.build()
         chk = cluster.checkpoint_node(1)
         state = json.loads(chk.snapshot)
@@ -351,7 +360,7 @@ class TestCheckpoints:
         bad = Checkpoint(chk.node_id, chk.seq, _canonical(state))
         before = dict(cluster.nodes)
         with pytest.raises(InvalidArgument) as refused:
-            cluster.restore_node(bad, target_id=target_id)
+            cluster.restore_node(bad)
         assert refused.value.detail == "unknown or corrupt checkpoint"
         assert cluster.nodes == before  # Node compares by identity
 
@@ -423,8 +432,7 @@ class TestNodeTable:
         cluster = Cluster()
         cluster.add_node(5, {Modality.VISION})
         cluster.add_node(3, {Modality.AUDIO})
-        chk = cluster.checkpoint_node(5)
-        cluster.restore_node(chk, target_id=1)
+        cluster.restore_node(_taken_as(cluster.checkpoint_node(5), 1))  # an id not in the table
         assert list(cluster.nodes) == [1, 3, 5]
         # The peer is the lowest-id live node other than the checkpointed one.
         assert cluster.checkpoint_node(5) is cluster.nodes[1].checkpoint_store[5]
@@ -523,9 +531,9 @@ class TestReplayOracle:
             _agree(live, twin, "collect_outputs")
             if tick == 120:  # roll node 3 back to an older checkpoint, same id
                 _agree(live, twin, "restore_node", latest[3][0])
-            if tick == 150:  # bring failed node 4 back under a replacement id
+            if tick == 150:  # failed node 4's newest state, brought back as a new node 99
                 assert live.nodes[4].liveness is Liveness.FAILED
-                _agree(live, twin, "restore_node", latest[4][-1], 99)
+                _agree(live, twin, "restore_node", _taken_as(latest[4][-1], 99))
             if tick % 5 == 0:
                 for node_id in [nid for nid, n in live.nodes.items() if n.liveness is not Liveness.FAILED]:
                     chk = _agree(live, twin, "checkpoint_node", node_id)  # the same snapshot
@@ -637,21 +645,16 @@ def _slots(value):
         yield from _slots(child)
 
 
-def _renamed(snapshot: bytes, node_id: int) -> bytes:
-    """The snapshot a node restored onto node_id writes: only the id differs."""
-    return _canonical({**json.loads(snapshot), "node_id": node_id})
-
-
-def _restore_or_refuse(cluster, chk, target_id) -> None:
+def _restore_or_refuse(cluster, chk) -> None:
     """restore_node rebuilds exactly the snapshot, or refuses and changes nothing."""
     before = dict(cluster.nodes)
     try:
-        node = cluster.restore_node(chk, target_id=target_id)
+        node = cluster.restore_node(chk)
     except InvalidArgument as refused:
         assert refused.detail == "unknown or corrupt checkpoint"
         assert cluster.nodes == before  # Node compares by identity
         return
-    assert node.snapshot() == _renamed(chk.snapshot, node.id)
+    assert node.snapshot() == chk.snapshot
     # An accepted node keeps working: no operation on it raises outside KernelError.
     cluster.heartbeat_tick()
     cluster.checkpoint_node(node.id)
@@ -663,14 +666,13 @@ def _restore_or_refuse(cluster, chk, target_id) -> None:
 class TestSnapshotFuzz:
     """restore_node accepts exactly the bytes Node.snapshot() writes."""
 
-    @given(_checkpointed_runs(), st.sampled_from([None, 9]))
+    @given(_checkpointed_runs())
     @settings(deadline=None)
-    def test_generated_snapshot_round_trips(self, run, target_id):
+    def test_generated_snapshot_round_trips(self, run):
         cluster, chk = run
-        restored = cluster.restore_node(chk, target_id=target_id)
-        assert restored.id == (target_id or 1)
-        assert restored.snapshot() == _renamed(chk.snapshot, restored.id)
-        assert cluster.restore_node(chk).snapshot() == chk.snapshot
+        restored = cluster.restore_node(chk)
+        assert (restored.id, cluster.nodes[1]) == (1, restored)
+        assert restored.snapshot() == chk.snapshot
 
     @given(st.data())
     @settings(deadline=None)
@@ -687,9 +689,9 @@ class TestSnapshotFuzz:
         assert _feed(twin, after) == _feed(live, after)
         assert twin.checkpoint_node(1).snapshot == live.checkpoint_node(1).snapshot
 
-    @given(_checkpointed_runs(), st.sampled_from([None, 9]), st.data())
+    @given(_checkpointed_runs(), st.data())
     @settings(deadline=None)
-    def test_json_value_mutation(self, run, target_id, data):
+    def test_json_value_mutation(self, run, data):
         cluster, chk = run
         state = json.loads(chk.snapshot)
         container, key = data.draw(st.sampled_from(list(_slots(state))))
@@ -697,11 +699,11 @@ class TestSnapshotFuzz:
             container[key] = data.draw(_json_values)
         else:
             del container[key]
-        _restore_or_refuse(cluster, Checkpoint(1, chk.seq, _canonical(state)), target_id)
+        _restore_or_refuse(cluster, Checkpoint(1, chk.seq, _canonical(state)))
 
-    @given(_checkpointed_runs(), st.sampled_from([None, 9]), st.data())
+    @given(_checkpointed_runs(), st.data())
     @settings(deadline=None)
-    def test_byte_mutation(self, run, target_id, data):
+    def test_byte_mutation(self, run, data):
         cluster, chk = run
         mutated = bytearray(chk.snapshot)
         edits = data.draw(st.lists(
@@ -711,7 +713,7 @@ class TestSnapshotFuzz:
         for index, value in edits:
             mutated[index] = value
         cut = data.draw(st.integers(0, len(mutated)))
-        _restore_or_refuse(cluster, Checkpoint(1, chk.seq, bytes(mutated[:cut])), target_id)
+        _restore_or_refuse(cluster, Checkpoint(1, chk.seq, bytes(mutated[:cut])))
 
 
 # Text the canonical encoder escapes or passes through: quotes, backslashes,
@@ -739,9 +741,9 @@ class TestFastPathsMatchTheirOracles:
     """Snapshot, load and request payload are written by hand; json.dumps and loops are the oracles."""
 
     @given(_served, st.integers(1, 3), st.lists(_samples, max_size=5),
-           st.lists(st.tuples(st.integers(0, 3), _escaped_text), max_size=6), st.integers(3, 2**32 - 1))
+           st.lists(st.tuples(st.integers(0, 3), _escaped_text), max_size=6))
     @settings(deadline=None)
-    def test_snapshot_is_the_canonical_json_dumps(self, served, beats, samples, inputs, new_id):
+    def test_snapshot_is_the_canonical_json_dumps(self, served, beats, samples, inputs):
         cluster = _two_nodes(served)
         node = cluster.nodes[1]
         for _ in range(beats):
@@ -755,10 +757,8 @@ class TestFastPathsMatchTheirOracles:
             cluster.submit_input(served[index % len(served)], tag)
             cluster.process_step()
             assert node.snapshot() == _canonical(_state(node))
-        chk = cluster.checkpoint_node(1)
-        for target_id in (None, new_id):
-            restored = cluster.restore_node(chk, target_id=target_id)
-            assert restored.snapshot() == _canonical(_state(restored))
+        restored = cluster.restore_node(cluster.checkpoint_node(1))
+        assert restored.snapshot() == _canonical(_state(restored))
 
     @given(_served, st.lists(st.tuples(_samples, _samples), max_size=5),
            st.lists(st.tuples(st.integers(0, 3), _escaped_text), max_size=3))
@@ -797,12 +797,12 @@ class TestFastPathsMatchTheirOracles:
             assert refused.value.detail == f"metric sample {tuple(bad)!r} is not three numbers in [0, 1]"
             assert node.snapshot() == before and node._load.hex() == _load(windows).hex()
 
-    @given(st.sampled_from(list(Modality)), _escaped_text, st.sampled_from(list(QoS)))
+    @given(st.sampled_from(list(Modality)), _escaped_text)
     @settings(deadline=None)
-    def test_request_payload_is_the_sorted_key_json_dumps(self, modality, tag, qos):
+    def test_request_payload_is_the_sorted_key_json_dumps(self, modality, tag):
         cluster = Cluster()
         cluster.add_node(1, set(Modality))
-        cluster.submit_input(modality, tag, qos)
+        cluster.submit_input(modality, tag)
         (env,) = cluster.nodes[1].drain_inbox()
         assert env.payload == json.dumps({"modality": modality.value, "tag": tag}, sort_keys=True).encode("utf-8")
 
@@ -887,11 +887,11 @@ class TestLoadBalancer:
         cluster.nodes[3].push_metrics(0.5, 0.5, 0.5)
         assert routes() == {V: 5, A: 5, L: None, S: None}
         chk5 = cluster.checkpoint_node(5)
-        cluster.restore_node(chk5, target_id=2)  # a new id, below the others
+        cluster.restore_node(_taken_as(chk5, 2))  # a new id, below the others
         assert routes() == {V: 2, A: 2, L: None, S: None}
         cluster.add_node(4, {L, S})
         cluster.nodes[4].push_metrics(0.1, 0.0, 0.0)
-        cluster.restore_node(cluster.checkpoint_node(4), target_id=2)  # 2 now serves L, S
+        cluster.restore_node(_taken_as(cluster.checkpoint_node(4), 2))  # 2 now serves L, S
         assert routes() == {V: 5, A: 5, L: 2, S: 2}  # 2 and 4 tie; the lower id wins
         cluster.nodes[2].push_metrics(0.3, 0.0, 0.0)
         assert routes() == {V: 5, A: 5, L: 4, S: 4}
@@ -906,7 +906,7 @@ class TestLoadBalancer:
         assert cluster.detect_failures() == [5]
         assert cluster.last_failover_events() == [(msg_id, None)]  # nothing else serves audio
         assert routes() == {V: 3, A: None, L: 4, S: 4}
-        cluster.restore_node(chk5, target_id=6)  # the failed node's state on a new id
+        cluster.restore_node(_taken_as(chk5, 6))  # the failed node's state on a new id
         assert routes() == {V: 6, A: 6, L: 4, S: 4}
 
     def test_failover_never_routes_to_the_node_it_just_failed(self):
@@ -1075,19 +1075,6 @@ class TestModalityHash:
         assert fusion.MODALITY_LABELS[back] is fusion.MODALITY_LABELS[modality]
 
 
-class TestInboxQoS:
-    def test_realtime_processed_before_bulk(self):
-        cluster = Cluster()
-        cluster.add_node(1, {Modality.VISION})
-        cluster.heartbeat_tick()
-        cluster.submit_input(Modality.VISION, "obstacle", qos=QoS.BULK)
-        cluster.submit_input(Modality.VISION, "person", qos=QoS.REALTIME)
-        records = cluster.process_step()
-        assert records[0][2] == "person"
-        records = cluster.process_step()
-        assert records[0][2] == "obstacle"
-
-
 class TestSubmitInput:
     @pytest.mark.parametrize("tag", [5, "", "\ud800"], ids=["int", "empty", "lone-surrogate"])
     def test_bad_tag_refused_and_nothing_routed(self, tag):
@@ -1110,24 +1097,17 @@ class TestSubmitInput:
         assert cluster.nodes == before and _queued(cluster.nodes[1]) == []
         assert cluster.submit_input(Modality.VISION, "person") == (1, 1)  # no msg id used up
 
-    @pytest.mark.parametrize("qos", [5, "realtime", None], ids=["int", "str", "none"])
-    def test_a_refused_qos_uses_no_message_id(self, qos):
-        cluster = Cluster()
-        cluster.add_node(1, {Modality.VISION})
-        with pytest.raises(InvalidArgument):
-            cluster.submit_input(Modality.VISION, "x", qos=qos)
-        assert _queued(cluster.nodes[1]) == []
-        assert cluster.submit_input(Modality.VISION, "person") == (1, 1)  # no msg id used up
-
     def test_the_payload_is_the_request_as_sorted_key_json(self):
         cluster = Cluster()
         cluster.add_node(1, set(Modality))
         requests = list(zip(cycle(Modality), _SNAPSHOT_TAGS))
         for modality, tag in requests:
             cluster.submit_input(modality, tag)
-        assert [env.payload for env in cluster.nodes[1].drain_inbox()] == [
+        inbox = cluster.nodes[1].drain_inbox()
+        assert [env.payload for env in inbox] == [
             json.dumps({"modality": m.value, "tag": tag}, sort_keys=True).encode("utf-8")
             for m, tag in requests]
+        assert {env.qos for env in inbox} == {QoS.REALTIME}  # the frame's qos byte, as it always was
 
 
 class TestRequestRefusals:
@@ -1270,6 +1250,27 @@ class TestScenario:
         assert not any(event in ("suspect", "failed") for _, event, _d in events)
         assert (9, "input", "modality=vision tag=person node=1 msg=1") in events
 
+    @pytest.mark.parametrize("line", ["kill 30 99", "kill 3 99", "revive 2 99", "kill 1 0"])
+    def test_a_switch_of_an_undeclared_node_is_refused_with_its_line_whatever_the_tick(self, line):
+        node = line.split()[2]
+        with pytest.raises(InvalidArgument, match=f"^InvalidArgument: scenario line 2: unknown node {node}$"):
+            parse_scenario(f"node 1 vision\n{line}\nnode 2 audio\n")
+
+    def test_a_switch_may_come_before_the_node_line_it_names(self):
+        scenario = parse_scenario("kill 3 2\nrevive 4 2\nnode 1 vision\nnode 2 vision\n")
+        assert (scenario.kills, scenario.revives) == ([(3, 2)], [(4, 2)])
+
+    @pytest.mark.parametrize("node_id", ["0", "-1", "4294967296"])
+    def test_a_node_id_outside_the_address_range_is_refused_with_its_line(self, node_id):
+        with pytest.raises(InvalidArgument, match=(f"^InvalidArgument: scenario line 2: "
+                                                   f"node id {node_id} is not in 1..4294967295$")):
+            parse_scenario(f"node 1 vision\nnode {node_id} vision\n")
+
+    def test_a_repeated_node_id_is_refused_with_its_line(self):
+        with pytest.raises(InvalidArgument,
+                           match="^InvalidArgument: scenario line 3: node 1 is already declared on line 1$"):
+            parse_scenario("node 1 vision\nnode 2 audio\nnode 1 audio\n")
+
     def test_a_revive_of_an_undeclared_node_is_refused(self):
         with pytest.raises(InvalidArgument, match="unknown node 9"):
             run_scenario(parse_scenario("node 1 vision\nrevive 2 9\n"), ticks=3)
@@ -1304,8 +1305,7 @@ class ClusterModel(RuleBasedStateMachine):
         self.windows: dict[int, tuple[deque, deque, deque]] = {}  # cpu, mem, io samples
         self.liveness: dict[int, Liveness] = {}
         self.silenced: set[int] = set()
-        # node -> (realtime, bulk) queues of (msg_id, modality, tag)
-        self.inbox: dict[int, tuple[deque, deque]] = {}
+        self.inbox: dict[int, deque] = {}  # node -> queue of (msg_id, modality, tag)
         self.submitted: set[int] = set()
         self.processed: set[int] = set()
         self.dropped: set[int] = set()
@@ -1333,9 +1333,6 @@ class ClusterModel(RuleBasedStateMachine):
         live = self._live(modality)
         return min(live, key=lambda nid: (_load(self.windows[nid]), nid)) if live else None
 
-    def _queue(self, node_id, qos):
-        return self.inbox[node_id][0 if qos is QoS.REALTIME else 1]
-
     @rule(node_id=st.integers(1, MAX_NODES),
           modalities=st.sets(st.sampled_from(list(Modality)), min_size=1, max_size=2))
     def add_node(self, node_id, modalities):
@@ -1349,7 +1346,7 @@ class ClusterModel(RuleBasedStateMachine):
         self.modalities[node_id] = frozenset(modalities)
         self.windows[node_id] = tuple(deque(maxlen=3) for _ in range(3))
         self.liveness[node_id] = Liveness.ALIVE
-        self.inbox[node_id] = (deque(), deque())
+        self.inbox[node_id] = deque()
 
     # Few distinct values, so equal loads and the id tie-break come up.
     SAMPLES = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.floats(0.0, 1.0))
@@ -1405,32 +1402,31 @@ class ClusterModel(RuleBasedStateMachine):
         assert newly_failed == expected
         events = []
         for node_id in expected:
-            realtime, bulk = self.inbox[node_id]
-            for qos, queue in ((QoS.REALTIME, realtime), (QoS.BULK, bulk)):
-                while queue:
-                    msg_id, modality, tag = queue.popleft()
-                    target = self._route(modality)
-                    if target is not None:
-                        self._queue(target, qos).append((msg_id, modality, tag))
-                        events.append((msg_id, target))
-                    else:
-                        self.dropped.add(msg_id)
-                        events.append((msg_id, None))
+            queue = self.inbox[node_id]
+            while queue:
+                msg_id, modality, tag = queue.popleft()
+                target = self._route(modality)
+                if target is not None:
+                    self.inbox[target].append((msg_id, modality, tag))
+                    events.append((msg_id, target))
+                else:
+                    self.dropped.add(msg_id)
+                    events.append((msg_id, None))
         assert self._both("last_failover_events") == events
 
-    @rule(modality=st.sampled_from(list(Modality)), qos=st.sampled_from([QoS.REALTIME, QoS.BULK]))
-    def submit_input(self, modality, qos):
+    @rule(modality=st.sampled_from(list(Modality)))
+    def submit_input(self, modality):
         tag = f"t{self.next_tag}"
         self.next_tag += 1
         expected = self._route(modality)
         if expected is None:
             with pytest.raises(NodeUnreachable):
-                self._both("submit_input", modality, tag, qos)
+                self._both("submit_input", modality, tag)
             return
-        target, msg_id = self._both("submit_input", modality, tag, qos)
+        target, msg_id = self._both("submit_input", modality, tag)
         assert target == expected and msg_id not in self.submitted
         self.submitted.add(msg_id)
-        self._queue(target, qos).append((msg_id, modality, tag))
+        self.inbox[target].append((msg_id, modality, tag))
 
     @rule()
     def process_step(self):
@@ -1439,8 +1435,7 @@ class ClusterModel(RuleBasedStateMachine):
         for node_id in self._live():
             if node_id in self.silenced:
                 continue
-            realtime, bulk = self.inbox[node_id]
-            queue = realtime or bulk
+            queue = self.inbox[node_id]
             if queue:
                 msg_id, modality, tag = queue.popleft()
                 self.processed.add(msg_id)
@@ -1469,8 +1464,10 @@ class ClusterModel(RuleBasedStateMachine):
     @precondition(lambda self: self.newest is not None)
     @rule(data=st.data())
     def restore(self, data):
-        """Restore the newest checkpoint onto any id, used or not.
+        """Restore the newest checkpoint's state onto any id, used or not.
 
+        Onto another id than its own, the checkpoint is the one that id's
+        node would have given with that state, as if taken in another cluster.
         Onto a used id, the replicas, the checkpoint number and the queued
         messages carry over, so the model keeps them, and a queued message
         the restored modalities do not serve refuses the restore; an unused
@@ -1478,12 +1475,13 @@ class ClusterModel(RuleBasedStateMachine):
         """
         chk, seq, modalities, windows = self.newest
         target = data.draw(st.integers(1, self.MAX_NODES))
-        realtime, bulk = self.inbox.get(target, ((), ()))
-        if any(modality not in modalities for _msg, modality, _tag in (*realtime, *bulk)):
+        if target != chk.node_id:
+            chk = _taken_as(chk, target)
+        if any(modality not in modalities for _msg, modality, _tag in self.inbox.get(target, ())):
             with pytest.raises(InvalidArgument):
-                self._both("restore_node", chk, target)
+                self._both("restore_node", chk)
             return
-        restored = self._both("restore_node", chk, target)
+        restored = self._both("restore_node", chk)
         assert (restored.id, restored.modalities, restored.heartbeat_seq) == (target, modalities, seq)
         assert restored.liveness is Liveness.ALIVE and not restored.silenced
         self.liveness[target] = Liveness.ALIVE
@@ -1492,13 +1490,13 @@ class ClusterModel(RuleBasedStateMachine):
         self.seq[target] = seq
         self.modalities[target] = modalities
         self.windows[target] = tuple(deque(w, maxlen=3) for w in windows)
-        self.inbox.setdefault(target, (deque(), deque()))
+        self.inbox.setdefault(target, deque())
 
     @invariant()
     def the_twin_is_the_same_cluster(self):
         def state(cluster):
             return {nid: (n.snapshot(), n.liveness, n.silenced, n.last_heartbeat, n.checkpoint_seq,
-                          n.checkpoint_store, tuple(n._inbox_rt), tuple(n._inbox_bulk), n._load)
+                          n.checkpoint_store, tuple(n._inbox), n._load)
                     for nid, n in cluster.nodes.items()}
         assert state(self.twin) == state(self.cluster)
         assert self.twin.collect_outputs() == self.cluster.collect_outputs()
@@ -1537,15 +1535,13 @@ class ClusterModel(RuleBasedStateMachine):
 
     @invariant()
     def every_message_ends_exactly_once(self):
-        queued = [msg_id for rt, bulk in self.inbox.values() for msg_id, _m, _t in (*rt, *bulk)]
+        queued = [msg_id for queue in self.inbox.values() for msg_id, _m, _t in queue]
         assert len(queued) == len(set(queued))
         outcomes = (set(queued), self.processed, self.dropped)
         assert set().union(*outcomes) == self.submitted
         assert sum(map(len, outcomes)) == len(self.submitted)  # no message has two ends
-        for node_id, (realtime, bulk) in self.inbox.items():
-            node = self.cluster.nodes[node_id]
-            assert [env.msg_id for env in node._inbox_rt] == [msg_id for msg_id, _m, _t in realtime]
-            assert [env.msg_id for env in node._inbox_bulk] == [msg_id for msg_id, _m, _t in bulk]
+        for node_id, queue in self.inbox.items():
+            assert _queued(self.cluster.nodes[node_id]) == [msg_id for msg_id, _m, _t in queue]
 
 
 TestClusterModel = ClusterModel.TestCase

@@ -292,7 +292,7 @@ class TestWorkBuilders:
         a = Tensor((2, 2), [1.0, 2.0, 3.0, 4.0])
         b = Tensor((3, 2), [1.0, 0.0, 0.0, 1.0, 5.0, 5.0])
         with pytest.raises(ShapeMismatch):
-            matmul_work(a, b)
+            matmul_work(a, b, on_result=[].append)
 
     def test_matmul_work_overflow_faults_with_overflow_at_the_last_step(self):
         a = Tensor((1, 2), [1e200, 1e200])
@@ -315,7 +315,7 @@ class TestWorkBuilders:
         rng = Random(4)
         a = Tensor.random((3, 5), rng)
         b = Tensor.random((5, 2), rng)
-        gen = matmul_work(a, b)(None)
+        gen = matmul_work(a, b, on_result=[].append)(None)
         assert list(gen) == [ALLOC_CYCLES] + [5] * (3 * 2)
 
 
