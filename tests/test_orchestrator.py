@@ -351,13 +351,16 @@ class TestCheckpoints:
             "four-sample-window", "metric-hex-length", "metric-hex-odd-length", "metric-not-hex",
             "metric-hex-uppercase", "metric-hex-spaced", "unserved-modality", "tick-after-the-clock",
             "empty-tag"])
-    def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt):
+    @pytest.mark.parametrize("node_id", [None, 9])  # None: node 1's own id; 9: an id not in the table
+    def test_malformed_snapshot_rejected_and_nodes_unchanged(self, corrupt, node_id):
         cluster = self.build()
         chk = cluster.checkpoint_node(1)
         state = json.loads(chk.snapshot)
         corrupt(state)
         # Canonical bytes, so only the corruption can be what is refused.
         bad = Checkpoint(chk.node_id, chk.seq, _canonical(state))
+        if node_id is not None:
+            bad = _taken_as(bad, node_id)
         before = dict(cluster.nodes)
         with pytest.raises(InvalidArgument) as refused:
             cluster.restore_node(bad)
