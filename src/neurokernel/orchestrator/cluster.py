@@ -27,6 +27,7 @@ METRIC_WINDOW = 3
 _NO_SAMPLES = ((0.0, 0.0, 0.0),) * (METRIC_WINDOW - 1)
 _SAMPLE_TYPES = (float, int)  # exact types: a bool is an int subclass, not a load
 _WINDOWS = tuple(struct.Struct(f"<{3 * n}d") for n in range(METRIC_WINDOW + 1))  # n samples, as snapshots pack them
+_pack_full_window = _WINDOWS[METRIC_WINDOW].pack
 
 
 class Liveness(Enum):
@@ -67,7 +68,10 @@ class Node:
     ``latest`` keeps, per modality served, the last input processed as
     ``(tick, tag, label)``, the triple its snapshot holds. A new input of the
     modality replaces the entry, so a node's state does not grow with its
-    uptime. The stub's output vector is not kept: ``Cluster.collect_outputs``
+    uptime. ``_record`` is the one writer of ``latest``: it clears
+    ``_latest_json``, the snapshot's rendered ``"latest"`` members, before it
+    writes, and ``snapshot()`` renders them again only once they are cleared.
+    The stub's output vector is not kept: ``Cluster.collect_outputs``
     computes it for the records it returns. ``id`` and ``modalities`` are
     fixed for the node's life. The coordinator's records of the node are
     not in the snapshot: ``checkpoint_store`` maps a peer's id to the newest
@@ -95,6 +99,7 @@ class Node:
         self.checkpoint_seq = 0
         self.heartbeat_seq = 0
         self.latest: dict[Modality, tuple[int, str, str]] = {}
+        self._latest_json: str | None = ""  # the rendering of latest; None once _record changes latest
         self.checkpoint_store: dict[int, Checkpoint] = {}
         self._metrics: deque[tuple[float, float, float]] = deque(maxlen=METRIC_WINDOW)  # (cpu, mem, io)
         self._load = 0.0
@@ -133,6 +138,7 @@ class Node:
     def _record(self, modality: Modality, tick: int, tag: str) -> str:
         """Label tag with the modality's stub at tick, keep it as the modality's latest; the label."""
         label = modality_label(modality, tag.encode("utf-8"))
+        self._latest_json = None  # first: a fault between the two stores leaves no stale rendering
         self.latest[modality] = (tick, tag, label)
         return label
 
@@ -145,12 +151,22 @@ class Node:
         its samples' little-endian float64 ``(cpu, mem, io)`` triples, in window
         order. Output vectors are not stored: they are a function of the modality
         and tag. Written directly, as that encoder would: strings escaped to ASCII, ints by str.
+        The ``"latest"`` members are rendered once per change: ``_record`` clears
+        them, and a snapshot with no input recorded since the last reuses them.
         """
+        latest = self._latest_json
+        if latest is None:
+            latest = self._latest_json = ",".join([
+                f"{key}{entry[0]},{_json_str(entry[1])},{_json_str(entry[2])}]"
+                for m, key in self._latest_keys if (entry := self.latest.get(m)) is not None])
         window = self._metrics
-        latest = ",".join([f"{key}{entry[0]},{_json_str(entry[1])},{_json_str(entry[2])}]"
-                           for m, key in self._latest_keys if (entry := self.latest.get(m)) is not None])
+        if len(window) == METRIC_WINDOW:
+            s0, s1, s2 = window
+            metrics = _pack_full_window(*s0, *s1, *s2)
+        else:
+            metrics = _WINDOWS[len(window)].pack(*sum(window, ()))
         return (f'{{"heartbeat_seq":{self.heartbeat_seq},"latest":{{{latest}}},'
-                f'"metrics":"{_WINDOWS[len(window)].pack(*sum(window, ())).hex()}"{self._snapshot_tail}').encode()
+                f'"metrics":"{metrics.hex()}"{self._snapshot_tail}').encode()
 
     @classmethod
     def from_snapshot(cls, snapshot: bytes, node_id: int, now: int) -> Node:
@@ -365,17 +381,25 @@ class Cluster:
 
         The peer is the first non-failed other node in the table, so the
         lowest-id one. It keeps only this node's newest checkpoint: an older
-        replica there is replaced.
+        replica there is replaced. The number is taken and the replica stored
+        together: a fault before the store takes no number.
         """
-        node = self.node(node_id)
+        node = self.nodes.get(node_id) if type(node_id) is int else None  # True or 1.0 would find node 1
+        if node is None:
+            node = self.node(node_id)  # refuses
         for peer in self.nodes.values():
             if peer is not node and peer.liveness is not _FAILED:
                 break
         else:
             raise NodeUnreachable("no peer available to replicate the checkpoint")
-        chk = Checkpoint(node_id, node.checkpoint_seq + 1, node.snapshot())
-        node.checkpoint_seq = chk.seq
-        peer.checkpoint_store[node_id] = chk
+        seq = node.checkpoint_seq
+        chk = Checkpoint(node_id, seq + 1, node.snapshot())
+        try:
+            node.checkpoint_seq = seq + 1
+            peer.checkpoint_store[node_id] = chk
+        except BaseException:  # no replica stored: give the number back
+            node.checkpoint_seq = seq
+            raise
         return chk
 
     def restore_node(self, chk: Checkpoint) -> Node:

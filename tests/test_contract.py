@@ -13,7 +13,10 @@ TICKETS (a pool or device handle, token or predicate) is refused the same way: w
 handed a ticket out accepts only that object. REFUSED holds the bad values a
 swap does not reach. TIMED names the per-job and per-message sites, whose valid call enters no
 checker in errors.py. No function of the package reads an enum member
-through its class (test_no_function_reads_an_enum_member_through_its_class).
+through its class (test_no_function_reads_an_enum_member_through_its_class),
+and only Node._record writes a node's latest inputs, so the snapshot's
+rendering of them, which _record clears, cannot go stale
+(test_only_record_writes_a_nodes_latest_inputs).
 A record built per call whose __init__ is hand-written builds what the
 generated one would (TestRecordInits), and the timed paths' call structure is
 counted under sys.setprofile (a device matmul runs once through
@@ -866,3 +869,45 @@ def _enum_member_reads():
 def test_no_function_reads_an_enum_member_through_its_class():
     sites = list(_enum_member_reads())
     assert sites == [], "bind these members once at module level:\n" + "\n".join(sites)
+
+
+# The functions that may write a .latest attribute, each with its reason.
+LATEST_WRITERS = {
+    "Node.__init__": "binds the empty dict beside its rendering, the empty string",
+    "Node._record": "the one writer: it clears the rendering, then stores the entry",
+}
+_DICT_WRITES = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__", "__ior__"}
+
+
+def _scoped(tree, scope=()):
+    """(dotted class and function names around it, node) for every node under tree."""
+    for child in ast.iter_child_nodes(tree):
+        inner = (*scope, child.name) if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield ".".join(inner), child
+        yield from _scoped(child, inner)
+
+
+def _latest_writes():
+    """(scope, file:line) of each write to a .latest attribute in the package.
+
+    A write is a rebinding or deletion of the attribute, a store or deletion
+    through a subscript of it, or a call of one of its dict methods that
+    changes it.
+    """
+    def is_latest(expr):
+        return isinstance(expr, ast.Attribute) and expr.attr == "latest"
+
+    for info in pkgutil.walk_packages(neurokernel.__path__, "neurokernel."):
+        module = importlib.import_module(info.name)
+        for scope, node in _scoped(ast.parse(inspect.getsource(module))):
+            stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+            if (stored and is_latest(node) or stored and isinstance(node, ast.Subscript) and is_latest(node.value)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _DICT_WRITES and is_latest(node.func.value)):
+                yield scope, f"{module.__file__}:{node.lineno}"
+
+
+def test_only_record_writes_a_nodes_latest_inputs():
+    writes = list(_latest_writes())
+    assert [site for scope, site in writes if scope not in LATEST_WRITERS] == []
+    assert {scope for scope, _ in writes} == set(LATEST_WRITERS)  # each allowance names a writer

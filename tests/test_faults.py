@@ -1,4 +1,4 @@
-"""Failure atomicity: a host fault at any line leaves the scheduler and the pool consistent.
+"""Failure atomicity: a host fault at any line leaves the scheduler, the pool and the cluster consistent.
 
 The injector raises InjectedFault, a MemoryError, at the Nth "line" event in
 a frame whose code lies in the package (sys.settrace), for every N the call
@@ -12,6 +12,8 @@ each task in the heap is QUEUED or PREEMPTED, and no task given to the
 scheduler is QUEUED or PREEMPTED outside the heap or left RUNNING. ALLOWED
 names the lines where a fault may leave the world otherwise, each with its
 reason; test_every_allowance_names_a_line fails on one that names no line.
+CHECKPOINT_ALLOWED does the same for Cluster.checkpoint_node, whose sweep
+fails on an allowance it never reaches.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from neurokernel.orchestrator import Modality, Node
 from neurokernel.orchestrator.cluster import METRIC_WINDOW
 from neurokernel.scheduler import MlScheduler, MlTask, SchedulerConfig, TaskState, cycles_work
 from neurokernel.tensor import Tensor
+from test_orchestrator import _canonical, _state, _two_nodes
 
 PACKAGE = os.path.dirname(neurokernel.__file__) + os.sep
 SCHEDULER = os.path.join(PACKAGE, "scheduler.py")
+CLUSTER = os.path.join(PACKAGE, "orchestrator", "cluster.py")
 
 
 class InjectedFault(MemoryError):
@@ -268,4 +272,91 @@ def test_a_fault_in_push_metrics_leaves_later_samples_accepted(before):
         if where is None:
             break
         n += 1
+    assert n > 3
+
+
+def _queued_after_a_snapshot():
+    """Node 1 of _two_nodes with one recorded input, snapshotted since, and one input queued."""
+    cluster = _two_nodes([Modality.VISION, Modality.LANGUAGE])
+    cluster.heartbeat_tick()
+    cluster.submit_input(Modality.VISION, "person")
+    cluster.process_step()
+    node = cluster.nodes[1]
+    node.snapshot()  # renders "latest", which the next snapshot reuses unless an input is recorded
+    cluster.heartbeat_tick()
+    cluster.submit_input(Modality.LANGUAGE, "hello")
+    return cluster, node
+
+
+def test_a_fault_in_process_step_leaves_no_stale_snapshot():
+    # _record clears the node's rendered "latest" members before it stores
+    # the new entry, so wherever the fault lands, the next snapshot is the
+    # json.dumps of the node's state, and restoring it gives the same bytes.
+    n = 1
+    while True:
+        cluster, node = _queued_after_a_snapshot()
+        where = fault_at(cluster.process_step, n)
+        snapshot = node.snapshot()
+        assert snapshot == _canonical(_state(node)), f"fault at {where}"
+        assert Node.from_snapshot(snapshot, 1, cluster.tick).snapshot() == snapshot, f"fault at {where}"
+        cluster.heartbeat_tick()
+        cluster.submit_input(Modality.LANGUAGE, "later")  # after "hello", if the fault left it queued
+        while node._inbox:
+            cluster.process_step()
+        assert node.latest[Modality.LANGUAGE] == (cluster.tick, "later", "later"), f"fault at {where}"
+        assert node.snapshot() == _canonical(_state(node)), f"fault at {where}"
+        if where is None:
+            break
+        n += 1
+    assert n > 3
+
+
+# The one line where checkpoint_node may leave the after-state while its caller gets the fault.
+CHECKPOINT_ALLOWED = {"return chk": "committed; a fault after the commit cannot be undone"}
+
+
+def _checkpointed_once():
+    """Three nodes; node 1 checkpointed to node 2 once, then given an input, so its next snapshot differs."""
+    cluster = _two_nodes([Modality.VISION])
+    cluster.add_node(3, {Modality.VISION})
+    cluster.heartbeat_tick()
+    cluster.checkpoint_node(1)
+    cluster.submit_input(Modality.VISION, "person")
+    cluster.process_step()
+    return cluster
+
+
+def _checkpoint_records(cluster) -> dict:
+    """Per node, its checkpoint number and the replicas it keeps for peers: what checkpoint_node changes."""
+    return {node_id: (node.checkpoint_seq,
+                      {held: (chk.node_id, chk.seq, chk.snapshot) for held, chk in node.checkpoint_store.items()})
+            for node_id, node in cluster.nodes.items()}
+
+
+def test_a_fault_in_checkpoint_node_takes_no_number_without_its_replica():
+    # The number and the replica change together: a fault leaves the state
+    # before the call, or, only at the allowed line, the state after it.
+    before = _checkpoint_records(_checkpointed_once())
+    unfaulted = _checkpointed_once()
+    unfaulted.checkpoint_node(1)
+    after = _checkpoint_records(unfaulted)
+    allowed_hit, n = set(), 1
+    while True:
+        cluster = _checkpointed_once()
+        where = fault_at(lambda: cluster.checkpoint_node(1), n)
+        line = where and linecache.getline(*where).strip()
+        if where is None:
+            expected = after
+        elif where[0] == CLUSTER and line in CHECKPOINT_ALLOWED:
+            expected = after
+            allowed_hit.add(line)
+        else:
+            expected = before
+        assert _checkpoint_records(cluster) == expected, f"fault at {where}: {line}"
+        chk = cluster.checkpoint_node(1)  # the next number, replicated to the lowest-id peer
+        assert (chk.seq, cluster.nodes[2].checkpoint_store[1]) == (expected[1][0] + 1, chk), f"fault at {where}"
+        if where is None:
+            break
+        n += 1
+    assert allowed_hit == set(CHECKPOINT_ALLOWED)
     assert n > 3

@@ -33,7 +33,7 @@ from neurokernel.orchestrator import (
     parse_scenario,
     run_scenario,
 )
-from neurokernel.orchestrator import fusion
+from neurokernel.orchestrator import cluster as cluster_module, fusion
 from neurokernel.orchestrator.cluster import _request
 from neurokernel.orchestrator.envelope import MAGIC
 from neurokernel.rabab import embed
@@ -762,6 +762,33 @@ class TestFastPathsMatchTheirOracles:
             assert node.snapshot() == _canonical(_state(node))
         restored = cluster.restore_node(cluster.checkpoint_node(1))
         assert restored.snapshot() == _canonical(_state(restored))
+
+    def test_a_snapshot_renders_latest_again_only_after_a_record(self, monkeypatch):
+        """The "latest" members are escaped once per recorded input, not once per snapshot."""
+        cluster = _two_nodes([Modality.VISION, Modality.AUDIO])
+        node = cluster.nodes[1]
+        cluster.heartbeat_tick()
+        for modality, tag in ((Modality.VISION, "person"), (Modality.AUDIO, "speech")):
+            cluster.submit_input(modality, tag)
+            cluster.process_step()
+        escape, escaped = cluster_module._json_str, []
+        monkeypatch.setattr(cluster_module, "_json_str", lambda text: escaped.append(text) or escape(text))
+
+        def rendered():  # what rendering "latest" escapes: each entry's tag and label
+            return sorted(text for _, tag, label in node.latest.values() for text in (tag, label))
+
+        assert node.snapshot() == _canonical(_state(node))
+        assert sorted(escaped) == rendered()
+        escaped.clear()
+        cluster.heartbeat_tick()
+        node.push_metrics(0.25, 0.5, 0.75)
+        assert cluster.checkpoint_node(1).snapshot == _canonical(_state(node))  # a new beat and window
+        assert escaped == []
+        cluster.submit_input(Modality.VISION, "car")  # escapes the tag for its payload
+        cluster.process_step()  # one _record
+        escaped.clear()
+        assert node.snapshot() == _canonical(_state(node))
+        assert sorted(escaped) == rendered()
 
     @given(_served, st.lists(st.tuples(_samples, _samples), max_size=5),
            st.lists(st.tuples(st.integers(0, 3), _escaped_text), max_size=3))
